@@ -402,6 +402,7 @@ class _TreeCollection:
         for u, v in zip(state.tails.tolist(), state.heads.tolist()):
             self._link(u, v)
         self.forests: list[SpanningForest] = []
+        self._cycles: list[tuple[np.ndarray, ...]] = []
         self.total = float(state.lengths.sum())
         self.checkpoint = 0.0
         self.rebuild()
@@ -430,6 +431,20 @@ class _TreeCollection:
             self.forests.append(
                 SpanningForest(state.n, state.tails, state.heads, order))
         self.checkpoint = max(self.total, 1e-300)
+        self._cycles_m = -1
+
+    def _forest_cycles(self, forest: SpanningForest) -> tuple[np.ndarray, ...]:
+        """Off-tree edges of a forest, their endpoints and meeting vertices,
+        and their fundamental-cycle gradients. Forests change only on
+        rebuild and existing gradients never change, so these hold until
+        the next rebuild or insertion."""
+        state = self.state
+        g = state.gradients
+        off = np.flatnonzero(~forest.tree_edge_mask(state.m))
+        gsum = forest.prefix_sums(g, signed=True)
+        u, v = state.tails[off], state.heads[off]
+        meet = forest.lca_many(u, v)
+        return off, u, v, meet, g[off] + gsum[u] - gsum[v]
 
     def note_insert(self, e: int) -> None:
         state = self.state
@@ -447,19 +462,18 @@ class _TreeCollection:
         state = self.state
         m = state.m
         g, lengths = state.gradients, state.lengths
-        tails, heads = state.tails, state.heads
         threshold = -state.alpha / state.kappa
         best_ratio = 0.0
         best: tuple[SpanningForest, int] | None = None
-        for forest in self.forests:
-            off = np.flatnonzero(~forest.tree_edge_mask(m))
+        if self._cycles_m != m:
+            self._cycles = [self._forest_cycles(forest)
+                            for forest in self.forests]
+            self._cycles_m = m
+        for forest, (off, u, v, meet, grads) in zip(self.forests,
+                                                    self._cycles):
             if off.size == 0:
                 continue
-            gsum = forest.prefix_sums(g, signed=True)
             lsum = forest.prefix_sums(lengths, signed=False)
-            u, v = tails[off], heads[off]
-            meet = forest.lca_many(u, v)
-            grads = g[off] + gsum[u] - gsum[v]
             lens = lengths[off] + lsum[u] + lsum[v] - 2.0 * lsum[meet]
             ratios = -np.abs(grads) / lens
             pick = int(np.argmin(ratios))

@@ -76,6 +76,7 @@ class SpanningForest:
         self.order = np.asarray(order, dtype=np.int64)
         self.tree_edges = np.asarray(tree_edges, dtype=np.int64)
         self._lift: np.ndarray | None = None
+        self._levels: list[np.ndarray] | None = None
 
     def tree_edge_mask(self, m: int) -> np.ndarray:
         mask = np.zeros(m, dtype=bool)
@@ -111,15 +112,19 @@ class SpanningForest:
         tail -> head and -value otherwise; unsigned sums are plain totals
         (used for lengths).
         """
+        if self._levels is None:
+            # Non-root vertices grouped by depth, shallowest level first.
+            by_depth = np.argsort(self.depth, kind="stable")
+            top = int(self.depth.max(initial=0))
+            bounds = np.searchsorted(self.depth[by_depth],
+                                     np.arange(1, top + 1))
+            self._levels = np.split(by_depth, bounds)[1:]
         out = np.zeros(self.n)
         pv, pe, ps = self.parent_vertex, self.parent_edge, self.parent_sign
-        for v in self.order:
-            p = pv[v]
-            if p < 0:
-                continue
-            val = values[pe[v]]
+        for level in self._levels:
+            val = values[pe[level]]
             # Traversal parent -> child runs against parent_sign.
-            out[v] = out[p] + (-ps[v] * val if signed else val)
+            out[level] = out[pv[level]] + (-ps[level] * val if signed else val)
         return out
 
     def _build_lift(self) -> None:
@@ -184,6 +189,35 @@ class SpanningForest:
             signs.append(int(self.parent_sign[v]))
             v = int(self.parent_vertex[v])
         return edges, signs
+
+    def fundamental_cycles(self, edges: np.ndarray, tails: np.ndarray,
+                           heads: np.ndarray
+                           ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """All cycles closed by the off-tree `edges` at once, as triplets
+        (cycle index into `edges`, edge id, orientation sign); cycle j holds
+        the same edges and signs as fundamental_cycle(edges[j]).
+
+        Both endpoints climb towards their meeting vertex, the deeper one
+        first, so the loop runs at most twice the forest depth.
+        """
+        edges = np.asarray(edges, dtype=np.int64)
+        index = np.arange(edges.size, dtype=np.int64)
+        cyc, eids = [index], [edges]
+        signs = [np.ones(edges.size, dtype=np.int64)]
+        u, v = tails[edges], heads[edges]
+        depth, pv, pe, ps = (self.depth, self.parent_vertex, self.parent_edge,
+                             self.parent_sign)
+        while index.size:
+            du, dv = depth[u], depth[v]
+            up_u, up_v = du >= dv, dv >= du
+            cyc += [index[up_v], index[up_u]]
+            eids += [pe[v[up_v]], pe[u[up_u]]]
+            signs += [ps[v[up_v]], -ps[u[up_u]]]
+            v = np.where(up_v, pv[v], v)
+            u = np.where(up_u, pv[u], u)
+            active = u != v
+            index, u, v = index[active], u[active], v[active]
+        return np.concatenate(cyc), np.concatenate(eids), np.concatenate(signs)
 
     def fundamental_cycle(self, e: int, tails: Sequence[int], heads: Sequence[int]
                           ) -> tuple[np.ndarray, np.ndarray]:

@@ -1,13 +1,15 @@
 """Reference oracles: static optimum, exact maxflow, effective resistance.
 
 Everything here is independent of the incremental solver so it can be used
-as ground truth in tests: the static optimizer works on the explicit cycle
-space, maxflow is augmenting-path exact, effective resistance is a direct
-Laplacian solve.
+as ground truth in tests: the static optimizer runs Newton in fundamental
+cycle coordinates and solves each step through a grounded vertex Laplacian,
+maxflow is augmenting-path exact, effective resistance is a direct Laplacian
+solve.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -36,6 +38,103 @@ _STAGNATION_ITERATIONS = 8
 _STAGNATION_GNORM = 100.0 * math.sqrt(np.finfo(float).eps)
 
 
+# Largest number of free (non-root) vertices whose grounded Laplacian is
+# factored densely; below it scipy.sparse call overhead outweighs the work.
+_DENSE_LAPLACIAN_LIMIT = 64
+
+
+class _LaplacianNewton:
+    """Newton steps in cycle coordinates through vertex-space solves.
+
+    The step x solves C^T H C x = -C^T grad, where the columns of C are the
+    fundamental cycles and H = diag(h) is the Hessian. Delta = C x is the
+    circulation minimizing Delta^T H Delta / 2 + grad^T Delta, so
+    Delta = -(grad + B phi) / h, where B is the edge-vertex incidence
+    matrix and phi solves L phi = -B^T (grad / h) for the Laplacian
+    L = B^T diag(1/h) B grounded at every forest root. C is the identity
+    on the off-tree edges, so x is Delta read off there. No k x k matrix
+    is formed; iterative refinement feeds the cycle-space residual back
+    through the same factorization until it stops shrinking.
+    """
+
+    def __init__(self, graph: IncrementalGraph, forest: SpanningForest,
+                 off_tree: np.ndarray, basis: sp.csc_matrix,
+                 basis_t: sp.csr_matrix):
+        n, m = graph.n, graph.m
+        self.n = n
+        self.tails, self.heads = graph.edge_arrays()
+        self.off_tree = off_tree
+        self.off_tails = self.tails[off_tree]
+        self.off_heads = self.heads[off_tree]
+        self.basis, self.basis_t = basis, basis_t
+        self.free = np.flatnonzero(forest.parent_vertex >= 0)
+        size = self.free.size
+        local = np.full(n, -1, dtype=np.int64)
+        local[self.free] = np.arange(size)
+        lt, lh = local[self.tails], local[self.heads]
+        # Per edge: +1/h at (tail, tail) and (head, head), -1/h at
+        # (tail, head) and (head, tail); entries at grounded vertices drop.
+        rows = np.concatenate((lt, lh, lt, lh))
+        cols = np.concatenate((lt, lh, lh, lt))
+        keep = (rows >= 0) & (cols >= 0)
+        self.entry_edge = np.tile(np.arange(m), 4)[keep]
+        self.entry_sign = np.repeat([1.0, 1.0, -1.0, -1.0], m)[keep]
+        self.size = size
+        self.dense = size <= _DENSE_LAPLACIAN_LIMIT
+        if self.dense:
+            self.entry_flat = rows[keep] * size + cols[keep]
+        else:
+            self.rows, self.cols = rows[keep], cols[keep]
+
+    def _potentials(self, solve, tails, heads, y):
+        rhs = np.bincount(tails, y, self.n) - np.bincount(heads, y, self.n)
+        phi = np.zeros(self.n)
+        phi[self.free] = solve(rhs[self.free])
+        return phi
+
+    def step(self, h: np.ndarray, edge_grad: np.ndarray,
+             grad: np.ndarray) -> np.ndarray:
+        """Cycle coordinates of the Newton step; NaN when the Laplacian
+        cannot be factored."""
+        cond = 1.0 / h
+        values = self.entry_sign * cond[self.entry_edge]
+        try:
+            if self.dense:
+                size = self.size
+                lap = np.bincount(self.entry_flat, values,
+                                  size * size).reshape(size, size)
+                solve = functools.partial(np.linalg.solve, lap)
+            else:
+                lap = sp.csc_matrix((values, (self.rows, self.cols)),
+                                    shape=(self.size, self.size))
+                solve = spla.splu(lap).solve
+            phi = self._potentials(solve, self.tails, self.heads,
+                                   edge_grad * cond)
+        except (np.linalg.LinAlgError, RuntimeError):
+            return np.full(self.off_tree.size, np.nan)
+        off_t, off_h = self.off_tails, self.off_heads
+        off_cond = cond[self.off_tree]
+        x = -(edge_grad[self.off_tree] + phi[off_h] - phi[off_t]) * off_cond
+        residual = -grad - self.basis_t @ (h * (self.basis @ x))
+        rnorm = float(np.linalg.norm(residual))
+        target = np.finfo(float).eps * float(np.linalg.norm(grad))
+        while rnorm > target:
+            # Refinement: gamma = -residual on the off-tree edges, zero on
+            # the tree, gives the correction C^T H C dx = residual.
+            phi = self._potentials(solve, off_t, off_h, -residual * off_cond)
+            candidate = x + (residual - phi[off_h] + phi[off_t]) * off_cond
+            cand_residual = (-grad - self.basis_t
+                             @ (h * (self.basis @ candidate)))
+            cand_norm = float(np.linalg.norm(cand_residual))
+            if not cand_norm < rnorm:
+                break
+            stalled = cand_norm > 0.5 * rnorm
+            x, residual, rnorm = candidate, cand_residual, cand_norm
+            if stalled:
+                break
+        return x
+
+
 @dataclass
 class OracleReport:
     """Result of a static optimization: value, optimizer, and how it ended."""
@@ -58,11 +157,14 @@ def static_pnorm_opt(
     Parameterizes feasible flows as f0 + C x where f0 routes the demand on a
     spanning forest and the columns of C are fundamental circulations, then
     runs damped Newton with backtracking until the cycle-space gradient norm
-    drops to tol * (1 + |E(f)|). Iterates that stop improving at the energy
-    evaluation noise floor while the gradient norm sits at machine-precision
-    scale are returned as converged with their achieved gradient_norm; the
-    value error at such a plateau is quadratic in the gradient norm and far
-    below any comparison the report feeds.
+    drops to tol * (1 + |E(f)|). Each Newton system C^T H C x = -C^T grad
+    is solved through the n-vertex Laplacian B^T H^-1 B (see
+    _LaplacianNewton), so the k x k cycle-space Hessian is never formed.
+    Iterates that stop improving at the energy evaluation noise floor while
+    the gradient norm sits at machine-precision scale are returned as
+    converged with their achieved gradient_norm; the value error at such a
+    plateau is quadratic in the gradient norm and far below any comparison
+    the report feeds.
 
     Args:
         instance: the problem; demand must be routable on the current graph.
@@ -104,25 +206,18 @@ def static_pnorm_opt(
         value = smoothed_value(g, r, w, p, f)
         return OracleReport(value=value, flow=f, iterations=0, gradient_norm=0.0)
 
-    rows: list[np.ndarray] = []
-    cols: list[np.ndarray] = []
-    vals: list[np.ndarray] = []
-    for j, e in enumerate(off_tree):
-        edges, signs = forest.fundamental_cycle(int(e), graph.tails, graph.heads)
-        rows.append(edges)
-        cols.append(np.full(edges.size, j, dtype=np.int64))
-        vals.append(signs.astype(float))
-    basis = sp.csc_matrix(
-        (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
-        shape=(m, k),
-    )
+    cycle, edges, signs = forest.fundamental_cycles(off_tree,
+                                                    *graph.edge_arrays())
+    basis = sp.csc_matrix((signs.astype(float), (edges, cycle)), shape=(m, k))
     basis_t = basis.T.tocsr()
+    newton = _LaplacianNewton(graph, forest, off_tree, basis, basis_t)
 
     energy = smoothed_value(g, r, w, p, f)
     last_energy = math.inf
     stagnant = 0
     for iteration in range(max_iterations):
-        grad = basis_t @ smoothed_gradient(g, r, w, p, f)
+        edge_grad = smoothed_gradient(g, r, w, p, f)
+        grad = basis_t @ edge_grad
         gnorm = float(np.linalg.norm(grad))
         if gnorm <= tol * (1.0 + abs(energy)):
             return OracleReport(value=energy, flow=f, iterations=iteration,
@@ -137,18 +232,10 @@ def static_pnorm_opt(
         else:
             stagnant = 0
         last_energy = energy
-        curth = smoothed_hessian_diag(r, w, p, f)
-        hess = (basis_t @ sp.diags(curth) @ basis).tocsc()
-        if k <= 64:
-            try:
-                step = np.linalg.solve(hess.toarray(), -grad)
-            except np.linalg.LinAlgError:
-                step = np.linalg.lstsq(hess.toarray(), -grad, rcond=None)[0]
-        else:
-            step = spla.spsolve(hess, -grad)
+        step = newton.step(smoothed_hessian_diag(r, w, p, f), edge_grad, grad)
         direction = basis @ step
         slope = float(grad @ step)
-        if slope >= 0:
+        if not slope < 0:
             # Numerical degeneracy; fall back to steepest descent.
             step = -grad
             direction = basis @ step

@@ -297,6 +297,37 @@ class TestTreeBackend:
             "is violated on this instance")
         assert sol.ratio <= best.ratio / kappa + 1e-12
 
+    @given(seed=st.integers(min_value=0, max_value=2 ** 32 - 1))
+    @settings(max_examples=20, deadline=None)
+    def test_cached_forest_cycles_match_fresh_ones(self, seed):
+        """Queries on the per-forest cache equal queries that recompute
+        every forest's cycles, across insertions and length increases."""
+        rng = np.random.Generator(np.random.Philox(seed))
+        inst = random_mrc(rng, n_max=9)
+        cached = mrc_init(inst, alpha=0.05, kappa=4.0, backend="trees",
+                          seed=int(seed))
+        fresh = mrc_init(inst, alpha=0.05, kappa=4.0, backend="trees",
+                         seed=int(seed))
+        for _ in range(6):
+            if rng.random() < 0.5:
+                u, v = rng.choice(cached.n, size=2, replace=False)
+                # Large gradient, small length: a cycle the query must see.
+                update = InsertEdge(int(u), int(v), float(rng.normal() * 10),
+                                    0.01)
+            else:
+                e = int(rng.integers(cached.m))
+                update = IncreaseLength(
+                    e, float(cached.lengths[e] * (1 + rng.random())))
+            mrc_update(cached, update)
+            mrc_update(fresh, update)
+            fresh._trees._cycles_m = -1
+            got, want = cached.query(), fresh.query()
+            assert (got is None) == (want is None)
+            if got is not None:
+                assert np.array_equal(got.edges, want.edges)
+                assert np.array_equal(got.signs, want.signs)
+                assert got.ratio == want.ratio
+
 
 def _graph_of(state):
     g = IncrementalGraph(state.n)

@@ -131,6 +131,26 @@ class TestFundamentalCycles:
             assert is_circulation(g, c)
             assert c[e] == 1.0
 
+    @given(seed=st.integers(min_value=0, max_value=2 ** 32 - 1))
+    @settings(max_examples=50, deadline=None)
+    def test_batch_matches_single_cycles(self, seed):
+        rng = np.random.Generator(np.random.Philox(seed))
+        n = int(rng.integers(3, 12))
+        g = random_graph(rng, n, int(rng.integers(1, 3 * n)))
+        forest = forest_of(g, rng)
+        tails, heads = g.edge_arrays()
+        off = np.flatnonzero(~forest.tree_edge_mask(g.m))
+        cycle, edges, signs = forest.fundamental_cycles(off, tails, heads)
+        for j, e in enumerate(off):
+            one_edges, one_signs = forest.fundamental_cycle(
+                int(e), g.tails, g.heads)
+            pick = cycle == j
+            assert sorted(zip(edges[pick].tolist(), signs[pick].tolist())) \
+                == sorted(zip(one_edges.tolist(), one_signs.tolist()))
+        assert cycle.size == sum(
+            forest.fundamental_cycle(int(e), g.tails, g.heads)[0].size
+            for e in off)
+
 
 class TestLca:
     """Binary-lifting LCA against the naive parent walk."""
@@ -200,3 +220,24 @@ class TestPrefixSums:
             assert np.isclose(unsigned[v], total, atol=1e-12)
             expect = -np.sum(values[edges] * np.asarray(signs)) if edges else 0.0
             assert np.isclose(signed[v], expect, atol=1e-12)
+
+    @given(seed=st.integers(min_value=0, max_value=2 ** 32 - 1))
+    @settings(max_examples=40, deadline=None)
+    def test_prefix_sums_equal_the_vertex_loop(self, seed):
+        rng = np.random.Generator(np.random.Philox(seed))
+        n = int(rng.integers(2, 20))
+        g = random_graph(rng, n, int(rng.integers(1, 3 * n)))
+        forest = forest_of(g, rng)
+        values = rng.normal(size=g.m) * 10.0 ** rng.uniform(-6, 6, g.m)
+        for signed in (False, True):
+            # The per-vertex loop in parent-first order is the reference;
+            # the level-by-level sums add the same terms in the same order.
+            expect = np.zeros(n)
+            for v in forest.order:
+                p = forest.parent_vertex[v]
+                if p < 0:
+                    continue
+                val = values[forest.parent_edge[v]]
+                expect[v] = expect[p] + (
+                    -forest.parent_sign[v] * val if signed else val)
+            assert np.array_equal(forest.prefix_sums(values, signed), expect)

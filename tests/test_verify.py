@@ -1,11 +1,15 @@
 """Tests for the reference oracles: convex optimum, maxflow, resistance."""
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from pnormflow.graph import IncrementalGraph, PNormInstance, net_demand
+from pnormflow.refine import MATERIALIZE_MAX_ITERATIONS, MATERIALIZE_TOL
 from pnormflow.verify import (
+    _DENSE_LAPLACIAN_LIMIT,
     effective_resistance,
     exact_maxflow,
     finite_diff_check,
@@ -46,8 +50,54 @@ def random_instance(rng, n_max=8, p_choices=(2, 3, 4)):
     return inst
 
 
+def quadratic_optimum(inst):
+    """Closed-form optimum at p = 2: with c = r^2 + w^2 the optimal flow is
+    f = (B phi - g) / 2c, where B is the incidence matrix (-1 at the tail,
+    +1 at the head) and phi solves B^T diag(1/2c) B phi = d + B^T (g/2c)."""
+    n = inst.graph.n
+    tails, heads = inst.graph.edge_arrays()
+    c = inst.r ** 2 + inst.w ** 2
+    cond = 1.0 / (2.0 * c)
+    lap = np.zeros((n, n))
+    np.add.at(lap, (tails, tails), cond)
+    np.add.at(lap, (heads, heads), cond)
+    np.add.at(lap, (tails, heads), -cond)
+    np.add.at(lap, (heads, tails), -cond)
+    rhs = inst.d.copy()
+    np.add.at(rhs, heads, inst.g * cond)
+    np.subtract.at(rhs, tails, inst.g * cond)
+    phi = np.zeros(n)
+    phi[1:] = np.linalg.solve(lap[1:, 1:], rhs[1:])
+    f = (phi[heads] - phi[tails] - inst.g) * cond
+    return float(inst.g @ f + c @ f ** 2), f
+
+
+def maxflow_instance(seed, eps):
+    """The maxflow driver's p-norm instance at the exact maxflow value of a
+    random 8-vertex multigraph, and the exact flow as a start."""
+    rng = np.random.Generator(np.random.Philox(seed))
+    n = 8
+    graph = IncrementalGraph(n)
+    for i in range(n - 1):
+        graph.add_edge(i, i + 1)
+    while graph.m < 3 * n:
+        u, v = rng.choice(n, size=2, replace=False)
+        graph.add_edge(int(u), int(v))
+    m = graph.m
+    caps = rng.integers(1, 9, size=m).astype(float)
+    p = math.ceil(2.0 * math.log(2 * m) / eps)
+    value, flow = exact_maxflow(graph, caps, 0, n - 1)
+    d = np.zeros(n)
+    d[0], d[-1] = -value, value
+    inst = PNormInstance(graph, d, p, threshold=0.0, eps=1.0)
+    delta = math.exp(-eps * p / 2) / (2.0 * math.sqrt(m))
+    inst.set_edge_attrs(np.zeros(m), delta / caps, 1.0 / caps)
+    return inst, flow
+
+
 class TestStaticPNormOpt:
-    """The cycle-space Newton oracle for the smoothed objective."""
+    """The Newton oracle for the smoothed objective: steps in cycle
+    coordinates, each solved through a grounded vertex Laplacian."""
 
     def test_parallel_edges_split_evenly(self):
         inst = build_instance(2, [(0, 1), (0, 1)], [-1.0, 1.0], 2,
@@ -124,6 +174,40 @@ class TestStaticPNormOpt:
         report = static_pnorm_opt(inst, seed=0)
         expected = effective_resistance(graph, resistances, s, t) * scale ** 2
         assert report.value == pytest.approx(expected, rel=1e-6)
+
+    def test_sparse_laplacian_matches_closed_form(self):
+        rng = np.random.Generator(np.random.Philox(17))
+        n, m = 100, 1000
+        assert n - 1 > _DENSE_LAPLACIAN_LIMIT
+        graph = IncrementalGraph(n)
+        for i in range(n - 1):
+            graph.add_edge(i, i + 1)
+        while graph.m < m:
+            u, v = rng.choice(n, size=2, replace=False)
+            graph.add_edge(int(u), int(v))
+        d = rng.normal(size=n)
+        d -= d.mean()
+        inst = PNormInstance(graph, d, 2, threshold=0.0, eps=1e-6)
+        inst.set_edge_attrs(rng.normal(size=m), 0.2 + rng.random(m),
+                            0.2 + rng.random(m))
+        report = static_pnorm_opt(inst, seed=0)
+        value, flow = quadratic_optimum(inst)
+        assert report.value == pytest.approx(value, rel=1e-9)
+        assert np.allclose(report.flow, flow, rtol=1e-7, atol=1e-9)
+
+    @pytest.mark.parametrize("seed", [5, 6, 10])
+    def test_large_p_maxflow_reduction_converges(self, seed):
+        # p = 78 here; the Newton steps need refined Laplacian solves to
+        # reach the materialization tolerance.
+        inst, flow = maxflow_instance(seed, eps=0.1)
+        report = static_pnorm_opt(inst, start_flow=flow, tol=MATERIALIZE_TOL,
+                                  max_iterations=MATERIALIZE_MAX_ITERATIONS,
+                                  seed=0)
+        assert report.gradient_norm <= MATERIALIZE_TOL * (
+            1.0 + abs(report.value))
+        imbalance = net_demand(inst.graph, report.flow) - inst.d
+        assert float(np.max(np.abs(imbalance))) <= 1e-9 * float(
+            np.max(np.abs(inst.d)))
 
 
 class TestExactMaxflow:
