@@ -13,17 +13,14 @@ backend except for the wall-time field.
 from __future__ import annotations
 
 import argparse
-import contextlib
 import json
 import math
-import os
 import sys
 import time
 
 import numpy as np
 
 from .drivers import (
-    AboveThreshold,
     Below,
     DRIVER_STEP_BUDGET,
     EffResDriver,
@@ -34,6 +31,7 @@ from .graph import net_demand
 from .refine import Flow, IncrementalPNormSolver
 from .streams import (
     GENERATOR_MODES,
+    EdgeSpec,
     build_pnorm_instance,
     generate_stream,
     parse_stream,
@@ -125,100 +123,69 @@ def _run_with_trace(args, body) -> int:
             trace.close()
 
 
-def cmd_pnorm(args) -> int:
-    stream = _read_stream(args)
-    if stream.kind != "pnorm":
-        raise StreamError(f"the pnorm command needs a pnorm stream, "
-                          f"got {stream.kind}")
-
-    def body(trace) -> int:
+def _event_calls(stream, args, trace=None):
+    """The stream's solver or driver, and one call per event (start first)."""
+    kwargs = _solver_kwargs(args)
+    if stream.kind == "pnorm":
         instance, events = build_pnorm_instance(stream)
         solver = IncrementalPNormSolver(instance, m_max=stream.m_max,
-                                        trace=trace, **_solver_kwargs(args))
-        calls = [solver.start] + [
+                                        trace=trace, **kwargs)
+        return solver, [solver.start] + [
             (lambda ev=ev: solver.insert_edge(*ev)) for ev in events]
-        for index, call in enumerate(calls):
-            begin = time.perf_counter()
-            verdict = call()
-            wall = (time.perf_counter() - begin) * 1e3
-            if isinstance(verdict, Flow):
-                name, objective = "Flow", verdict.energy
-            else:
-                name, objective = "CertifiedAbove", math.inf
-            _emit(_metrics(index, name, objective, solver.queries,
-                           solver.iterations, wall), args.as_json)
-        return EXIT_OK
-
-    return _run_with_trace(args, body)
-
-
-def cmd_maxflow(args) -> int:
-    stream = _read_stream(args)
-    if stream.kind != "maxflow":
-        raise StreamError(f"the maxflow command needs a maxflow stream, "
-                          f"got {stream.kind}")
-
-    def body(trace) -> int:
-        kwargs = _solver_kwargs(args)
-        kwargs.setdefault("step_budget_per_event", DRIVER_STEP_BUDGET)
+    kwargs.setdefault("step_budget_per_event", DRIVER_STEP_BUDGET)
+    if stream.kind == "maxflow":
         driver = MaxflowDriver(stream.n, stream.m_max, stream.s, stream.t,
                                stream.eps, trace=trace, **kwargs)
-        for spec in stream.initial_edges:
-            driver.add_initial_edge(spec.u, spec.v, spec.capacity())
-        calls = [driver.start] + [
-            (lambda s=s: driver.insert(s.u, s.v, s.capacity()))
-            for s in stream.events]
-        for index, call in enumerate(calls):
-            begin = time.perf_counter()
-            value, _flow = call()
-            wall = (time.perf_counter() - begin) * 1e3
-            _emit(_metrics(index, "Published", value, driver.queries,
-                           driver.iterations, wall), args.as_json)
-        return EXIT_OK
-
-    return _run_with_trace(args, body)
-
-
-def cmd_effres(args) -> int:
-    stream = _read_stream(args)
-    if stream.kind != "effres":
-        raise StreamError(f"the effres command needs an effres stream, "
-                          f"got {stream.kind}")
-
-    def body(trace) -> int:
-        kwargs = _solver_kwargs(args)
-        kwargs.setdefault("step_budget_per_event", DRIVER_STEP_BUDGET)
+        attr = EdgeSpec.capacity
+    else:
         driver = EffResDriver(stream.n, stream.m_max, stream.s, stream.t,
                               stream.threshold, stream.eps, trace=trace,
                               **kwargs)
-        for spec in stream.initial_edges:
-            driver.add_initial_edge(spec.u, spec.v, spec.resistance())
-        calls = [driver.start] + [
-            (lambda s=s: driver.insert(s.u, s.v, s.resistance()))
-            for s in stream.events]
-        solver = driver.solver
+        attr = EdgeSpec.resistance
+    for spec in stream.initial_edges:
+        driver.add_initial_edge(spec.u, spec.v, attr(spec))
+    return driver, [driver.start] + [
+        (lambda s=s: driver.insert(s.u, s.v, attr(s))) for s in stream.events]
+
+
+def _verdict_record(verdict) -> tuple[str, float]:
+    """Metrics name and objective of a solver or driver answer."""
+    if isinstance(verdict, Flow):
+        return "Flow", verdict.energy
+    if isinstance(verdict, Below):
+        return "Below", verdict.r_est
+    if isinstance(verdict, tuple):
+        return "Published", verdict[0]
+    return type(verdict).__name__, math.inf
+
+
+def cmd_run(args) -> int:
+    """The pnorm, maxflow and effres commands: one metrics record per event."""
+    stream = _read_stream(args)
+    if stream.kind != args.command:
+        raise StreamError(f"the {args.command} command needs a "
+                          f"{args.command} stream, got {stream.kind}")
+
+    def body(trace) -> int:
+        runner, calls = _event_calls(stream, args, trace)
+        # The effres driver keeps its counters on its solver.
+        counters = getattr(runner, "solver", runner)
         for index, call in enumerate(calls):
             begin = time.perf_counter()
             verdict = call()
             wall = (time.perf_counter() - begin) * 1e3
-            if isinstance(verdict, Below):
-                name, objective = "Below", verdict.r_est
-            else:
-                name, objective = "AboveThreshold", math.inf
-            _emit(_metrics(index, name, objective, solver.queries,
-                           solver.iterations, wall), args.as_json)
+            name, objective = _verdict_record(verdict)
+            _emit(_metrics(index, name, objective, counters.queries,
+                           counters.iterations, wall), args.as_json)
         return EXIT_OK
 
     return _run_with_trace(args, body)
 
 
 def _verify_pnorm(stream, args) -> int:
-    instance, events = build_pnorm_instance(stream)
-    solver = IncrementalPNormSolver(instance, m_max=stream.m_max,
-                                    **_solver_kwargs(args))
+    solver, calls = _event_calls(stream, args)
+    instance = solver.instance
     failures = 0
-    calls = [solver.start] + [
-        (lambda ev=ev: solver.insert_edge(*ev)) for ev in events]
     for index, call in enumerate(calls):
         verdict = call()
         F, eps = instance.threshold, instance.eps
@@ -245,16 +212,8 @@ def _verify_pnorm(stream, args) -> int:
 
 
 def _verify_maxflow(stream, args) -> int:
-    kwargs = _solver_kwargs(args)
-    kwargs.setdefault("step_budget_per_event", DRIVER_STEP_BUDGET)
-    driver = MaxflowDriver(stream.n, stream.m_max, stream.s, stream.t,
-                           stream.eps, **kwargs)
-    for spec in stream.initial_edges:
-        driver.add_initial_edge(spec.u, spec.v, spec.capacity())
+    driver, calls = _event_calls(stream, args)
     failures = 0
-    calls = [driver.start] + [
-        (lambda s=s: driver.insert(s.u, s.v, s.capacity()))
-        for s in stream.events]
     for index, call in enumerate(calls):
         value, flow = call()
         caps = np.asarray(driver.caps, dtype=float)
@@ -269,27 +228,18 @@ def _verify_maxflow(stream, args) -> int:
 
 
 def _verify_effres(stream, args) -> int:
-    kwargs = _solver_kwargs(args)
-    kwargs.setdefault("step_budget_per_event", DRIVER_STEP_BUDGET)
-    driver = EffResDriver(stream.n, stream.m_max, stream.s, stream.t,
-                          stream.threshold, stream.eps, **kwargs)
-    for spec in stream.initial_edges:
-        driver.add_initial_edge(spec.u, spec.v, spec.resistance())
+    driver, calls = _event_calls(stream, args)
     failures = 0
     below_seen = False
     theta, eps_rel = stream.threshold, stream.eps
-    resistances: list[float] = [s.resistance() for s in stream.initial_edges]
-    calls: list = [driver.start]
-    for spec in stream.events:
-        calls.append(lambda s=spec: (resistances.append(s.resistance()),
-                                     driver.insert(s.u, s.v,
-                                                   s.resistance()))[1])
+    resistances = np.asarray([s.resistance() for s in
+                              stream.initial_edges + stream.events])
     for index, call in enumerate(calls):
         verdict = call()
         graph = driver.instance.graph
         if graph.connected(stream.s, stream.t):
             true_res = effective_resistance(
-                graph, np.asarray(resistances), stream.s, stream.t)
+                graph, resistances[:graph.m], stream.s, stream.t)
         else:
             true_res = math.inf
         if isinstance(verdict, Below):
@@ -334,18 +284,11 @@ def cmd_gen(args) -> int:
 
 def cmd_bench(args) -> int:
     for path in args.streams:
+        begin = time.perf_counter()
         with open(path, "r", encoding="utf-8") as fh:
             stream = parse_stream(fh.read())
-        runner = {"pnorm": cmd_pnorm, "maxflow": cmd_maxflow,
-                  "effres": cmd_effres}[stream.kind]
-        sub = argparse.Namespace(
-            stream=path, backend=args.backend, kappa=args.kappa,
-            seed=args.seed, assert_invariants=args.assert_invariants,
-            trace=None, as_json=False, event_budget=args.event_budget)
-        begin = time.perf_counter()
-        with open(os.devnull, "w", encoding="utf-8") as sink:
-            with contextlib.redirect_stdout(sink):
-                runner(sub)
+        for call in _event_calls(stream, args)[1]:
+            call()
         wall = (time.perf_counter() - begin) * 1e3
         events = len(stream.events) + 1
         print(f"stream={path} kind={stream.kind} events={events} "
@@ -381,8 +324,8 @@ def build_parser() -> _Parser:
                          help="inner steps per event before materializing "
                               "(<= 0 means unbounded)")
 
-    for name, func in (("pnorm", cmd_pnorm), ("maxflow", cmd_maxflow),
-                       ("effres", cmd_effres), ("verify", cmd_verify)):
+    for name, func in (("pnorm", cmd_run), ("maxflow", cmd_run),
+                       ("effres", cmd_run), ("verify", cmd_verify)):
         sub = subs.add_parser(name)
         add_run_flags(sub)
         sub.set_defaults(func=func)

@@ -30,7 +30,7 @@ import numpy as np
 
 from .errors import InvariantViolation
 from .graph import IncrementalGraph, PNormInstance
-from .refine import Flow, IncrementalPNormSolver
+from .refine import Flow, IncrementalPNormSolver, Verdict
 from .streams import UpdateStream
 from .verify import exact_maxflow
 
@@ -46,7 +46,8 @@ _MAX_PHASE_BUILDS_PER_EVENT = 2
 
 @dataclass
 class MaxflowPhase:
-    """One maxflow phase: the published exact flow and its watching solver."""
+    """One maxflow phase: the published exact flow and its watching solver,
+    whose instance views the driver's graph with this phase's demand."""
 
     value: int
     flow: np.ndarray
@@ -133,28 +134,31 @@ class MaxflowDriver:
         if len(self.caps) >= self.m_max:
             raise ValueError("edge bound m_max exceeded")
         cap = self._check_cap(cap)
-        self.graph.add_edge(u, v)
+        if self.phase is None:
+            self.graph.add_edge(u, v)
+            self.caps.append(cap)
+            return self._event(None)
+        # The phase instance views self.graph: the solver adds the edge.
+        verdict = self.phase.solver.insert_edge(
+            u, v, 0.0, self.delta / cap, 1.0 / cap)
         self.caps.append(cap)
-        return self._event((u, v, cap))
+        return self._event(verdict)
 
     def phase_bound(self) -> int:
         """Largest phase count the restart argument allows right now."""
         total = max(sum(self.caps), 1)
         return math.ceil(math.log(total) / (self.eps / 2.0)) + 1
 
-    def _event(self, inserted: tuple[int, int, int] | None):
+    def _event(self, verdict: Verdict | None):
+        """Publish after an event; `verdict` is the running phase's answer
+        to an insertion, or None to start a phase's solver."""
         builds = 0
-        if self.phase is None:
-            if not self.graph.connected(self.s, self.t):
-                return self._publish()
-            self._begin_phase()
-            builds += 1
-            verdict = self.phase.solver.start()
-        elif inserted is not None:
-            u, v, cap = inserted
-            verdict = self.phase.solver.insert_edge(
-                u, v, 0.0, self.delta / cap, 1.0 / cap)
-        else:
+        if verdict is None:
+            if self.phase is None:
+                if not self.graph.connected(self.s, self.t):
+                    return self._publish()
+                self._begin_phase()
+                builds += 1
             verdict = self.phase.solver.start()
         while isinstance(verdict, Flow):
             self._check_trip(verdict)
@@ -189,10 +193,7 @@ class MaxflowDriver:
         demand = np.zeros(self.n)
         demand[self.s] = -float(value)
         demand[self.t] = float(value)
-        graph = IncrementalGraph(self.n)
-        for u, v in zip(self.graph.tails, self.graph.heads):
-            graph.add_edge(u, v)
-        instance = PNormInstance(graph, demand, self.p,
+        instance = PNormInstance(self.graph, demand, self.p,
                                  threshold=self.F, eps=self.F)
         instance.set_edge_attrs(np.zeros(len(self.caps)),
                                 self.delta / caps, 1.0 / caps)

@@ -7,6 +7,12 @@ unit of flow on (u, v) contributes -1 at u and +1 at v.
 
 Vertices are dense integers 0..n-1, edge ids are dense in insertion order,
 self-loops are rejected and parallel edges are allowed.
+
+Edges only arrive, so each per-edge fact has one owner that keeps it in a
+numpy column grown by doubling (grow_column), and every other layer reads
+the live [:m] view: the graph owns tails, heads and connectivity, a
+PNormInstance its g, r, w, the solver its flow and residual, and the
+min-ratio oracle its gradients and length estimates.
 """
 
 from __future__ import annotations
@@ -23,36 +29,48 @@ DEMAND_SUM_RTOL = 1e-9
 CIRCULATION_RTOL = 1e-8
 
 
+def grow_column(column: np.ndarray, e: int) -> np.ndarray:
+    """`column` when it has slot e; otherwise a copy of its first e entries
+    in twice the room, so appending m entries costs O(m) in total."""
+    if e < column.size:
+        return column
+    fresh = np.zeros(max(2 * column.size, e + 1), dtype=column.dtype)
+    fresh[:e] = column[:e]
+    return fresh
+
+
 class IncrementalGraph:
     """Undirected multigraph supporting edge insertion only.
 
     Maintains a union-find over vertices so connectivity queries, and
     routability of an attached demand vector, are amortized near-constant
-    per insertion.
+    per insertion. `components` counts the connected components.
     """
 
     def __init__(self, n: int):
         if n < 1:
             raise GraphError(f"vertex count must be positive, got {n}")
         self.n = n
-        self.tails: list[int] = []
-        self.heads: list[int] = []
+        self.m = 0
+        self._tails = np.zeros(0, dtype=np.int64)
+        self._heads = np.zeros(0, dtype=np.int64)
         self._parent = list(range(n))
         self._rank = [0] * n
-        self._components = n
+        self.components = n
         # Demand tracking (attach_demand): per-root component sums and the
         # count of components whose sum is not zero within tolerance.
         self._demand: np.ndarray | None = None
         self._comp_sum: np.ndarray | None = None
         self._bad_components = 0
         self._demand_tol = 0.0
-        self._arrays_len = 0
-        self._tails_arr = np.empty(0, dtype=np.int64)
-        self._heads_arr = np.empty(0, dtype=np.int64)
 
     @property
-    def m(self) -> int:
-        return len(self.tails)
+    def tails(self) -> np.ndarray:
+        return self._tails[:self.m]
+
+    @property
+    def heads(self) -> np.ndarray:
+        return self._heads[:self.m]
 
     def add_edge(self, u: int, v: int) -> int:
         """Insert an edge and return its dense id.
@@ -64,10 +82,14 @@ class IncrementalGraph:
             raise GraphError(f"vertex out of range: ({u}, {v}) with n={self.n}")
         if u == v:
             raise GraphError(f"self-loop rejected at vertex {u}")
-        self.tails.append(u)
-        self.heads.append(v)
+        e = self.m
+        self._tails = grow_column(self._tails, e)
+        self._heads = grow_column(self._heads, e)
+        self._tails[e] = u
+        self._heads[e] = v
+        self.m += 1
         self._union(u, v)
-        return len(self.tails) - 1
+        return e
 
     def find(self, v: int) -> int:
         """Union-find root of v with path halving."""
@@ -89,7 +111,7 @@ class IncrementalGraph:
         self._parent[rv] = ru
         if self._rank[ru] == self._rank[rv]:
             self._rank[ru] += 1
-        self._components -= 1
+        self.components -= 1
         if self._comp_sum is not None:
             su, sv = float(self._comp_sum[ru]), float(self._comp_sum[rv])
             bad_before = int(abs(su) > self._demand_tol) + int(
@@ -113,17 +135,9 @@ class IncrementalGraph:
         roots = [v for v in range(self.n) if self.find(v) == v]
         self._bad_components = sum(1 for r in roots if abs(sums[r]) > self._demand_tol)
 
-    def edge_arrays(self) -> tuple[np.ndarray, np.ndarray]:
-        """Tails and heads as int64 arrays, cached until the graph grows."""
-        if self._arrays_len != self.m:
-            self._tails_arr = np.asarray(self.tails, dtype=np.int64)
-            self._heads_arr = np.asarray(self.heads, dtype=np.int64)
-            self._arrays_len = self.m
-        return self._tails_arr, self._heads_arr
-
     def copy(self) -> "IncrementalGraph":
         g = IncrementalGraph(self.n)
-        for u, v in zip(self.tails, self.heads):
+        for u, v in zip(self.tails.tolist(), self.heads.tolist()):
             g.add_edge(u, v)
         return g
 
@@ -141,9 +155,8 @@ def net_demand(graph: IncrementalGraph, flow: np.ndarray) -> np.ndarray:
         out = np.array([0] * graph.n, dtype=object)
     else:
         out = np.zeros(graph.n, dtype=flow.dtype if flow.dtype.kind == "f" else float)
-    tails, heads = graph.edge_arrays()
-    np.add.at(out, heads, flow)
-    np.subtract.at(out, tails, flow)
+    np.add.at(out, graph.heads, flow)
+    np.subtract.at(out, graph.tails, flow)
     return out
 
 
@@ -184,14 +197,19 @@ def pnorm(values: np.ndarray, p: float) -> float:
 
 
 def pnorm_pow(values: np.ndarray, p: float) -> float:
-    """Sum of |values|^p, max-normalized so only truly huge results overflow."""
+    """Sum of |values|^p, max-normalized so only truly huge results
+    overflow, and those come back as inf."""
     values = np.abs(np.asarray(values, dtype=float))
     if values.size == 0:
         return 0.0
     peak = float(values.max())
     if peak == 0.0 or not math.isfinite(peak):
         return peak
-    return peak**p * float(np.sum((values / peak) ** p))
+    try:
+        scale = peak**p
+    except OverflowError:
+        return math.inf
+    return scale * float(np.sum((values / peak) ** p))
 
 
 def smoothed_value(
@@ -238,7 +256,8 @@ class PNormInstance:
     """A smoothed l_p-norm flow problem over an incremental graph.
 
     Minimizes  E(f) = <g, f> + ||R f||_2^2 + ||W f||_p^p  over flows f with
-    net_demand(f) = d.  Edge attributes grow in lockstep with the graph.
+    net_demand(f) = d.  The instance owns the edge attributes g, r, w; its
+    graph, which several instances may view in turn, owns the topology.
 
     Attributes:
         graph: the underlying multigraph.
@@ -270,14 +289,26 @@ class PNormInstance:
         self.p = int(p)
         self.threshold = float(threshold)
         self.eps = float(eps)
-        self.g = np.zeros(graph.m)
-        self.r = np.zeros(graph.m)
-        self.w = np.zeros(graph.m)
+        self._g = np.zeros(graph.m)
+        self._r = np.zeros(graph.m)
+        self._w = np.zeros(graph.m)
         graph.attach_demand(self.d)
 
     @property
     def m(self) -> int:
         return self.graph.m
+
+    @property
+    def g(self) -> np.ndarray:
+        return self._g[:self.graph.m]
+
+    @property
+    def r(self) -> np.ndarray:
+        return self._r[:self.graph.m]
+
+    @property
+    def w(self) -> np.ndarray:
+        return self._w[:self.graph.m]
 
     def set_edge_attrs(self, g: np.ndarray, r: np.ndarray, w: np.ndarray) -> None:
         """Set attributes for all current edges at once (initial build)."""
@@ -287,15 +318,16 @@ class PNormInstance:
         if not (g.shape == r.shape == w.shape == (self.graph.m,)):
             raise ValueError("attribute arrays must match the edge count")
         self._check_attrs(g, r, w)
-        self.g, self.r, self.w = g, r, w
+        self._g, self._r, self._w = g.copy(), r.copy(), w.copy()
 
     def add_edge(self, u: int, v: int, g: float, r: float, w: float) -> int:
         """Insert an edge with its gradient, resistance and weight."""
         self._check_attrs(np.array([g]), np.array([r]), np.array([w]))
         e = self.graph.add_edge(u, v)
-        self.g = np.append(self.g, float(g))
-        self.r = np.append(self.r, float(r))
-        self.w = np.append(self.w, float(w))
+        self._g = grow_column(self._g, e)
+        self._r = grow_column(self._r, e)
+        self._w = grow_column(self._w, e)
+        self._g[e], self._r[e], self._w[e] = g, r, w
         return e
 
     @staticmethod

@@ -25,7 +25,7 @@ from typing import Iterable, Mapping, Sequence
 import numpy as np
 
 from .errors import OracleError
-from .graph import IncrementalGraph
+from .graph import IncrementalGraph, grow_column
 from .trees import SpanningForest
 
 BRUTE_FORCE_VERTEX_LIMIT = 16
@@ -94,9 +94,9 @@ def brute_force_min_ratio_cycle(instance: MrcInstance) -> CycleSolution | None:
         )
     g, lengths = instance.gradients, instance.lengths
     adj: list[list[tuple[int, int, int]]] = [[] for _ in range(n)]
-    for e in range(m):
-        adj[graph.tails[e]].append((e, graph.heads[e], 1))
-        adj[graph.heads[e]].append((e, graph.tails[e], -1))
+    for e, (u, v) in enumerate(zip(graph.tails.tolist(), graph.heads.tolist())):
+        adj[u].append((e, v, 1))
+        adj[v].append((e, u, -1))
 
     best: CycleSolution | None = None
     edges_stack: list[int] = []
@@ -217,16 +217,15 @@ def exact_min_ratio_cycle(instance: MrcInstance, tol: float = 1e-9
         raise ValueError("tol must be positive")
     graph, g, lengths = instance.graph, instance.gradients, instance.lengths
     n, m = graph.n, graph.m
-    tails, heads = graph.edge_arrays()
-    forest = SpanningForest(n, graph.tails, graph.heads, range(m))
+    tails, heads = graph.tails, graph.heads
+    forest = SpanningForest(n, tails, heads, range(m))
     off_tree = np.flatnonzero(~forest.tree_edge_mask(m))
     if off_tree.size == 0:
         return None
 
     found = _negative_cycle(n, tails, heads, g, -g)
     if found is None:
-        edges, signs = forest.fundamental_cycle(int(off_tree[0]), graph.tails,
-                                                graph.heads)
+        edges, signs = forest.fundamental_cycle(int(off_tree[0]), tails, heads)
         return _solution_from_cycle(edges, signs, g, lengths)
 
     lo = -(m * float(np.max(np.abs(g))) / float(np.min(lengths)) + 1.0)
@@ -250,10 +249,10 @@ def exact_min_ratio_cycle(instance: MrcInstance, tol: float = 1e-9
 
 @dataclass
 class InsertEdge:
-    """Insertion of a new edge with its gradient and initial length."""
+    """Admission of the graph's newest edge with its gradient and initial
+    length."""
 
-    tail: int
-    head: int
+    edge: int
     gradient: float
     length: float
 
@@ -274,6 +273,10 @@ class MonotoneMrcState:
     misses a qualifying cycle only when none exists; the tree-collection
     backend trades completeness for cheap queries and is configured with the
     empirical kappa it is trusted for.
+
+    The state views its graph's topology and owns the gradients and length
+    estimates of the edges admitted so far; insert admits the edge most
+    recently added to the graph.
     """
 
     def __init__(self, instance: MrcInstance, alpha: float, kappa: float = 1.0,
@@ -287,32 +290,27 @@ class MonotoneMrcState:
             raise ValueError(f"unknown backend {backend!r}")
         if backend == "exact" and kappa != 1.0:
             raise ValueError("the exact backend is exactly kappa = 1")
-        n, m = instance.graph.n, instance.graph.m
-        capacity = max(capacity or 0, 2 * m, 4)
-        self.n = n
-        self.m = m
+        self.graph = instance.graph
+        self.n, self.m = self.graph.n, self.graph.m
+        capacity = max(capacity or 0, self.m)
         self.alpha = alpha
         self.kappa = kappa
         self.backend = backend
         self.queries = 0
-        self._tails = np.zeros(capacity, dtype=np.int64)
-        self._heads = np.zeros(capacity, dtype=np.int64)
         self._grads = np.zeros(capacity)
         self._lengths = np.zeros(capacity)
-        self._tails[:m] = instance.graph.tails
-        self._heads[:m] = instance.graph.heads
-        self._grads[:m] = instance.gradients
-        self._lengths[:m] = instance.lengths
+        self._grads[:self.m] = instance.gradients
+        self._lengths[:self.m] = instance.lengths
         self._trees = (_TreeCollection(self, seed) if backend == "trees"
                        else None)
 
     @property
     def tails(self) -> np.ndarray:
-        return self._tails[:self.m]
+        return self.graph.tails[:self.m]
 
     @property
     def heads(self) -> np.ndarray:
-        return self._heads[:self.m]
+        return self.graph.heads[:self.m]
 
     @property
     def gradients(self) -> np.ndarray:
@@ -322,29 +320,18 @@ class MonotoneMrcState:
     def lengths(self) -> np.ndarray:
         return self._lengths[:self.m]
 
-    def _grow(self) -> None:
-        capacity = 2 * self._tails.size
-        for name in ("_tails", "_heads", "_grads", "_lengths"):
-            old = getattr(self, name)
-            fresh = np.zeros(capacity, dtype=old.dtype)
-            fresh[:self.m] = old[:self.m]
-            setattr(self, name, fresh)
-
     def insert(self, update: InsertEdge) -> int:
-        u, v = update.tail, update.head
-        if not (0 <= u < self.n and 0 <= v < self.n):
-            raise ValueError(f"edge endpoints ({u}, {v}) out of range")
-        if u == v:
-            raise ValueError("self-loops are not allowed")
+        e = update.edge
+        if e != self.m or e != self.graph.m - 1:
+            raise ValueError(
+                f"edge {e} is not the graph's newest edge {self.graph.m - 1} "
+                f"following the admitted {self.m}")
         if update.length <= 0:
             raise ValueError("edge length must be strictly positive")
         if not math.isfinite(update.gradient):
             raise ValueError("edge gradient must be finite")
-        if self.m == self._tails.size:
-            self._grow()
-        e = self.m
-        self._tails[e] = u
-        self._heads[e] = v
+        self._grads = grow_column(self._grads, e)
+        self._lengths = grow_column(self._lengths, e)
         self._grads[e] = update.gradient
         self._lengths[e] = update.length
         self.m += 1
@@ -366,6 +353,7 @@ class MonotoneMrcState:
             self._trees.note_increase(update.length - old)
 
     def query(self) -> CycleSolution | None:
+        """Any cycle with ratio <= -alpha/kappa; None when unavailable."""
         self.queries += 1
         if self.m < 2:
             return None
@@ -398,28 +386,11 @@ class _TreeCollection:
         self.state = state
         self.rng = np.random.Generator(np.random.Philox(key=seed or 0))
         self.count = 4 * max(1, math.ceil(math.log2(max(state.n, 2))))
-        self._union = list(range(state.n))
-        for u, v in zip(state.tails.tolist(), state.heads.tolist()):
-            self._link(u, v)
         self.forests: list[SpanningForest] = []
         self._cycles: list[tuple[np.ndarray, ...]] = []
         self.total = float(state.lengths.sum())
         self.checkpoint = 0.0
         self.rebuild()
-
-    def _find(self, x: int) -> int:
-        union = self._union
-        while union[x] != x:
-            union[x] = union[union[x]]
-            x = union[x]
-        return x
-
-    def _link(self, u: int, v: int) -> bool:
-        ru, rv = self._find(u), self._find(v)
-        if ru == rv:
-            return False
-        self._union[ru] = rv
-        return True
 
     def rebuild(self) -> None:
         state = self.state
@@ -431,6 +402,7 @@ class _TreeCollection:
             self.forests.append(
                 SpanningForest(state.n, state.tails, state.heads, order))
         self.checkpoint = max(self.total, 1e-300)
+        self.components = state.graph.components
         self._cycles_m = -1
 
     def _forest_cycles(self, forest: SpanningForest) -> tuple[np.ndarray, ...]:
@@ -447,9 +419,8 @@ class _TreeCollection:
         return off, u, v, meet, g[off] + gsum[u] - gsum[v]
 
     def note_insert(self, e: int) -> None:
-        state = self.state
-        self.total += float(state.lengths[e])
-        connected = self._link(int(state.tails[e]), int(state.heads[e]))
+        self.total += float(self.state.lengths[e])
+        connected = self.state.graph.components < self.components
         if connected or self.total >= 2.0 * self.checkpoint:
             self.rebuild()
 
@@ -490,30 +461,6 @@ class _TreeCollection:
         if solution.ratio > threshold:
             return None
         return solution
-
-
-def mrc_init(instance: MrcInstance, alpha: float, kappa: float = 1.0,
-             backend: str = "exact", seed: int | None = None,
-             capacity: int | None = None) -> MonotoneMrcState:
-    """Initialize the incremental min-ratio oracle on the given instance."""
-    return MonotoneMrcState(instance, alpha, kappa=kappa, backend=backend,
-                            seed=seed, capacity=capacity)
-
-
-def mrc_update(state: MonotoneMrcState,
-               update: InsertEdge | IncreaseLength) -> None:
-    """Apply one edge insertion or monotone length increase."""
-    if isinstance(update, InsertEdge):
-        state.insert(update)
-    elif isinstance(update, IncreaseLength):
-        state.increase_length(update)
-    else:
-        raise TypeError(f"unsupported update {update!r}")
-
-
-def mrc_query(state: MonotoneMrcState) -> CycleSolution | None:
-    """Ask for any cycle with ratio <= -alpha/kappa; None when unavailable."""
-    return state.query()
 
 
 @dataclass

@@ -108,26 +108,25 @@ class MwuState:
         self.probe: np.ndarray | None = None
         self.probe_max = 0.0
 
-        self._g = np.zeros(m_max)
         self._r = np.zeros(m_max)
         self._w = np.zeros(m_max)
         self._a = np.zeros(m_max)
         self._b = np.zeros(m_max)
         self._ell = np.zeros(m_max)
-        self._ell_tilde = np.zeros(m_max)
         self._c = np.zeros(m_max)
-        self._g[:m], self._r[:m], self._w[:m] = g, r, w
+        self._r[:m], self._w[:m] = r, w
         self._a[:m] = self.K * m_max ** -0.5 / r
         self._b[:m] = self.K * m_max ** (-1.0 / self.q) / w
         self._ell[:m] = self._edge_lengths(np.arange(m))
-        self._ell_tilde[:m] = self._ell[:m]
 
         pad = (m_max - m) / m_max
         self.phi = float(np.sum((r * self._a[:m]) ** 2)) + pad * self.K ** 2
         self.psi = (float(np.sum((w * self._b[:m]) ** self.q))
                     + pad * self.K ** self.q)
 
-        instance = MrcInstance(graph, g, self._ell_tilde[:m].copy())
+        # The oracle owns the gradients and the length estimates, which
+        # start at the lengths.
+        instance = MrcInstance(graph, g, self._ell[:m])
         self.mrc = MonotoneMrcState(instance, self.alpha, kappa=self.kappa,
                                     backend=backend, seed=seed,
                                     capacity=m_max)
@@ -135,9 +134,9 @@ class MwuState:
         if record_log:
             self.log = UpdateLog(graph.n)
             self.log.append_batch([
-                LogInsert(edge=e, tail=graph.tails[e], head=graph.heads[e],
-                          gradient=float(g[e]),
-                          length=float(self._ell_tilde[e]))
+                LogInsert(edge=e, tail=int(graph.tails[e]),
+                          head=int(graph.heads[e]), gradient=float(g[e]),
+                          length=float(self._ell[e]))
                 for e in range(m)
             ])
 
@@ -149,7 +148,7 @@ class MwuState:
 
     @property
     def gradients(self) -> np.ndarray:
-        return self._g[:self.m]
+        return self.mrc.gradients
 
     @property
     def circulation(self) -> np.ndarray:
@@ -161,7 +160,7 @@ class MwuState:
 
     @property
     def length_estimates(self) -> np.ndarray:
-        return self._ell_tilde[:self.m]
+        return self.mrc.lengths
 
 
 def mwu_init(graph: IncrementalGraph, g: np.ndarray, r: np.ndarray,
@@ -192,7 +191,6 @@ def mwu_insert_edge(state: MwuState, e: int, g_e: float, r_e: float,
         raise ValueError("edge bound m_max exceeded")
     if not (r_e > 0 and w_e > 0):
         raise ValueError("r and w must be strictly positive")
-    state._g[e] = g_e
     state._r[e] = r_e
     state._w[e] = w_e
     state._a[e] = state.K * state.m_max ** -0.5 / r_e
@@ -200,13 +198,11 @@ def mwu_insert_edge(state: MwuState, e: int, g_e: float, r_e: float,
     state.m += 1
     length = float(state._edge_lengths(np.asarray([e]))[0])
     state._ell[e] = length
-    state._ell_tilde[e] = length
-    tail, head = state.graph.tails[e], state.graph.heads[e]
-    state.mrc.insert(InsertEdge(tail=tail, head=head, gradient=g_e,
-                                length=length))
+    state.mrc.insert(InsertEdge(edge=e, gradient=g_e, length=length))
     if state.log is not None:
         state.log.append_batch([
-            LogInsert(edge=e, tail=tail, head=head, gradient=float(g_e),
+            LogInsert(edge=e, tail=int(state.graph.tails[e]),
+                      head=int(state.graph.heads[e]), gradient=float(g_e),
                       length=length)
         ])
 
@@ -220,25 +216,24 @@ def _push_length_estimates(state: MwuState) -> int:
     if state.assert_invariants and np.any(
             state._ell[:m] < previous * (1 - 1e-12)):
         raise InvariantViolation("edge length decreased between iterations")
-    stale = np.flatnonzero(state._ell[:m] > state._ell_tilde[:m])
+    stale = np.flatnonzero(state._ell[:m] > state.length_estimates)
     if stale.size == 0:
         return 0
     ops: list[LogInsert | LogDelete] = []
     for e in stale.tolist():
         new_estimate = 2.0 * float(state._ell[e])
-        state._ell_tilde[e] = new_estimate
         state.mrc.increase_length(IncreaseLength(edge=e, length=new_estimate))
         if state.log is not None:
             ops.append(LogDelete(edge=e))
-            ops.append(LogInsert(edge=e, tail=state.graph.tails[e],
-                                 head=state.graph.heads[e],
-                                 gradient=float(state._g[e]),
+            ops.append(LogInsert(edge=e, tail=int(state.graph.tails[e]),
+                                 head=int(state.graph.heads[e]),
+                                 gradient=float(state.gradients[e]),
                                  length=new_estimate))
     if ops:
         state.log.append_batch(ops)
     if state.assert_invariants:
         ell = state._ell[:m]
-        tilde = state._ell_tilde[:m]
+        tilde = state.length_estimates
         if not (np.all(tilde >= ell * (1 - 1e-12)) and
                 np.all(tilde <= 2 * ell * (1 + 1e-12))):
             raise InvariantViolation("length estimate left the [l, 2l] window")
@@ -334,7 +329,7 @@ def mwu_solution(state: MwuState) -> Solution:
             raise InvariantViolation("final potential exceeds 4K^2")
         if state.psi > 5 * q * K ** q * (1 + POTENTIAL_RTOL):
             raise InvariantViolation("final potential exceeds 5qK^q")
-        gradient = float(state._g[:m] @ c)
+        gradient = float(state.gradients @ c)
         if abs(gradient + 1.0) > POTENTIAL_RTOL:
             raise InvariantViolation(f"<g, c> = {gradient}, expected -1")
         norm2 = float(np.linalg.norm(state._r[:m] * c))

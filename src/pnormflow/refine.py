@@ -64,7 +64,6 @@ class ResidualProblem:
     r: np.ndarray
     w: np.ndarray
     p: int
-    base_flow: np.ndarray
 
     def value(self, x: np.ndarray) -> float:
         return residual_value(self, x)
@@ -83,7 +82,6 @@ def build_residual(instance: PNormInstance, f: np.ndarray) -> ResidualProblem:
         r=np.sqrt(r0 ** 2 + 2.0 * p ** 2 * w0 ** p * curve),
         w=p * w0,
         p=p,
-        base_flow=f.copy(),
     )
 
 
@@ -147,6 +145,9 @@ class IncrementalPNormSolver:
     routable every verdict is vacuously CertifiedAbove; the first routable
     event computes the starting flow with the static oracle and validates
     the refinement scale lambda on sampled sandwich triples.
+
+    The solver owns the flow f and the active run's residual g, r, w, in
+    columns of m_max entries that f and the residual problem view.
     """
 
     def __init__(self, instance: PNormInstance, m_max: int | None = None,
@@ -179,11 +180,16 @@ class IncrementalPNormSolver:
         self.assert_invariants = assert_invariants
         self.trace = trace
         self._rng = np.random.Generator(np.random.Philox(seed))
-        self._start_flow = None if start_flow is None else \
-            np.asarray(start_flow, dtype=float).copy()
-        self.f: np.ndarray | None = None
+        # The flow column holds the warm start until the first bootstrap.
+        self._flow = np.zeros(m_max)
+        self._warm = start_flow is not None
+        if self._warm:
+            warm = np.asarray(start_flow, dtype=float)
+            self._flow[:warm.size] = warm
+        self._has_flow = False
         self._energy = math.inf
         self.mwu: MwuState | None = None
+        self._residual_columns = np.zeros((3, m_max))
         self._residual: ResidualProblem | None = None
         self._run_R = 0.0
         self._steps_remaining = 0
@@ -193,6 +199,23 @@ class IncrementalPNormSolver:
         self.events = 0
         self.refinement_steps = 0
         self.materializations = 0
+
+    @property
+    def f(self) -> np.ndarray | None:
+        """The current flow; None until the first routable event."""
+        return self._flow[:self.instance.m] if self._has_flow else None
+
+    def _adopt_flow(self, flow: np.ndarray) -> None:
+        # Zero past the current edges, so every later edge joins with zero
+        # flow without writing its slot.
+        self._flow[:flow.size] = flow
+        self._flow[flow.size:] = 0.0
+        self._has_flow = True
+        self._energy = self.instance.energy(self.f)
+
+    def _residual_view(self) -> ResidualProblem:
+        g, r, w = self._residual_columns[:, :self.instance.m]
+        return ResidualProblem(g=g, r=r, w=w, p=self.p)
 
     @property
     def queries(self) -> int:
@@ -217,15 +240,10 @@ class IncrementalPNormSolver:
         if self.instance.m >= self.m_max:
             raise ValueError("edge bound m_max exceeded")
         e = self.instance.add_edge(u, v, g, r, w)
-        if self.f is not None:
-            self.f = np.append(self.f, 0.0)
         if self.mwu is not None:
             g_res, r_res, w_res = residual_edge_attrs(self.p, g, r, w)
-            res = self._residual
-            res.g = np.append(res.g, g_res)
-            res.r = np.append(res.r, r_res)
-            res.w = np.append(res.w, w_res)
-            res.base_flow = np.append(res.base_flow, 0.0)
+            self._residual_columns[:, e] = g_res, r_res, w_res
+            self._residual = self._residual_view()
             r_s = 2.0 * math.sqrt(self._run_R) * r_res
             w_s = self._run_R ** ((self.p - 1) / self.p) * w_res
             mwu_insert_edge(self.mwu, e, g_res, r_s, w_s)
@@ -245,7 +263,7 @@ class IncrementalPNormSolver:
         instance = self.instance
         if not instance.routable():
             return CertifiedAbove()
-        if self.f is None:
+        if not self._has_flow:
             self._bootstrap()
         if self.degenerate:
             return self._materialized_verdict()
@@ -267,7 +285,8 @@ class IncrementalPNormSolver:
                     return CertifiedAbove()
             if self.mwu.iteration >= self.T:
                 solution = mwu_solution(self.mwu)
-                self.f = refinement_step(self, solution.circulation)
+                self._flow[:instance.m] = refinement_step(
+                    self, solution.circulation)
                 self._end_run()
                 continue
             if materialized:
@@ -278,16 +297,12 @@ class IncrementalPNormSolver:
             used = 0
 
     def _bootstrap(self) -> None:
-        warm = self._start_flow
-        if warm is not None and warm.size < self.instance.m:
-            warm = np.concatenate(
-                [warm, np.zeros(self.instance.m - warm.size)])
+        warm = self._flow[:self.instance.m] if self._warm else None
         report = static_pnorm_opt(self.instance, start_flow=warm,
                                   tol=MATERIALIZE_TOL,
                                   max_iterations=MATERIALIZE_MAX_ITERATIONS,
                                   seed=self._next_seed())
-        self.f = report.flow
-        self._energy = self.instance.energy(self.f)
+        self._adopt_flow(report.flow)
         if not self._lambda_checked:
             self._validate_lambda()
             self._lambda_checked = True
@@ -323,7 +338,9 @@ class IncrementalPNormSolver:
             self._steps_remaining = 1
 
     def _start_run(self) -> None:
-        self._residual = build_residual(self.instance, self.f)
+        built = build_residual(self.instance, self.f)
+        self._residual_columns[:, :self.instance.m] = built.g, built.r, built.w
+        self._residual = self._residual_view()
         self._run_R = (self._energy - self.F) / self.lam
         r_s, w_s = residual_scaled_weights(self._residual, self._run_R)
         self.mwu = mwu_init(self.instance.graph, self._residual.g, r_s, w_s,
@@ -347,8 +364,7 @@ class IncrementalPNormSolver:
                                   tol=MATERIALIZE_TOL,
                                   max_iterations=MATERIALIZE_MAX_ITERATIONS,
                                   seed=self._next_seed())
-        self.f = report.flow
-        self._energy = self.instance.energy(self.f)
+        self._adopt_flow(report.flow)
         self.materializations += 1
         self._rebaseline_budget()
 
@@ -359,8 +375,7 @@ class IncrementalPNormSolver:
                                   tol=MATERIALIZE_TOL,
                                   max_iterations=MATERIALIZE_MAX_ITERATIONS,
                                   seed=self._next_seed())
-        self.f = report.flow
-        self._energy = self.instance.energy(self.f)
+        self._adopt_flow(report.flow)
         if self._energy <= self.F + self.eps:
             return Flow(flow=self.f.copy(), energy=self._energy)
         return CertifiedAbove()

@@ -22,10 +22,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import StreamError
-from .graph import IncrementalGraph, PNormInstance
+from .graph import DEMAND_SUM_RTOL, IncrementalGraph, PNormInstance
 from .verify import effective_resistance, static_pnorm_opt
-
-DEMAND_SUM_RTOL = 1e-9
 
 _HEADER_KEYS = {
     "pnorm": ("n", "mmax", "p", "F", "eps"),

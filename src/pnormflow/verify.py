@@ -62,7 +62,7 @@ class _LaplacianNewton:
                  basis_t: sp.csr_matrix):
         n, m = graph.n, graph.m
         self.n = n
-        self.tails, self.heads = graph.edge_arrays()
+        self.tails, self.heads = graph.tails, graph.heads
         self.off_tree = off_tree
         self.off_tails = self.tails[off_tree]
         self.off_heads = self.heads[off_tree]
@@ -207,7 +207,7 @@ def static_pnorm_opt(
         return OracleReport(value=value, flow=f, iterations=0, gradient_norm=0.0)
 
     cycle, edges, signs = forest.fundamental_cycles(off_tree,
-                                                    *graph.edge_arrays())
+                                                    graph.tails, graph.heads)
     basis = sp.csc_matrix((signs.astype(float), (edges, cycle)), shape=(m, k))
     basis_t = basis.T.tocsr()
     newton = _LaplacianNewton(graph, forest, off_tree, basis, basis_t)
@@ -295,9 +295,9 @@ def exact_maxflow(
     head[0::2] = graph.heads
     head[1::2] = graph.tails
     adj: list[list[int]] = [[] for _ in range(n)]
-    for e in range(m):
-        adj[graph.tails[e]].append(2 * e)
-        adj[graph.heads[e]].append(2 * e + 1)
+    for e, (u, v) in enumerate(zip(graph.tails.tolist(), graph.heads.tolist())):
+        adj[u].append(2 * e)
+        adj[v].append(2 * e + 1)
 
     value = 0
     level = np.empty(n, dtype=np.int64)
@@ -361,7 +361,7 @@ def effective_resistance(
     verts = np.flatnonzero(component)
     index = -np.ones(graph.n, dtype=np.int64)
     index[verts] = np.arange(verts.size)
-    tails, heads = graph.edge_arrays()
+    tails, heads = graph.tails, graph.heads
     keep = component[tails]
     ti, hi = index[tails[keep]], index[heads[keep]]
     cond = 1.0 / res[keep]

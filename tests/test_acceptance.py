@@ -111,7 +111,7 @@ def run_instrumented(state):
             "dphi": state.phi - phi,
             "dpsi": state.psi - psi,
             "ell": state._ell[:m].copy(),
-            "ell_tilde": state._ell_tilde[:m].copy(),
+            "ell_tilde": state.length_estimates[:m].copy(),
         })
     if outcome is None:
         outcome = mwu_solution(state)
@@ -572,7 +572,7 @@ class TestAcceptance:
                     step_violations += 1
                 m = state.m
                 ell = state._ell[:m]
-                tilde = state._ell_tilde[:m]
+                tilde = state.length_estimates[:m]
                 if np.any(tilde < ell * (1 - 1e-12)) or np.any(
                         tilde > 2 * ell * (1 + 1e-12)):
                     step_violations += 1

@@ -204,6 +204,14 @@ class TestEnergy:
         assert pnorm(values, 2) == pytest.approx(np.sqrt(2) * 1e200, rel=1e-12)
         assert pnorm_pow(np.array([0.0, 0.0]), 3) == 0.0
 
+    def test_overflowing_power_sum_is_inf(self):
+        # peak**p overflows a float at p = 80; callers such as the static
+        # solver's line search expect inf, not an OverflowError.
+        x = np.array([1e10, 1.0])
+        assert pnorm_pow(x, 80) == np.inf
+        assert smoothed_value(np.zeros(2), np.ones(2), np.ones(2), 80,
+                              x) == np.inf
+
 
 class TestPNormInstance:
     """Validation and bookkeeping of the full problem instance."""

@@ -18,9 +18,6 @@ from pnormflow.mrc import (
     canonical_stability_widths,
     check_stability_witness,
     exact_min_ratio_cycle,
-    mrc_init,
-    mrc_query,
-    mrc_update,
 )
 
 
@@ -165,16 +162,16 @@ class TestMonotoneMrcState:
     """The incremental oracle: contract queries under monotone updates."""
 
     def test_triangle_query_returns_good_cycle(self):
-        state = mrc_init(triangle_instance(), alpha=0.3)
-        sol = mrc_query(state)
+        state = MonotoneMrcState(triangle_instance(), alpha=0.3)
+        sol = state.query()
         assert sol is not None
         assert sol.ratio == pytest.approx(-1.0 / 3.0, rel=1e-9)
         assert sol.ratio <= -state.alpha / state.kappa
 
     def test_length_increase_kills_the_cycle(self):
-        state = mrc_init(triangle_instance(), alpha=0.3)
-        mrc_update(state, IncreaseLength(0, 10.0))
-        assert mrc_query(state) is None
+        state = MonotoneMrcState(triangle_instance(), alpha=0.3)
+        state.increase_length(IncreaseLength(0, 10.0))
+        assert state.query() is None
         # The survivor ratio is -1/12: same cycle, length 10 + 1 + 1.
         inst = MrcInstance(
             _graph_of(state), state.gradients.copy(), state.lengths.copy())
@@ -182,31 +179,31 @@ class TestMonotoneMrcState:
             -1.0 / 12.0, rel=1e-12)
 
     def test_length_decrease_rejected(self):
-        state = mrc_init(triangle_instance(), alpha=0.3)
+        state = MonotoneMrcState(triangle_instance(), alpha=0.3)
         with pytest.raises(ValueError):
-            mrc_update(state, IncreaseLength(0, 0.5))
+            state.increase_length(IncreaseLength(0, 0.5))
 
     def test_insert_into_empty_state(self):
         g = IncrementalGraph(4)
         inst = MrcInstance(g, np.zeros(0), np.zeros(0))
-        state = mrc_init(inst, alpha=0.5)
-        assert mrc_query(state) is None
-        mrc_update(state, InsertEdge(0, 1, -1.0, 1.0))
+        state = MonotoneMrcState(inst, alpha=0.5)
+        assert state.query() is None
+        state.insert(InsertEdge(g.add_edge(0, 1), -1.0, 1.0))
         assert state.m == 1
-        assert mrc_query(state) is None
-        mrc_update(state, InsertEdge(0, 1, 1.0, 1.0))
-        sol = mrc_query(state)
+        assert state.query() is None
+        state.insert(InsertEdge(g.add_edge(0, 1), 1.0, 1.0))
+        sol = state.query()
         assert sol is not None
         assert sol.ratio == pytest.approx(-1.0, rel=1e-9)
 
     def test_nonpositive_alpha_rejected(self):
         with pytest.raises(ValueError):
-            mrc_init(triangle_instance(), alpha=0.0)
+            MonotoneMrcState(triangle_instance(), alpha=0.0)
 
     def test_query_counter(self):
-        state = mrc_init(triangle_instance(), alpha=0.3)
-        mrc_query(state)
-        mrc_query(state)
+        state = MonotoneMrcState(triangle_instance(), alpha=0.3)
+        state.query()
+        state.query()
         assert state.queries == 2
 
     @given(seed=st.integers(min_value=0, max_value=2 ** 32 - 1),
@@ -216,8 +213,8 @@ class TestMonotoneMrcState:
         rng = np.random.Generator(np.random.Philox(seed))
         inst = random_mrc(rng, n_max=8)
         best = brute_force_min_ratio_cycle(inst)
-        state = mrc_init(inst, alpha=alpha)
-        sol = mrc_query(state)
+        state = MonotoneMrcState(inst, alpha=alpha)
+        sol = state.query()
         if best is not None and best.ratio <= -alpha - 1e-9:
             assert sol is not None
             assert sol.ratio <= -alpha + 1e-12
@@ -231,12 +228,12 @@ class TestMonotoneMrcState:
     def test_monotone_updates_only_raise_the_minimum(self, seed):
         rng = np.random.Generator(np.random.Philox(seed))
         inst = random_mrc(rng, n_max=7)
-        state = mrc_init(inst, alpha=0.05)
+        state = MonotoneMrcState(inst, alpha=0.05)
         previous = brute_force_min_ratio_cycle(inst)
         for _ in range(4):
             e = int(rng.integers(state.m))
             new_len = float(state.lengths[e] * (1.0 + rng.random()))
-            mrc_update(state, IncreaseLength(e, new_len))
+            state.increase_length(IncreaseLength(e, new_len))
         current = MrcInstance(_graph_of(state), state.gradients.copy(),
                               state.lengths.copy())
         now = brute_force_min_ratio_cycle(current)
@@ -248,8 +245,8 @@ class TestTreeBackend:
     """The spanning-tree collection as an approximate query backend."""
 
     def test_triangle_found_by_trees(self):
-        state = mrc_init(triangle_instance(), alpha=0.3, kappa=2.0,
-                         backend="trees", seed=1)
+        state = MonotoneMrcState(triangle_instance(), alpha=0.3, kappa=2.0,
+                                 backend="trees", seed=1)
         sol = state.query()
         assert sol is not None
         assert sol.ratio <= -state.alpha / state.kappa
@@ -265,8 +262,8 @@ class TestTreeBackend:
     def test_returned_cycles_honor_the_contract(self, seed):
         rng = np.random.Generator(np.random.Philox(seed))
         inst = random_mrc(rng, n_max=9)
-        state = mrc_init(inst, alpha=0.1, kappa=4.0, backend="trees",
-                         seed=int(seed))
+        state = MonotoneMrcState(inst, alpha=0.1, kappa=4.0,
+                                 backend="trees", seed=int(seed))
         sol = state.query()
         if sol is None:
             return
@@ -289,8 +286,8 @@ class TestTreeBackend:
         if best is None or best.ratio > -alpha:
             return
         kappa = 4.0
-        state = mrc_init(inst, alpha=alpha, kappa=kappa, backend="trees",
-                         seed=int(seed))
+        state = MonotoneMrcState(inst, alpha=alpha, kappa=kappa,
+                                 backend="trees", seed=int(seed))
         sol = state.query()
         assert sol is not None, (
             "tree collection missed every qualifying cycle: configured kappa "
@@ -304,22 +301,24 @@ class TestTreeBackend:
         every forest's cycles, across insertions and length increases."""
         rng = np.random.Generator(np.random.Philox(seed))
         inst = random_mrc(rng, n_max=9)
-        cached = mrc_init(inst, alpha=0.05, kappa=4.0, backend="trees",
-                          seed=int(seed))
-        fresh = mrc_init(inst, alpha=0.05, kappa=4.0, backend="trees",
-                         seed=int(seed))
+        cached = MonotoneMrcState(inst, alpha=0.05, kappa=4.0,
+                                  backend="trees", seed=int(seed))
+        fresh = MonotoneMrcState(inst, alpha=0.05, kappa=4.0,
+                                 backend="trees", seed=int(seed))
         for _ in range(6):
             if rng.random() < 0.5:
                 u, v = rng.choice(cached.n, size=2, replace=False)
                 # Large gradient, small length: a cycle the query must see.
-                update = InsertEdge(int(u), int(v), float(rng.normal() * 10),
-                                    0.01)
+                e = inst.graph.add_edge(int(u), int(v))
+                update = InsertEdge(e, float(rng.normal() * 10), 0.01)
+                cached.insert(update)
+                fresh.insert(update)
             else:
                 e = int(rng.integers(cached.m))
                 update = IncreaseLength(
                     e, float(cached.lengths[e] * (1 + rng.random())))
-            mrc_update(cached, update)
-            mrc_update(fresh, update)
+                cached.increase_length(update)
+                fresh.increase_length(update)
             fresh._trees._cycles_m = -1
             got, want = cached.query(), fresh.query()
             assert (got is None) == (want is None)

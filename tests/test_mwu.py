@@ -220,7 +220,7 @@ class TestStep:
         snapshots = []
         for _ in range(40):
             before = (state._a.copy(), state._b.copy(), state._ell.copy(),
-                      state._ell_tilde.copy())
+                      state.length_estimates.copy())
             step = mwu_step(state)
             assert isinstance(step, Progress)
             snapshots.append(before)
@@ -228,9 +228,10 @@ class TestStep:
             assert np.all(state._b >= before[1])
             m = state.m
             assert np.all(state._ell[:m] >= before[2][:m] * (1 - 1e-12))
-            assert np.all(state._ell_tilde[:m] >= before[3][:m])
-            assert np.all(state._ell[:m] <= state._ell_tilde[:m] * (1 + 1e-12))
-            assert np.all(state._ell_tilde[:m] <= 2 * state._ell[:m]
+            assert np.all(state.length_estimates[:m] >= before[3][:m])
+            assert np.all(state._ell[:m] <= state.length_estimates[:m]
+                          * (1 + 1e-12))
+            assert np.all(state.length_estimates[:m] <= 2 * state._ell[:m]
                           * (1 + 1e-12))
 
     def test_potential_step_bounds_by_recomputation(self):

@@ -138,7 +138,7 @@ class TestFundamentalCycles:
         n = int(rng.integers(3, 12))
         g = random_graph(rng, n, int(rng.integers(1, 3 * n)))
         forest = forest_of(g, rng)
-        tails, heads = g.edge_arrays()
+        tails, heads = g.tails, g.heads
         off = np.flatnonzero(~forest.tree_edge_mask(g.m))
         cycle, edges, signs = forest.fundamental_cycles(off, tails, heads)
         for j, e in enumerate(off):

@@ -55,7 +55,7 @@ def quadratic_optimum(inst):
     f = (B phi - g) / 2c, where B is the incidence matrix (-1 at the tail,
     +1 at the head) and phi solves B^T diag(1/2c) B phi = d + B^T (g/2c)."""
     n = inst.graph.n
-    tails, heads = inst.graph.edge_arrays()
+    tails, heads = inst.graph.tails, inst.graph.heads
     c = inst.r ** 2 + inst.w ** 2
     cond = 1.0 / (2.0 * c)
     lap = np.zeros((n, n))
