@@ -317,12 +317,13 @@ class PNormInstance:
         w = np.asarray(w, dtype=float)
         if not (g.shape == r.shape == w.shape == (self.graph.m,)):
             raise ValueError("attribute arrays must match the edge count")
-        self._check_attrs(g, r, w)
+        self._check_attrs(bool(np.all(np.isfinite(g))), bool(np.all(r > 0)),
+                          bool(np.all(w > 0)))
         self._g, self._r, self._w = g.copy(), r.copy(), w.copy()
 
     def add_edge(self, u: int, v: int, g: float, r: float, w: float) -> int:
         """Insert an edge with its gradient, resistance and weight."""
-        self._check_attrs(np.array([g]), np.array([r]), np.array([w]))
+        self._check_attrs(math.isfinite(g), r > 0, w > 0)
         e = self.graph.add_edge(u, v)
         self._g = grow_column(self._g, e)
         self._r = grow_column(self._r, e)
@@ -331,12 +332,15 @@ class PNormInstance:
         return e
 
     @staticmethod
-    def _check_attrs(g: np.ndarray, r: np.ndarray, w: np.ndarray) -> None:
-        if not np.all(np.isfinite(g)):
+    def _check_attrs(finite_g: bool, positive_r: bool, positive_w: bool
+                     ) -> None:
+        """Raise on the first failed attribute check (NaN r or w fails its
+        comparison, so it counts as not positive)."""
+        if not finite_g:
             raise ValueError("edge gradients must be finite")
-        if not np.all(r > 0):
+        if not positive_r:
             raise ValueError("edge resistances must be strictly positive")
-        if not np.all(w > 0):
+        if not positive_w:
             raise ValueError("edge weights must be strictly positive")
 
     def energy(self, f: np.ndarray) -> float:

@@ -9,7 +9,10 @@ always attained at a simple oriented cycle. Three solvers live here:
   * MonotoneMrcState: the incremental oracle used by the multiplicative
     weights loop. Lengths only ever increase and edges only arrive, which is
     what makes the incremental contract achievable; queries ask for any
-    cycle of ratio at most -alpha/kappa.
+    cycle of ratio at most -alpha/kappa. Its input changes only through
+    insert and increase_length, so a query answers from the last solve
+    until one of them comes; both backends are deterministic between
+    updates, so the stored answer is the one a new solve would give.
 
 The update-log replay utilities at the bottom verify the stability witness
 conditions that justify running the oracle against adaptive update
@@ -247,6 +250,11 @@ def exact_min_ratio_cycle(instance: MrcInstance, tol: float = 1e-9
     return solution
 
 
+def _read_only(view: np.ndarray) -> np.ndarray:
+    view.flags.writeable = False
+    return view
+
+
 @dataclass
 class InsertEdge:
     """Admission of the graph's newest edge with its gradient and initial
@@ -276,7 +284,16 @@ class MonotoneMrcState:
 
     The state views its graph's topology and owns the gradients and length
     estimates of the edges admitted so far; insert admits the edge most
-    recently added to the graph.
+    recently added to the graph. `gradients` and `lengths` are read-only
+    views, so insert and increase_length are the only ways to change the
+    oracle's input (for the trees backend they are also the only triggers
+    of a forest rebuild).
+
+    Queries are memoized: a query solves only when an insert or a length
+    increase has come since the last solve, and otherwise returns the
+    stored answer (the same CycleSolution object, with read-only edges and
+    signs, or None). `queries` counts every query and `solves` the ones
+    that solved, so `queries - solves` is the number of memo hits.
     """
 
     def __init__(self, instance: MrcInstance, alpha: float, kappa: float = 1.0,
@@ -297,6 +314,9 @@ class MonotoneMrcState:
         self.kappa = kappa
         self.backend = backend
         self.queries = 0
+        self.solves = 0
+        self._fresh = False
+        self._answer: CycleSolution | None = None
         self._grads = np.zeros(capacity)
         self._lengths = np.zeros(capacity)
         self._grads[:self.m] = instance.gradients
@@ -314,11 +334,11 @@ class MonotoneMrcState:
 
     @property
     def gradients(self) -> np.ndarray:
-        return self._grads[:self.m]
+        return _read_only(self._grads[:self.m])
 
     @property
     def lengths(self) -> np.ndarray:
-        return self._lengths[:self.m]
+        return _read_only(self._lengths[:self.m])
 
     def insert(self, update: InsertEdge) -> int:
         e = update.edge
@@ -335,6 +355,7 @@ class MonotoneMrcState:
         self._grads[e] = update.gradient
         self._lengths[e] = update.length
         self.m += 1
+        self._fresh = False
         if self._trees is not None:
             self._trees.note_insert(e)
         return e
@@ -349,17 +370,28 @@ class MonotoneMrcState:
                 f"length of edge {e} may not decrease ({old} -> {update.length})"
             )
         self._lengths[e] = update.length
+        self._fresh = False
         if self._trees is not None:
             self._trees.note_increase(update.length - old)
 
     def query(self) -> CycleSolution | None:
-        """Any cycle with ratio <= -alpha/kappa; None when unavailable."""
+        """Any cycle with ratio <= -alpha/kappa; None when unavailable.
+
+        Solves only when the input changed since the last solve."""
         self.queries += 1
-        if self.m < 2:
-            return None
-        if self._trees is not None:
-            return self._trees.query()
-        return self._exact_query()
+        if not self._fresh:
+            if self.m < 2:
+                self._answer = None
+            elif self._trees is not None:
+                self._answer = self._trees.query()
+            else:
+                self._answer = self._exact_query()
+            if self._answer is not None:
+                _read_only(self._answer.edges)
+                _read_only(self._answer.signs)
+            self._fresh = True
+            self.solves += 1
+        return self._answer
 
     def _exact_query(self) -> CycleSolution | None:
         g = self.gradients

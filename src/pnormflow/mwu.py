@@ -246,16 +246,20 @@ def mwu_step(state: MwuState) -> Progress | None:
     A progress step asserts the potential increase bounds, the domination of
     the running circulation by a and b, and (when a probe circulation is
     registered) the l1-length bound that underpins stall certificates.
+    With a trace, the step's `progress` or `stall` record says in `solved`
+    whether the oracle solved or answered from its memo.
     """
     if state.iteration >= state.T:
         raise ValueError("the run is complete; no steps remain")
     pushes = _push_length_estimates(state)
+    solves = state.mrc.solves
     cycle = state.mrc.query()
+    solved = state.mrc.solves > solves
     if cycle is None:
         if state.trace is not None:
             state.trace({"kind": "stall", "iteration": state.iteration,
                          "phi": state.phi, "psi": state.psi,
-                         "pushes": pushes})
+                         "pushes": pushes, "solved": solved})
         return None
 
     if cycle.gradient >= 0:
@@ -311,7 +315,8 @@ def mwu_step(state: MwuState) -> Progress | None:
     if state.trace is not None:
         state.trace({"kind": "progress", "iteration": state.iteration,
                      "phi": state.phi, "psi": state.psi,
-                     "ratio": cycle.ratio, "pushes": pushes})
+                     "ratio": cycle.ratio, "pushes": pushes,
+                     "solved": solved})
     delta = np.zeros(state.m)
     np.add.at(delta, edges, signed)
     return Progress(delta=delta, ratio=cycle.ratio)

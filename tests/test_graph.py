@@ -243,6 +243,24 @@ class TestPNormInstance:
         with pytest.raises(ValueError):
             inst.add_edge(0, 1, 0.0, 1.0, -1.0)
 
+    @pytest.mark.parametrize("attrs, message", [
+        ((np.nan, 1.0, 1.0), "gradients must be finite"),
+        ((np.inf, 1.0, 1.0), "gradients must be finite"),
+        ((-np.inf, 1.0, 1.0), "gradients must be finite"),
+        ((0.0, 0.0, 1.0), "resistances must be strictly positive"),
+        ((0.0, -1.0, 1.0), "resistances must be strictly positive"),
+        ((0.0, np.nan, 1.0), "resistances must be strictly positive"),
+        ((0.0, 1.0, 0.0), "weights must be strictly positive"),
+        ((0.0, 1.0, -1.0), "weights must be strictly positive"),
+        ((0.0, 1.0, np.nan), "weights must be strictly positive"),
+    ])
+    def test_add_edge_rejects_bad_attributes(self, attrs, message):
+        g = IncrementalGraph(2)
+        inst = PNormInstance(g, np.zeros(2), 2, threshold=1.0, eps=0.1)
+        with pytest.raises(ValueError, match=message):
+            inst.add_edge(0, 1, *attrs)
+        assert g.m == inst.m == 0
+
     def test_routable_follows_connectivity(self):
         g = IncrementalGraph(3)
         inst = PNormInstance(g, np.array([-1.0, 1.0, 0.0]), 2, threshold=1.0,

@@ -328,6 +328,97 @@ class TestTreeBackend:
                 assert got.ratio == want.ratio
 
 
+def direct_solve(state):
+    """The un-memoized answer: a backend solve on the state's current input."""
+    if state.m < 2:
+        return None
+    if state.backend == "trees":
+        return state._trees.query()
+    return state._exact_query()
+
+
+class TestQueryMemo:
+    """query() answers from the last solve until insert or increase_length
+    changes the oracle's input, and the answer is the one a solve gives."""
+
+    @given(seed=st.integers(min_value=0, max_value=2 ** 32 - 1),
+           backend=st.sampled_from(["exact", "trees"]),
+           alpha=st.sampled_from([0.05, 0.3]))
+    @settings(max_examples=40, deadline=None)
+    def test_memoized_answers_match_direct_solves(self, seed, backend, alpha):
+        rng = np.random.Generator(np.random.Philox(seed))
+        inst = random_mrc(rng, n_max=8)
+        state = MonotoneMrcState(inst, alpha=alpha,
+                                 kappa=4.0 if backend == "trees" else 1.0,
+                                 backend=backend, seed=int(seed))
+        changed, answer = True, None
+        for _ in range(12):
+            queries, solves = state.queries, state.solves
+            k = int(rng.integers(1, 4))
+            got = [state.query() for _ in range(k)]
+            assert state.queries == queries + k
+            assert state.solves == solves + int(changed)
+            assert all(other is got[0] for other in got)
+            answer = got[0]
+            want = direct_solve(state)
+            assert (answer is None) == (want is None)
+            if answer is not None:
+                assert np.array_equal(answer.edges, want.edges)
+                assert np.array_equal(answer.signs, want.signs)
+                assert answer.ratio == want.ratio
+            action = rng.random()
+            changed = action < 0.8
+            if action < 0.3:
+                u, v = rng.choice(state.n, size=2, replace=False)
+                e = inst.graph.add_edge(int(u), int(v))
+                state.insert(InsertEdge(e, float(rng.normal() * 5),
+                                        0.05 + float(rng.random())))
+            elif changed:
+                # Half the time lengthen an edge of the current answer.
+                pool = (answer.edges if answer is not None and
+                        rng.random() < 0.5 else np.arange(state.m))
+                e = int(rng.choice(pool))
+                state.increase_length(IncreaseLength(
+                    e, float(state.lengths[e] * (1 + 3 * rng.random()))))
+
+    @pytest.mark.parametrize("backend, kappa", [("exact", 1.0),
+                                                ("trees", 2.0)])
+    def test_back_to_back_queries_solve_once(self, backend, kappa):
+        state = MonotoneMrcState(triangle_instance(), alpha=0.3, kappa=kappa,
+                                 backend=backend, seed=1)
+        first = state.query()
+        assert first is not None
+        for _ in range(4):
+            assert state.query() is first
+        assert (state.queries, state.solves) == (5, 1)
+        state.increase_length(IncreaseLength(1, 2.0))
+        state.query()
+        state.query()
+        assert (state.queries, state.solves) == (7, 2)
+
+    def test_unavailable_answer_is_memoized_too(self):
+        g = IncrementalGraph(3)
+        state = MonotoneMrcState(MrcInstance(g, np.zeros(0), np.zeros(0)),
+                                 alpha=0.5)
+        assert state.query() is None and state.query() is None
+        assert (state.queries, state.solves) == (2, 1)
+        state.insert(InsertEdge(g.add_edge(0, 1), 1.0, 1.0))
+        state.insert(InsertEdge(g.add_edge(0, 1), -1.0, 1.0))
+        assert state.query() is not None
+        assert (state.queries, state.solves) == (3, 2)
+
+    @pytest.mark.parametrize("backend, kappa", [("exact", 1.0),
+                                                ("trees", 2.0)])
+    def test_oracle_input_and_answer_are_read_only(self, backend, kappa):
+        state = MonotoneMrcState(triangle_instance(), alpha=0.3, kappa=kappa,
+                                 backend=backend, seed=1)
+        answer = state.query()
+        for view in (state.gradients, state.lengths, answer.edges,
+                     answer.signs):
+            with pytest.raises(ValueError):
+                view[0] = 7
+
+
 def _graph_of(state):
     g = IncrementalGraph(state.n)
     for u, v in zip(state.tails.tolist(), state.heads.tolist()):

@@ -215,6 +215,24 @@ class TestStep:
         assert np.array_equal(state._c, c)
         assert state.iteration == 0
 
+    def test_oracle_views_are_read_only(self):
+        state = parallel_pair_state()
+        for view in (state.gradients, state.length_estimates):
+            with pytest.raises(ValueError):
+                view[0] = 5.0
+
+    def test_trace_says_whether_the_oracle_solved(self):
+        records = []
+        state = parallel_pair_state(trace=records.append)
+        for _ in range(5):
+            mwu_step(state)
+        assert [r["kind"] for r in records] == ["progress"] * 5
+        assert sum(r["solved"] for r in records) == state.mrc.solves < 5
+        # After the first step, only a pushed length estimate changes the
+        # oracle's input, so only such steps solve.
+        assert [r["solved"] for r in records] == [
+            r["iteration"] == 1 or r["pushes"] > 0 for r in records]
+
     def test_weights_and_lengths_are_monotone(self):
         state = parallel_pair_state()
         snapshots = []
