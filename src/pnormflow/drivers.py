@@ -276,6 +276,8 @@ class EffResDriver:
     def add_initial_edge(self, u: int, v: int, resistance: float) -> None:
         if self._started:
             raise ValueError("initial edges must precede start()")
+        if self.instance.m >= self.solver.m_max:
+            raise ValueError("edge bound m_max exceeded")
         self.instance.add_edge(u, v, *self._attrs(resistance))
 
     def start(self) -> AboveThreshold | Below:

@@ -11,8 +11,9 @@ self-loops are rejected and parallel edges are allowed.
 Edges only arrive, so each per-edge fact has one owner that keeps it in a
 numpy column grown by doubling (grow_column), and every other layer reads
 the live [:m] view: the graph owns tails, heads and connectivity, a
-PNormInstance its g, r, w, the solver its flow and residual, and the
-min-ratio oracle its gradients and length estimates.
+PNormInstance its g, r, w, the solver its flow, an inner run its scaled
+residual weights, and the min-ratio oracle its gradients and length
+estimates.
 """
 
 from __future__ import annotations
@@ -42,9 +43,9 @@ def grow_column(column: np.ndarray, e: int) -> np.ndarray:
 class IncrementalGraph:
     """Undirected multigraph supporting edge insertion only.
 
-    Maintains a union-find over vertices so connectivity queries, and
-    routability of an attached demand vector, are amortized near-constant
-    per insertion. `components` counts the connected components.
+    Maintains a union-find over vertices so connectivity queries are
+    amortized near-constant per insertion. `components` counts the
+    connected components.
     """
 
     def __init__(self, n: int):
@@ -57,12 +58,6 @@ class IncrementalGraph:
         self._parent = list(range(n))
         self._rank = [0] * n
         self.components = n
-        # Demand tracking (attach_demand): per-root component sums and the
-        # count of components whose sum is not zero within tolerance.
-        self._demand: np.ndarray | None = None
-        self._comp_sum: np.ndarray | None = None
-        self._bad_components = 0
-        self._demand_tol = 0.0
 
     @property
     def tails(self) -> np.ndarray:
@@ -112,28 +107,6 @@ class IncrementalGraph:
         if self._rank[ru] == self._rank[rv]:
             self._rank[ru] += 1
         self.components -= 1
-        if self._comp_sum is not None:
-            su, sv = float(self._comp_sum[ru]), float(self._comp_sum[rv])
-            bad_before = int(abs(su) > self._demand_tol) + int(
-                abs(sv) > self._demand_tol)
-            merged = su + sv
-            self._comp_sum[ru] = merged
-            self._comp_sum[rv] = 0.0
-            self._bad_components += int(abs(merged) > self._demand_tol) - bad_before
-
-    def attach_demand(self, d: np.ndarray) -> None:
-        """Register d for incremental routability tracking."""
-        d = np.asarray(d, dtype=float)
-        if d.shape != (self.n,):
-            raise GraphError(f"demand length {d.shape} does not match n={self.n}")
-        self._demand = d
-        self._demand_tol = DEMAND_SUM_RTOL * float(np.abs(d).sum())
-        sums = np.zeros(self.n)
-        for v in range(self.n):
-            sums[self.find(v)] += d[v]
-        self._comp_sum = sums
-        roots = [v for v in range(self.n) if self.find(v) == v]
-        self._bad_components = sum(1 for r in roots if abs(sums[r]) > self._demand_tol)
 
     def copy(self) -> "IncrementalGraph":
         g = IncrementalGraph(self.n)
@@ -161,13 +134,8 @@ def net_demand(graph: IncrementalGraph, flow: np.ndarray) -> np.ndarray:
 
 
 def demand_routable(graph: IncrementalGraph, d: np.ndarray) -> bool:
-    """True iff every connected component's demand entries sum to zero.
-
-    Uses the incrementally maintained per-component sums when d is the
-    attached demand; otherwise recomputes in O(n).
-    """
-    if graph._demand is not None and d is graph._demand:
-        return graph._bad_components == 0
+    """True iff every connected component's demand entries sum to zero
+    (within DEMAND_SUM_RTOL of ||d||_1), recomputed in O(n)."""
     d = np.asarray(d, dtype=float)
     tol = DEMAND_SUM_RTOL * float(np.abs(d).sum())
     sums: dict[int, float] = {}
@@ -292,7 +260,6 @@ class PNormInstance:
         self._g = np.zeros(graph.m)
         self._r = np.zeros(graph.m)
         self._w = np.zeros(graph.m)
-        graph.attach_demand(self.d)
 
     @property
     def m(self) -> int:

@@ -40,6 +40,15 @@ MIN_EDGE_BOUND = 4
 POTENTIAL_RTOL = 1e-9
 
 
+def mwu_schedule(m_max: int, p: int, kappa: float) -> tuple[int, float, int]:
+    """The run's constants (q, K, T) for the edge bound m_max: the norm
+    exponent q = min(floor(log2 m_max), p), the weight constant
+    K = 100 q kappa and the progress-step count T = 100 q m_max. A bound
+    below 2 (a solver too small for a run) counts as 2 in q."""
+    q = min(int(math.floor(math.log2(max(m_max, 2)))), int(p))
+    return q, 100 * q * float(kappa), 100 * q * m_max
+
+
 @dataclass
 class Progress:
     """One MWU progress step: the applied scaled cycle and its ratio."""
@@ -95,11 +104,9 @@ class MwuState:
 
         self.graph = graph
         self.p = int(p)
-        self.q = min(int(math.floor(math.log2(m_max))), int(p))
         self.kappa = float(kappa)
-        self.K = 100 * self.q * self.kappa
+        self.q, self.K, self.T = mwu_schedule(m_max, p, kappa)
         self.alpha = self.K ** (1 - self.q) / (40 * self.q)
-        self.T = 100 * self.q * m_max
         self.m_max = m_max
         self.m = m
         self.iteration = 0

@@ -12,6 +12,11 @@ flow and joins the active inner run with residual attributes evaluated at
 zero. Each event (the initial graph, then every insertion) produces exactly
 one verdict: CertifiedAbove or Flow.
 
+The solver owns only the flow f. The residual problem is a pure function of
+(instance, f), and f does not change during an inner run, so the solver
+keeps no copy of it: the run holds the scaled r and w, its oracle holds g,
+and an insertion or a refinement step rebuilds the residual from f.
+
 Inner runs are capped by a per-event step budget. A crossing of the
 threshold can require more inner work than any desk-scale budget allows, so
 on exhaustion the event is resolved by recomputing an optimal flow from the
@@ -34,6 +39,7 @@ from .mwu import (
     MwuState,
     mwu_init,
     mwu_insert_edge,
+    mwu_schedule,
     mwu_solution,
     mwu_step,
 )
@@ -83,15 +89,6 @@ def build_residual(instance: PNormInstance, f: np.ndarray) -> ResidualProblem:
         w=p * w0,
         p=p,
     )
-
-
-def residual_edge_attrs(p: int, g0: float, r0: float,
-                        w0: float) -> tuple[float, float, float]:
-    """Residual attributes for an edge whose base flow is zero."""
-    curve = 1.0 if p == 2 else 0.0
-    return (float(g0),
-            math.sqrt(r0 ** 2 + 2.0 * p ** 2 * w0 ** p * curve),
-            p * w0)
 
 
 def residual_scaled_weights(residual: ResidualProblem,
@@ -146,15 +143,17 @@ class IncrementalPNormSolver:
     event computes the starting flow with the static oracle and validates
     the refinement scale lambda on sampled sandwich triples.
 
-    The solver owns the flow f and the active run's residual g, r, w, in
-    columns of m_max entries that f and the residual problem view.
+    The solver owns only the flow f, in a column of m_max entries that f
+    views; the active inner run (`mwu`) holds the residual problem.
+    `queries` counts inner steps (oracle queries) and `iterations` the
+    progress steps among them, over all runs.
     """
 
     def __init__(self, instance: PNormInstance, m_max: int | None = None,
                  kappa: float = 1.0, backend: str = "exact",
                  seed: int | None = None,
                  step_budget_per_event: int | None = None,
-                 lam: float | None = None, assert_invariants: bool = True,
+                 assert_invariants: bool = True,
                  start_flow: np.ndarray | None = None,
                  trace: Callable[[dict], None] | None = None):
         m_max = max(instance.m, MIN_EDGE_BOUND) if m_max is None else m_max
@@ -168,13 +167,11 @@ class IncrementalPNormSolver:
         self.kappa = float(kappa)
         self.backend = backend
         self.degenerate = m_max < MIN_EDGE_BOUND
-        self.q = min(int(math.floor(math.log2(max(m_max, 2)))), self.p)
         # K is the norm bound the inner solver certifies (twice its own
         # weight constant); all step-size and budget formulas use it.
-        self.K = 2.0 * 100 * self.q * self.kappa
-        self.T = 100 * self.q * m_max
-        self.lam = float(lam) if lam is not None else \
-            float(DEFAULT_LAMBDA_FACTOR * self.p)
+        _, run_K, self.T = mwu_schedule(m_max, self.p, self.kappa)
+        self.K = 2.0 * run_K
+        self.lam = float(DEFAULT_LAMBDA_FACTOR * self.p)
         self.step_budget = (2 * self.T if step_budget_per_event is None
                             else int(step_budget_per_event))
         self.assert_invariants = assert_invariants
@@ -189,13 +186,11 @@ class IncrementalPNormSolver:
         self._has_flow = False
         self._energy = math.inf
         self.mwu: MwuState | None = None
-        self._residual_columns = np.zeros((3, m_max))
-        self._residual: ResidualProblem | None = None
         self._run_R = 0.0
         self._steps_remaining = 0
         self._lambda_checked = False
-        self._queries_base = 0
-        self._iterations_base = 0
+        self.queries = 0
+        self.iterations = 0
         self.events = 0
         self.refinement_steps = 0
         self.materializations = 0
@@ -213,20 +208,6 @@ class IncrementalPNormSolver:
         self._has_flow = True
         self._energy = self.instance.energy(self.f)
 
-    def _residual_view(self) -> ResidualProblem:
-        g, r, w = self._residual_columns[:, :self.instance.m]
-        return ResidualProblem(g=g, r=r, w=w, p=self.p)
-
-    @property
-    def queries(self) -> int:
-        live = self.mwu.mrc.queries if self.mwu is not None else 0
-        return self._queries_base + live
-
-    @property
-    def iterations(self) -> int:
-        live = self.mwu.iteration if self.mwu is not None else 0
-        return self._iterations_base + live
-
     def _next_seed(self) -> int:
         return int(self._rng.integers(0, 2 ** 63))
 
@@ -241,12 +222,10 @@ class IncrementalPNormSolver:
             raise ValueError("edge bound m_max exceeded")
         e = self.instance.add_edge(u, v, g, r, w)
         if self.mwu is not None:
-            g_res, r_res, w_res = residual_edge_attrs(self.p, g, r, w)
-            self._residual_columns[:, e] = g_res, r_res, w_res
-            self._residual = self._residual_view()
-            r_s = 2.0 * math.sqrt(self._run_R) * r_res
-            w_s = self._run_R ** ((self.p - 1) / self.p) * w_res
-            mwu_insert_edge(self.mwu, e, g_res, r_s, w_s)
+            # The edge joins the run's residual problem with zero flow.
+            residual = build_residual(self.instance, self.f)
+            r_s, w_s = residual_scaled_weights(residual, self._run_R)
+            mwu_insert_edge(self.mwu, e, residual.g[e], r_s[e], w_s[e])
         return self._verdict()
 
     def _verdict(self) -> Verdict:
@@ -274,20 +253,22 @@ class IncrementalPNormSolver:
         while True:
             self._energy = instance.energy(self.f)
             if self._energy <= self.F + self.eps:
-                self._end_run()
+                self.mwu = None
                 return Flow(flow=self.f.copy(), energy=self._energy)
             if self.mwu is None:
                 self._start_run()
             while (self.mwu.iteration < self.T
                    and (budget is None or used < budget)):
                 used += 1
+                self.queries += 1
                 if mwu_step(self.mwu) is None:
                     return CertifiedAbove()
+                self.iterations += 1
             if self.mwu.iteration >= self.T:
                 solution = mwu_solution(self.mwu)
                 self._flow[:instance.m] = refinement_step(
                     self, solution.circulation)
-                self._end_run()
+                self.mwu = None
                 continue
             if materialized:
                 raise InvariantViolation(
@@ -296,13 +277,17 @@ class IncrementalPNormSolver:
             materialized = True
             used = 0
 
-    def _bootstrap(self) -> None:
-        warm = self._flow[:self.instance.m] if self._warm else None
-        report = static_pnorm_opt(self.instance, start_flow=warm,
+    def _reoptimize(self, start_flow: np.ndarray | None) -> None:
+        """Adopt an optimal flow computed by the static oracle from
+        start_flow (tree routing when None)."""
+        report = static_pnorm_opt(self.instance, start_flow=start_flow,
                                   tol=MATERIALIZE_TOL,
                                   max_iterations=MATERIALIZE_MAX_ITERATIONS,
                                   seed=self._next_seed())
         self._adopt_flow(report.flow)
+
+    def _bootstrap(self) -> None:
+        self._reoptimize(self._flow[:self.instance.m] if self._warm else None)
         if not self._lambda_checked:
             self._validate_lambda()
             self._lambda_checked = True
@@ -338,44 +323,27 @@ class IncrementalPNormSolver:
             self._steps_remaining = 1
 
     def _start_run(self) -> None:
-        built = build_residual(self.instance, self.f)
-        self._residual_columns[:, :self.instance.m] = built.g, built.r, built.w
-        self._residual = self._residual_view()
+        residual = build_residual(self.instance, self.f)
         self._run_R = (self._energy - self.F) / self.lam
-        r_s, w_s = residual_scaled_weights(self._residual, self._run_R)
-        self.mwu = mwu_init(self.instance.graph, self._residual.g, r_s, w_s,
+        r_s, w_s = residual_scaled_weights(residual, self._run_R)
+        self.mwu = mwu_init(self.instance.graph, residual.g, r_s, w_s,
                             self.p, kappa=self.kappa, m_max=self.m_max,
                             seed=self._next_seed(), backend=self.backend,
                             assert_invariants=self.assert_invariants,
                             trace=self.trace)
 
-    def _end_run(self) -> None:
-        if self.mwu is not None:
-            self._queries_base += self.mwu.mrc.queries
-            self._iterations_base += self.mwu.iteration
-        self.mwu = None
-        self._residual = None
-
     def _materialize(self) -> None:
         """Resolve a budget-exhausted event by re-optimizing from the
         current flow and restarting refinement at the optimum."""
-        self._end_run()
-        report = static_pnorm_opt(self.instance, start_flow=self.f,
-                                  tol=MATERIALIZE_TOL,
-                                  max_iterations=MATERIALIZE_MAX_ITERATIONS,
-                                  seed=self._next_seed())
-        self._adopt_flow(report.flow)
+        self.mwu = None
+        self._reoptimize(self.f)
         self.materializations += 1
         self._rebaseline_budget()
 
     def _materialized_verdict(self) -> Verdict:
         """Tiny edge bounds (m_max < 4) degrade the inner solver to a
         permanently stalled one; every event is resolved by the oracle."""
-        report = static_pnorm_opt(self.instance, start_flow=self.f,
-                                  tol=MATERIALIZE_TOL,
-                                  max_iterations=MATERIALIZE_MAX_ITERATIONS,
-                                  seed=self._next_seed())
-        self._adopt_flow(report.flow)
+        self._reoptimize(self.f)
         if self._energy <= self.F + self.eps:
             return Flow(flow=self.f.copy(), energy=self._energy)
         return CertifiedAbove()
@@ -390,9 +358,9 @@ def refinement_step(solver: IncrementalPNormSolver,
     is at most -R/(6K^2) and that the energy gap to F contracts by the
     factor (1 - 1/(6 K^2 lambda)).
     """
-    residual = solver._residual
-    if residual is None:
+    if solver.mwu is None:
         raise ValueError("no active residual problem")
+    residual = build_residual(solver.instance, solver.f)
     c = np.asarray(c, dtype=float)
     gradient = float(residual.g @ c)
     if abs(gradient + 1.0) > 1e-6:

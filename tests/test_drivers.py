@@ -157,6 +157,32 @@ class TestMaxflowPublishing:
         assert driver.phase_count >= 2
         assert driver.phase_count <= driver.phase_bound()
 
+    def test_step_counts_match_trace_records(self):
+        """Across phase restarts, the driver's queries equal the traced
+        inner steps (progress plus stall records) and its iterations the
+        progress records, after every event."""
+        stream = generate_stream("phase-stress", "maxflow", n=4, initial=3,
+                                 events=10, seed=2, eps=0.5, cap_max=4)
+        records = []
+        driver = MaxflowDriver(stream.n, stream.m_max, stream.s, stream.t,
+                               stream.eps, seed=3, trace=records.append)
+
+        def check():
+            kinds = [r["kind"] for r in records]
+            progress = kinds.count("progress")
+            assert driver.queries == progress + kinds.count("stall")
+            assert driver.iterations == progress
+
+        for spec in stream.initial_edges:
+            driver.add_initial_edge(spec.u, spec.v, spec.capacity())
+        driver.start()
+        check()
+        for spec in stream.events:
+            driver.insert(spec.u, spec.v, spec.capacity())
+            check()
+        assert driver.phase_count >= 2
+        assert driver.queries > 0
+
     def test_wrong_stream_kind_rejected(self):
         stream = generate_stream("random", "effres", n=4, initial=3,
                                  events=3, seed=0)
@@ -177,6 +203,16 @@ class TestEffResDriver:
             driver.add_initial_edge(0, 1, 0.0)
         with pytest.raises(ValueError):
             driver.insert(0, 1, 1.0)
+
+    def test_initial_edges_respect_the_edge_bound(self):
+        driver = EffResDriver(3, 2, 0, 2, theta=1.0, eps_rel=0.1)
+        driver.add_initial_edge(0, 1, 1.0)
+        driver.add_initial_edge(1, 2, 1.0)
+        with pytest.raises(ValueError, match="edge bound m_max exceeded"):
+            driver.add_initial_edge(0, 2, 1.0)
+        assert driver.instance.m == 2
+        # Two unit resistances in series: R_eff = 2 > theta.
+        assert isinstance(driver.start(), AboveThreshold)
 
     def test_above_then_below_on_parallel_insert(self):
         driver = EffResDriver(2, 4, 0, 1, theta=0.6, eps_rel=0.1, seed=0)

@@ -14,10 +14,10 @@ from pnormflow.refine import (
     build_residual,
     incremental_pnorm,
     refinement_step,
-    residual_edge_attrs,
     residual_scaled_weights,
     sandwich_holds,
 )
+from pnormflow.streams import build_pnorm_instance, generate_stream
 from pnormflow.verify import static_pnorm_opt
 
 
@@ -75,14 +75,6 @@ class TestBuildResidual:
         instance.add_edge(0, 1, 0.0, 1.0, 1.0)
         with pytest.raises(ValueError):
             build_residual(instance, np.zeros(3))
-
-    def test_edge_attrs_match_vector_form(self):
-        for p in (2, 3, 4):
-            instance = fresh_instance(2, [0.0, 0.0], p=p)
-            instance.add_edge(0, 1, 0.4, 1.1, 0.8)
-            res = build_residual(instance, np.zeros(1))
-            g, r, w = residual_edge_attrs(p, 0.4, 1.1, 0.8)
-            assert (g, r, w) == pytest.approx((res.g[0], res.r[0], res.w[0]))
 
     @given(seed=st.integers(min_value=0, max_value=2 ** 32 - 1),
            p=st.sampled_from([2, 3, 4]))
@@ -179,7 +171,7 @@ class TestRefinementStep:
         instance.add_edge(0, 1, 0.0, 1.0, 1.0)
         solver = IncrementalPNormSolver(instance, seed=0)
         assert isinstance(solver.start(), Flow)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="no active residual problem"):
             refinement_step(solver, np.zeros(1))
 
     def test_requires_unit_negative_gradient(self):
@@ -188,9 +180,8 @@ class TestRefinementStep:
         instance.add_edge(0, 1, 0.0, 1.0, 1.0)
         solver = IncrementalPNormSolver(instance, seed=0)
         assert isinstance(solver.start(), CertifiedAbove)
-        solver._residual = build_residual(instance, solver.f)
-        solver._run_R = 1.0
-        with pytest.raises(ValueError):
+        assert solver.mwu is not None
+        with pytest.raises(ValueError, match="unit negative gradient"):
             refinement_step(solver, np.zeros(1))
 
 
@@ -328,6 +319,34 @@ class TestSolverVerdicts:
         verdicts = [r for r in records if r["kind"] == "verdict"]
         assert [r["event"] for r in verdicts] == [1, 2]
         assert all(r["verdict"] == "Flow" for r in verdicts)
+
+    def test_step_counts_match_trace_records(self):
+        """After every event, queries equals the inner steps traced
+        (progress plus stall records) and iterations the progress records,
+        across completed runs, materializations and mid-run insertions."""
+        stream = generate_stream("planted-threshold", "pnorm", n=5,
+                                 initial=5, events=4, p=3, seed=0)
+        instance, events = build_pnorm_instance(stream)
+        records = []
+        solver = IncrementalPNormSolver(instance, m_max=stream.m_max,
+                                        seed=0, trace=records.append)
+
+        def check():
+            kinds = [r["kind"] for r in records]
+            progress = kinds.count("progress")
+            assert solver.queries == progress + kinds.count("stall")
+            assert solver.iterations == progress
+
+        solver.start()
+        check()
+        mid_run = 0
+        for event in events:
+            mid_run += solver.mwu is not None
+            solver.insert_edge(*event)
+            check()
+        assert mid_run >= 1
+        assert solver.refinement_steps >= 1
+        assert solver.materializations >= 1
 
     @given(seed=st.integers(min_value=0, max_value=2 ** 32 - 1))
     @settings(max_examples=10, deadline=None)
