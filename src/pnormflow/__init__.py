@@ -6,6 +6,9 @@ of energy at most F + eps. The solver combines iterative refinement with
 a multiplicative-weights inner loop over a monotone min-ratio-cycle
 oracle; drivers reduce incremental (1-eps)-approximate undirected maxflow
 and effective-resistance thresholding to the same primitive.
+
+Layer internals (the inner loop, the cycle oracles, spanning forests,
+residual problems) are importable from their own modules.
 """
 
 from .drivers import (
@@ -17,43 +20,13 @@ from .drivers import (
     incremental_maxflow,
 )
 from .errors import GraphError, InvariantViolation, OracleError, StreamError
-from .graph import IncrementalGraph, PNormInstance, net_demand, residual_value
-from .mrc import (
-    CycleSolution,
-    IncreaseLength,
-    InsertEdge,
-    LogDelete,
-    LogInsert,
-    MonotoneMrcState,
-    MrcInstance,
-    UpdateLog,
-    brute_force_min_ratio_cycle,
-    canonical_stability_widths,
-    check_stability_witness,
-    exact_min_ratio_cycle,
-)
-from .mwu import (
-    Certified,
-    MwuState,
-    Progress,
-    Solution,
-    mwu_init,
-    mwu_insert_edge,
-    mwu_run,
-    mwu_solution,
-    mwu_step,
-)
+from .graph import IncrementalGraph, PNormInstance, net_demand
 from .refine import (
     CertifiedAbove,
     Flow,
     IncrementalPNormSolver,
-    ResidualProblem,
     Verdict,
-    build_residual,
     incremental_pnorm,
-    refinement_step,
-    residual_scaled_weights,
-    sandwich_holds,
 )
 from .streams import (
     EdgeSpec,
@@ -63,12 +36,10 @@ from .streams import (
     parse_stream,
     print_stream,
 )
-from .trees import SpanningForest
 from .verify import (
     OracleReport,
     effective_resistance,
     exact_maxflow,
-    finite_diff_check,
     static_pnorm_opt,
 )
 
@@ -77,59 +48,30 @@ __version__ = "0.1.0"
 __all__ = [
     "AboveThreshold",
     "Below",
-    "Certified",
     "CertifiedAbove",
-    "CycleSolution",
     "EdgeSpec",
     "EffResDriver",
     "Flow",
     "GraphError",
-    "IncreaseLength",
     "IncrementalGraph",
     "IncrementalPNormSolver",
-    "InsertEdge",
     "InvariantViolation",
-    "LogDelete",
-    "LogInsert",
     "MaxflowDriver",
-    "MonotoneMrcState",
-    "MrcInstance",
-    "MwuState",
     "OracleError",
     "OracleReport",
     "PNormInstance",
-    "Progress",
-    "ResidualProblem",
-    "Solution",
-    "SpanningForest",
     "StreamError",
-    "UpdateLog",
     "UpdateStream",
     "Verdict",
-    "brute_force_min_ratio_cycle",
     "build_pnorm_instance",
-    "build_residual",
-    "canonical_stability_widths",
-    "check_stability_witness",
     "effective_resistance",
     "exact_maxflow",
-    "exact_min_ratio_cycle",
-    "finite_diff_check",
     "generate_stream",
     "incremental_effres",
     "incremental_maxflow",
     "incremental_pnorm",
-    "mwu_init",
-    "mwu_insert_edge",
-    "mwu_run",
-    "mwu_solution",
-    "mwu_step",
     "net_demand",
     "parse_stream",
     "print_stream",
-    "refinement_step",
-    "residual_scaled_weights",
-    "residual_value",
-    "sandwich_holds",
     "static_pnorm_opt",
 ]

@@ -3,7 +3,7 @@
 Subcommands: pnorm / maxflow / effres run a solver over an update stream
 and print one metrics record per event; verify re-runs a stream with the
 reference oracles and fails on any disagreement; gen writes seeded
-instances; bench summarizes throughput.
+instances.
 
 Exit codes: 0 success, 1 usage or parse error, 2 invariant or verification
 failure. Metrics records are deterministic for a fixed stream, seed and
@@ -282,21 +282,6 @@ def cmd_gen(args) -> int:
     return EXIT_OK
 
 
-def cmd_bench(args) -> int:
-    for path in args.streams:
-        begin = time.perf_counter()
-        with open(path, "r", encoding="utf-8") as fh:
-            stream = parse_stream(fh.read())
-        for call in _event_calls(stream, args)[1]:
-            call()
-        wall = (time.perf_counter() - begin) * 1e3
-        events = len(stream.events) + 1
-        print(f"stream={path} kind={stream.kind} events={events} "
-              f"backend={args.backend} wall_ms={round(wall, 3)} "
-              f"ms_per_event={round(wall / events, 3)}")
-    return EXIT_OK
-
-
 def build_parser() -> _Parser:
     parser = _Parser(prog="pnormflow",
                      description="incremental thresholded smoothed p-norm "
@@ -344,17 +329,6 @@ def build_parser() -> _Parser:
     gen.add_argument("--out", default="-")
     gen.set_defaults(func=cmd_gen)
 
-    bench = subs.add_parser("bench", help="run streams and print timing")
-    bench.add_argument("streams", nargs="+")
-    bench.add_argument("--backend", choices=("exact", "trees"),
-                       default="exact")
-    bench.add_argument("--kappa", type=float, default=1.0)
-    bench.add_argument("--seed", type=int, default=0)
-    bench.add_argument("--assert-invariants", action="store_true",
-                       dest="assert_invariants")
-    bench.add_argument("--event-budget", type=int, default=None,
-                       dest="event_budget")
-    bench.set_defaults(func=cmd_bench)
     return parser
 
 

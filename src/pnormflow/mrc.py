@@ -2,9 +2,8 @@
 
 A min-ratio cycle instance assigns each edge a gradient and a positive
 length; the goal is the circulation minimizing <g, c> / ||L c||_1, which is
-always attained at a simple oriented cycle. Three solvers live here:
+always attained at a simple oriented cycle. Two solvers live here:
 
-  * brute_force_min_ratio_cycle: enumerates simple cycles (test oracle).
   * exact_min_ratio_cycle: parametric search with negative-cycle detection.
   * MonotoneMrcState: the incremental oracle used by the multiplicative
     weights loop. Lengths only ever increase and edges only arrive, which is
@@ -13,26 +12,18 @@ always attained at a simple oriented cycle. Three solvers live here:
     insert and increase_length, so a query answers from the last solve
     until one of them comes; both backends are deterministic between
     updates, so the stored answer is the one a new solve would give.
-
-The update-log replay utilities at the bottom verify the stability witness
-conditions that justify running the oracle against adaptive update
-sequences.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
 from .errors import OracleError
 from .graph import IncrementalGraph, grow_column
 from .trees import SpanningForest
-
-BRUTE_FORCE_VERTEX_LIMIT = 16
-BRUTE_FORCE_EDGE_LIMIT = 24
 
 
 class MrcInstance:
@@ -79,67 +70,6 @@ def _solution_from_cycle(edges: np.ndarray, signs: np.ndarray, g: np.ndarray,
     length = float(lengths[edges].sum())
     return CycleSolution(edges=edges, signs=signs, gradient=gradient,
                          length=length, ratio=gradient / length)
-
-
-def brute_force_min_ratio_cycle(instance: MrcInstance) -> CycleSolution | None:
-    """Minimum-ratio simple cycle by exhaustive enumeration.
-
-    Each simple cycle is visited once, anchored at its smallest vertex with
-    the smaller-id endpoint edge first; both orientations are scored. Returns
-    None when the multigraph is acyclic. Only meant for small instances.
-    """
-    graph = instance.graph
-    n, m = graph.n, graph.m
-    if n > BRUTE_FORCE_VERTEX_LIMIT and m > BRUTE_FORCE_EDGE_LIMIT:
-        raise ValueError(
-            f"instance too large to enumerate (n={n}, m={m}; "
-            f"need n <= {BRUTE_FORCE_VERTEX_LIMIT} or m <= {BRUTE_FORCE_EDGE_LIMIT})"
-        )
-    g, lengths = instance.gradients, instance.lengths
-    adj: list[list[tuple[int, int, int]]] = [[] for _ in range(n)]
-    for e, (u, v) in enumerate(zip(graph.tails.tolist(), graph.heads.tolist())):
-        adj[u].append((e, v, 1))
-        adj[v].append((e, u, -1))
-
-    best: CycleSolution | None = None
-    edges_stack: list[int] = []
-    signs_stack: list[int] = []
-    used = np.zeros(m, dtype=bool)
-    visited = np.zeros(n, dtype=bool)
-
-    def extend(at: int, anchor: int, grad: float, length: float) -> None:
-        nonlocal best
-        for e, to, sign in adj[at]:
-            if used[e]:
-                continue
-            if to == anchor:
-                if edges_stack and edges_stack[0] > e:
-                    continue
-                total_grad = grad + sign * g[e]
-                total_len = length + lengths[e]
-                ratio = -abs(total_grad) / total_len
-                if best is None or ratio < best.ratio:
-                    edges = np.asarray(edges_stack + [e], dtype=np.int64)
-                    signs = np.asarray(signs_stack + [sign], dtype=np.int64)
-                    if total_grad > 0:
-                        signs = -signs
-                    best = _solution_from_cycle(edges, signs, g, lengths)
-            elif not visited[to] and to > anchor:
-                used[e] = True
-                visited[to] = True
-                edges_stack.append(e)
-                signs_stack.append(sign)
-                extend(to, anchor, grad + sign * g[e], length + lengths[e])
-                edges_stack.pop()
-                signs_stack.pop()
-                visited[to] = False
-                used[e] = False
-
-    for anchor in range(n):
-        visited[anchor] = True
-        extend(anchor, anchor, 0.0, 0.0)
-        visited[anchor] = False
-    return best
 
 
 def _negative_cycle(n: int, tails: np.ndarray, heads: np.ndarray,
@@ -493,136 +423,3 @@ class _TreeCollection:
         if solution.ratio > threshold:
             return None
         return solution
-
-
-@dataclass
-class LogInsert:
-    """Insertion of edge id `edge` with endpoints and attributes."""
-
-    edge: int
-    tail: int
-    head: int
-    gradient: float
-    length: float
-
-
-@dataclass
-class LogDelete:
-    edge: int
-
-
-class UpdateLog:
-    """Batches of edge insertions and deletions with stable edge ids.
-
-    Stage t is the graph after batches[0..t]. A length increase is encoded
-    as a deletion followed by a re-insertion of the same edge id within one
-    batch, so untouched presence intervals are exactly the spans the width
-    stability condition quantifies over.
-    """
-
-    def __init__(self, n: int):
-        self.n = n
-        self.batches: list[list[LogInsert | LogDelete]] = []
-
-    def append_batch(self, ops: Iterable[LogInsert | LogDelete]) -> None:
-        self.batches.append(list(ops))
-
-    def replay(self):
-        """Yields (present, touched) per stage; `present` maps edge id to its
-        LogInsert and `touched` is the set of ids updated by the batch."""
-        present: dict[int, LogInsert] = {}
-        for index, batch in enumerate(self.batches):
-            touched: set[int] = set()
-            for op in batch:
-                if isinstance(op, LogInsert):
-                    if op.edge in present:
-                        raise ValueError(
-                            f"batch {index}: edge {op.edge} inserted twice")
-                    if op.length <= 0:
-                        raise ValueError(
-                            f"batch {index}: nonpositive length on {op.edge}")
-                    present[op.edge] = op
-                elif isinstance(op, LogDelete):
-                    if op.edge not in present:
-                        raise ValueError(
-                            f"batch {index}: edge {op.edge} deleted but absent")
-                    del present[op.edge]
-                else:
-                    raise TypeError(f"unsupported log entry {op!r}")
-                touched.add(op.edge)
-            yield present, touched
-
-
-def _support(c_star) -> dict[int, float]:
-    if isinstance(c_star, Mapping):
-        items = c_star.items()
-    else:
-        items = enumerate(np.asarray(c_star, dtype=float).tolist())
-    return {int(e): float(c) for e, c in items if c != 0.0}
-
-
-def check_stability_witness(log: UpdateLog, c_star,
-                            widths: Sequence[Mapping[int, float]]) -> bool:
-    """Verify the per-stage witness conditions for an update log.
-
-    The hidden circulation at stage t is c_star when its whole support is
-    present and zero otherwise. Checks, at every stage: (1) that hidden
-    circulation balances at every vertex, (2) widths dominate |length *
-    coefficient| on every present edge, (3) no width decays below half its
-    minimum over the edge's untouched presence interval, and (4) the total
-    width never decreases. Width mappings may omit edges, which count as
-    width zero; a key for an absent edge is an indexing error.
-    """
-    if len(widths) != len(log.batches):
-        raise ValueError(
-            f"got {len(widths)} width stages for {len(log.batches)} batches")
-    supp = _support(c_star)
-    scale = max([abs(c) for c in supp.values()], default=0.0)
-    running_min: dict[int, float] = {}
-    prev_total = 0.0
-    for t, (present, touched) in enumerate(log.replay()):
-        stage = widths[t]
-        for e in stage:
-            if e not in present:
-                raise ValueError(f"stage {t}: width given for absent edge {e}")
-        supported = all(e in present for e in supp)
-        if supported and supp:
-            net = np.zeros(log.n)
-            for e, coef in supp.items():
-                op = present[e]
-                net[op.tail] -= coef
-                net[op.head] += coef
-            if float(np.max(np.abs(net))) > 1e-8 * (1.0 + scale):
-                return False
-        total = 0.0
-        for e, op in present.items():
-            w = float(stage.get(e, 0.0))
-            if w < 0:
-                return False
-            total += w
-            coef = supp.get(e, 0.0) if supported else 0.0
-            if abs(op.length * coef) > w * (1 + 1e-9) + 1e-12:
-                return False
-            if e in touched or e not in running_min:
-                running_min[e] = w
-            else:
-                if w > 2.0 * running_min[e] * (1 + 1e-9) + 1e-12:
-                    return False
-                running_min[e] = min(running_min[e], w)
-        running_min = {e: running_min[e] for e in present}
-        if total < prev_total * (1 - 1e-9) - 1e-12:
-            return False
-        prev_total = total
-    return True
-
-
-def canonical_stability_widths(log: UpdateLog, c_star
-                               ) -> list[dict[int, float]]:
-    """The witness that always works for monotone updates: on the support of
-    c_star, each width is |current length * coefficient|; zero elsewhere."""
-    supp = _support(c_star)
-    stages = []
-    for present, _ in log.replay():
-        stages.append({e: abs(op.length * supp[e])
-                       for e, op in present.items() if e in supp})
-    return stages

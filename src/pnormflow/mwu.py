@@ -8,7 +8,9 @@ average satisfies <g, c> = -1 with the scaled 2-norm and p-norm both at most
 2K. When the oracle stalls instead, no circulation with unit negative
 gradient and both scaled norms at most 1 can exist on the current graph,
 which is the certificate the refinement layer turns into a threshold
-verdict; the solver then waits for the next edge insertion.
+verdict; the solver then waits for the next edge insertion. The caller
+owns the loop: mwu_step takes one round, mwu_insert_edge admits an edge,
+and mwu_solution reads the average once T progress steps are done.
 
 Potentials Phi = ||R a||_2^2 and Psi = ||W b||_q^q are padded with the
 contribution K^2/m_max (resp. K^q/m_max) per not-yet-inserted edge slot, so
@@ -20,20 +22,18 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Iterable, Iterator
+from typing import Callable
 
 import numpy as np
 
 from .errors import InvariantViolation
 from .graph import IncrementalGraph
 from .mrc import (
+    CycleSolution,
     IncreaseLength,
     InsertEdge,
-    LogDelete,
-    LogInsert,
     MonotoneMrcState,
     MrcInstance,
-    UpdateLog,
 )
 
 MIN_EDGE_BOUND = 4
@@ -50,20 +50,6 @@ def mwu_schedule(m_max: int, p: int, kappa: float) -> tuple[int, float, int]:
 
 
 @dataclass
-class Progress:
-    """One MWU progress step: the applied scaled cycle and its ratio."""
-
-    delta: np.ndarray
-    ratio: float
-
-
-@dataclass
-class Certified:
-    """Stall outcome: no circulation has <g, c> = -1 with both scaled norms
-    at most 1 on the current graph."""
-
-
-@dataclass
 class Solution:
     """Completed run: circulation with <g, c> = -1 and scaled norms <= 2K."""
 
@@ -76,14 +62,16 @@ class MwuState:
     The run lives as long as one refinement step; edges inserted while the
     oracle is stalled join with freshly initialized weights. All constants
     are derived from the final edge bound m_max, which therefore must not be
-    exceeded.
+    exceeded. The run keeps its weights, lengths and running circulation;
+    its oracle (`mrc`) keeps the gradients and the length estimates. An
+    admitted edge's estimate changes only by the monotone pushes made at
+    the start of each step.
     """
 
     def __init__(self, graph: IncrementalGraph, g: np.ndarray, r: np.ndarray,
                  w: np.ndarray, p: int, kappa: float = 1.0,
                  m_max: int | None = None, seed: int | None = None,
                  backend: str = "exact", assert_invariants: bool = True,
-                 record_log: bool = False,
                  trace: Callable[[dict], None] | None = None):
         m = graph.m
         m_max = m if m_max is None else m_max
@@ -112,8 +100,6 @@ class MwuState:
         self.iteration = 0
         self.assert_invariants = assert_invariants
         self.trace = trace
-        self.probe: np.ndarray | None = None
-        self.probe_max = 0.0
 
         self._r = np.zeros(m_max)
         self._w = np.zeros(m_max)
@@ -137,15 +123,6 @@ class MwuState:
         self.mrc = MonotoneMrcState(instance, self.alpha, kappa=self.kappa,
                                     backend=backend, seed=seed,
                                     capacity=m_max)
-        self.log: UpdateLog | None = None
-        if record_log:
-            self.log = UpdateLog(graph.n)
-            self.log.append_batch([
-                LogInsert(edge=e, tail=int(graph.tails[e]),
-                          head=int(graph.heads[e]), gradient=float(g[e]),
-                          length=float(self._ell[e]))
-                for e in range(m)
-            ])
 
     def _edge_lengths(self, edges: np.ndarray) -> np.ndarray:
         r, w = self._r[edges], self._w[edges]
@@ -174,12 +151,11 @@ def mwu_init(graph: IncrementalGraph, g: np.ndarray, r: np.ndarray,
              w: np.ndarray, p: int, kappa: float = 1.0,
              m_max: int | None = None, seed: int | None = None,
              backend: str = "exact", assert_invariants: bool = True,
-             record_log: bool = False,
              trace: Callable[[dict], None] | None = None) -> MwuState:
     """Start a run on the current graph; potentials begin at K^2 and K^q."""
     return MwuState(graph, g, r, w, p, kappa=kappa, m_max=m_max, seed=seed,
                     backend=backend, assert_invariants=assert_invariants,
-                    record_log=record_log, trace=trace)
+                    trace=trace)
 
 
 def mwu_insert_edge(state: MwuState, e: int, g_e: float, r_e: float,
@@ -206,12 +182,6 @@ def mwu_insert_edge(state: MwuState, e: int, g_e: float, r_e: float,
     length = float(state._edge_lengths(np.asarray([e]))[0])
     state._ell[e] = length
     state.mrc.insert(InsertEdge(edge=e, gradient=g_e, length=length))
-    if state.log is not None:
-        state.log.append_batch([
-            LogInsert(edge=e, tail=int(state.graph.tails[e]),
-                      head=int(state.graph.heads[e]), gradient=float(g_e),
-                      length=length)
-        ])
 
 
 def _push_length_estimates(state: MwuState) -> int:
@@ -226,18 +196,9 @@ def _push_length_estimates(state: MwuState) -> int:
     stale = np.flatnonzero(state._ell[:m] > state.length_estimates)
     if stale.size == 0:
         return 0
-    ops: list[LogInsert | LogDelete] = []
     for e in stale.tolist():
-        new_estimate = 2.0 * float(state._ell[e])
-        state.mrc.increase_length(IncreaseLength(edge=e, length=new_estimate))
-        if state.log is not None:
-            ops.append(LogDelete(edge=e))
-            ops.append(LogInsert(edge=e, tail=int(state.graph.tails[e]),
-                                 head=int(state.graph.heads[e]),
-                                 gradient=float(state.gradients[e]),
-                                 length=new_estimate))
-    if ops:
-        state.log.append_batch(ops)
+        state.mrc.increase_length(
+            IncreaseLength(edge=e, length=2.0 * float(state._ell[e])))
     if state.assert_invariants:
         ell = state._ell[:m]
         tilde = state.length_estimates
@@ -247,14 +208,14 @@ def _push_length_estimates(state: MwuState) -> int:
     return int(stale.size)
 
 
-def mwu_step(state: MwuState) -> Progress | None:
-    """One oracle round: None when stalled, otherwise the applied step.
+def mwu_step(state: MwuState) -> CycleSolution | None:
+    """One oracle round: None when stalled, otherwise the oracle's cycle,
+    which the step applied scaled to unit negative gradient.
 
-    A progress step asserts the potential increase bounds, the domination of
-    the running circulation by a and b, and (when a probe circulation is
-    registered) the l1-length bound that underpins stall certificates.
-    With a trace, the step's `progress` or `stall` record says in `solved`
-    whether the oracle solved or answered from its memo.
+    A progress step asserts the potential increase bounds and the domination
+    of the running circulation by a and b. With a trace, the step's
+    `progress` or `stall` record says in `solved` whether the oracle solved
+    or answered from its memo.
     """
     if state.iteration >= state.T:
         raise ValueError("the run is complete; no steps remain")
@@ -277,16 +238,6 @@ def mwu_step(state: MwuState) -> Progress | None:
         if cycle.length / -cycle.gradient > bound * (1 + POTENTIAL_RTOL):
             raise InvariantViolation(
                 "scaled cycle exceeds the l1-length bound kappa/alpha")
-
-    if state.probe is not None and state.assert_invariants:
-        probe = state.probe
-        if not np.any(probe[state.m:]):
-            probe_len = float(state._ell[:state.m] @ np.abs(probe[:state.m]))
-            state.probe_max = max(state.probe_max, probe_len)
-            limit = 20 * state.q * state.K ** (state.q - 1)
-            if probe_len > limit * (1 + POTENTIAL_RTOL):
-                raise InvariantViolation(
-                    "probe circulation exceeds the good-solution l1 bound")
 
     scale = -1.0 / cycle.gradient
     edges = cycle.edges
@@ -324,9 +275,7 @@ def mwu_step(state: MwuState) -> Progress | None:
                      "phi": state.phi, "psi": state.psi,
                      "ratio": cycle.ratio, "pushes": pushes,
                      "solved": solved})
-    delta = np.zeros(state.m)
-    np.add.at(delta, edges, signed)
-    return Progress(delta=delta, ratio=cycle.ratio)
+    return cycle
 
 
 def mwu_solution(state: MwuState) -> Solution:
@@ -352,24 +301,3 @@ def mwu_solution(state: MwuState) -> Solution:
         if normp > 2 * K * (1 + POTENTIAL_RTOL):
             raise InvariantViolation(f"||Wc||_p = {normp} exceeds 2K")
     return Solution(circulation=c)
-
-
-def mwu_run(state: MwuState,
-            event_source: Iterable[tuple[int, int, float, float, float]]
-            | None = None) -> Certified | Solution:
-    """Drive a run to completion, consuming insertions while stalled.
-
-    `event_source` yields (tail, head, g, r, w) tuples; each is added to the
-    graph and admitted into the run. Returns Certified when the oracle
-    stalls with no events left, else the finished Solution.
-    """
-    events: Iterator = iter(event_source) if event_source is not None else iter(())
-    while state.iteration < state.T:
-        if mwu_step(state) is None:
-            event = next(events, None)
-            if event is None:
-                return Certified()
-            tail, head, g_e, r_e, w_e = event
-            e = state.graph.add_edge(tail, head)
-            mwu_insert_edge(state, e, g_e, r_e, w_e)
-    return mwu_solution(state)

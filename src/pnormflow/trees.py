@@ -11,6 +11,8 @@ from typing import Sequence
 
 import numpy as np
 
+from .graph import _UnionFind
+
 
 class SpanningForest:
     """Rooted spanning forest of a multigraph.
@@ -29,21 +31,12 @@ class SpanningForest:
         parent_sign = np.zeros(n, dtype=np.int64)
         depth = np.zeros(n, dtype=np.int64)
 
-        uf = list(range(n))
-
-        def find(x: int) -> int:
-            while uf[x] != x:
-                uf[x] = uf[uf[x]]
-                x = uf[x]
-            return x
-
+        sets = _UnionFind(n)
         tree_edges: list[int] = []
         adj: list[list[tuple[int, int]]] = [[] for _ in range(n)]
         for e in edge_order:
             u, v = tails[e], heads[e]
-            ru, rv = find(u), find(v)
-            if ru != rv:
-                uf[ru] = rv
+            if sets.union(u, v):
                 tree_edges.append(e)
                 adj[u].append((e, v))
                 adj[v].append((e, u))
@@ -136,30 +129,9 @@ class SpanningForest:
             lift[k] = np.where(prev >= 0, prev[prev], -1)
         self._lift = lift
 
-    def lca(self, u: int, v: int) -> int:
-        if self._lift is None:
-            self._build_lift()
-        lift = self._lift
-        du, dv = int(self.depth[u]), int(self.depth[v])
-        if du < dv:
-            u, v = v, u
-            du, dv = dv, du
-        diff = du - dv
-        k = 0
-        while diff:
-            if diff & 1:
-                u = int(lift[k][u])
-            diff >>= 1
-            k += 1
-        if u == v:
-            return u
-        for k in range(lift.shape[0] - 1, -1, -1):
-            if lift[k][u] != lift[k][v]:
-                u, v = int(lift[k][u]), int(lift[k][v])
-        return int(self.parent_vertex[u])
-
     def lca_many(self, us: np.ndarray, vs: np.ndarray) -> np.ndarray:
-        """Vectorized lca; every (us[i], vs[i]) pair must share a component."""
+        """Lowest common ancestor of each pair (us[i], vs[i]); every pair
+        must share a component."""
         if self._lift is None:
             self._build_lift()
         lift = self._lift
@@ -179,16 +151,6 @@ class SpanningForest:
             us[step] = lu[step]
             vs[step] = lv[step]
         return np.where(us == vs, us, self.parent_vertex[us])
-
-    def path_to_ancestor(self, v: int, ancestor: int) -> tuple[list[int], list[int]]:
-        """Edges and signs traversing v -> ancestor (signs follow storage)."""
-        edges: list[int] = []
-        signs: list[int] = []
-        while v != ancestor:
-            edges.append(int(self.parent_edge[v]))
-            signs.append(int(self.parent_sign[v]))
-            v = int(self.parent_vertex[v])
-        return edges, signs
 
     def fundamental_cycles(self, edges: np.ndarray, tails: np.ndarray,
                            heads: np.ndarray
@@ -222,11 +184,22 @@ class SpanningForest:
     def fundamental_cycle(self, e: int, tails: Sequence[int], heads: Sequence[int]
                           ) -> tuple[np.ndarray, np.ndarray]:
         """Cycle closed by off-tree edge e: e traversed tail -> head, then the
-        tree path head -> tail. Returns (edge ids, orientation signs)."""
-        u, v = tails[e], heads[e]
-        a = self.lca(u, v)
-        ev, sv = self.path_to_ancestor(v, a)
-        eu, su = self.path_to_ancestor(u, a)
-        edges = [e] + ev + eu
-        signs = [1] + sv + [-s for s in su]
-        return np.asarray(edges, dtype=np.int64), np.asarray(signs, dtype=np.int64)
+        tree path head -> tail. Returns (edge ids, orientation signs): e,
+        then the path from the head up to the meeting vertex, then the path
+        from the tail up to it, traversed downwards."""
+        u, v = int(tails[e]), int(heads[e])
+        depth, pv, pe, ps = (self.depth, self.parent_vertex, self.parent_edge,
+                             self.parent_sign)
+        ev, sv, eu, su = [], [], [], []
+        # The deeper endpoint climbs (the head on ties) until they meet.
+        while u != v:
+            if depth[v] >= depth[u]:
+                ev.append(int(pe[v]))
+                sv.append(int(ps[v]))
+                v = int(pv[v])
+            else:
+                eu.append(int(pe[u]))
+                su.append(-int(ps[u]))
+                u = int(pv[u])
+        return (np.asarray([e] + ev + eu, dtype=np.int64),
+                np.asarray([1] + sv + su, dtype=np.int64))

@@ -316,28 +316,37 @@ def exact_maxflow(
                     queue.append(y)
         if level[t] < 0:
             break
+        # Blocking flow by depth-first search with an explicit stack of
+        # arcs from s. Arcs are tried in adjacency order, and it[x] moves
+        # past an arc only once the search behind it has failed, so each
+        # augmenting path is the one a recursive search would find.
         it = [0] * n
-
-        def push(x: int, limit: int) -> int:
+        limit = int(caps.sum())
+        path: list[int] = []
+        x = s
+        while True:
             if x == t:
-                return limit
-            while it[x] < len(adj[x]):
+                got = min(limit, min(int(cap[a]) for a in path))
+                for a in path:
+                    cap[a] -= got
+                    cap[a ^ 1] += got
+                value += got
+                path.clear()
+                x = s
+            elif it[x] < len(adj[x]):
                 a = adj[x][it[x]]
                 y = int(head[a])
                 if cap[a] > 0 and level[y] == level[x] + 1:
-                    got = push(y, min(limit, int(cap[a])))
-                    if got > 0:
-                        cap[a] -= got
-                        cap[a ^ 1] += got
-                        return got
+                    path.append(a)
+                    x = y
+                else:
+                    it[x] += 1
+            elif path:
+                # Dead end: retreat to the arc's tail and skip the arc.
+                x = int(head[path.pop() ^ 1])
                 it[x] += 1
-            return 0
-
-        while True:
-            pushed = push(s, int(caps.sum()))
-            if pushed == 0:
+            else:
                 break
-            value += pushed
 
     flow = (cap[1::2] - cap[0::2]) / 2.0
     return value, flow
@@ -383,25 +392,3 @@ def effective_resistance(
     full = np.zeros(k)
     full[keep_rows] = potentials
     return float(full[index[s]] - full[ground])
-
-
-def finite_diff_check(problem, f: np.ndarray, h: float = 1e-6) -> float:
-    """Largest guarded relative error between the analytic gradient of the
-    smoothed objective and central differences.
-
-    `problem` is anything with g, r, w, p attributes (an instance or a
-    residual problem).
-    """
-    f = np.asarray(f, dtype=float)
-    g, r, w, p = problem.g, problem.r, problem.w, problem.p
-    analytic = smoothed_gradient(g, r, w, p, f)
-    worst = 0.0
-    for e in range(f.size):
-        bump = np.zeros_like(f)
-        bump[e] = h
-        upper = smoothed_value(g, r, w, p, f + bump)
-        lower = smoothed_value(g, r, w, p, f - bump)
-        numeric = (upper - lower) / (2.0 * h)
-        err = abs(analytic[e] - numeric) / max(1.0, abs(analytic[e]))
-        worst = max(worst, err)
-    return worst

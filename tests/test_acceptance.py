@@ -19,16 +19,7 @@ from pnormflow.graph import (
     net_demand,
     pnorm,
 )
-from pnormflow.mrc import (
-    LogDelete,
-    LogInsert,
-    MrcInstance,
-    UpdateLog,
-    brute_force_min_ratio_cycle,
-    canonical_stability_widths,
-    check_stability_witness,
-    exact_min_ratio_cycle,
-)
+from pnormflow.mrc import MrcInstance, exact_min_ratio_cycle
 from pnormflow.mwu import (
     MwuState,
     Solution,
@@ -49,6 +40,16 @@ from pnormflow.verify import (
     static_pnorm_opt,
 )
 from pnormflow.drivers import Below, MaxflowDriver, incremental_effres
+from support import (
+    LogDelete,
+    LogInsert,
+    LogRecorder,
+    UpdateLog,
+    brute_force_min_ratio_cycle,
+    canonical_stability_widths,
+    check_stability_witness,
+    run_to_end,
+)
 
 
 def report(num: int, name: str, ok: bool, detail: str) -> None:
@@ -75,8 +76,7 @@ def connected_instance(rng, n, m, p, threshold=0.0, eps=1e-3):
     return instance
 
 
-def planted_state(p=2, m_max=4, seed=None, record_log=False,
-                  kind="pair") -> MwuState:
+def planted_state(p=2, m_max=4, seed=None, kind="pair") -> MwuState:
     """An inner-loop state whose graph supports a unit-gradient circulation
     with both scaled norms below one, so runs always complete."""
     if kind == "pair":
@@ -92,7 +92,7 @@ def planted_state(p=2, m_max=4, seed=None, record_log=False,
         g = np.array([-1.0, -1.0, -1.0, -1.0])
         m = 4
     return mwu_init(graph, g, np.ones(m), np.ones(m), p, m_max=m_max,
-                    seed=seed, record_log=record_log)
+                    seed=seed)
 
 
 def run_instrumented(state):
@@ -499,12 +499,13 @@ class TestAcceptance:
         ok_shrink = not check_stability_witness(log, c_star, shrink)
 
         # The same canonical construction on a live inner-loop run.
-        state = planted_state(p=2, m_max=4, seed=8, record_log=True)
-        outcome, _ = run_instrumented(state)
+        state = planted_state(p=2, m_max=4, seed=8)
+        recorder = LogRecorder(state)
+        outcome = run_to_end(state, after=recorder)
         live_star = {0: -0.5, 1: 0.5}
-        live_widths = canonical_stability_widths(state.log, live_star)
+        live_widths = canonical_stability_widths(recorder.log, live_star)
         ok_live = (isinstance(outcome, Solution)
-                   and check_stability_witness(state.log, live_star,
+                   and check_stability_witness(recorder.log, live_star,
                                                live_widths))
 
         ok = all((ok_canonical, ok_low, ok_grown, ok_shrink, ok_live))

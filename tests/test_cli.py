@@ -207,23 +207,6 @@ class TestGen:
         assert code == EXIT_USAGE
 
 
-class TestBench:
-    def test_bench_prints_one_line_per_stream(self, tmp_path, capsys):
-        a = write(tmp_path, "a.stream", EFFRES_TEXT)
-        b = write(tmp_path, "b.stream", MAXFLOW_TEXT)
-        code, lines = run_lines(capsys, ["bench", a, b])
-        assert code == EXIT_OK
-        assert len(lines) == 2
-        for line, path, kind, events in zip(lines, (a, b),
-                                            ("effres", "maxflow"), (3, 3)):
-            fields = dict(tok.split("=", 1) for tok in line.split())
-            assert fields["stream"] == path
-            assert fields["kind"] == kind
-            assert fields["events"] == str(events)
-            assert float(fields["wall_ms"]) >= 0.0
-            assert "ms_per_event" in fields
-
-
 class TestExitCodes:
     def test_missing_file_is_usage(self, capsys):
         assert main(["pnorm", "/no/such/file"]) == EXIT_USAGE

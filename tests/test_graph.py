@@ -19,7 +19,7 @@ from pnormflow.graph import (
     smoothed_gradient,
     smoothed_value,
 )
-from pnormflow.verify import finite_diff_check
+from support import finite_diff_check
 
 
 class TestIncrementalGraph:
@@ -53,13 +53,6 @@ class TestIncrementalGraph:
         assert g.connected(0, 1) and not g.connected(1, 2)
         g.add_edge(1, 2)
         assert g.connected(0, 3)
-
-    def test_copy_is_independent(self):
-        g = IncrementalGraph(3)
-        g.add_edge(0, 1)
-        h = g.copy()
-        h.add_edge(1, 2)
-        assert g.m == 1 and h.m == 2
 
 
 class TestNetDemand:

@@ -9,15 +9,17 @@ from pnormflow.graph import IncrementalGraph, is_circulation
 from pnormflow.mrc import (
     IncreaseLength,
     InsertEdge,
-    LogDelete,
-    LogInsert,
     MonotoneMrcState,
     MrcInstance,
+    exact_min_ratio_cycle,
+)
+from support import (
+    LogDelete,
+    LogInsert,
     UpdateLog,
     brute_force_min_ratio_cycle,
     canonical_stability_widths,
     check_stability_witness,
-    exact_min_ratio_cycle,
 )
 
 

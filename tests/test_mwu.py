@@ -8,18 +8,24 @@ from hypothesis import given, settings, strategies as st
 
 from pnormflow.errors import InvariantViolation
 from pnormflow.graph import IncrementalGraph, is_circulation
-from pnormflow.mrc import MrcInstance, check_stability_witness, \
-    canonical_stability_widths, exact_min_ratio_cycle
+from pnormflow.mrc import CycleSolution, MrcInstance, exact_min_ratio_cycle
 from pnormflow.mwu import (
-    Certified,
     MwuState,
-    Progress,
     Solution,
     mwu_init,
     mwu_insert_edge,
-    mwu_run,
     mwu_solution,
     mwu_step,
+)
+from support import (
+    LogDelete,
+    LogInsert,
+    LogRecorder,
+    canonical_stability_widths,
+    check_stability_witness,
+    good_solution_l1_bound,
+    probe_l1_length,
+    run_to_end,
 )
 
 
@@ -143,7 +149,7 @@ class TestInsertEdge:
 
         second = parallel_pair_state(m_max=6)
         for _ in range(5):
-            assert isinstance(mwu_step(second), Progress)
+            assert isinstance(mwu_step(second), CycleSolution)
         e = second.graph.add_edge(0, 1)
         mwu_insert_edge(second, e, 0.0, 1.5, 2.5)
         assert second._a[e] == fresh_a and second._b[e] == fresh_b
@@ -196,10 +202,11 @@ class TestStep:
     def test_progress_applies_scaled_delta(self):
         state = parallel_pair_state()
         step = mwu_step(state)
-        assert isinstance(step, Progress)
-        assert float(state.gradients @ step.delta) == pytest.approx(
+        assert isinstance(step, CycleSolution)
+        delta = step.circulation(state.m) / -step.gradient
+        assert float(state.gradients @ delta) == pytest.approx(
             -1.0, rel=1e-12)
-        assert np.allclose(state.circulation, step.delta / state.T)
+        assert np.allclose(state.circulation, delta / state.T)
         assert step.ratio <= -state.alpha
 
     def test_stall_leaves_weights_untouched(self):
@@ -240,7 +247,7 @@ class TestStep:
             before = (state._a.copy(), state._b.copy(), state._ell.copy(),
                       state.length_estimates.copy())
             step = mwu_step(state)
-            assert isinstance(step, Progress)
+            assert isinstance(step, CycleSolution)
             snapshots.append(before)
             assert np.all(state._a >= before[0])
             assert np.all(state._b >= before[1])
@@ -271,9 +278,10 @@ class TestRun:
 
     def test_planted_circulation_run_completes(self):
         state = parallel_pair_state(m_max=4)
-        state.probe = np.zeros(state.m_max)
-        state.probe[:2] = [-0.5, 0.5]
-        outcome = mwu_run(state)
+        probe = np.array([-0.5, 0.5])
+        probe_lengths = []
+        outcome = run_to_end(state, after=lambda run: probe_lengths.append(
+            probe_l1_length(run, probe)))
         assert isinstance(outcome, Solution)
         c = outcome.circulation
         assert float(state.gradients @ c) == pytest.approx(-1.0, rel=1e-9)
@@ -281,22 +289,22 @@ class TestRun:
         assert float(np.sum(np.abs(state._w[:2] * c) ** state.p)
                      ** (1 / state.p)) <= 2 * state.K
         assert is_circulation(state.graph, c)
-        assert state.probe_max <= 20 * state.q * state.K ** (state.q - 1)
+        assert max(probe_lengths) <= good_solution_l1_bound(state)
         assert state.phi <= 4 * state.K ** 2 * (1 + 1e-9)
         assert state.psi <= 5 * state.q * state.K ** state.q * (1 + 1e-9)
 
     def test_no_negative_cycle_certifies_forever(self):
         state = parallel_pair_state(g=(1.0, 1.0))
-        assert isinstance(mwu_run(state), Certified)
+        assert run_to_end(state) is None
 
     def test_stall_then_resume_on_insert(self):
         graph = IncrementalGraph(2)
         graph.add_edge(0, 1)
         state = mwu_init(graph, np.array([1.0]), np.ones(1), np.ones(1), 2,
                          m_max=4)
-        assert isinstance(mwu_run(state), Certified)
+        assert run_to_end(state) is None
         # The planted partner edge makes (-1/2, +1/2) a good circulation.
-        outcome = mwu_run(state, event_source=[(0, 1, -1.0, 1.0, 1.0)])
+        outcome = run_to_end(state, events=[(0, 1, -1.0, 1.0, 1.0)])
         assert isinstance(outcome, Solution)
         assert float(state.gradients @ outcome.circulation) == pytest.approx(
             -1.0, rel=1e-9)
@@ -309,24 +317,55 @@ class TestRun:
 
     def test_step_after_completion_rejected(self):
         state = parallel_pair_state()
-        assert isinstance(mwu_run(state), Solution)
+        assert isinstance(run_to_end(state), Solution)
         with pytest.raises(ValueError):
             mwu_step(state)
 
     def test_update_log_supports_canonical_witness(self):
-        state = parallel_pair_state(record_log=True)
-        outcome = mwu_run(state)
+        state = parallel_pair_state()
+        recorder = LogRecorder(state)
+        outcome = run_to_end(state, after=recorder)
         assert isinstance(outcome, Solution)
         c_star = {0: -0.5, 1: 0.5}
-        widths = canonical_stability_widths(state.log, c_star)
-        assert check_stability_witness(state.log, c_star, widths)
+        widths = canonical_stability_widths(recorder.log, c_star)
+        assert check_stability_witness(recorder.log, c_star, widths)
+
+    def test_recorded_log_follows_insertions_and_pushes(self):
+        records = []
+        graph = IncrementalGraph(2)
+        graph.add_edge(0, 1)
+        state = mwu_init(graph, np.array([1.0]), np.ones(1), np.ones(1), 2,
+                         m_max=4, trace=records.append)
+        recorder = LogRecorder(state)
+        outcome = run_to_end(state, events=[(0, 1, -1.0, 1.0, 1.0)],
+                             after=recorder)
+        assert isinstance(outcome, Solution)
+        batches = recorder.log.batches
+        assert batches[0] == [LogInsert(0, 0, 1, 1.0, 200.0)]
+        assert batches[1] == [LogInsert(1, 0, 1, -1.0, 200.0)]
+        # Every later batch is one step's estimate pushes, as delete and
+        # re-insert pairs in edge order.
+        pushes = [r["pushes"] for r in records if r["pushes"]]
+        assert [len(batch) for batch in batches[2:]] == [
+            2 * k for k in pushes]
+        for batch in batches[2:]:
+            deleted = [op.edge for op in batch[0::2]]
+            assert all(isinstance(op, LogDelete) for op in batch[0::2])
+            assert [op.edge for op in batch[1::2]] == deleted
+            assert deleted == sorted(deleted)
+        *_, (present, _) = recorder.log.replay()
+        assert [present[e].length for e in range(2)] == \
+            state.length_estimates.tolist()
+        c_star = {0: -0.5, 1: 0.5}
+        widths = canonical_stability_widths(recorder.log, c_star)
+        assert check_stability_witness(recorder.log, c_star, widths)
 
     @given(seed=st.integers(min_value=0, max_value=2 ** 32 - 1))
     @settings(max_examples=5, deadline=None)
     def test_tree_backend_run_also_satisfies_contract(self, seed):
         state = parallel_pair_state(backend="trees", seed=int(seed),
                                     kappa=2.0)
-        outcome = mwu_run(state)
+        outcome = run_to_end(state)
         if isinstance(outcome, Solution):
             c = outcome.circulation
             assert float(state.gradients @ c) == pytest.approx(-1.0, rel=1e-9)

@@ -356,7 +356,8 @@ class TestSolverVerdicts:
         opt = static_pnorm_opt(instance, seed=1).value
         margin = 0.3 * (1.0 + abs(opt))
         for threshold in (opt - margin, opt + margin):
-            trial = PNormInstance(instance.graph.copy(), instance.d.copy(),
+            # The trial inserts no edges, so it can view the same graph.
+            trial = PNormInstance(instance.graph, instance.d.copy(),
                                   2, threshold=threshold, eps=1e-3)
             trial.set_edge_attrs(instance.g.copy(), instance.r.copy(),
                                  instance.w.copy())

@@ -176,7 +176,7 @@ class TestLca:
         forest = forest_of(g, rng)
         for _ in range(10):
             u, v = int(rng.integers(n)), int(rng.integers(n))
-            assert forest.lca(u, v) == self.naive_lca(forest, u, v)
+            assert forest.lca_many([u], [v])[0] == self.naive_lca(forest, u, v)
 
     @given(seed=st.integers(min_value=0, max_value=2 ** 32 - 1))
     @settings(max_examples=30, deadline=None)
@@ -192,7 +192,7 @@ class TestLca:
         vs = rng.integers(0, n, size=8)
         batch = forest.lca_many(us, vs)
         for i in range(8):
-            assert batch[i] == forest.lca(int(us[i]), int(vs[i]))
+            assert batch[i] == self.naive_lca(forest, int(us[i]), int(vs[i]))
 
 
 class TestPrefixSums:
@@ -211,11 +211,15 @@ class TestPrefixSums:
         values = rng.normal(size=g.m)
         unsigned = forest.prefix_sums(values, signed=False)
         signed = forest.prefix_sums(values, signed=True)
-        root = int(np.flatnonzero(forest.parent_vertex < 0)[0])
         for v in range(n):
-            edges, signs = forest.path_to_ancestor(v, root)
-            # path_to_ancestor runs v -> root; prefix sums run root -> v,
-            # so the signed traversal flips.
+            # Walk v -> root; prefix sums run root -> v, so the signed
+            # traversal flips.
+            edges, signs = [], []
+            x = v
+            while forest.parent_vertex[x] >= 0:
+                edges.append(int(forest.parent_edge[x]))
+                signs.append(int(forest.parent_sign[x]))
+                x = int(forest.parent_vertex[x])
             total = np.sum(values[edges]) if edges else 0.0
             assert np.isclose(unsigned[v], total, atol=1e-12)
             expect = -np.sum(values[edges] * np.asarray(signs)) if edges else 0.0

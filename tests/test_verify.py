@@ -12,9 +12,9 @@ from pnormflow.verify import (
     _DENSE_LAPLACIAN_LIMIT,
     effective_resistance,
     exact_maxflow,
-    finite_diff_check,
     static_pnorm_opt,
 )
+from support import finite_diff_check
 
 
 def build_instance(n, edges, d, p, g=None, r=None, w=None):
@@ -234,6 +234,17 @@ class TestExactMaxflow:
         g.add_edge(0, 2)
         value, flow = exact_maxflow(g, np.ones(1), 0, 1)
         assert value == 0 and np.all(flow == 0.0)
+
+    def test_path_longer_than_the_recursion_limit(self):
+        # The only augmenting path visits all 1,200 vertices, more than
+        # Python's default limit of 1,000 nested calls.
+        n = 1200
+        g = IncrementalGraph(n)
+        for v in range(n - 1):
+            g.add_edge(v, v + 1)
+        value, flow = exact_maxflow(g, np.full(n - 1, 3), 0, n - 1)
+        assert value == 3
+        assert np.all(flow == 3.0)
 
     def test_same_terminals_rejected(self):
         g = IncrementalGraph(2)
