@@ -5,9 +5,10 @@ and print one metrics record per event; verify re-runs a stream with the
 reference oracles and fails on any disagreement; gen writes seeded
 instances.
 
-Exit codes: 0 success, 1 usage or parse error, 2 invariant or verification
-failure. Metrics records are deterministic for a fixed stream, seed and
-backend except for the wall-time field.
+Every run checks the solver's runtime invariants. Exit codes: 0 success,
+1 usage or parse error, 2 invariant or verification failure. Metrics
+records are deterministic for a fixed stream, seed and backend except for
+the wall-time field.
 """
 
 from __future__ import annotations
@@ -19,13 +20,10 @@ import sys
 import time
 
 import numpy as np
+import scipy.sparse as sp
+from scipy.sparse import csgraph
 
-from .drivers import (
-    Below,
-    DRIVER_STEP_BUDGET,
-    EffResDriver,
-    MaxflowDriver,
-)
+from .drivers import Below, EffResDriver, MaxflowDriver
 from .errors import InvariantViolation, OracleError, StreamError
 from .graph import net_demand
 from .refine import Flow, IncrementalPNormSolver
@@ -37,7 +35,7 @@ from .streams import (
     parse_stream,
     print_stream,
 )
-from .verify import effective_resistance, exact_maxflow, static_pnorm_opt
+from .verify import effective_resistance, static_pnorm_opt
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -107,7 +105,6 @@ def _solver_kwargs(args) -> dict:
         "kappa": args.kappa,
         "backend": args.backend,
         "seed": args.seed,
-        "assert_invariants": args.assert_invariants,
     }
     if args.event_budget is not None:
         kwargs["step_budget_per_event"] = args.event_budget
@@ -132,7 +129,6 @@ def _event_calls(stream, args, trace=None):
                                         trace=trace, **kwargs)
         return solver, [solver.start] + [
             (lambda ev=ev: solver.insert_edge(*ev)) for ev in events]
-    kwargs.setdefault("step_budget_per_event", DRIVER_STEP_BUDGET)
     if stream.kind == "maxflow":
         driver = MaxflowDriver(stream.n, stream.m_max, stream.s, stream.t,
                                stream.eps, trace=trace, **kwargs)
@@ -211,16 +207,41 @@ def _verify_pnorm(stream, args) -> int:
     return EXIT_OK if failures == 0 else EXIT_FAILURE
 
 
+def _scipy_maxflow(n: int, tails: np.ndarray, heads: np.ndarray,
+                   caps: np.ndarray, s: int, t: int) -> float:
+    """Undirected s-t maxflow value by scipy, independent of the solver."""
+    caps = caps.astype(np.int32)
+    graph = sp.csr_matrix(
+        (np.concatenate([caps, caps]),
+         (np.concatenate([tails, heads]), np.concatenate([heads, tails]))),
+        shape=(n, n), dtype=np.int32)
+    graph.sum_duplicates()
+    return float(csgraph.maximum_flow(graph, s, t).flow_value)
+
+
 def _verify_maxflow(stream, args) -> int:
     driver, calls = _event_calls(stream, args)
+    specs = stream.initial_edges + stream.events
+    tails = np.asarray([spec.u for spec in specs], dtype=np.int64)
+    heads = np.asarray([spec.v for spec in specs], dtype=np.int64)
+    all_caps = np.asarray([spec.capacity() for spec in specs], dtype=np.int64)
     failures = 0
     for index, call in enumerate(calls):
         value, flow = call()
-        caps = np.asarray(driver.caps, dtype=float)
-        exact, _ = exact_maxflow(driver.graph, caps, stream.s, stream.t)
+        m = len(stream.initial_edges) + index
+        caps = all_caps[:m]
+        exact = _scipy_maxflow(stream.n, tails[:m], heads[:m], caps,
+                               stream.s, stream.t)
+        net = np.zeros(stream.n)
+        np.add.at(net, heads[:m], flow)
+        np.subtract.at(net, tails[:m], flow)
+        net[stream.s] += value
+        net[stream.t] -= value
+        routes = np.max(np.abs(net), initial=0.0) <= VERIFY_RTOL * (1 + value)
         feasible = not np.any(np.abs(flow) > caps * (1 + 1e-9))
-        ok = feasible and value >= (1.0 - stream.eps) * exact - 1e-9
-        ok = ok and driver.phase_count <= driver.phase_bound()
+        ok = (feasible and routes
+              and (1.0 - stream.eps) * exact - 1e-9 <= value <= exact + 1e-9
+              and driver.phase_count <= driver.phase_bound())
         failures += 0 if ok else 1
         _emit({"event": index, "verdict": "Published", "value": value,
                "oracle": float(exact), "ok": ok}, args.as_json)
@@ -297,9 +318,6 @@ def build_parser() -> _Parser:
         sub.add_argument("--kappa", type=float, default=1.0,
                          help="oracle approximation quality (trees backend)")
         sub.add_argument("--seed", type=int, default=0)
-        sub.add_argument("--assert-invariants", action="store_true",
-                         dest="assert_invariants",
-                         help="enable runtime invariant assertions")
         sub.add_argument("--trace", metavar="PATH",
                          help="write per-iteration internals as JSON lines")
         sub.add_argument("--json", action="store_true", dest="as_json",

@@ -68,7 +68,7 @@ class MaxflowDriver:
                  kappa: float = 1.0, backend: str = "exact",
                  seed: int | None = None,
                  step_budget_per_event: int | None = DRIVER_STEP_BUDGET,
-                 assert_invariants: bool = True, trace=None):
+                 trace=None):
         if not (0 <= s < n and 0 <= t < n):
             raise ValueError(f"terminal out of range: s={s}, t={t}, n={n}")
         if s == t:
@@ -85,7 +85,6 @@ class MaxflowDriver:
         self.kappa = kappa
         self.backend = backend
         self.step_budget = step_budget_per_event
-        self.assert_invariants = assert_invariants
         self.trace = trace
         self._rng = np.random.Generator(np.random.Philox(seed))
         self.graph = IncrementalGraph(n)
@@ -172,8 +171,6 @@ class MaxflowDriver:
 
     def _check_trip(self, verdict: Flow) -> None:
         """A threshold trip must certify congestion <= e^(-eps/2)."""
-        if not self.assert_invariants:
-            return
         if verdict.energy > 2.0 * self.F * (1 + 1e-9):
             raise InvariantViolation(
                 f"trip flow energy {verdict.energy} exceeds 2F={2 * self.F}")
@@ -201,7 +198,6 @@ class MaxflowDriver:
             instance, m_max=self.m_max, kappa=self.kappa,
             backend=self.backend, seed=int(self._rng.integers(2 ** 63)),
             step_budget_per_event=self.step_budget,
-            assert_invariants=self.assert_invariants,
             start_flow=flow, trace=self.trace)
         self.phase = MaxflowPhase(value=int(value), flow=flow.astype(float),
                                   solver=solver, instance=instance)
@@ -213,10 +209,9 @@ class MaxflowDriver:
             return 0.0, np.zeros(m)
         flow = np.zeros(m)
         flow[:self.phase.flow.size] = self.phase.flow
-        if self.assert_invariants:
-            caps = np.asarray(self.caps, dtype=float)
-            if np.any(np.abs(flow) > caps * (1 + 1e-9)):
-                raise InvariantViolation("published flow exceeds capacities")
+        caps = np.asarray(self.caps, dtype=float)
+        if np.any(np.abs(flow) > caps * (1 + 1e-9)):
+            raise InvariantViolation("published flow exceeds capacities")
         return float(self.phase.value), flow
 
 
@@ -240,7 +235,7 @@ class EffResDriver:
                  eps_rel: float, kappa: float = 1.0, backend: str = "exact",
                  seed: int | None = None,
                  step_budget_per_event: int | None = DRIVER_STEP_BUDGET,
-                 assert_invariants: bool = True, trace=None):
+                 trace=None):
         if not (0 <= s < n and 0 <= t < n):
             raise ValueError(f"terminal out of range: s={s}, t={t}, n={n}")
         if s == t:
@@ -261,8 +256,7 @@ class EffResDriver:
         self.solver = IncrementalPNormSolver(
             self.instance, m_max=m_max, kappa=kappa, backend=backend,
             seed=seed, step_budget_per_event=step_budget_per_event,
-            assert_invariants=assert_invariants, trace=trace)
-        self.assert_invariants = assert_invariants
+            trace=trace)
         self._below_seen = False
         self._started = False
 
@@ -296,7 +290,7 @@ class EffResDriver:
             self._below_seen = True
             r_est = verdict.energy / (1.0 + self.gamma ** 2)
             return Below(flow=verdict.flow, r_est=r_est)
-        if self._below_seen and self.assert_invariants:
+        if self._below_seen:
             raise InvariantViolation(
                 "verdict regressed from Below to AboveThreshold")
         return AboveThreshold()

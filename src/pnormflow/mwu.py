@@ -27,7 +27,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import InvariantViolation
-from .graph import IncrementalGraph
+from .graph import IncrementalGraph, pnorm
 from .mrc import (
     CycleSolution,
     IncreaseLength,
@@ -36,6 +36,8 @@ from .mrc import (
     MrcInstance,
 )
 
+# The weight schedule needs at least 4 slots; a solver with a smaller edge
+# bound runs the same loop on 4 slots, the unfilled ones padded.
 MIN_EDGE_BOUND = 4
 POTENTIAL_RTOL = 1e-9
 
@@ -43,9 +45,9 @@ POTENTIAL_RTOL = 1e-9
 def mwu_schedule(m_max: int, p: int, kappa: float) -> tuple[int, float, int]:
     """The run's constants (q, K, T) for the edge bound m_max: the norm
     exponent q = min(floor(log2 m_max), p), the weight constant
-    K = 100 q kappa and the progress-step count T = 100 q m_max. A bound
-    below 2 (a solver too small for a run) counts as 2 in q."""
-    q = min(int(math.floor(math.log2(max(m_max, 2)))), int(p))
+    K = 100 q kappa and the progress-step count T = 100 q m_max; m_max is
+    at least MIN_EDGE_BOUND."""
+    q = min(int(math.floor(math.log2(m_max))), int(p))
     return q, 100 * q * float(kappa), 100 * q * m_max
 
 
@@ -71,7 +73,7 @@ class MwuState:
     def __init__(self, graph: IncrementalGraph, g: np.ndarray, r: np.ndarray,
                  w: np.ndarray, p: int, kappa: float = 1.0,
                  m_max: int | None = None, seed: int | None = None,
-                 backend: str = "exact", assert_invariants: bool = True,
+                 backend: str = "exact",
                  trace: Callable[[dict], None] | None = None):
         m = graph.m
         m_max = m if m_max is None else m_max
@@ -98,7 +100,6 @@ class MwuState:
         self.m_max = m_max
         self.m = m
         self.iteration = 0
-        self.assert_invariants = assert_invariants
         self.trace = trace
 
         self._r = np.zeros(m_max)
@@ -150,12 +151,11 @@ class MwuState:
 def mwu_init(graph: IncrementalGraph, g: np.ndarray, r: np.ndarray,
              w: np.ndarray, p: int, kappa: float = 1.0,
              m_max: int | None = None, seed: int | None = None,
-             backend: str = "exact", assert_invariants: bool = True,
+             backend: str = "exact",
              trace: Callable[[dict], None] | None = None) -> MwuState:
     """Start a run on the current graph; potentials begin at K^2 and K^q."""
     return MwuState(graph, g, r, w, p, kappa=kappa, m_max=m_max, seed=seed,
-                    backend=backend, assert_invariants=assert_invariants,
-                    trace=trace)
+                    backend=backend, trace=trace)
 
 
 def mwu_insert_edge(state: MwuState, e: int, g_e: float, r_e: float,
@@ -190,8 +190,7 @@ def _push_length_estimates(state: MwuState) -> int:
     m = state.m
     previous = state._ell[:m].copy()
     state._ell[:m] = state._edge_lengths(np.arange(m))
-    if state.assert_invariants and np.any(
-            state._ell[:m] < previous * (1 - 1e-12)):
+    if np.any(state._ell[:m] < previous * (1 - 1e-12)):
         raise InvariantViolation("edge length decreased between iterations")
     stale = np.flatnonzero(state._ell[:m] > state.length_estimates)
     if stale.size == 0:
@@ -199,12 +198,11 @@ def _push_length_estimates(state: MwuState) -> int:
     for e in stale.tolist():
         state.mrc.increase_length(
             IncreaseLength(edge=e, length=2.0 * float(state._ell[e])))
-    if state.assert_invariants:
-        ell = state._ell[:m]
-        tilde = state.length_estimates
-        if not (np.all(tilde >= ell * (1 - 1e-12)) and
-                np.all(tilde <= 2 * ell * (1 + 1e-12))):
-            raise InvariantViolation("length estimate left the [l, 2l] window")
+    ell = state._ell[:m]
+    tilde = state.length_estimates
+    if not (np.all(tilde >= ell * (1 - 1e-12)) and
+            np.all(tilde <= 2 * ell * (1 + 1e-12))):
+        raise InvariantViolation("length estimate left the [l, 2l] window")
     return int(stale.size)
 
 
@@ -233,11 +231,10 @@ def mwu_step(state: MwuState) -> CycleSolution | None:
     if cycle.gradient >= 0:
         raise InvariantViolation(
             "oracle returned a nonnegative-gradient cycle")
-    if state.assert_invariants:
-        bound = state.kappa / state.alpha
-        if cycle.length / -cycle.gradient > bound * (1 + POTENTIAL_RTOL):
-            raise InvariantViolation(
-                "scaled cycle exceeds the l1-length bound kappa/alpha")
+    bound = state.kappa / state.alpha
+    if cycle.length / -cycle.gradient > bound * (1 + POTENTIAL_RTOL):
+        raise InvariantViolation(
+            "scaled cycle exceeds the l1-length bound kappa/alpha")
 
     scale = -1.0 / cycle.gradient
     edges = cycle.edges
@@ -256,19 +253,16 @@ def mwu_step(state: MwuState) -> CycleSolution | None:
     state.psi += dpsi
     state.iteration += 1
 
-    if state.assert_invariants:
-        K = state.K
-        if dphi > 3 * K ** 2 / T * (1 + POTENTIAL_RTOL):
-            raise InvariantViolation(
-                f"potential increase {dphi} exceeds 3K^2/T")
-        if dpsi > 4 * q * K ** q / T * (1 + POTENTIAL_RTOL):
-            raise InvariantViolation(
-                f"potential increase {dpsi} exceeds 4qK^q/T")
-        m = state.m
-        slack = 1e-12 * (1.0 + np.abs(state._c[:m]))
-        if (np.any(state._a[:m] < np.abs(state._c[:m]) - slack) or
-                np.any(state._b[:m] < np.abs(state._c[:m]) - slack)):
-            raise InvariantViolation("weights no longer dominate |c|")
+    K = state.K
+    if dphi > 3 * K ** 2 / T * (1 + POTENTIAL_RTOL):
+        raise InvariantViolation(f"potential increase {dphi} exceeds 3K^2/T")
+    if dpsi > 4 * q * K ** q / T * (1 + POTENTIAL_RTOL):
+        raise InvariantViolation(f"potential increase {dpsi} exceeds 4qK^q/T")
+    m = state.m
+    slack = 1e-12 * (1.0 + np.abs(state._c[:m]))
+    if (np.any(state._a[:m] < np.abs(state._c[:m]) - slack) or
+            np.any(state._b[:m] < np.abs(state._c[:m]) - slack)):
+        raise InvariantViolation("weights no longer dominate |c|")
 
     if state.trace is not None:
         state.trace({"kind": "progress", "iteration": state.iteration,
@@ -284,20 +278,18 @@ def mwu_solution(state: MwuState) -> Solution:
         raise ValueError("the run has not completed T progress steps")
     m = state.m
     c = state._c[:m].copy()
-    if state.assert_invariants:
-        K, q = state.K, state.q
-        if state.phi > 4 * K ** 2 * (1 + POTENTIAL_RTOL):
-            raise InvariantViolation("final potential exceeds 4K^2")
-        if state.psi > 5 * q * K ** q * (1 + POTENTIAL_RTOL):
-            raise InvariantViolation("final potential exceeds 5qK^q")
-        gradient = float(state.gradients @ c)
-        if abs(gradient + 1.0) > POTENTIAL_RTOL:
-            raise InvariantViolation(f"<g, c> = {gradient}, expected -1")
-        norm2 = float(np.linalg.norm(state._r[:m] * c))
-        normp = float(np.sum(np.abs(state._w[:m] * c) ** state.p)
-                      ** (1.0 / state.p))
-        if norm2 > 2 * K * (1 + POTENTIAL_RTOL):
-            raise InvariantViolation(f"||Rc||_2 = {norm2} exceeds 2K")
-        if normp > 2 * K * (1 + POTENTIAL_RTOL):
-            raise InvariantViolation(f"||Wc||_p = {normp} exceeds 2K")
+    K, q = state.K, state.q
+    if state.phi > 4 * K ** 2 * (1 + POTENTIAL_RTOL):
+        raise InvariantViolation("final potential exceeds 4K^2")
+    if state.psi > 5 * q * K ** q * (1 + POTENTIAL_RTOL):
+        raise InvariantViolation("final potential exceeds 5qK^q")
+    gradient = float(state.gradients @ c)
+    if abs(gradient + 1.0) > POTENTIAL_RTOL:
+        raise InvariantViolation(f"<g, c> = {gradient}, expected -1")
+    norm2 = float(np.linalg.norm(state._r[:m] * c))
+    normp = pnorm(state._w[:m] * c, state.p)
+    if norm2 > 2 * K * (1 + POTENTIAL_RTOL):
+        raise InvariantViolation(f"||Rc||_2 = {norm2} exceeds 2K")
+    if normp > 2 * K * (1 + POTENTIAL_RTOL):
+        raise InvariantViolation(f"||Wc||_p = {normp} exceeds 2K")
     return Solution(circulation=c)

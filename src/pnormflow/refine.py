@@ -146,14 +146,15 @@ class IncrementalPNormSolver:
     The solver owns only the flow f, in a column of m_max entries that f
     views; the active inner run (`mwu`) holds the residual problem.
     `queries` counts inner steps (oracle queries) and `iterations` the
-    progress steps among them, over all runs.
+    progress steps among them, over all runs. An edge bound below 4 runs
+    the same loop: its inner runs are scheduled on 4 slots, while
+    insert_edge still enforces the caller's m_max.
     """
 
     def __init__(self, instance: PNormInstance, m_max: int | None = None,
                  kappa: float = 1.0, backend: str = "exact",
                  seed: int | None = None,
                  step_budget_per_event: int | None = None,
-                 assert_invariants: bool = True,
                  start_flow: np.ndarray | None = None,
                  trace: Callable[[dict], None] | None = None):
         m_max = max(instance.m, MIN_EDGE_BOUND) if m_max is None else m_max
@@ -166,15 +167,14 @@ class IncrementalPNormSolver:
         self.eps = instance.eps
         self.kappa = float(kappa)
         self.backend = backend
-        self.degenerate = m_max < MIN_EDGE_BOUND
+        self._slots = max(m_max, MIN_EDGE_BOUND)
         # K is the norm bound the inner solver certifies (twice its own
         # weight constant); all step-size and budget formulas use it.
-        _, run_K, self.T = mwu_schedule(m_max, self.p, self.kappa)
+        _, run_K, self.T = mwu_schedule(self._slots, self.p, self.kappa)
         self.K = 2.0 * run_K
         self.lam = float(DEFAULT_LAMBDA_FACTOR * self.p)
         self.step_budget = (2 * self.T if step_budget_per_event is None
                             else int(step_budget_per_event))
-        self.assert_invariants = assert_invariants
         self.trace = trace
         self._rng = np.random.Generator(np.random.Philox(seed))
         # The flow column holds the warm start until the first bootstrap.
@@ -244,8 +244,6 @@ class IncrementalPNormSolver:
             return CertifiedAbove()
         if not self._has_flow:
             self._bootstrap()
-        if self.degenerate:
-            return self._materialized_verdict()
 
         budget = self.step_budget if self.step_budget > 0 else None
         used = 0
@@ -327,9 +325,8 @@ class IncrementalPNormSolver:
         self._run_R = (self._energy - self.F) / self.lam
         r_s, w_s = residual_scaled_weights(residual, self._run_R)
         self.mwu = mwu_init(self.instance.graph, residual.g, r_s, w_s,
-                            self.p, kappa=self.kappa, m_max=self.m_max,
+                            self.p, kappa=self.kappa, m_max=self._slots,
                             seed=self._next_seed(), backend=self.backend,
-                            assert_invariants=self.assert_invariants,
                             trace=self.trace)
 
     def _materialize(self) -> None:
@@ -339,14 +336,6 @@ class IncrementalPNormSolver:
         self._reoptimize(self.f)
         self.materializations += 1
         self._rebaseline_budget()
-
-    def _materialized_verdict(self) -> Verdict:
-        """Tiny edge bounds (m_max < 4) degrade the inner solver to a
-        permanently stalled one; every event is resolved by the oracle."""
-        self._reoptimize(self.f)
-        if self._energy <= self.F + self.eps:
-            return Flow(flow=self.f.copy(), energy=self._energy)
-        return CertifiedAbove()
 
 
 def refinement_step(solver: IncrementalPNormSolver,
@@ -367,30 +356,27 @@ def refinement_step(solver: IncrementalPNormSolver,
         raise ValueError(
             f"circulation must have unit negative gradient, got {gradient}")
     K, lam, R = solver.K, solver.lam, solver._run_R
-    if solver.assert_invariants:
-        r_s, w_s = residual_scaled_weights(residual, R)
-        norm2 = float(np.linalg.norm(r_s * c))
-        normp = pnorm(w_s * c, solver.p)
-        if norm2 > K * (1 + CONTRACT_RTOL) or normp > K * (1 + CONTRACT_RTOL):
-            raise InvariantViolation(
-                "circulation violates the scaled-norm contract")
+    r_s, w_s = residual_scaled_weights(residual, R)
+    norm2 = float(np.linalg.norm(r_s * c))
+    normp = pnorm(w_s * c, solver.p)
+    if norm2 > K * (1 + CONTRACT_RTOL) or normp > K * (1 + CONTRACT_RTOL):
+        raise InvariantViolation(
+            "circulation violates the scaled-norm contract")
     step = (R / (2.0 * K ** 2)) * c
-    if solver.assert_invariants:
-        value = residual.value(step)
-        bound = -R / (6.0 * K ** 2)
-        if value > bound + CONTRACT_RTOL * (abs(value) + abs(bound)):
-            raise InvariantViolation(
-                f"step value {value} misses the guarantee {bound}")
+    value = residual.value(step)
+    bound = -R / (6.0 * K ** 2)
+    if value > bound + CONTRACT_RTOL * (abs(value) + abs(bound)):
+        raise InvariantViolation(
+            f"step value {value} misses the guarantee {bound}")
     new_flow = solver.f + step
     new_energy = solver.instance.energy(new_flow)
     old_energy = solver._energy
     factor = 1.0 - 1.0 / (6.0 * K ** 2 * lam)
-    if solver.assert_invariants:
-        limit = factor * (old_energy - solver.F) + CONTRACT_RTOL * abs(old_energy)
-        if new_energy - solver.F > limit:
-            raise InvariantViolation(
-                f"refinement step failed to contract: gap "
-                f"{new_energy - solver.F} > {limit}")
+    limit = factor * (old_energy - solver.F) + CONTRACT_RTOL * abs(old_energy)
+    if new_energy - solver.F > limit:
+        raise InvariantViolation(
+            f"refinement step failed to contract: gap "
+            f"{new_energy - solver.F} > {limit}")
     solver._steps_remaining -= 1
     if solver._steps_remaining < 0:
         raise InvariantViolation("refinement exceeded its step budget")

@@ -5,7 +5,7 @@ import inspect
 import numpy as np
 
 import pnormflow
-from pnormflow import cli, graph, mrc, mwu, trees, verify
+from pnormflow import cli, drivers, graph, mrc, mwu, refine, trees, verify
 
 PUBLIC = [
     # drivers
@@ -65,3 +65,15 @@ def test_deleted_methods_and_hooks_are_gone():
                          m_max=4)
     for attr in ("log", "probe", "probe_max"):
         assert not hasattr(state, attr)
+
+
+def test_no_switch_turns_the_invariant_checks_off():
+    for module in (graph, trees, mrc, mwu, refine, drivers, cli):
+        for name, obj in vars(module).items():
+            public = (not name.startswith("_")
+                      and getattr(obj, "__module__", None) == module.__name__
+                      and (inspect.isfunction(obj) or inspect.isclass(obj)))
+            if public:
+                params = inspect.signature(obj).parameters
+                assert "assert_invariants" not in params, \
+                    f"{module.__name__}.{name}"

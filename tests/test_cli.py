@@ -7,6 +7,7 @@ import math
 import pytest
 
 from pnormflow.cli import EXIT_FAILURE, EXIT_OK, EXIT_USAGE, main
+from pnormflow.drivers import MaxflowDriver
 from pnormflow.streams import parse_stream
 from pnormflow.verify import OracleReport
 
@@ -109,7 +110,19 @@ class TestRunCommands:
         records = [json.loads(line) for line in lines]
         assert records[0]["verdict"] == "AboveThreshold"
         assert records[-1]["verdict"] == "Below"
-        assert records[-1]["objective"] == pytest.approx(1 / 3, rel=1e-3)
+        r_est = records[-1]["objective"]
+        assert r_est == pytest.approx(0.5, rel=1e-3)
+        # The contract band: at least R_eff = 1/3, at most theta (1 + eps).
+        assert 1 / 3 <= r_est <= 0.6 * 1.1
+
+    def test_invariants_checked_without_flags(self, tmp_path, capsys,
+                                              monkeypatch):
+        # A potential tolerance no step can meet must fail a plain run.
+        monkeypatch.setattr("pnormflow.mwu.POTENTIAL_RTOL", -2.0)
+        path = write(tmp_path, "a.stream", PNORM_TEXT)
+        code = main(["pnorm", path])
+        assert code == EXIT_FAILURE
+        assert "invariant failure" in capsys.readouterr().err
 
     def test_trace_writes_json_lines(self, tmp_path, capsys):
         stream = write(tmp_path, "a.stream", PNORM_TEXT)
@@ -133,7 +146,7 @@ class TestRunCommands:
         path = write(tmp_path, "a.stream", PNORM_TEXT)
         code, lines = run_lines(
             capsys, ["pnorm", path, "--backend", "trees", "--kappa", "4",
-                     "--seed", "2", "--assert-invariants"])
+                     "--seed", "2"])
         assert code == EXIT_OK
         assert len(lines) == 4
 
@@ -174,6 +187,22 @@ class TestVerify:
                                 iterations=0, gradient_norm=0.0)
 
         monkeypatch.setattr("pnormflow.cli.static_pnorm_opt", lying_opt)
+        code = main(["verify", path])
+        capsys.readouterr()
+        assert code == EXIT_FAILURE
+
+    def test_verify_maxflow_catches_an_inflated_value(self, tmp_path, capsys,
+                                                      monkeypatch):
+        # The check's maxflow comes from scipy, not the driver's routine,
+        # so a published value above the true maxflow must fail.
+        publish = MaxflowDriver._publish
+
+        def inflated(self):
+            value, flow = publish(self)
+            return value + 1.0, flow
+
+        monkeypatch.setattr(MaxflowDriver, "_publish", inflated)
+        path = write(tmp_path, "m.stream", MAXFLOW_TEXT)
         code = main(["verify", path])
         capsys.readouterr()
         assert code == EXIT_FAILURE

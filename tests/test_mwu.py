@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from pnormflow.errors import InvariantViolation
-from pnormflow.graph import IncrementalGraph, is_circulation
+from pnormflow.graph import IncrementalGraph, is_circulation, pnorm
 from pnormflow.mrc import CycleSolution, MrcInstance, exact_min_ratio_cycle
 from pnormflow.mwu import (
     MwuState,
@@ -292,6 +292,15 @@ class TestRun:
         assert max(probe_lengths) <= good_solution_l1_bound(state)
         assert state.phi <= 4 * state.K ** 2 * (1 + 1e-9)
         assert state.psi <= 5 * state.q * state.K ** state.q * (1 + 1e-9)
+
+    def test_large_p_norm_check_does_not_overflow(self):
+        # At p = 200 a plain power sum overflows for entries above
+        # e^(709/200), about 35, yet the contract allows up to 2K = 400.
+        state = parallel_pair_state(m_max=4, p=200, w=(70.0, 70.0), seed=0)
+        outcome = run_to_end(state)
+        assert isinstance(outcome, Solution)
+        normp = pnorm(state._w[:2] * outcome.circulation, state.p)
+        assert 35.0 < normp <= 2 * state.K == 400
 
     def test_no_negative_cycle_certifies_forever(self):
         state = parallel_pair_state(g=(1.0, 1.0))

@@ -279,16 +279,39 @@ class TestSolverVerdicts:
         with pytest.raises(ValueError):
             solver.insert_edge(0, 1, 0.0, 1.0, 1.0)
 
-    def test_tiny_edge_bound_uses_oracle_lane(self):
+    def test_tiny_edge_bound_runs_the_inner_loop(self):
         instance = fresh_instance(2, [-1.0, 1.0], p=2, threshold=1.2,
                                   eps=0.05)
         instance.add_edge(0, 1, 0.0, 1.0, 1.0)
         solver = IncrementalPNormSolver(instance, m_max=2, seed=0)
-        assert solver.degenerate
         assert isinstance(solver.start(), CertifiedAbove)
         verdict = solver.insert_edge(0, 1, 0.0, 1.0, 1.0)
         assert isinstance(verdict, Flow)
         assert verdict.energy == pytest.approx(1.0)
+
+    def test_edge_bound_below_four_matches_four(self):
+        # Inner runs schedule on max(m_max, 4) slots, so m_max = 3 and 4
+        # take the same steps to the same verdicts.
+        def run(m_max):
+            instance = fresh_instance(3, [-1.0, 0.0, 1.0], p=3,
+                                      threshold=2.0, eps=0.05)
+            instance.add_edge(0, 1, 0.0, 1.0, 1.0)
+            instance.add_edge(1, 2, 0.0, 1.0, 1.0)
+            solver = IncrementalPNormSolver(instance, m_max=m_max, seed=5)
+            verdicts = [solver.start(),
+                        solver.insert_edge(0, 2, 0.0, 1.0, 1.0)]
+            return solver, verdicts
+
+        small, small_verdicts = run(3)
+        full, full_verdicts = run(4)
+        assert ([type(v) for v in small_verdicts]
+                == [type(v) for v in full_verdicts]
+                == [CertifiedAbove, Flow])
+        assert small_verdicts[1].energy == full_verdicts[1].energy
+        assert np.array_equal(small_verdicts[1].flow, full_verdicts[1].flow)
+        assert (small.queries, small.iterations) == (full.queries,
+                                                     full.iterations)
+        assert (full.queries, full.iterations) == (1601, 1600)
 
     def test_generator_yields_one_verdict_per_event(self):
         instance = fresh_instance(2, [-1.0, 1.0], p=2, threshold=0.6,
