@@ -16,8 +16,7 @@ from .drivers import (
     Below,
     EffResDriver,
     MaxflowDriver,
-    incremental_effres,
-    incremental_maxflow,
+    event_calls,
 )
 from .errors import GraphError, InvariantViolation, OracleError, StreamError
 from .graph import IncrementalGraph, PNormInstance, net_demand
@@ -26,7 +25,6 @@ from .refine import (
     Flow,
     IncrementalPNormSolver,
     Verdict,
-    incremental_pnorm,
 )
 from .streams import (
     EdgeSpec,
@@ -65,11 +63,9 @@ __all__ = [
     "Verdict",
     "build_pnorm_instance",
     "effective_resistance",
+    "event_calls",
     "exact_maxflow",
     "generate_stream",
-    "incremental_effres",
-    "incremental_maxflow",
-    "incremental_pnorm",
     "net_demand",
     "parse_stream",
     "print_stream",

@@ -14,6 +14,7 @@ the wall-time field.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import math
 import sys
@@ -23,18 +24,12 @@ import numpy as np
 import scipy.sparse as sp
 from scipy.sparse import csgraph
 
-from .drivers import Below, EffResDriver, MaxflowDriver
+from .drivers import Below, event_calls
 from .errors import InvariantViolation, OracleError, StreamError
 from .graph import net_demand
-from .refine import Flow, IncrementalPNormSolver
-from .streams import (
-    GENERATOR_MODES,
-    EdgeSpec,
-    build_pnorm_instance,
-    generate_stream,
-    parse_stream,
-    print_stream,
-)
+from .refine import Flow
+from .streams import (GENERATOR_MODES, generate_stream, parse_stream,
+                      print_stream)
 from .verify import effective_resistance, static_pnorm_opt
 
 EXIT_OK = 0
@@ -52,18 +47,15 @@ class _Parser(argparse.ArgumentParser):
         self.exit(EXIT_USAGE, f"{self.prog}: error: {message}\n")
 
 
-class _TraceWriter:
-    """JSON-lines sink for per-iteration internals (not adversary-visible
-    output; potentials, ratios and verdict bookkeeping only)."""
-
-    def __init__(self, path: str):
-        self._fh = open(path, "w", encoding="utf-8")
-
-    def __call__(self, record: dict) -> None:
-        self._fh.write(json.dumps(record, default=float) + "\n")
-
-    def close(self) -> None:
-        self._fh.close()
+@contextlib.contextmanager
+def _trace_sink(path: str | None):
+    """JSON-lines writer for --trace PATH (per-iteration internals, not
+    metrics), or None without a path."""
+    if not path:
+        yield None
+        return
+    with open(path, "w", encoding="utf-8") as fh:
+        yield lambda record: fh.write(json.dumps(record, default=float) + "\n")
 
 
 def _read_stream(args):
@@ -111,39 +103,6 @@ def _solver_kwargs(args) -> dict:
     return kwargs
 
 
-def _run_with_trace(args, body) -> int:
-    trace = _TraceWriter(args.trace) if args.trace else None
-    try:
-        return body(trace)
-    finally:
-        if trace is not None:
-            trace.close()
-
-
-def _event_calls(stream, args, trace=None):
-    """The stream's solver or driver, and one call per event (start first)."""
-    kwargs = _solver_kwargs(args)
-    if stream.kind == "pnorm":
-        instance, events = build_pnorm_instance(stream)
-        solver = IncrementalPNormSolver(instance, m_max=stream.m_max,
-                                        trace=trace, **kwargs)
-        return solver, [solver.start] + [
-            (lambda ev=ev: solver.insert_edge(*ev)) for ev in events]
-    if stream.kind == "maxflow":
-        driver = MaxflowDriver(stream.n, stream.m_max, stream.s, stream.t,
-                               stream.eps, trace=trace, **kwargs)
-        attr = EdgeSpec.capacity
-    else:
-        driver = EffResDriver(stream.n, stream.m_max, stream.s, stream.t,
-                              stream.threshold, stream.eps, trace=trace,
-                              **kwargs)
-        attr = EdgeSpec.resistance
-    for spec in stream.initial_edges:
-        driver.add_initial_edge(spec.u, spec.v, attr(spec))
-    return driver, [driver.start] + [
-        (lambda s=s: driver.insert(s.u, s.v, attr(s))) for s in stream.events]
-
-
 def _verdict_record(verdict) -> tuple[str, float]:
     """Metrics name and objective of a solver or driver answer."""
     if isinstance(verdict, Flow):
@@ -161,9 +120,9 @@ def cmd_run(args) -> int:
     if stream.kind != args.command:
         raise StreamError(f"the {args.command} command needs a "
                           f"{args.command} stream, got {stream.kind}")
-
-    def body(trace) -> int:
-        runner, calls = _event_calls(stream, args, trace)
+    with _trace_sink(args.trace) as trace:
+        runner, calls = event_calls(stream, trace=trace,
+                                    **_solver_kwargs(args))
         # The effres driver keeps its counters on its solver.
         counters = getattr(runner, "solver", runner)
         for index, call in enumerate(calls):
@@ -173,38 +132,29 @@ def cmd_run(args) -> int:
             name, objective = _verdict_record(verdict)
             _emit(_metrics(index, name, objective, counters.queries,
                            counters.iterations, wall), args.as_json)
-        return EXIT_OK
-
-    return _run_with_trace(args, body)
+    return EXIT_OK
 
 
-def _verify_pnorm(stream, args) -> int:
-    solver, calls = _event_calls(stream, args)
+def _pnorm_check(stream, solver, seed):
     instance = solver.instance
-    failures = 0
-    for index, call in enumerate(calls):
-        verdict = call()
-        F, eps = instance.threshold, instance.eps
+    F, eps = instance.threshold, instance.eps
+
+    def check(index: int, verdict) -> dict:
         if isinstance(verdict, Flow):
-            name = "Flow"
             imbalance = net_demand(instance.graph, verdict.flow) - instance.d
             feasible = float(np.max(np.abs(imbalance))) <= VERIFY_RTOL * (
                 1.0 + float(np.max(np.abs(instance.d))))
             energy = instance.energy(verdict.flow)
             ok = feasible and energy <= F + eps + VERIFY_RTOL * (abs(F) + eps)
-            detail = energy
+            return {"verdict": "Flow", "oracle": float(energy), "ok": ok}
+        if instance.routable():
+            opt = static_pnorm_opt(instance, seed=seed).value
         else:
-            name = "CertifiedAbove"
-            if instance.routable():
-                opt = static_pnorm_opt(instance, seed=args.seed).value
-            else:
-                opt = math.inf
-            ok = opt > F - VERIFY_RTOL * (1.0 + abs(F))
-            detail = opt
-        failures += 0 if ok else 1
-        _emit({"event": index, "verdict": name, "oracle": float(detail),
-               "ok": ok}, args.as_json)
-    return EXIT_OK if failures == 0 else EXIT_FAILURE
+            opt = math.inf
+        ok = opt > F - VERIFY_RTOL * (1.0 + abs(F))
+        return {"verdict": "CertifiedAbove", "oracle": float(opt), "ok": ok}
+
+    return check
 
 
 def _scipy_maxflow(n: int, tails: np.ndarray, heads: np.ndarray,
@@ -219,15 +169,14 @@ def _scipy_maxflow(n: int, tails: np.ndarray, heads: np.ndarray,
     return float(csgraph.maximum_flow(graph, s, t).flow_value)
 
 
-def _verify_maxflow(stream, args) -> int:
-    driver, calls = _event_calls(stream, args)
+def _maxflow_check(stream, driver, seed):
     specs = stream.initial_edges + stream.events
     tails = np.asarray([spec.u for spec in specs], dtype=np.int64)
     heads = np.asarray([spec.v for spec in specs], dtype=np.int64)
     all_caps = np.asarray([spec.capacity() for spec in specs], dtype=np.int64)
-    failures = 0
-    for index, call in enumerate(calls):
-        value, flow = call()
+
+    def check(index: int, published) -> dict:
+        value, flow = published
         m = len(stream.initial_edges) + index
         caps = all_caps[:m]
         exact = _scipy_maxflow(stream.n, tails[:m], heads[:m], caps,
@@ -242,21 +191,20 @@ def _verify_maxflow(stream, args) -> int:
         ok = (feasible and routes
               and (1.0 - stream.eps) * exact - 1e-9 <= value <= exact + 1e-9
               and driver.phase_count <= driver.phase_bound())
-        failures += 0 if ok else 1
-        _emit({"event": index, "verdict": "Published", "value": value,
-               "oracle": float(exact), "ok": ok}, args.as_json)
-    return EXIT_OK if failures == 0 else EXIT_FAILURE
+        return {"verdict": "Published", "value": value, "oracle": exact,
+                "ok": ok}
+
+    return check
 
 
-def _verify_effres(stream, args) -> int:
-    driver, calls = _event_calls(stream, args)
-    failures = 0
-    below_seen = False
+def _effres_check(stream, driver, seed):
     theta, eps_rel = stream.threshold, stream.eps
     resistances = np.asarray([s.resistance() for s in
                               stream.initial_edges + stream.events])
-    for index, call in enumerate(calls):
-        verdict = call()
+    below_seen = False
+
+    def check(index: int, verdict) -> dict:
+        nonlocal below_seen
         graph = driver.instance.graph
         if graph.connected(stream.s, stream.t):
             true_res = effective_resistance(
@@ -272,22 +220,33 @@ def _verify_effres(stream, args) -> int:
             name = "AboveThreshold"
             ok = (not below_seen
                   and true_res > theta / (1 + eps_rel) * (1 - VERIFY_RTOL))
-        failures += 0 if ok else 1
-        _emit({"event": index, "verdict": name, "oracle": float(true_res),
-               "ok": ok}, args.as_json)
-    return EXIT_OK if failures == 0 else EXIT_FAILURE
+        return {"verdict": name, "oracle": float(true_res), "ok": ok}
+
+    return check
+
+
+# Per stream kind: (stream, runner, seed) -> a check that turns one event's
+# answer into its verify record.
+_CHECKS = {"pnorm": _pnorm_check, "maxflow": _maxflow_check,
+           "effres": _effres_check}
 
 
 def cmd_verify(args) -> int:
+    """Re-answer every event with reference oracles; one record per event."""
     stream = _read_stream(args)
     if stream.n > VERIFY_MAX_VERTICES:
         raise StreamError(f"verify is oracle-backed and capped at "
                           f"n <= {VERIFY_MAX_VERTICES}, got n={stream.n}")
-    if stream.kind == "pnorm":
-        return _verify_pnorm(stream, args)
-    if stream.kind == "maxflow":
-        return _verify_maxflow(stream, args)
-    return _verify_effres(stream, args)
+    failures = 0
+    with _trace_sink(args.trace) as trace:
+        runner, calls = event_calls(stream, trace=trace,
+                                    **_solver_kwargs(args))
+        check = _CHECKS[stream.kind](stream, runner, args.seed)
+        for index, call in enumerate(calls):
+            record = check(index, call())
+            failures += 0 if record["ok"] else 1
+            _emit({"event": index, **record}, args.as_json)
+    return EXIT_OK if failures == 0 else EXIT_FAILURE
 
 
 def cmd_gen(args) -> int:
@@ -324,8 +283,7 @@ def build_parser() -> _Parser:
                          help="metrics records as JSON objects")
         sub.add_argument("--event-budget", type=int, default=None,
                          dest="event_budget",
-                         help="inner steps per event before materializing "
-                              "(<= 0 means unbounded)")
+                         help="inner steps per event before materializing")
 
     for name, func in (("pnorm", cmd_run), ("maxflow", cmd_run),
                        ("effres", cmd_run), ("verify", cmd_verify)):

@@ -18,20 +18,24 @@ r_e = sqrt(resistance_e) and a tiny p-norm padding: its optimum is
 (1 + gamma^2) * R_eff(s, t), so an above-threshold certificate at F = theta
 is sound for R_eff > theta / (1 + gamma^2) and a flow of energy at most
 theta * (1 + eps_rel) certifies R_eff below that.
+
+event_calls turns a parsed stream of any kind into its solver or driver and
+one call per event.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
-from typing import Iterator
+from typing import Callable
 
 import numpy as np
 
 from .errors import InvariantViolation
 from .graph import IncrementalGraph, PNormInstance
 from .refine import Flow, IncrementalPNormSolver, Verdict
-from .streams import UpdateStream
+from .streams import EdgeSpec, UpdateStream, build_pnorm_instance
 from .verify import exact_maxflow
 
 # l2-to-lp weight ratio for the effective-resistance instance; its energy
@@ -52,7 +56,6 @@ class MaxflowPhase:
     value: int
     flow: np.ndarray
     solver: IncrementalPNormSolver
-    instance: PNormInstance
 
 
 class MaxflowDriver:
@@ -77,6 +80,9 @@ class MaxflowDriver:
             raise ValueError(f"eps must be in (0, 1/2], got {eps}")
         if m_max < 1:
             raise ValueError("m_max must be positive")
+        if step_budget_per_event is not None and step_budget_per_event < 1:
+            raise ValueError(f"step_budget_per_event must be at least 1, "
+                             f"got {step_budget_per_event}")
         self.n, self.m_max, self.s, self.t = n, m_max, s, t
         self.eps = float(eps)
         self.p = math.ceil(2.0 * math.log(2 * m_max) / eps)
@@ -199,8 +205,7 @@ class MaxflowDriver:
             backend=self.backend, seed=int(self._rng.integers(2 ** 63)),
             step_budget_per_event=self.step_budget,
             start_flow=flow, trace=self.trace)
-        self.phase = MaxflowPhase(value=int(value), flow=flow.astype(float),
-                                  solver=solver, instance=instance)
+        self.phase = MaxflowPhase(value=value, flow=flow, solver=solver)
         self.phase_count += 1
 
     def _publish(self) -> tuple[float, np.ndarray]:
@@ -296,29 +301,28 @@ class EffResDriver:
         return AboveThreshold()
 
 
-def incremental_maxflow(stream: UpdateStream,
-                        **kwargs) -> Iterator[tuple[float, np.ndarray]]:
-    """Published (value, flow) per event of a maxflow stream."""
-    if stream.kind != "maxflow":
-        raise ValueError(f"not a maxflow stream: {stream.kind}")
-    driver = MaxflowDriver(stream.n, stream.m_max, stream.s, stream.t,
-                           stream.eps, **kwargs)
+def event_calls(
+    stream: UpdateStream, **options,
+) -> tuple[IncrementalPNormSolver | MaxflowDriver | EffResDriver,
+           list[Callable[[], object]]]:
+    """The stream's solver or driver, built with `options`, and one call per
+    event (start first), each returning that event's answer."""
+    if stream.kind == "pnorm":
+        instance, events = build_pnorm_instance(stream)
+        solver = IncrementalPNormSolver(instance, m_max=stream.m_max,
+                                        **options)
+        return solver, [solver.start] + [
+            functools.partial(solver.insert_edge, *ev) for ev in events]
+    if stream.kind == "maxflow":
+        driver = MaxflowDriver(stream.n, stream.m_max, stream.s, stream.t,
+                               stream.eps, **options)
+        attr = EdgeSpec.capacity
+    else:
+        driver = EffResDriver(stream.n, stream.m_max, stream.s, stream.t,
+                              stream.threshold, stream.eps, **options)
+        attr = EdgeSpec.resistance
     for spec in stream.initial_edges:
-        driver.add_initial_edge(spec.u, spec.v, spec.capacity())
-    yield driver.start()
-    for spec in stream.events:
-        yield driver.insert(spec.u, spec.v, spec.capacity())
-
-
-def incremental_effres(stream: UpdateStream,
-                       **kwargs) -> Iterator[AboveThreshold | Below]:
-    """AboveThreshold | Below per event of an effres stream."""
-    if stream.kind != "effres":
-        raise ValueError(f"not an effres stream: {stream.kind}")
-    driver = EffResDriver(stream.n, stream.m_max, stream.s, stream.t,
-                          stream.threshold, stream.eps, **kwargs)
-    for spec in stream.initial_edges:
-        driver.add_initial_edge(spec.u, spec.v, spec.resistance())
-    yield driver.start()
-    for spec in stream.events:
-        yield driver.insert(spec.u, spec.v, spec.resistance())
+        driver.add_initial_edge(spec.u, spec.v, attr(spec))
+    return driver, [driver.start] + [
+        functools.partial(driver.insert, spec.u, spec.v, attr(spec))
+        for spec in stream.events]

@@ -130,18 +130,11 @@ class IncrementalGraph:
 
 
 def net_demand(graph: IncrementalGraph, flow: np.ndarray) -> np.ndarray:
-    """Vertex imbalance of a flow: +f_e at the head of e, -f_e at the tail.
-
-    Works on float arrays and on object arrays (e.g. Fractions), where the
-    accumulation is exact.
-    """
+    """Vertex imbalance of a flow: +f_e at the head of e, -f_e at the tail."""
     flow = np.asarray(flow)
     if flow.shape != (graph.m,):
         raise GraphError(f"flow length {flow.shape} does not match m={graph.m}")
-    if flow.dtype == object:
-        out = np.array([0] * graph.n, dtype=object)
-    else:
-        out = np.zeros(graph.n, dtype=flow.dtype if flow.dtype.kind == "f" else float)
+    out = np.zeros(graph.n, dtype=flow.dtype if flow.dtype.kind == "f" else float)
     np.add.at(out, graph.heads, flow)
     np.subtract.at(out, graph.tails, flow)
     return out

@@ -28,7 +28,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Iterable, Iterator
+from typing import Callable
 
 import numpy as np
 
@@ -175,6 +175,9 @@ class IncrementalPNormSolver:
         self.lam = float(DEFAULT_LAMBDA_FACTOR * self.p)
         self.step_budget = (2 * self.T if step_budget_per_event is None
                             else int(step_budget_per_event))
+        if self.step_budget < 1:
+            raise ValueError(f"step_budget_per_event must be at least 1, "
+                             f"got {step_budget_per_event}")
         self.trace = trace
         self._rng = np.random.Generator(np.random.Philox(seed))
         # The flow column holds the warm start until the first bootstrap.
@@ -188,7 +191,6 @@ class IncrementalPNormSolver:
         self.mwu: MwuState | None = None
         self._run_R = 0.0
         self._steps_remaining = 0
-        self._lambda_checked = False
         self.queries = 0
         self.iterations = 0
         self.events = 0
@@ -245,7 +247,6 @@ class IncrementalPNormSolver:
         if not self._has_flow:
             self._bootstrap()
 
-        budget = self.step_budget if self.step_budget > 0 else None
         used = 0
         materialized = False
         while True:
@@ -255,8 +256,7 @@ class IncrementalPNormSolver:
                 return Flow(flow=self.f.copy(), energy=self._energy)
             if self.mwu is None:
                 self._start_run()
-            while (self.mwu.iteration < self.T
-                   and (budget is None or used < budget)):
+            while self.mwu.iteration < self.T and used < self.step_budget:
                 used += 1
                 self.queries += 1
                 if mwu_step(self.mwu) is None:
@@ -286,9 +286,7 @@ class IncrementalPNormSolver:
 
     def _bootstrap(self) -> None:
         self._reoptimize(self._flow[:self.instance.m] if self._warm else None)
-        if not self._lambda_checked:
-            self._validate_lambda()
-            self._lambda_checked = True
+        self._validate_lambda()
         self._rebaseline_budget()
 
     def _validate_lambda(self) -> None:
@@ -384,17 +382,3 @@ def refinement_step(solver: IncrementalPNormSolver,
     solver._energy = new_energy
     return new_flow
 
-
-def incremental_pnorm(
-    instance: PNormInstance,
-    events: Iterable[tuple[int, int, float, float, float]] = (),
-    **kwargs,
-) -> Iterator[Verdict]:
-    """Yield one verdict for the initial graph and one per inserted edge.
-
-    Events are (u, v, g, r, w) tuples appended to the instance in order.
-    """
-    solver = IncrementalPNormSolver(instance, **kwargs)
-    yield solver.start()
-    for u, v, g, r, w in events:
-        yield solver.insert_edge(u, v, g, r, w)

@@ -6,12 +6,18 @@ A stream is line-oriented UTF-8 text. The first meaningful line is a header:
     problem maxflow n=<int> mmax=<int> s=<int> t=<int> eps=<real>
     problem effres n=<int> mmax=<int> s=<int> t=<int> theta=<real> eps=<real>
 
-followed by optional `demand <vertex> <real>` lines (pnorm only), `edge <u>
-<v> [g=<real>] [r=<real>] [w=<real>] [cap=<int>]` lines for the initial
-graph, a single `start` marker, and `add` lines (same attribute forms) for
-the insertion events. `#` starts a comment. Vertices are 1-based in the
-text and 0-based on parsed objects. Unknown directives and unknown
-attribute keys are rejected with the offending line number.
+followed by optional `demand <vertex> <real>` lines (pnorm only, at most one
+per vertex), `edge <u> <v> [key=value ...]` lines for the initial graph, a
+single `start` marker, and `add` lines (same attribute forms) for the
+insertion events. Each kind takes its own edge keys, all optional:
+
+    pnorm    g=<real> r=<real> w=<real>   (defaults 0, 1, 1)
+    maxflow  cap=<int>                    (default 1)
+    effres   r=<real>                     (default 1)
+
+`#` starts a comment. Vertices are 1-based in the text and 0-based on
+parsed objects. Unknown directives, and edge keys that are not the
+stream kind's own, are rejected with the offending line number.
 """
 
 from __future__ import annotations
@@ -30,7 +36,7 @@ _HEADER_KEYS = {
     "maxflow": ("n", "mmax", "s", "t", "eps"),
     "effres": ("n", "mmax", "s", "t", "theta", "eps"),
 }
-_EDGE_KEYS = ("g", "r", "w", "cap")
+_EDGE_KEYS = {"pnorm": ("g", "r", "w"), "maxflow": ("cap",), "effres": ("r",)}
 
 GENERATOR_MODES = ("random", "planted-threshold", "phase-stress")
 
@@ -163,14 +169,15 @@ def _parse_header(fields: list[str], lineno: int) -> UpdateStream:
     return stream
 
 
-def _parse_edge(fields: list[str], n: int, lineno: int) -> EdgeSpec:
+def _parse_edge(fields: list[str], stream: UpdateStream,
+                lineno: int) -> EdgeSpec:
     if len(fields) < 3:
         raise StreamError("edge lines need two endpoints", lineno)
-    u = _vertex(fields[1], n, lineno)
-    v = _vertex(fields[2], n, lineno)
+    u = _vertex(fields[1], stream.n, lineno)
+    v = _vertex(fields[2], stream.n, lineno)
     if u == v:
         raise StreamError(f"self-loop at vertex {u + 1} rejected", lineno)
-    pairs = _keyvals(fields[3:], _EDGE_KEYS, lineno)
+    pairs = _keyvals(fields[3:], _EDGE_KEYS[stream.kind], lineno)
     spec = EdgeSpec(u=u, v=v)
     if "g" in pairs:
         spec.g = _real(pairs["g"], lineno, "g")
@@ -194,6 +201,8 @@ def parse_stream(text: str) -> UpdateStream:
     """Parse stream text; raises StreamError with the offending line."""
     stream: UpdateStream | None = None
     started = False
+    # Zero demands are not stored, so duplicates are caught here.
+    demand_seen: set[int] = set()
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -224,9 +233,10 @@ def parse_stream(text: str) -> UpdateStream:
                 raise StreamError("demand takes a vertex and a value", lineno)
             v = _vertex(fields[1], stream.n, lineno)
             x = _real(fields[2], lineno, "demand")
-            if v in stream.demand:
+            if v in demand_seen:
                 raise StreamError(f"duplicate demand for vertex {v + 1}",
                                   lineno)
+            demand_seen.add(v)
             if x != 0.0:
                 stream.demand[v] = x
         elif word in ("edge", "add"):
@@ -235,7 +245,7 @@ def parse_stream(text: str) -> UpdateStream:
                     "edge lines must precede start (use add)", lineno)
             if word == "add" and not started:
                 raise StreamError("add lines must follow start", lineno)
-            spec = _parse_edge(fields, stream.n, lineno)
+            spec = _parse_edge(fields, stream, lineno)
             target = stream.events if started else stream.initial_edges
             target.append(spec)
             if len(stream.initial_edges) + len(stream.events) > stream.m_max:

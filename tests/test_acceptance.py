@@ -39,7 +39,7 @@ from pnormflow.verify import (
     exact_maxflow,
     static_pnorm_opt,
 )
-from pnormflow.drivers import Below, MaxflowDriver, incremental_effres
+from pnormflow.drivers import Below, MaxflowDriver, event_calls
 from support import (
     LogDelete,
     LogInsert,
@@ -431,7 +431,8 @@ class TestAcceptance:
             specs = stream.initial_edges + stream.events
             below_seen = False
             above_seen = False
-            for k, verdict in enumerate(incremental_effres(stream, seed=7)):
+            _, calls = event_calls(stream, seed=7)
+            for k, verdict in enumerate(call() for call in calls):
                 events += 1
                 boundary = len(stream.initial_edges) + k
                 while len(res) < boundary:

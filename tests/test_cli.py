@@ -156,6 +156,16 @@ class TestRunCommands:
         assert code == EXIT_OK
         assert lines[-1].split()[1] == "verdict=Flow"
 
+    def test_event_budget_below_one_is_usage(self, tmp_path, capsys):
+        # Vertex 3 is isolated, so the demand is never routable and every
+        # event would return at once, whatever the budget.
+        path = write(tmp_path, "a.stream",
+                     "problem pnorm n=3 mmax=2 p=2 F=1.0 eps=0.1\n"
+                     "demand 1 -1.0\ndemand 3 1.0\nedge 1 2\nstart\n"
+                     "add 1 2\n")
+        assert main(["pnorm", path, "--event-budget", "0"]) == EXIT_USAGE
+        assert "at least 1" in capsys.readouterr().err
+
 
 class TestVerify:
     @pytest.mark.parametrize("name, text", [

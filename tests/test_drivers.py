@@ -10,8 +10,7 @@ from pnormflow.drivers import (
     Below,
     EffResDriver,
     MaxflowDriver,
-    incremental_effres,
-    incremental_maxflow,
+    event_calls,
 )
 from pnormflow.errors import InvariantViolation
 from pnormflow.graph import IncrementalGraph, net_demand
@@ -130,7 +129,8 @@ class TestMaxflowPublishing:
         graph = IncrementalGraph(stream.n)
         caps: list[int] = []
         specs = stream.initial_edges + stream.events
-        published = list(incremental_maxflow(stream, seed=1))
+        _, calls = event_calls(stream, seed=1)
+        published = [call() for call in calls]
         for k, (value, flow) in enumerate(published):
             boundary = len(stream.initial_edges) + k
             while len(caps) < boundary:
@@ -182,12 +182,6 @@ class TestMaxflowPublishing:
             check()
         assert driver.phase_count >= 2
         assert driver.queries > 0
-
-    def test_wrong_stream_kind_rejected(self):
-        stream = generate_stream("random", "effres", n=4, initial=3,
-                                 events=3, seed=0)
-        with pytest.raises(ValueError):
-            next(incremental_maxflow(stream))
 
 
 class TestEffResDriver:
@@ -246,7 +240,8 @@ class TestEffResDriver:
         res: list[float] = []
         specs = stream.initial_edges + stream.events
         below_seen = False
-        for k, verdict in enumerate(incremental_effres(stream, seed=1)):
+        _, calls = event_calls(stream, seed=1)
+        for k, verdict in enumerate(call() for call in calls):
             boundary = len(stream.initial_edges) + k
             while len(res) < boundary:
                 spec = specs[len(res)]
@@ -265,20 +260,26 @@ class TestEffResDriver:
                 assert not below_seen
                 assert true > theta / (1 + eps_rel) * (1 - 1e-9)
 
-    def test_wrong_stream_kind_rejected(self):
-        stream = generate_stream("random", "maxflow", n=4, initial=3,
-                                 events=3, seed=0)
-        with pytest.raises(ValueError):
-            next(incremental_effres(stream))
 
+class TestEventCalls:
+    @pytest.mark.parametrize("kind", ["maxflow", "effres"])
+    def test_budget_below_one_rejected(self, kind):
+        # The maxflow driver builds its solvers later, so it checks too.
+        stream = generate_stream("random", kind, n=4, initial=3, events=1,
+                                 seed=1)
+        with pytest.raises(ValueError, match="at least 1"):
+            event_calls(stream, step_budget_per_event=0)
 
-class TestGeneratorsYieldPerEvent:
-    def test_maxflow_event_count(self):
-        stream = generate_stream("random", "maxflow", n=4, initial=3,
-                                 events=4, seed=1)
-        assert len(list(incremental_maxflow(stream, seed=0))) == 5
-
-    def test_effres_event_count(self):
-        stream = generate_stream("random", "effres", n=4, initial=3,
-                                 events=4, seed=1)
-        assert len(list(incremental_effres(stream, seed=0))) == 5
+    @pytest.mark.parametrize("mode, kind", [
+        ("planted-threshold", "pnorm"), ("random", "maxflow"),
+        ("random", "effres"),
+    ])
+    def test_one_call_per_event_and_traced_verdicts(self, mode, kind):
+        stream = generate_stream(mode, kind, n=4, initial=3, events=4,
+                                 seed=1)
+        records = []
+        _, calls = event_calls(stream, seed=0, trace=records.append)
+        assert len(calls) == len(stream.events) + 1
+        for call in calls:
+            call()
+        assert any(record["kind"] == "verdict" for record in records)

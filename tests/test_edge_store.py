@@ -94,7 +94,7 @@ def test_maxflow_phases_view_the_driver_graph():
     driver.start()
     for cap in (2, 4, 8, 16, 32, 64):
         driver.insert(0, 1, cap)
-        assert driver.phase.instance.graph is driver.graph
+        assert driver.phase.solver.instance.graph is driver.graph
         assert driver.phase.solver.f.shape == (driver.graph.m,)
     assert driver.phase_count >= 4
     assert driver.graph.m == 7

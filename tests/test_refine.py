@@ -12,7 +12,6 @@ from pnormflow.refine import (
     Flow,
     IncrementalPNormSolver,
     build_residual,
-    incremental_pnorm,
     refinement_step,
     residual_scaled_weights,
     sandwich_holds,
@@ -261,6 +260,10 @@ class TestSolverVerdicts:
         assert solver.materializations == before + 1
         assert solver.refinement_steps == 0
 
+    def test_budget_below_one_rejected(self):
+        with pytest.raises(ValueError, match="at least 1"):
+            crossing_ladder(step_budget_per_event=0)
+
     def test_unhelpful_insert_stalls_quickly(self):
         instance = fresh_instance(2, [-1.0, 1.0], p=2, threshold=0.6,
                                   eps=0.05)
@@ -317,8 +320,9 @@ class TestSolverVerdicts:
         instance = fresh_instance(2, [-1.0, 1.0], p=2, threshold=0.6,
                                   eps=0.05)
         instance.add_edge(0, 1, 0.0, 1.0, 1.0)
-        events = [(0, 1, 0.0, 1.0, 1.0)] * 3
-        verdicts = list(incremental_pnorm(instance, events, m_max=4, seed=7))
+        solver = IncrementalPNormSolver(instance, m_max=4, seed=7)
+        verdicts = [solver.start()] + [solver.insert_edge(0, 1, 0.0, 1.0, 1.0)
+                                       for _ in range(3)]
         assert len(verdicts) == 4
         assert isinstance(verdicts[-1], Flow)
 

@@ -7,7 +7,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from pnormflow.errors import StreamError
-from pnormflow.refine import CertifiedAbove, Flow, incremental_pnorm
+from pnormflow.drivers import event_calls
+from pnormflow.refine import CertifiedAbove, Flow
 from pnormflow.streams import (
     EdgeSpec,
     GENERATOR_MODES,
@@ -99,6 +100,14 @@ class TestParse:
         (PNORM_TEXT.replace("edge 2 3", "edge 2 9"), 6, "out of range"),
         (PNORM_TEXT.replace("edge 2 3", "wedge 2 3"), 6, "unknown directive"),
         (PNORM_TEXT.replace("edge 2 3", "edge 2 3 q=1"), 6, "unknown key"),
+        # Each kind takes only its own edge keys.
+        (PNORM_TEXT.replace("edge 2 3", "edge 2 3 cap=3"), 6, "unknown key"),
+        (MAXFLOW_TEXT.replace("cap=3", "r=5 w=2 g=1"), 2, "unknown key"),
+        (EFFRES_TEXT.replace("r=1.5", "cap=7"), 2, "unknown key"),
+        (EFFRES_TEXT.replace("r=1.5", "w=3"), 2, "unknown key"),
+        # A zero demand is not stored but still counts for duplicates.
+        (PNORM_TEXT.replace("demand 1 -1.0", "demand 1 0.0\ndemand 1 -1.0"),
+         4, "duplicate demand"),
         (PNORM_TEXT.replace("edge 2 3", "edge 2 3 r=1 r=2"), 6, "duplicate"),
         (PNORM_TEXT.replace("edge 2 3", "edge 2 3 r=-1"), 6, "positive"),
         (PNORM_TEXT.replace("edge 2 3", "edge 2 3 r=abc"), 6, "real"),
@@ -256,9 +265,8 @@ class TestGenerate:
         for seed in range(4):
             stream = generate_stream("planted-threshold", "pnorm", n=5,
                                      initial=4, events=6, seed=seed)
-            instance, events = build_pnorm_instance(stream)
-            verdicts = list(incremental_pnorm(instance, events,
-                                              m_max=stream.m_max, seed=1))
+            _, calls = event_calls(stream, seed=1)
+            verdicts = [call() for call in calls]
             kinds = [type(v).__name__ for v in verdicts]
             if "CertifiedAbove" in kinds and kinds[-1] == "Flow":
                 flipped += 1
