@@ -38,6 +38,9 @@ EXIT_FAILURE = 2
 
 VERIFY_RTOL = 1e-7
 VERIFY_MAX_VERTICES = 32
+# scipy's maximum_flow works in int32, and at scipy 1.17.1 it returns 0 for
+# larger int64 capacities too, so verify refuses what int32 cannot hold.
+VERIFY_MAX_TOTAL_CAPACITY = 2 ** 31 - 1
 
 
 class _Parser(argparse.ArgumentParser):
@@ -171,6 +174,11 @@ def _scipy_maxflow(n: int, tails: np.ndarray, heads: np.ndarray,
 
 def _maxflow_check(stream, driver, seed):
     specs = stream.initial_edges + stream.events
+    total = sum(spec.capacity() for spec in specs)
+    if total > VERIFY_MAX_TOTAL_CAPACITY:
+        raise StreamError(f"verify checks maxflow with scipy and is capped at "
+                          f"a total capacity <= {VERIFY_MAX_TOTAL_CAPACITY}, "
+                          f"got {total}")
     tails = np.asarray([spec.u for spec in specs], dtype=np.int64)
     heads = np.asarray([spec.v for spec in specs], dtype=np.int64)
     all_caps = np.asarray([spec.capacity() for spec in specs], dtype=np.int64)

@@ -16,6 +16,30 @@ Potentials Phi = ||R a||_2^2 and Psi = ||W b||_q^q are padded with the
 contribution K^2/m_max (resp. K^q/m_max) per not-yet-inserted edge slot, so
 Phi starts at exactly K^2, Psi at exactly K^q, and insertions leave both
 unchanged. Per-step increases are the same padded or not.
+
+Lengths only grow, so the oracle answers from its memo, with the same
+CycleSolution object, until an estimate is pushed or an edge inserted; most
+steps apply the previous step's cycle again. A step with a cycle that is
+not its segment's builds a segment: one vectorized pass that precomputes,
+for the next J repetitions (16 at first, doubled while the same cycle
+outlives its segment, capped by the steps left and a memory bound), the
+cycle edges' a, b and c, the potential increases, the lengths, and the
+flags of every check. The rows come from np.add.accumulate over [start; inc; inc; ...], which adds
+in the order of J in-place `+=` steps, and each row's potential increase
+sums the same per-edge terms in the same order as a single step would, so
+every row is bit-identical to the step it stands for. The rows stop at the
+first step after which some cycle edge outgrows its estimate: that push
+changes the oracle's input and ends the memo. A step on the segment's
+cycle then only writes its row into a, b and c, adds its increases and
+raises if its row failed a check. Its lengths stay pending until the next
+step begins, which writes them and pushes the stale edges in edge order,
+so between steps the lengths trail a and b by one step.
+
+Only mwu_step and mwu_insert_edge write the weight columns, and an inserted
+edge is never on the current cycle. So a step changes a, b, c and the
+lengths of its cycle's edges alone, and every other edge still meets the
+length, window and domination checks it met at the previous step; the
+checks therefore run on the cycle's edges only, at every step.
 """
 
 from __future__ import annotations
@@ -40,6 +64,12 @@ from .mrc import (
 # bound runs the same loop on 4 slots, the unfilled ones padded.
 MIN_EDGE_BOUND = 4
 POTENTIAL_RTOL = 1e-9
+# Rows of the first segment built for a cycle; each further segment for the
+# same cycle doubles it, up to the steps the run has left and to at most
+# MAX_SEGMENT_CELLS rows times cycle edges, which keeps a long-lived cycle
+# on a large graph at a few MB.
+FIRST_SEGMENT_ROWS = 16
+MAX_SEGMENT_CELLS = 1 << 16
 
 
 def mwu_schedule(m_max: int, p: int, kappa: float) -> tuple[int, float, int]:
@@ -56,6 +86,12 @@ class Solution:
     """Completed run: circulation with <g, c> = -1 and scaled norms <= 2K."""
 
     circulation: np.ndarray
+
+
+def _edge_lengths(K: float, q: int, r: np.ndarray, w: np.ndarray,
+                  a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Edge lengths K^(q-2) r^2 a + w^q b^(q-1), elementwise."""
+    return K ** (q - 2) * r ** 2 * a + w ** q * b ** (q - 1)
 
 
 class MwuState:
@@ -111,7 +147,12 @@ class MwuState:
         self._r[:m], self._w[:m] = r, w
         self._a[:m] = self.K * m_max ** -0.5 / r
         self._b[:m] = self.K * m_max ** (-1.0 / self.q) / w
-        self._ell[:m] = self._edge_lengths(np.arange(m))
+        self._ell[:m] = _edge_lengths(self.K, self.q, r, w, self._a[:m],
+                                      self._b[:m])
+        # The segment of the cycle the last steps applied, and whether the
+        # last step's lengths still wait in it for the next push.
+        self._segment: _Segment | None = None
+        self._pending = False
 
         pad = (m_max - m) / m_max
         self.phi = float(np.sum((r * self._a[:m]) ** 2)) + pad * self.K ** 2
@@ -124,12 +165,6 @@ class MwuState:
         self.mrc = MonotoneMrcState(instance, self.alpha, kappa=self.kappa,
                                     backend=backend, seed=seed,
                                     capacity=m_max)
-
-    def _edge_lengths(self, edges: np.ndarray) -> np.ndarray:
-        r, w = self._r[edges], self._w[edges]
-        a, b = self._a[edges], self._b[edges]
-        return (self.K ** (self.q - 2) * r ** 2 * a
-                + w ** self.q * b ** (self.q - 1))
 
     @property
     def gradients(self) -> np.ndarray:
@@ -179,31 +214,96 @@ def mwu_insert_edge(state: MwuState, e: int, g_e: float, r_e: float,
     state._a[e] = state.K * state.m_max ** -0.5 / r_e
     state._b[e] = state.K * state.m_max ** (-1.0 / state.q) / w_e
     state.m += 1
-    length = float(state._edge_lengths(np.asarray([e]))[0])
+    length = float(_edge_lengths(state.K, state.q, state._r[e:e + 1],
+                                 state._w[e:e + 1], state._a[e:e + 1],
+                                 state._b[e:e + 1])[0])
     state._ell[e] = length
     state.mrc.insert(InsertEdge(edge=e, gradient=g_e, length=length))
 
 
 def _push_length_estimates(state: MwuState) -> int:
-    """Recompute lengths and push doubled estimates for every edge whose
-    length outgrew its estimate; returns the number of pushed edges."""
-    m = state.m
-    previous = state._ell[:m].copy()
-    state._ell[:m] = state._edge_lengths(np.arange(m))
-    if np.any(state._ell[:m] < previous * (1 - 1e-12)):
-        raise InvariantViolation("edge length decreased between iterations")
-    stale = np.flatnonzero(state._ell[:m] > state.length_estimates)
-    if stale.size == 0:
+    """Write the pending lengths of the last step's cycle edges and push
+    doubled estimates, in edge order, for those that outgrew their
+    estimate; returns the number of pushed edges."""
+    if not state._pending:
         return 0
-    for e in stale.tolist():
+    state._pending = False
+    segment = state._segment
+    i = segment.used - 1
+    edges = segment.cycle.edges
+    state._ell[edges] = segment.ell[i]
+    if segment.decreased[i]:
+        raise InvariantViolation("edge length decreased between iterations")
+    if i < segment.rows - 1 or segment.stale.size == 0:
+        return 0
+    for e in segment.stale.tolist():
         state.mrc.increase_length(
             IncreaseLength(edge=e, length=2.0 * float(state._ell[e])))
-    ell = state._ell[:m]
-    tilde = state.length_estimates
+    ell = state._ell[edges]
+    tilde = state.length_estimates[edges]
     if not (np.all(tilde >= ell * (1 - 1e-12)) and
             np.all(tilde <= 2 * ell * (1 + 1e-12))):
         raise InvariantViolation("length estimate left the [l, 2l] window")
-    return int(stale.size)
+    return int(segment.stale.size)
+
+
+class _Segment:
+    """The next `rows` repetitions of one cycle's step, precomputed.
+
+    Row i holds the cycle edges' a, b and c after the (i+1)-th repetition,
+    the step's potential increases, the edges' lengths after it and
+    whether any length decreased or any weight fails to dominate |c|.
+    The rows stop at the first one where a length outgrows its estimate;
+    that step's pushes (`stale`, in edge order) end the oracle's memo.
+    """
+
+    def __init__(self, state: MwuState, cycle: CycleSolution, size: int):
+        edges = cycle.edges
+        if np.unique(edges).size != edges.size:
+            raise InvariantViolation("oracle returned a cycle that repeats "
+                                     "an edge")
+        q, T = state.q, state.T
+        signed = cycle.signs.astype(float) * (-1.0 / cycle.gradient)
+        step = np.abs(signed) / T
+        r_e, w_e = state._r[edges], state._w[edges]
+        a = _repeat_add(state._a[edges], step, size)
+        b = _repeat_add(state._b[edges], step, size)
+        c = _repeat_add(state._c[edges], signed / T, size)
+        a2, bq = a ** 2, b ** q
+        dphi = np.sum(r_e ** 2 * (a2[1:] - a2[:-1]), axis=1)
+        dpsi = np.sum(w_e ** q * (bq[1:] - bq[:-1]), axis=1)
+        a, b, c = a[1:], b[1:], c[1:]
+        ell = np.empty((size + 1, edges.size))
+        ell[0] = state._ell[edges]
+        ell[1:] = _edge_lengths(state.K, q, r_e, w_e, a, b)
+        decreased = np.any(ell[1:] < ell[:-1] * (1 - 1e-12), axis=1)
+        ell = ell[1:]
+        stale = ell > state.length_estimates[edges]
+        stale_rows = np.flatnonzero(np.any(stale, axis=1))
+        rows = int(stale_rows[0]) + 1 if stale_rows.size else size
+        abs_c = np.abs(c[:rows])
+        floor = abs_c - 1e-12 * (1.0 + abs_c)
+        undominated = np.any((a[:rows] < floor) | (b[:rows] < floor), axis=1)
+
+        self.cycle = cycle
+        self.size = size
+        self.rows = rows
+        self.used = 0
+        self.a, self.b, self.c, self.ell = a, b, c, ell
+        self.dphi = dphi[:rows].tolist()
+        self.dpsi = dpsi[:rows].tolist()
+        self.decreased = decreased[:rows].tolist()
+        self.undominated = undominated.tolist()
+        self.stale = np.sort(edges[stale[rows - 1]])
+
+
+def _repeat_add(start: np.ndarray, inc: np.ndarray, n: int) -> np.ndarray:
+    """Rows start, start + inc, (start + inc) + inc, ... (n + 1 of them),
+    added in the order n in-place `+= inc` steps add."""
+    rows = np.empty((n + 1, start.size))
+    rows[0] = start
+    rows[1:] = inc
+    return np.add.accumulate(rows, axis=0)
 
 
 def mwu_step(state: MwuState) -> CycleSolution | None:
@@ -236,32 +336,35 @@ def mwu_step(state: MwuState) -> CycleSolution | None:
         raise InvariantViolation(
             "scaled cycle exceeds the l1-length bound kappa/alpha")
 
-    scale = -1.0 / cycle.gradient
+    segment = state._segment
+    if segment is None or segment.cycle is not cycle:
+        size = FIRST_SEGMENT_ROWS
+    elif segment.used == segment.rows:
+        size = 2 * segment.size
+    else:
+        size = 0
+    if size:
+        size = min(size, state.T - state.iteration,
+                   max(1, MAX_SEGMENT_CELLS // cycle.edges.size))
+        segment = state._segment = _Segment(state, cycle, size)
+    i = segment.used
+    segment.used += 1
     edges = cycle.edges
-    signed = cycle.signs.astype(float) * scale
-    step = np.abs(signed) / state.T
-
-    q, T = state.q, state.T
-    r_e, w_e = state._r[edges], state._w[edges]
-    a_old, b_old = state._a[edges], state._b[edges]
-    dphi = float(np.sum(r_e ** 2 * ((a_old + step) ** 2 - a_old ** 2)))
-    dpsi = float(np.sum(w_e ** q * ((b_old + step) ** q - b_old ** q)))
-    np.add.at(state._c, edges, signed / T)
-    np.add.at(state._a, edges, step)
-    np.add.at(state._b, edges, step)
+    state._a[edges] = segment.a[i]
+    state._b[edges] = segment.b[i]
+    state._c[edges] = segment.c[i]
+    state._pending = True
+    dphi, dpsi = segment.dphi[i], segment.dpsi[i]
     state.phi += dphi
     state.psi += dpsi
     state.iteration += 1
 
-    K = state.K
+    K, q, T = state.K, state.q, state.T
     if dphi > 3 * K ** 2 / T * (1 + POTENTIAL_RTOL):
         raise InvariantViolation(f"potential increase {dphi} exceeds 3K^2/T")
     if dpsi > 4 * q * K ** q / T * (1 + POTENTIAL_RTOL):
         raise InvariantViolation(f"potential increase {dpsi} exceeds 4qK^q/T")
-    m = state.m
-    slack = 1e-12 * (1.0 + np.abs(state._c[:m]))
-    if (np.any(state._a[:m] < np.abs(state._c[:m]) - slack) or
-            np.any(state._b[:m] < np.abs(state._c[:m]) - slack)):
+    if segment.undominated[i]:
         raise InvariantViolation("weights no longer dominate |c|")
 
     if state.trace is not None:

@@ -10,7 +10,9 @@ Nothing in the package imports this module. It holds
   * run_to_end, a loop that drives an inner run until it completes or
     stalls with no insertion left;
   * the good-solution l1 bound that a probe circulation must meet;
-  * finite_diff_check, a central-difference gradient check.
+  * finite_diff_check, a central-difference gradient check;
+  * reference_step, the inner step computed from scratch over all edges,
+    which mwu_step must match bit for bit.
 """
 
 from __future__ import annotations
@@ -20,8 +22,15 @@ from typing import Callable, Iterable, Mapping, Sequence
 
 import numpy as np
 
+import pnormflow.mwu as mwu_module
+from pnormflow.errors import InvariantViolation
 from pnormflow.graph import smoothed_gradient, smoothed_value
-from pnormflow.mrc import CycleSolution, MrcInstance, _solution_from_cycle
+from pnormflow.mrc import (
+    CycleSolution,
+    IncreaseLength,
+    MrcInstance,
+    _solution_from_cycle,
+)
 from pnormflow.mwu import (
     MwuState,
     Solution,
@@ -333,3 +342,93 @@ def finite_diff_check(problem, f: np.ndarray, h: float = 1e-6) -> float:
         err = abs(analytic[e] - numeric) / max(1.0, abs(analytic[e]))
         worst = max(worst, err)
     return worst
+
+
+# --- the inner step from scratch -------------------------------------------
+
+
+def _reference_push(state: MwuState) -> int:
+    """Recompute every length and push doubled estimates for every edge
+    whose length outgrew its estimate; returns the number of pushed edges."""
+    m = state.m
+    previous = state._ell[:m].copy()
+    r, w = state._r[:m], state._w[:m]
+    a, b = state._a[:m], state._b[:m]
+    q = state.q
+    state._ell[:m] = state.K ** (q - 2) * r ** 2 * a + w ** q * b ** (q - 1)
+    if np.any(state._ell[:m] < previous * (1 - 1e-12)):
+        raise InvariantViolation("edge length decreased between iterations")
+    stale = np.flatnonzero(state._ell[:m] > state.length_estimates)
+    if stale.size == 0:
+        return 0
+    for e in stale.tolist():
+        state.mrc.increase_length(
+            IncreaseLength(edge=e, length=2.0 * float(state._ell[e])))
+    ell = state._ell[:m]
+    tilde = state.length_estimates
+    if not (np.all(tilde >= ell * (1 - 1e-12)) and
+            np.all(tilde <= 2 * ell * (1 + 1e-12))):
+        raise InvariantViolation("length estimate left the [l, 2l] window")
+    return int(stale.size)
+
+
+def reference_step(state: MwuState) -> CycleSolution | None:
+    """mwu_step as one self-contained O(m) pass per call: recompute every
+    length, push, query, apply the scaled cycle with np.add.at and check
+    every edge. Drive a state with this alone, never mixed with mwu_step."""
+    if state.iteration >= state.T:
+        raise ValueError("the run is complete; no steps remain")
+    rtol = mwu_module.POTENTIAL_RTOL
+    pushes = _reference_push(state)
+    solves = state.mrc.solves
+    cycle = state.mrc.query()
+    solved = state.mrc.solves > solves
+    if cycle is None:
+        if state.trace is not None:
+            state.trace({"kind": "stall", "iteration": state.iteration,
+                         "phi": state.phi, "psi": state.psi,
+                         "pushes": pushes, "solved": solved})
+        return None
+
+    if cycle.gradient >= 0:
+        raise InvariantViolation(
+            "oracle returned a nonnegative-gradient cycle")
+    bound = state.kappa / state.alpha
+    if cycle.length / -cycle.gradient > bound * (1 + rtol):
+        raise InvariantViolation(
+            "scaled cycle exceeds the l1-length bound kappa/alpha")
+
+    scale = -1.0 / cycle.gradient
+    edges = cycle.edges
+    signed = cycle.signs.astype(float) * scale
+    step = np.abs(signed) / state.T
+
+    q, T = state.q, state.T
+    r_e, w_e = state._r[edges], state._w[edges]
+    a_old, b_old = state._a[edges], state._b[edges]
+    dphi = float(np.sum(r_e ** 2 * ((a_old + step) ** 2 - a_old ** 2)))
+    dpsi = float(np.sum(w_e ** q * ((b_old + step) ** q - b_old ** q)))
+    np.add.at(state._c, edges, signed / T)
+    np.add.at(state._a, edges, step)
+    np.add.at(state._b, edges, step)
+    state.phi += dphi
+    state.psi += dpsi
+    state.iteration += 1
+
+    K = state.K
+    if dphi > 3 * K ** 2 / T * (1 + rtol):
+        raise InvariantViolation(f"potential increase {dphi} exceeds 3K^2/T")
+    if dpsi > 4 * q * K ** q / T * (1 + rtol):
+        raise InvariantViolation(f"potential increase {dpsi} exceeds 4qK^q/T")
+    m = state.m
+    slack = 1e-12 * (1.0 + np.abs(state._c[:m]))
+    if (np.any(state._a[:m] < np.abs(state._c[:m]) - slack) or
+            np.any(state._b[:m] < np.abs(state._c[:m]) - slack)):
+        raise InvariantViolation("weights no longer dominate |c|")
+
+    if state.trace is not None:
+        state.trace({"kind": "progress", "iteration": state.iteration,
+                     "phi": state.phi, "psi": state.psi,
+                     "ratio": cycle.ratio, "pushes": pushes,
+                     "solved": solved})
+    return cycle

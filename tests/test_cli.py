@@ -186,6 +186,18 @@ class TestVerify:
         err = capsys.readouterr().err
         assert "n <= 32" in err
 
+    def test_verify_caps_total_maxflow_capacity(self, tmp_path, capsys):
+        # scipy's maxflow reads 0 on this edge, so verify must refuse the
+        # stream rather than report a correct run as failed.
+        text = ("problem maxflow n=2 mmax=2 s=1 t=2 eps=0.25\n"
+                "edge 1 2 cap=3000000000\nstart\n")
+        path = write(tmp_path, "huge.stream", text)
+        assert main(["verify", path]) == EXIT_USAGE
+        assert "total capacity <= 2147483647" in capsys.readouterr().err
+        assert main(["maxflow", path, "--json"]) == EXIT_OK
+        (line,) = capsys.readouterr().out.splitlines()
+        assert json.loads(line)["objective"] == 3000000000.0
+
     def test_verify_flags_disagreement(self, tmp_path, capsys, monkeypatch):
         # A lying static oracle makes every CertifiedAbove look unsound,
         # which must surface as the failure exit code.

@@ -6,10 +6,12 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import pnormflow.mwu as mwu_module
 from pnormflow.errors import InvariantViolation
 from pnormflow.graph import IncrementalGraph, is_circulation, pnorm
 from pnormflow.mrc import CycleSolution, MrcInstance, exact_min_ratio_cycle
 from pnormflow.mwu import (
+    FIRST_SEGMENT_ROWS,
     MwuState,
     Solution,
     mwu_init,
@@ -25,6 +27,7 @@ from support import (
     check_stability_witness,
     good_solution_l1_bound,
     probe_l1_length,
+    reference_step,
     run_to_end,
 )
 
@@ -379,3 +382,119 @@ class TestRun:
             c = outcome.circulation
             assert float(state.gradients @ c) == pytest.approx(-1.0, rel=1e-9)
             assert float(np.linalg.norm(state._r[:2] * c)) <= 2 * state.K
+
+
+def _lockstep_state(kind, p, m_max, backend, seed, trace):
+    """A seeded run: a parallel pair with the planted circulation, a ring of
+    ten edges (one cycle past numpy's 8-wide pairwise-sum block) or a path
+    on six vertices, which stalls until insertions close cycles."""
+    rng = np.random.Generator(np.random.Philox(seed))
+    ends = {"pair": [(0, 1), (0, 1)],
+            "ring": [(i, (i + 1) % 10) for i in range(10)],
+            "path": [(i, i + 1) for i in range(5)]}[kind]
+    graph = IncrementalGraph(max(max(uv) for uv in ends) + 1)
+    for u, v in ends:
+        graph.add_edge(u, v)
+    m = len(ends)
+    g = (np.array([1.0, -1.0]) if kind == "pair"
+         else -1.0 - rng.random(m) if kind == "ring" else rng.normal(size=m))
+    kwargs = ({"backend": "trees", "kappa": 2.0} if backend == "trees"
+              else {})
+    return mwu_init(graph, g, 0.5 + rng.random(m), 0.5 + rng.random(m), p,
+                    m_max=m_max, seed=seed, trace=trace, **kwargs)
+
+
+def _assert_same_state(fast, ref):
+    for name in ("_a", "_b", "_c", "_ell"):
+        assert np.array_equal(getattr(fast, name), getattr(ref, name)), name
+    assert np.array_equal(fast.length_estimates, ref.length_estimates)
+    assert (fast.phi, fast.psi, fast.iteration, fast.m, fast.mrc.solves) \
+        == (ref.phi, ref.psi, ref.iteration, ref.m, ref.mrc.solves)
+
+
+def _same_cycle(got, want):
+    if got is None or want is None:
+        return got is want
+    return (np.array_equal(got.edges, want.edges)
+            and np.array_equal(got.signs, want.signs)
+            and (got.gradient, got.length, got.ratio)
+            == (want.gradient, want.length, want.ratio))
+
+
+def _run_lockstep(kind, p, m_max, backend, calls):
+    """Drive a run with mwu_step and its twin with reference_step, admitting
+    the same random edge into both at every stall and every 300 calls, and
+    compare them after every call; returns the mwu_step run, its largest
+    segment and its stall count."""
+    seed = 7 * p + m_max
+    fast_trace, ref_trace = [], []
+    fast = _lockstep_state(kind, p, m_max, backend, seed, fast_trace.append)
+    ref = _lockstep_state(kind, p, m_max, backend, seed, ref_trace.append)
+    assert fast.q == min(int(math.log2(m_max)), p)
+    rng = np.random.Generator(np.random.Philox(seed + 1))
+    n = fast.graph.n
+    largest = stalls = call = 0
+    while fast.iteration < fast.T and (calls is None or call < calls):
+        call += 1
+        got, want = mwu_step(fast), reference_step(ref)
+        assert _same_cycle(got, want)
+        _assert_same_state(fast, ref)
+        if fast._segment is not None:
+            largest = max(largest, fast._segment.size)
+        stalls += got is None
+        if (got is None or call % 300 == 0) and fast.m < fast.m_max:
+            u, v = (int(x) for x in rng.choice(n, size=2, replace=False))
+            attrs = (float(rng.normal()), 0.5 + float(rng.random()),
+                     0.5 + float(rng.random()))
+            for state in (fast, ref):
+                e = state.graph.add_edge(u, v)
+                mwu_insert_edge(state, e, *attrs)
+            _assert_same_state(fast, ref)
+        elif got is None:
+            break
+    assert fast_trace == ref_trace
+    if fast.iteration == fast.T:
+        assert np.array_equal(mwu_solution(fast).circulation,
+                              mwu_solution(ref).circulation)
+    return fast, largest, stalls
+
+
+class TestMatchesReference:
+    """mwu_step, which replays precomputed rows along a memoized cycle,
+    leaves every state the caller can read bit-identical to the step
+    computed from scratch over all edges."""
+
+    @pytest.mark.parametrize("backend", ["exact", "trees"])
+    @pytest.mark.parametrize("kind, p, m_max, calls", [
+        ("pair", 2, 4, None),
+        ("ring", 3, 16, None),
+        ("path", 4, 16, 2500),
+        ("path", 37, 32, 2500),
+    ])
+    def test_lockstep_with_reference(self, kind, p, m_max, calls, backend):
+        fast, largest, stalls = _run_lockstep(kind, p, m_max, backend, calls)
+        assert largest > FIRST_SEGMENT_ROWS
+        if kind == "path":
+            assert stalls > 0
+        if calls is None:
+            assert fast.iteration == fast.T
+
+    def test_lockstep_with_capped_segments(self, monkeypatch):
+        monkeypatch.setattr(mwu_module, "MAX_SEGMENT_CELLS", 64)
+        fast, largest, _ = _run_lockstep("ring", 3, 16, "exact", None)
+        assert fast.iteration == fast.T
+        # Every cycle has at least 2 edges; uncapped, this run's segments
+        # grow to 1024 rows.
+        assert largest <= 64 // 2
+
+    @pytest.mark.parametrize("memo_hit", [False, True])
+    def test_negative_rtol_raises_at_first_progress_step(self, monkeypatch,
+                                                         memo_hit):
+        state = parallel_pair_state()
+        for _ in range(20 if memo_hit else 0):
+            assert isinstance(mwu_step(state), CycleSolution)
+        solves = state.mrc.solves
+        monkeypatch.setattr(mwu_module, "POTENTIAL_RTOL", -1.0)
+        with pytest.raises(InvariantViolation):
+            mwu_step(state)
+        assert (state.mrc.solves == solves) == memo_hit
