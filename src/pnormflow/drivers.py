@@ -35,7 +35,8 @@ import numpy as np
 from .errors import InvariantViolation
 from .graph import IncrementalGraph, PNormInstance
 from .refine import Flow, IncrementalPNormSolver, Verdict
-from .streams import EdgeSpec, UpdateStream, build_pnorm_instance
+from .streams import (MAX_CAPACITY, EdgeSpec, UpdateStream,
+                      build_pnorm_instance)
 from .verify import exact_maxflow
 
 # l2-to-lp weight ratio for the effective-resistance instance; its energy
@@ -97,6 +98,7 @@ class MaxflowDriver:
         self.caps: list[int] = []
         self.phase: MaxflowPhase | None = None
         self.phase_count = 0
+        self.events = 0
         self._started = False
         self._queries_base = 0
         self._iterations_base = 0
@@ -112,12 +114,15 @@ class MaxflowDriver:
         return self._iterations_base + live
 
     def _check_cap(self, cap) -> int:
+        # Range first: int() fails on inf and nan, which the range rejects.
+        if not cap >= 1:
+            raise ValueError(f"capacities must be at least 1, got {cap}")
+        if cap > MAX_CAPACITY:
+            raise ValueError(f"capacities must be at most 2^53 = "
+                             f"{MAX_CAPACITY}, got {cap}")
         if cap != int(cap):
             raise ValueError(f"capacities must be integral, got {cap}")
-        cap = int(cap)
-        if cap < 1:
-            raise ValueError(f"capacities must be at least 1, got {cap}")
-        return cap
+        return int(cap)
 
     def add_initial_edge(self, u: int, v: int, cap: int) -> None:
         if self._started:
@@ -130,6 +135,7 @@ class MaxflowDriver:
     def start(self) -> tuple[float, np.ndarray]:
         """Published (value, flow) for the initial graph."""
         self._started = True
+        self.events += 1
         return self._event(None)
 
     def insert(self, u: int, v: int, cap: int) -> tuple[float, np.ndarray]:
@@ -139,6 +145,7 @@ class MaxflowDriver:
         if len(self.caps) >= self.m_max:
             raise ValueError("edge bound m_max exceeded")
         cap = self._check_cap(cap)
+        self.events += 1
         if self.phase is None:
             self.graph.add_edge(u, v)
             self.caps.append(cap)
@@ -204,9 +211,19 @@ class MaxflowDriver:
             instance, m_max=self.m_max, kappa=self.kappa,
             backend=self.backend, seed=int(self._rng.integers(2 ** 63)),
             step_budget_per_event=self.step_budget,
-            start_flow=flow, trace=self.trace)
+            start_flow=flow,
+            trace=None if self.trace is None else self._trace_phase)
         self.phase = MaxflowPhase(value=value, flow=flow, solver=solver)
         self.phase_count += 1
+
+    def _trace_phase(self, record: dict) -> None:
+        """Passes on a phase solver's trace record; a verdict record gets
+        the driver's event count and driver-wide counters instead of the
+        phase solver's own, which restart with every phase."""
+        if record["kind"] == "verdict":
+            record = {**record, "event": self.events,
+                      "queries": self.queries, "iterations": self.iterations}
+        self.trace(record)
 
     def _publish(self) -> tuple[float, np.ndarray]:
         m = len(self.caps)

@@ -342,14 +342,19 @@ class MonotoneMrcState:
 class _TreeCollection:
     """Spanning-tree backend: fundamental-cycle candidates over a collection
     of randomized minimum-length trees, rebuilt when the total length doubles
-    or an insertion connects components."""
+    or an insertion connects components.
+
+    Each forest's off-tree edges and their cycle gradients are cached. A
+    rebuild drops the cache and the next query recomputes it; an insertion
+    that does not rebuild appends the new edge, which is off-tree in every
+    forest, to each forest's entry."""
 
     def __init__(self, state: MonotoneMrcState, seed: int | None):
         self.state = state
         self.rng = np.random.Generator(np.random.Philox(key=seed or 0))
         self.count = 4 * max(1, math.ceil(math.log2(max(state.n, 2))))
         self.forests: list[SpanningForest] = []
-        self._cycles: list[tuple[np.ndarray, ...]] = []
+        self._cycles: list[tuple[np.ndarray, ...]] | None = None
         self.total = float(state.lengths.sum())
         self.checkpoint = 0.0
         self.rebuild()
@@ -357,24 +362,26 @@ class _TreeCollection:
     def rebuild(self) -> None:
         state = self.state
         m = state.m
+        tails, heads = state.tails.tolist(), state.heads.tolist()
         self.forests = []
         for _ in range(self.count):
             keys = state.lengths * self.rng.uniform(1.0, 4.0, m)
             order = np.argsort(keys, kind="stable")
-            self.forests.append(
-                SpanningForest(state.n, state.tails, state.heads, order))
+            self.forests.append(SpanningForest(state.n, tails, heads, order))
         self.checkpoint = max(self.total, 1e-300)
         self.components = state.graph.components
-        self._cycles_m = -1
+        self._cycles = None
 
-    def _forest_cycles(self, forest: SpanningForest) -> tuple[np.ndarray, ...]:
-        """Off-tree edges of a forest, their endpoints and meeting vertices,
-        and their fundamental-cycle gradients. Forests change only on
-        rebuild and existing gradients never change, so these hold until
-        the next rebuild or insertion."""
+    def _forest_cycles(self, forest: SpanningForest,
+                       off: np.ndarray | None = None
+                       ) -> tuple[np.ndarray, ...]:
+        """Off-tree edges `off` of a forest (by default all of them), their
+        endpoints and meeting vertices, and their fundamental-cycle
+        gradients."""
         state = self.state
         g = state.gradients
-        off = np.flatnonzero(~forest.tree_edge_mask(state.m))
+        if off is None:
+            off = np.flatnonzero(~forest.tree_edge_mask(state.m))
         gsum = forest.prefix_sums(g, signed=True)
         u, v = state.tails[off], state.heads[off]
         meet = forest.lca_many(u, v)
@@ -385,6 +392,14 @@ class _TreeCollection:
         connected = self.state.graph.components < self.components
         if connected or self.total >= 2.0 * self.checkpoint:
             self.rebuild()
+        elif self._cycles is not None:
+            # Forests and existing gradients are unchanged, so only the new
+            # edge's cycle is computed.
+            new = np.array([e], dtype=np.int64)
+            self._cycles = [
+                tuple(map(np.concatenate,
+                          zip(cached, self._forest_cycles(forest, new))))
+                for forest, cached in zip(self.forests, self._cycles)]
 
     def note_increase(self, delta: float) -> None:
         self.total += delta
@@ -393,15 +408,13 @@ class _TreeCollection:
 
     def query(self) -> CycleSolution | None:
         state = self.state
-        m = state.m
         g, lengths = state.gradients, state.lengths
         threshold = -state.alpha / state.kappa
         best_ratio = 0.0
         best: tuple[SpanningForest, int] | None = None
-        if self._cycles_m != m:
+        if self._cycles is None:
             self._cycles = [self._forest_cycles(forest)
                             for forest in self.forests]
-            self._cycles_m = m
         for forest, (off, u, v, meet, grads) in zip(self.forests,
                                                     self._cycles):
             if off.size == 0:

@@ -40,6 +40,10 @@ _EDGE_KEYS = {"pnorm": ("g", "r", "w"), "maxflow": ("cap",), "effres": ("r",)}
 
 GENERATOR_MODES = ("random", "planted-threshold", "phase-stress")
 
+# The maxflow driver computes in float64, which holds every integer up to
+# 2^53 exactly and no larger capacity reliably.
+MAX_CAPACITY = 2 ** 53
+
 
 @dataclass
 class EdgeSpec:
@@ -194,6 +198,10 @@ def _parse_edge(fields: list[str], stream: UpdateStream,
         if spec.cap < 1:
             raise StreamError(f"cap must be at least 1, got {spec.cap}",
                               lineno)
+        if spec.cap > MAX_CAPACITY:
+            raise StreamError(
+                f"cap must be at most 2^53 = {MAX_CAPACITY}, got {spec.cap}",
+                lineno)
     return spec
 
 
@@ -529,6 +537,9 @@ def generate_stream(mode: str, kind: str, n: int, initial: int, events: int,
         if mode == "planted-threshold":
             raise ValueError(
                 "planted-threshold generates pnorm or effres streams")
+        if not 1 <= cap_max <= MAX_CAPACITY:
+            raise ValueError(f"cap_max must be in [1, 2^53 = {MAX_CAPACITY}], "
+                             f"got {cap_max}")
         return _generate_maxflow(mode, n, initial, events, eps, seed, cap_max)
     if kind == "effres":
         if mode == "phase-stress":

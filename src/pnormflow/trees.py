@@ -2,7 +2,10 @@
 
 Shared by the static optimizer (cycle-space parameterization), the exact
 min-ratio backend (degenerate all-zero-gradient case) and the tree-collection
-backend (fundamental-cycle candidates).
+backend (fundamental-cycle candidates), which builds dozens of forests over
+thousands of edges per run. So a forest is built on plain Python lists and
+becomes numpy arrays only at the end, and batched LCA lifts whole arrays
+with np.where.
 """
 
 from __future__ import annotations
@@ -14,6 +17,12 @@ import numpy as np
 from .graph import _UnionFind
 
 
+def _python_ints(seq: Sequence[int]) -> Sequence[int]:
+    """seq with an ndarray turned into a list: indexing an ndarray element
+    by element costs a numpy scalar per access."""
+    return seq.tolist() if isinstance(seq, np.ndarray) else seq
+
+
 class SpanningForest:
     """Rooted spanning forest of a multigraph.
 
@@ -21,29 +30,38 @@ class SpanningForest:
     to its parent and parent_sign[v] is +1 when that edge is stored as
     (v, parent), i.e. traversing child -> parent follows the stored
     orientation.
+
+    Kruskal scans `edge_order` and stops once it holds n - 1 tree edges,
+    where no later edge can join two trees; `tree_edges` keeps the order in
+    which they were taken. lca_many answers batches by binary lifting over a
+    table built on first use.
     """
 
     def __init__(self, n: int, tails: Sequence[int], heads: Sequence[int],
                  edge_order: Sequence[int]):
         self.n = n
-        parent_vertex = np.full(n, -1, dtype=np.int64)
-        parent_edge = np.full(n, -1, dtype=np.int64)
-        parent_sign = np.zeros(n, dtype=np.int64)
-        depth = np.zeros(n, dtype=np.int64)
-
+        tails, heads = _python_ints(tails), _python_ints(heads)
         sets = _UnionFind(n)
         tree_edges: list[int] = []
         adj: list[list[tuple[int, int]]] = [[] for _ in range(n)]
-        for e in edge_order:
+        for e in _python_ints(edge_order):
+            if len(tree_edges) == n - 1:
+                # A spanning tree; no later edge can join two sets.
+                break
             u, v = tails[e], heads[e]
             if sets.union(u, v):
                 tree_edges.append(e)
                 adj[u].append((e, v))
                 adj[v].append((e, u))
 
-        # Orient the forest by BFS so parents precede children in `order`.
+        # Orient each tree from its smallest vertex, parents before children
+        # in `order`.
+        parent_vertex = [-1] * n
+        parent_edge = [-1] * n
+        parent_sign = [0] * n
+        depth = [0] * n
+        seen = [False] * n
         order: list[int] = []
-        seen = np.zeros(n, dtype=bool)
         for root in range(n):
             if seen[root]:
                 continue
@@ -62,12 +80,12 @@ class SpanningForest:
                         order.append(y)
                         queue.append(y)
 
-        self.parent_vertex = parent_vertex
-        self.parent_edge = parent_edge
-        self.parent_sign = parent_sign
-        self.depth = depth
-        self.order = np.asarray(order, dtype=np.int64)
-        self.tree_edges = np.asarray(tree_edges, dtype=np.int64)
+        self.parent_vertex = np.array(parent_vertex, dtype=np.int64)
+        self.parent_edge = np.array(parent_edge, dtype=np.int64)
+        self.parent_sign = np.array(parent_sign, dtype=np.int64)
+        self.depth = np.array(depth, dtype=np.int64)
+        self.order = np.array(order, dtype=np.int64)
+        self.tree_edges = np.array(tree_edges, dtype=np.int64)
         self._lift: np.ndarray | None = None
         self._levels: list[np.ndarray] | None = None
 
@@ -135,21 +153,20 @@ class SpanningForest:
         if self._lift is None:
             self._build_lift()
         lift = self._lift
-        us = np.array(us, dtype=np.int64)
-        vs = np.array(vs, dtype=np.int64)
-        swap = self.depth[us] < self.depth[vs]
-        tmp = us[swap].copy()
-        us[swap] = vs[swap]
-        vs[swap] = tmp
-        diff = self.depth[us] - self.depth[vs]
-        for k in range(lift.shape[0]):
-            step = ((diff >> k) & 1).astype(bool)
-            us[step] = lift[k][us[step]]
+        us = np.asarray(us, dtype=np.int64)
+        vs = np.asarray(vs, dtype=np.int64)
+        du, dv = self.depth[us], self.depth[vs]
+        # us climbs to the depth of vs, then both climb while they differ.
+        swap = du < dv
+        us, vs = np.where(swap, vs, us), np.where(swap, us, vs)
+        diff = np.abs(du - dv)
+        for k in range(int(diff.max(initial=0)).bit_length()):
+            us = np.where((diff >> k) & 1 == 1, lift[k][us], us)
         for k in range(lift.shape[0] - 1, -1, -1):
             lu, lv = lift[k][us], lift[k][vs]
-            step = (us != vs) & (lu != lv)
-            us[step] = lu[step]
-            vs[step] = lv[step]
+            step = lu != lv
+            us = np.where(step, lu, us)
+            vs = np.where(step, lv, vs)
         return np.where(us == vs, us, self.parent_vertex[us])
 
     def fundamental_cycles(self, edges: np.ndarray, tails: np.ndarray,

@@ -12,19 +12,22 @@ Nothing in the package imports this module. It holds
   * the good-solution l1 bound that a probe circulation must meet;
   * finite_diff_check, a central-difference gradient check;
   * reference_step, the inner step computed from scratch over all edges,
-    which mwu_step must match bit for bit.
+    which mwu_step must match bit for bit;
+  * reference_forest, Kruskal and the orienting traversal on numpy arrays
+    over the whole edge order, which SpanningForest must match exactly.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from types import SimpleNamespace
 from typing import Callable, Iterable, Mapping, Sequence
 
 import numpy as np
 
 import pnormflow.mwu as mwu_module
 from pnormflow.errors import InvariantViolation
-from pnormflow.graph import smoothed_gradient, smoothed_value
+from pnormflow.graph import _UnionFind, smoothed_gradient, smoothed_value
 from pnormflow.mrc import (
     CycleSolution,
     IncreaseLength,
@@ -432,3 +435,50 @@ def reference_step(state: MwuState) -> CycleSolution | None:
                      "ratio": cycle.ratio, "pushes": pushes,
                      "solved": solved})
     return cycle
+
+
+def reference_forest(n: int, tails: Sequence[int], heads: Sequence[int],
+                     edge_order: Sequence[int]) -> SimpleNamespace:
+    """SpanningForest's fields built element by element on numpy arrays,
+    scanning the whole edge order; SpanningForest must equal it exactly."""
+    parent_vertex = np.full(n, -1, dtype=np.int64)
+    parent_edge = np.full(n, -1, dtype=np.int64)
+    parent_sign = np.zeros(n, dtype=np.int64)
+    depth = np.zeros(n, dtype=np.int64)
+
+    sets = _UnionFind(n)
+    tree_edges: list[int] = []
+    adj: list[list[tuple[int, int]]] = [[] for _ in range(n)]
+    for e in edge_order:
+        u, v = tails[e], heads[e]
+        if sets.union(u, v):
+            tree_edges.append(e)
+            adj[u].append((e, v))
+            adj[v].append((e, u))
+
+    # Orient the forest by BFS so parents precede children in `order`.
+    order: list[int] = []
+    seen = np.zeros(n, dtype=bool)
+    for root in range(n):
+        if seen[root]:
+            continue
+        seen[root] = True
+        queue = [root]
+        order.append(root)
+        while queue:
+            x = queue.pop()
+            for e, y in adj[x]:
+                if not seen[y]:
+                    seen[y] = True
+                    parent_vertex[y] = x
+                    parent_edge[y] = e
+                    parent_sign[y] = 1 if tails[e] == y else -1
+                    depth[y] = depth[x] + 1
+                    order.append(y)
+                    queue.append(y)
+
+    return SimpleNamespace(
+        parent_vertex=parent_vertex, parent_edge=parent_edge,
+        parent_sign=parent_sign, depth=depth,
+        order=np.asarray(order, dtype=np.int64),
+        tree_edges=np.asarray(tree_edges, dtype=np.int64))

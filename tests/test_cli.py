@@ -8,7 +8,7 @@ import pytest
 
 from pnormflow.cli import EXIT_FAILURE, EXIT_OK, EXIT_USAGE, main
 from pnormflow.drivers import MaxflowDriver
-from pnormflow.streams import parse_stream
+from pnormflow.streams import generate_stream, parse_stream, print_stream
 from pnormflow.verify import OracleReport
 
 PNORM_TEXT = """\
@@ -136,6 +136,33 @@ class TestRunCommands:
         kinds = {r["kind"] for r in records}
         assert "verdict" in kinds
 
+    def test_maxflow_trace_joins_stream_events(self, tmp_path, capsys):
+        """Verdict records of every phase carry the driver's event count
+        and driver-wide counters, so they run in step with the metrics
+        lines across phase restarts."""
+        stream = generate_stream("phase-stress", "maxflow", 12, 11, 36,
+                                 seed=2)
+        path = write(tmp_path, "m.stream", print_stream(stream))
+        trace = tmp_path / "trace.jsonl"
+        code, lines = run_lines(
+            capsys, ["maxflow", path, "--json", "--trace", str(trace)])
+        assert code == EXIT_OK
+        metrics = [json.loads(line) for line in lines]
+        verdicts = [r for r in map(json.loads, trace.read_text().splitlines())
+                    if r["kind"] == "verdict"]
+        # Phase restarts within an event add records for that event.
+        assert len(verdicts) > len(metrics)
+        for key in ("event", "queries", "iterations"):
+            values = [r[key] for r in verdicts]
+            assert values == sorted(values), key
+        # An event's last record carries the counters its metrics line shows.
+        last = {r["event"]: r for r in verdicts}
+        assert sorted(last) == [m["event"] + 1 for m in metrics]
+        for m in metrics:
+            record = last[m["event"] + 1]
+            assert (record["queries"], record["iterations"]) == (
+                m["queries"], m["iterations"])
+
     def test_stdin_stream(self, capsys, monkeypatch):
         monkeypatch.setattr("sys.stdin", io.StringIO(EFFRES_TEXT))
         code, lines = run_lines(capsys, ["effres", "-"])
@@ -251,6 +278,16 @@ class TestGen:
         assert capsys.readouterr().out == first
         assert parse_stream(first).kind == "pnorm"
 
+    @pytest.mark.parametrize("cap_max", [0, 2 ** 53 + 1])
+    def test_gen_cap_max_outside_the_parsed_range_is_usage(self, capsys,
+                                                           cap_max):
+        code = main(["gen", "--kind", "maxflow", "--n", "4", "--initial",
+                     "3", "--events", "2", "--cap-max", str(cap_max)])
+        captured = capsys.readouterr()
+        assert code == EXIT_USAGE
+        assert captured.out == ""
+        assert "cap_max must be in [1, 2^53" in captured.err
+
     def test_gen_incompatible_mode_is_usage_error(self, capsys):
         code = main(["gen", "--kind", "pnorm", "--mode", "phase-stress",
                      "--n", "4", "--initial", "3", "--events", "3"])
@@ -267,6 +304,30 @@ class TestExitCodes:
         path = write(tmp_path, "bad.stream", "problem pnorm nope\n")
         assert main(["pnorm", path]) == EXIT_USAGE
         assert "line 1" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("cap", [2 ** 62, 2 ** 63, 10 ** 400],
+                             ids=["2^62", "2^63", "10^400"])
+    def test_capacity_above_two_to_the_53_is_usage(self, tmp_path, capsys,
+                                                    cap):
+        path = write(tmp_path, "m.stream",
+                     "problem maxflow n=3 mmax=3 s=1 t=3 eps=0.25\n"
+                     f"edge 1 2 cap={cap}\nedge 2 3 cap={cap}\nstart\n")
+        assert main(["maxflow", path]) == EXIT_USAGE
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "line 2" in captured.err
+        assert "at most 2^53 = 9007199254740992" in captured.err
+
+    def test_capacity_two_to_the_53_publishes_exactly(self, tmp_path,
+                                                       capsys):
+        cap = 2 ** 53
+        path = write(tmp_path, "m.stream",
+                     "problem maxflow n=3 mmax=3 s=1 t=3 eps=0.25\n"
+                     f"edge 1 2 cap={cap}\nedge 2 3 cap={cap}\nstart\n")
+        code, lines = run_lines(capsys, ["maxflow", path, "--json"])
+        assert code == EXIT_OK
+        (line,) = lines
+        assert json.loads(line)["objective"] == float(cap)
 
     def test_kind_mismatch_is_usage(self, tmp_path, capsys):
         path = write(tmp_path, "m.stream", MAXFLOW_TEXT)

@@ -43,6 +43,16 @@ class TestMaxflowValidation:
         with pytest.raises(ValueError):
             driver.add_initial_edge(0, 1, 2.5)
 
+    def test_capacities_are_bounded_by_two_to_the_53(self):
+        driver = maxflow_driver()
+        for cap in (2 ** 53 + 1, 10 ** 400, math.inf, math.nan):
+            with pytest.raises(ValueError, match="2\\^53|at least 1"):
+                driver.add_initial_edge(0, 1, cap)
+        assert driver.caps == []
+        driver.add_initial_edge(0, 1, 2 ** 53)
+        driver.add_initial_edge(0, 1, float(2 ** 53))
+        assert driver.caps == [2 ** 53, 2 ** 53]
+
     def test_event_ordering_enforced(self):
         driver = maxflow_driver()
         with pytest.raises(ValueError):

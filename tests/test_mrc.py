@@ -321,13 +321,80 @@ class TestTreeBackend:
                     e, float(cached.lengths[e] * (1 + rng.random())))
                 cached.increase_length(update)
                 fresh.increase_length(update)
-            fresh._trees._cycles_m = -1
+            fresh._trees._cycles = None
             got, want = cached.query(), fresh.query()
             assert (got is None) == (want is None)
             if got is not None:
                 assert np.array_equal(got.edges, want.edges)
                 assert np.array_equal(got.signs, want.signs)
                 assert got.ratio == want.ratio
+
+
+    @given(seed=st.integers(min_value=0, max_value=2 ** 32 - 1))
+    @settings(max_examples=20, deadline=None)
+    def test_appended_cycle_cache_equals_a_fresh_one(self, seed):
+        """An insertion that does not rebuild appends to each forest's
+        cached cycles; the entries equal a from-scratch computation after
+        every insertion, across rebuilds by a joining insertion and by a
+        doubling of the total length."""
+        rng = np.random.Generator(np.random.Philox(seed))
+        n = int(rng.integers(6, 11))
+        k = n // 2
+        g = IncrementalGraph(n)
+        for lo, hi in ((0, k), (k, n)):
+            spine = lo + rng.permutation(hi - lo)
+            for i in range(hi - lo - 1):
+                g.add_edge(int(spine[i]), int(spine[i + 1]))
+            for _ in range(int(rng.integers(1, 4))):
+                u, v = lo + rng.choice(hi - lo, size=2, replace=False)
+                g.add_edge(int(u), int(v))
+        state = MonotoneMrcState(
+            MrcInstance(g, rng.normal(size=g.m), 0.2 + rng.random(g.m)),
+            alpha=0.05, kappa=4.0, backend="trees", seed=int(seed))
+        trees = state._trees
+
+        def insert(u, v):
+            e = g.add_edge(int(u), int(v))
+            state.insert(InsertEdge(e, float(rng.normal()), 0.01))
+
+        def insert_within_first_component():
+            forests = trees.forests
+            insert(*rng.choice(k, size=2, replace=False))
+            assert trees.forests is forests
+            assert_cache_is_fresh(trees)
+
+        state.query()
+        assert_cache_is_fresh(trees)
+        for _ in range(3):
+            insert_within_first_component()
+
+        forests = trees.forests
+        insert(rng.integers(k), rng.integers(k, n))
+        assert trees.forests is not forests
+        state.query()
+        assert_cache_is_fresh(trees)
+        insert_within_first_component()
+
+        forests = trees.forests
+        e = int(rng.integers(state.m))
+        state.increase_length(IncreaseLength(
+            e, float(state.lengths[e] + 2.0 * trees.total)))
+        assert trees.forests is not forests
+        state.query()
+        assert_cache_is_fresh(trees)
+        insert_within_first_component()
+
+
+def assert_cache_is_fresh(trees):
+    """Each forest's cached (off, u, v, meet, grads) equals a fresh
+    computation element by element."""
+    assert len(trees._cycles) == len(trees.forests)
+    for forest, cached in zip(trees.forests, trees._cycles):
+        fresh = trees._forest_cycles(forest)
+        assert len(cached) == len(fresh) == 5
+        for got, want in zip(cached, fresh):
+            assert got.dtype == want.dtype
+            assert np.array_equal(got, want)
 
 
 def direct_solve(state):

@@ -5,6 +5,7 @@ from hypothesis import given, settings, strategies as st
 
 from pnormflow.graph import IncrementalGraph, is_circulation, net_demand
 from pnormflow.trees import SpanningForest
+from support import reference_forest
 
 
 def random_graph(rng, n, m):
@@ -55,6 +56,77 @@ class TestConstruction:
         forest = forest_of(g, rng)
         roots = {g.find(v) for v in range(n)}
         assert forest.tree_edges.size == n - len(roots)
+
+
+FOREST_FIELDS = ("parent_vertex", "parent_edge", "parent_sign", "depth",
+                 "order", "tree_edges")
+
+
+def assert_forest_matches_reference(n, tails, heads, edge_order):
+    forest = SpanningForest(n, tails, heads, edge_order)
+    want = reference_forest(n, tails, heads, edge_order)
+    for name in FOREST_FIELDS:
+        got, expect = getattr(forest, name), getattr(want, name)
+        assert got.dtype == expect.dtype, name
+        assert np.array_equal(got, expect), name
+
+
+def edge_orders(rng, m):
+    """One edge order in each accepted form."""
+    perm = rng.permutation(m)
+    return [range(m), list(range(m)), np.arange(m), perm, perm.tolist()]
+
+
+class TestReferenceForest:
+    """SpanningForest equals the element-by-element build that scans the
+    whole edge order: same tree edges in the same order, same orientation,
+    whether or not Kruskal stops early."""
+
+    @given(seed=st.integers(min_value=0, max_value=2 ** 32 - 1))
+    @settings(max_examples=60, deadline=None)
+    def test_random_multigraphs(self, seed):
+        rng = np.random.Generator(np.random.Philox(seed))
+        n = int(rng.integers(2, 14))
+        g = random_graph(rng, n, int(rng.integers(1, 4 * n)))
+        for _ in range(int(rng.integers(0, 4))):
+            # Parallel copies of existing edges, in either orientation.
+            e = int(rng.integers(g.m))
+            u, v = int(g.tails[e]), int(g.heads[e])
+            g.add_edge(*((u, v) if rng.random() < 0.5 else (v, u)))
+        for order in edge_orders(rng, g.m):
+            assert_forest_matches_reference(g.n, g.tails, g.heads, order)
+            assert_forest_matches_reference(g.n, g.tails.tolist(),
+                                            g.heads.tolist(), order)
+
+    @given(seed=st.integers(min_value=0, max_value=2 ** 32 - 1))
+    @settings(max_examples=30, deadline=None)
+    def test_disconnected_graphs(self, seed):
+        """Fewer than n - 1 tree edges exist, so the scan runs to the end."""
+        rng = np.random.Generator(np.random.Philox(seed))
+        n = int(rng.integers(3, 14))
+        # Edges only among the first k vertices leave the rest isolated.
+        k = int(rng.integers(2, n))
+        g = IncrementalGraph(n)
+        for _ in range(int(rng.integers(1, 3 * k))):
+            u, v = rng.choice(k, size=2, replace=False)
+            g.add_edge(int(u), int(v))
+        for order in edge_orders(rng, g.m):
+            assert_forest_matches_reference(g.n, g.tails, g.heads, order)
+        assert SpanningForest(g.n, g.tails, g.heads,
+                              range(g.m)).tree_edges.size < n - 1
+
+    def test_single_vertex(self):
+        g = IncrementalGraph(1)
+        for order in edge_orders(np.random.default_rng(0), 0):
+            assert_forest_matches_reference(1, g.tails, g.heads, order)
+
+    def test_two_vertices(self):
+        g = IncrementalGraph(2)
+        assert_forest_matches_reference(2, g.tails, g.heads, range(0))
+        for u, v in ((1, 0), (0, 1), (1, 0)):
+            g.add_edge(u, v)
+        for order in edge_orders(np.random.default_rng(1), g.m):
+            assert_forest_matches_reference(2, g.tails, g.heads, order)
 
 
 class TestRouteDemand:
@@ -193,6 +265,26 @@ class TestLca:
         batch = forest.lca_many(us, vs)
         for i in range(8):
             assert batch[i] == self.naive_lca(forest, int(us[i]), int(vs[i]))
+
+    def test_lca_of_a_vertex_with_itself(self):
+        g = IncrementalGraph(4)
+        for u, v in ((0, 1), (1, 2), (1, 3)):
+            g.add_edge(u, v)
+        forest = forest_of(g)
+        assert forest.lca_many([0, 2, 3, 1], [0, 2, 3, 1]).tolist() \
+            == [0, 2, 3, 1]
+
+    def test_lca_across_a_roots_children(self):
+        """Pairs in different subtrees of the root meet at the root, at equal
+        and at unequal depths, in either argument order."""
+        g = IncrementalGraph(6)
+        for u, v in ((0, 1), (0, 2), (1, 3), (2, 4), (4, 5)):
+            g.add_edge(u, v)
+        forest = forest_of(g)
+        assert forest.parent_vertex[0] == -1
+        us, vs = [1, 3, 3, 5, 1], [2, 4, 5, 3, 5]
+        assert forest.lca_many(us, vs).tolist() == [0] * 5
+        assert forest.lca_many(vs, us).tolist() == [0] * 5
 
 
 class TestPrefixSums:
