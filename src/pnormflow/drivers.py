@@ -129,8 +129,9 @@ class MaxflowDriver:
             raise ValueError("initial edges must precede start()")
         if len(self.caps) >= self.m_max:
             raise ValueError("edge bound m_max exceeded")
+        cap = self._check_cap(cap)
         self.graph.add_edge(u, v)
-        self.caps.append(self._check_cap(cap))
+        self.caps.append(cap)
 
     def start(self) -> tuple[float, np.ndarray]:
         """Published (value, flow) for the initial graph."""
@@ -262,9 +263,9 @@ class EffResDriver:
             raise ValueError(f"terminal out of range: s={s}, t={t}, n={n}")
         if s == t:
             raise ValueError("s and t must differ")
-        if theta <= 0:
+        if not theta > 0:
             raise ValueError(f"theta must be positive, got {theta}")
-        if eps_rel <= 0:
+        if not eps_rel > 0:
             raise ValueError(f"eps_rel must be positive, got {eps_rel}")
         self.theta = float(theta)
         self.eps_rel = float(eps_rel)
@@ -283,9 +284,9 @@ class EffResDriver:
         self._started = False
 
     def _attrs(self, resistance: float) -> tuple[float, float, float]:
-        if resistance <= 0:
+        if not 0 < resistance < math.inf:
             raise ValueError(
-                f"resistances must be positive, got {resistance}")
+                f"resistances must be positive and finite, got {resistance}")
         root = math.sqrt(resistance)
         return 0.0, root, self.gamma * root
 

@@ -26,8 +26,6 @@ from .errors import GraphError
 
 # Per-component demand sums are "zero" within this fraction of ||d||_1.
 DEMAND_SUM_RTOL = 1e-9
-# A vector c is a circulation when ||net_demand(c)||_inf <= this * (1 + ||c||_inf).
-CIRCULATION_RTOL = 1e-8
 
 
 def grow_column(column: np.ndarray, e: int) -> np.ndarray:
@@ -152,14 +150,6 @@ def demand_routable(graph: IncrementalGraph, d: np.ndarray) -> bool:
     return all(abs(s) <= tol for s in sums.values())
 
 
-def is_circulation(graph: IncrementalGraph, c: np.ndarray) -> bool:
-    """True iff c routes the zero demand, within scale-aware tolerance."""
-    c = np.asarray(c, dtype=float)
-    imbalance = net_demand(graph, c)
-    scale = 1.0 + (float(np.max(np.abs(c))) if c.size else 0.0)
-    return float(np.max(np.abs(imbalance))) <= CIRCULATION_RTOL * scale
-
-
 def pnorm(values: np.ndarray, p: float) -> float:
     """||values||_p via a max-normalized power sum, safe near overflow."""
     values = np.abs(np.asarray(values, dtype=float))
@@ -257,8 +247,10 @@ class PNormInstance:
             raise ValueError(f"demand length {d.shape} does not match n={graph.n}")
         if abs(float(d.sum())) > DEMAND_SUM_RTOL * (1.0 + float(np.abs(d).sum())):
             raise ValueError("demand entries must sum to zero")
-        if eps <= 0:
+        if not eps > 0:
             raise ValueError(f"accuracy must be positive, got {eps}")
+        if math.isnan(threshold):
+            raise ValueError("threshold must be a number, got nan")
         self.graph = graph
         self.d = d
         self.p = int(p)
@@ -291,13 +283,15 @@ class PNormInstance:
         w = np.asarray(w, dtype=float)
         if not (g.shape == r.shape == w.shape == (self.graph.m,)):
             raise ValueError("attribute arrays must match the edge count")
-        self._check_attrs(bool(np.all(np.isfinite(g))), bool(np.all(r > 0)),
-                          bool(np.all(w > 0)))
+        self._check_attrs(bool(np.all(np.isfinite(g))),
+                          bool(np.all((0 < r) & (r < math.inf))),
+                          bool(np.all((0 < w) & (w < math.inf))))
         self._g, self._r, self._w = g.copy(), r.copy(), w.copy()
 
     def add_edge(self, u: int, v: int, g: float, r: float, w: float) -> int:
         """Insert an edge with its gradient, resistance and weight."""
-        self._check_attrs(math.isfinite(g), r > 0, w > 0)
+        self._check_attrs(math.isfinite(g), 0 < r < math.inf,
+                          0 < w < math.inf)
         e = self.graph.add_edge(u, v)
         self._g = grow_column(self._g, e)
         self._r = grow_column(self._r, e)
@@ -306,16 +300,17 @@ class PNormInstance:
         return e
 
     @staticmethod
-    def _check_attrs(finite_g: bool, positive_r: bool, positive_w: bool
-                     ) -> None:
+    def _check_attrs(finite_g: bool, good_r: bool, good_w: bool) -> None:
         """Raise on the first failed attribute check (NaN r or w fails its
-        comparison, so it counts as not positive)."""
+        comparisons, so it counts as not positive)."""
         if not finite_g:
             raise ValueError("edge gradients must be finite")
-        if not positive_r:
-            raise ValueError("edge resistances must be strictly positive")
-        if not positive_w:
-            raise ValueError("edge weights must be strictly positive")
+        if not good_r:
+            raise ValueError(
+                "edge resistances must be strictly positive and finite")
+        if not good_w:
+            raise ValueError(
+                "edge weights must be strictly positive and finite")
 
     def energy(self, f: np.ndarray) -> float:
         """E(f) for a flow on the current edge set."""
@@ -332,11 +327,3 @@ class PNormInstance:
     def routable(self) -> bool:
         return demand_routable(self.graph, self.d)
 
-
-def residual_value(residual, x: np.ndarray) -> float:
-    """Value of a residual problem at a circulation x.
-
-    Accepts anything with g, r, w, p attributes (a ResidualProblem or an
-    instance); the functional form is the same smoothed objective.
-    """
-    return smoothed_value(residual.g, residual.r, residual.w, residual.p, x)

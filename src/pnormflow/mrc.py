@@ -1,17 +1,16 @@
-"""Min-ratio cycle solvers.
+"""The monotone min-ratio cycle oracle of the multiplicative weights loop.
 
 A min-ratio cycle instance assigns each edge a gradient and a positive
 length; the goal is the circulation minimizing <g, c> / ||L c||_1, which is
-always attained at a simple oriented cycle. Two solvers live here:
-
-  * exact_min_ratio_cycle: parametric search with negative-cycle detection.
-  * MonotoneMrcState: the incremental oracle used by the multiplicative
-    weights loop. Lengths only ever increase and edges only arrive, which is
-    what makes the incremental contract achievable; queries ask for any
-    cycle of ratio at most -alpha/kappa. Its input changes only through
-    insert and increase_length, so a query answers from the last solve
-    until one of them comes; both backends are deterministic between
-    updates, so the stored answer is the one a new solve would give.
+always attained at a simple oriented cycle. MonotoneMrcState answers the
+incremental version the inner loop needs: lengths only ever increase and
+edges only arrive, which is what makes the incremental contract
+achievable, and a query asks for any cycle of ratio at most -alpha/kappa.
+Its input changes only through insert and increase_length, so a query
+answers from the last solve until one of them comes; both backends (one
+Bellman-Ford negative-cycle search at the threshold, or fundamental cycles
+over randomized spanning forests) are deterministic between updates, so
+the stored answer is the one a new solve would give.
 """
 
 from __future__ import annotations
@@ -24,24 +23,6 @@ import numpy as np
 from .errors import OracleError
 from .graph import IncrementalGraph, grow_column
 from .trees import SpanningForest
-
-
-class MrcInstance:
-    """Static instance: a graph plus per-edge gradients and positive lengths."""
-
-    def __init__(self, graph: IncrementalGraph, gradients: np.ndarray,
-                 lengths: np.ndarray):
-        gradients = np.asarray(gradients, dtype=float)
-        lengths = np.asarray(lengths, dtype=float)
-        if gradients.shape != (graph.m,) or lengths.shape != (graph.m,):
-            raise ValueError("gradient/length arrays must match the edge count")
-        if not np.all(np.isfinite(gradients)):
-            raise ValueError("gradients must be finite")
-        if not np.all(lengths > 0):
-            raise ValueError("edge lengths must be strictly positive")
-        self.graph = graph
-        self.gradients = gradients
-        self.lengths = lengths
 
 
 @dataclass
@@ -103,7 +84,8 @@ def _negative_cycle(n: int, tails: np.ndarray, heads: np.ndarray,
         dist = new
 
     # Walk n parent steps to guarantee we are inside a parent cycle, then
-    # collect it. Parent cycles are vertex-simple, so no edge repeats.
+    # collect it. Parent cycles are vertex-simple, so an edge could repeat
+    # only as one edge traversed both ways, a cycle of positive weight.
     v = int(improved[0])
     for _ in range(n):
         v = int(arc_tail[parent[v]])
@@ -121,86 +103,9 @@ def _negative_cycle(n: int, tails: np.ndarray, heads: np.ndarray,
     return edges, signs
 
 
-def _cancel_opposing(edges: np.ndarray, signs: np.ndarray
-                     ) -> tuple[np.ndarray, np.ndarray]:
-    """Drop edges traversed once in each direction (defensive; the extracted
-    parent cycles are vertex-simple and should never contain such pairs)."""
-    coef: dict[int, int] = {}
-    for e, s in zip(edges.tolist(), signs.tolist()):
-        coef[e] = coef.get(e, 0) + s
-    kept = [(e, s) for e, s in coef.items() if s != 0]
-    if len(kept) == len(edges):
-        return edges, signs
-    out_edges = np.asarray([e for e, _ in kept], dtype=np.int64)
-    out_signs = np.asarray([s for _, s in kept], dtype=np.int64)
-    return out_edges, out_signs
-
-
-def exact_min_ratio_cycle(instance: MrcInstance, tol: float = 1e-9
-                          ) -> CycleSolution | None:
-    """Minimum-ratio cycle to additive tolerance via parametric search.
-
-    Bisects the shift mu over [-(m * max|g| / min(l) + 1), 0]: a negative
-    cycle under arc costs g - mu*l exists exactly when some cycle has ratio
-    below mu. Returns None when the multigraph is acyclic; when no cycle has
-    negative gradient at all, every cycle gradient is zero and any
-    fundamental cycle attains the minimum ratio 0.
-    """
-    if tol <= 0:
-        raise ValueError("tol must be positive")
-    graph, g, lengths = instance.graph, instance.gradients, instance.lengths
-    n, m = graph.n, graph.m
-    tails, heads = graph.tails, graph.heads
-    forest = SpanningForest(n, tails, heads, range(m))
-    off_tree = np.flatnonzero(~forest.tree_edge_mask(m))
-    if off_tree.size == 0:
-        return None
-
-    found = _negative_cycle(n, tails, heads, g, -g)
-    if found is None:
-        edges, signs = forest.fundamental_cycle(int(off_tree[0]), tails, heads)
-        return _solution_from_cycle(edges, signs, g, lengths)
-
-    lo = -(m * float(np.max(np.abs(g))) / float(np.min(lengths)) + 1.0)
-    hi = 0.0
-    best = found
-    while hi - lo > tol:
-        mid = 0.5 * (lo + hi)
-        probe = _negative_cycle(n, tails, heads, g - mid * lengths,
-                                -g - mid * lengths)
-        if probe is None:
-            lo = mid
-        else:
-            hi = mid
-            best = probe
-    edges, signs = _cancel_opposing(*best)
-    solution = _solution_from_cycle(edges, signs, g, lengths)
-    if solution.ratio > 0:
-        raise OracleError("parametric search extracted a non-negative cycle")
-    return solution
-
-
 def _read_only(view: np.ndarray) -> np.ndarray:
     view.flags.writeable = False
     return view
-
-
-@dataclass
-class InsertEdge:
-    """Admission of the graph's newest edge with its gradient and initial
-    length."""
-
-    edge: int
-    gradient: float
-    length: float
-
-
-@dataclass
-class IncreaseLength:
-    """Monotone length update; `length` must not be below the current one."""
-
-    edge: int
-    length: float
 
 
 class MonotoneMrcState:
@@ -226,9 +131,18 @@ class MonotoneMrcState:
     that solved, so `queries - solves` is the number of memo hits.
     """
 
-    def __init__(self, instance: MrcInstance, alpha: float, kappa: float = 1.0,
+    def __init__(self, graph: IncrementalGraph, gradients: np.ndarray,
+                 lengths: np.ndarray, alpha: float, kappa: float = 1.0,
                  backend: str = "exact", seed: int | None = None,
                  capacity: int | None = None):
+        gradients = np.asarray(gradients, dtype=float)
+        lengths = np.asarray(lengths, dtype=float)
+        if gradients.shape != (graph.m,) or lengths.shape != (graph.m,):
+            raise ValueError("gradient/length arrays must match the edge count")
+        if not np.all(np.isfinite(gradients)):
+            raise ValueError("gradients must be finite")
+        if not np.all(lengths > 0):
+            raise ValueError("edge lengths must be strictly positive")
         if alpha <= 0:
             raise ValueError("target ratio alpha must be positive")
         if kappa < 1:
@@ -237,8 +151,8 @@ class MonotoneMrcState:
             raise ValueError(f"unknown backend {backend!r}")
         if backend == "exact" and kappa != 1.0:
             raise ValueError("the exact backend is exactly kappa = 1")
-        self.graph = instance.graph
-        self.n, self.m = self.graph.n, self.graph.m
+        self.graph = graph
+        self.n, self.m = graph.n, graph.m
         capacity = max(capacity or 0, self.m)
         self.alpha = alpha
         self.kappa = kappa
@@ -249,8 +163,8 @@ class MonotoneMrcState:
         self._answer: CycleSolution | None = None
         self._grads = np.zeros(capacity)
         self._lengths = np.zeros(capacity)
-        self._grads[:self.m] = instance.gradients
-        self._lengths[:self.m] = instance.lengths
+        self._grads[:self.m] = gradients
+        self._lengths[:self.m] = lengths
         self._trees = (_TreeCollection(self, seed) if backend == "trees"
                        else None)
 
@@ -270,39 +184,41 @@ class MonotoneMrcState:
     def lengths(self) -> np.ndarray:
         return _read_only(self._lengths[:self.m])
 
-    def insert(self, update: InsertEdge) -> int:
-        e = update.edge
+    def insert(self, e: int, gradient: float, length: float) -> int:
+        """Admit edge e, the graph's newest, with its gradient and initial
+        length estimate."""
         if e != self.m or e != self.graph.m - 1:
             raise ValueError(
                 f"edge {e} is not the graph's newest edge {self.graph.m - 1} "
                 f"following the admitted {self.m}")
-        if update.length <= 0:
+        if length <= 0:
             raise ValueError("edge length must be strictly positive")
-        if not math.isfinite(update.gradient):
+        if not math.isfinite(gradient):
             raise ValueError("edge gradient must be finite")
         self._grads = grow_column(self._grads, e)
         self._lengths = grow_column(self._lengths, e)
-        self._grads[e] = update.gradient
-        self._lengths[e] = update.length
+        self._grads[e] = gradient
+        self._lengths[e] = length
         self.m += 1
         self._fresh = False
         if self._trees is not None:
             self._trees.note_insert(e)
         return e
 
-    def increase_length(self, update: IncreaseLength) -> None:
-        e = update.edge
+    def increase_length(self, e: int, length: float) -> None:
+        """Raise edge e's length estimate to `length`, which must not be
+        below the current one."""
         if not 0 <= e < self.m:
             raise ValueError(f"edge {e} does not exist")
         old = self._lengths[e]
-        if update.length < old:
+        if length < old:
             raise ValueError(
-                f"length of edge {e} may not decrease ({old} -> {update.length})"
+                f"length of edge {e} may not decrease ({old} -> {length})"
             )
-        self._lengths[e] = update.length
+        self._lengths[e] = length
         self._fresh = False
         if self._trees is not None:
-            self._trees.note_increase(update.length - old)
+            self._trees.note_increase(length - old)
 
     def query(self) -> CycleSolution | None:
         """Any cycle with ratio <= -alpha/kappa; None when unavailable.
@@ -331,7 +247,10 @@ class MonotoneMrcState:
                                 -g + self.alpha * lengths)
         if found is None:
             return None
-        edges, signs = _cancel_opposing(*found)
+        edges, signs = found
+        if np.unique(edges).size != edges.size:
+            raise OracleError("negative-cycle search returned a cycle that "
+                              "repeats an edge")
         solution = _solution_from_cycle(edges, signs, g, lengths)
         if solution.ratio > -self.alpha:
             # Float-boundary extraction; treat as no qualifying cycle.

@@ -45,20 +45,13 @@ checks therefore run on the cycle's edges only, at every step.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
 
 from .errors import InvariantViolation
 from .graph import IncrementalGraph, pnorm
-from .mrc import (
-    CycleSolution,
-    IncreaseLength,
-    InsertEdge,
-    MonotoneMrcState,
-    MrcInstance,
-)
+from .mrc import CycleSolution, MonotoneMrcState
 
 # The weight schedule needs at least 4 slots; a solver with a smaller edge
 # bound runs the same loop on 4 slots, the unfilled ones padded.
@@ -79,13 +72,6 @@ def mwu_schedule(m_max: int, p: int, kappa: float) -> tuple[int, float, int]:
     at least MIN_EDGE_BOUND."""
     q = min(int(math.floor(math.log2(m_max))), int(p))
     return q, 100 * q * float(kappa), 100 * q * m_max
-
-
-@dataclass
-class Solution:
-    """Completed run: circulation with <g, c> = -1 and scaled norms <= 2K."""
-
-    circulation: np.ndarray
 
 
 def _edge_lengths(K: float, q: int, r: np.ndarray, w: np.ndarray,
@@ -161,10 +147,9 @@ class MwuState:
 
         # The oracle owns the gradients and the length estimates, which
         # start at the lengths.
-        instance = MrcInstance(graph, g, self._ell[:m])
-        self.mrc = MonotoneMrcState(instance, self.alpha, kappa=self.kappa,
-                                    backend=backend, seed=seed,
-                                    capacity=m_max)
+        self.mrc = MonotoneMrcState(graph, g, self._ell[:m], self.alpha,
+                                    kappa=self.kappa, backend=backend,
+                                    seed=seed, capacity=m_max)
 
     @property
     def gradients(self) -> np.ndarray:
@@ -218,7 +203,7 @@ def mwu_insert_edge(state: MwuState, e: int, g_e: float, r_e: float,
                                  state._w[e:e + 1], state._a[e:e + 1],
                                  state._b[e:e + 1])[0])
     state._ell[e] = length
-    state.mrc.insert(InsertEdge(edge=e, gradient=g_e, length=length))
+    state.mrc.insert(e, g_e, length)
 
 
 def _push_length_estimates(state: MwuState) -> int:
@@ -237,8 +222,7 @@ def _push_length_estimates(state: MwuState) -> int:
     if i < segment.rows - 1 or segment.stale.size == 0:
         return 0
     for e in segment.stale.tolist():
-        state.mrc.increase_length(
-            IncreaseLength(edge=e, length=2.0 * float(state._ell[e])))
+        state.mrc.increase_length(e, 2.0 * float(state._ell[e]))
     ell = state._ell[edges]
     tilde = state.length_estimates[edges]
     if not (np.all(tilde >= ell * (1 - 1e-12)) and
@@ -375,8 +359,9 @@ def mwu_step(state: MwuState) -> CycleSolution | None:
     return cycle
 
 
-def mwu_solution(state: MwuState) -> Solution:
-    """The averaged circulation after T progress steps, contract-checked."""
+def mwu_solution(state: MwuState) -> np.ndarray:
+    """The averaged circulation after T progress steps, contract-checked:
+    <g, c> = -1 and both scaled norms at most 2K."""
     if state.iteration != state.T:
         raise ValueError("the run has not completed T progress steps")
     m = state.m
@@ -395,4 +380,4 @@ def mwu_solution(state: MwuState) -> Solution:
         raise InvariantViolation(f"||Rc||_2 = {norm2} exceeds 2K")
     if normp > 2 * K * (1 + POTENTIAL_RTOL):
         raise InvariantViolation(f"||Wc||_p = {normp} exceeds 2K")
-    return Solution(circulation=c)
+    return c

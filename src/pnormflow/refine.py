@@ -33,7 +33,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import InvariantViolation
-from .graph import PNormInstance, pnorm, residual_value
+from .graph import PNormInstance, pnorm, smoothed_value
 from .mwu import (
     MIN_EDGE_BOUND,
     MwuState,
@@ -72,7 +72,7 @@ class ResidualProblem:
     p: int
 
     def value(self, x: np.ndarray) -> float:
-        return residual_value(self, x)
+        return smoothed_value(self.g, self.r, self.w, self.p, x)
 
 
 def build_residual(instance: PNormInstance, f: np.ndarray) -> ResidualProblem:
@@ -263,9 +263,8 @@ class IncrementalPNormSolver:
                     return CertifiedAbove()
                 self.iterations += 1
             if self.mwu.iteration >= self.T:
-                solution = mwu_solution(self.mwu)
                 self._flow[:instance.m] = refinement_step(
-                    self, solution.circulation)
+                    self, mwu_solution(self.mwu))
                 self.mwu = None
                 continue
             if materialized:

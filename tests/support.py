@@ -2,7 +2,10 @@
 
 Nothing in the package imports this module. It holds
 
-  * brute_force_min_ratio_cycle, an exhaustive simple-cycle oracle;
+  * brute_force_min_ratio_cycle, an exhaustive simple-cycle oracle, and
+    exact_min_ratio_cycle, a parametric search with negative-cycle
+    detection;
+  * is_circulation, the zero-demand check with a scale-aware tolerance;
   * update logs (UpdateLog, LogInsert, LogDelete) with the stability
     witness checker and the canonical witness for monotone logs;
   * LogRecorder, which builds an inner run's update log by watching its
@@ -26,41 +29,46 @@ from typing import Callable, Iterable, Mapping, Sequence
 import numpy as np
 
 import pnormflow.mwu as mwu_module
-from pnormflow.errors import InvariantViolation
-from pnormflow.graph import _UnionFind, smoothed_gradient, smoothed_value
-from pnormflow.mrc import (
-    CycleSolution,
-    IncreaseLength,
-    MrcInstance,
-    _solution_from_cycle,
+from pnormflow.errors import InvariantViolation, OracleError
+from pnormflow.graph import (
+    IncrementalGraph,
+    _UnionFind,
+    net_demand,
+    smoothed_gradient,
+    smoothed_value,
 )
-from pnormflow.mwu import (
-    MwuState,
-    Solution,
-    mwu_insert_edge,
-    mwu_solution,
-    mwu_step,
-)
+from pnormflow.mrc import CycleSolution, _negative_cycle, _solution_from_cycle
+from pnormflow.mwu import MwuState, mwu_insert_edge, mwu_solution, mwu_step
+from pnormflow.trees import SpanningForest
 
 BRUTE_FORCE_VERTEX_LIMIT = 16
 BRUTE_FORCE_EDGE_LIMIT = 24
+# A vector c is a circulation when ||net_demand(c)||_inf <= this * (1 + ||c||_inf).
+CIRCULATION_RTOL = 1e-8
 
 
-def brute_force_min_ratio_cycle(instance: MrcInstance) -> CycleSolution | None:
+def is_circulation(graph: IncrementalGraph, c: np.ndarray) -> bool:
+    """True iff c routes the zero demand, within scale-aware tolerance."""
+    c = np.asarray(c, dtype=float)
+    imbalance = net_demand(graph, c)
+    scale = 1.0 + (float(np.max(np.abs(c))) if c.size else 0.0)
+    return float(np.max(np.abs(imbalance))) <= CIRCULATION_RTOL * scale
+
+
+def brute_force_min_ratio_cycle(graph: IncrementalGraph, g: np.ndarray,
+                                lengths: np.ndarray) -> CycleSolution | None:
     """Minimum-ratio simple cycle by exhaustive enumeration.
 
     Each simple cycle is visited once, anchored at its smallest vertex with
     the smaller-id endpoint edge first; both orientations are scored. Returns
     None when the multigraph is acyclic. Only meant for small instances.
     """
-    graph = instance.graph
     n, m = graph.n, graph.m
     if n > BRUTE_FORCE_VERTEX_LIMIT and m > BRUTE_FORCE_EDGE_LIMIT:
         raise ValueError(
             f"instance too large to enumerate (n={n}, m={m}; "
             f"need n <= {BRUTE_FORCE_VERTEX_LIMIT} or m <= {BRUTE_FORCE_EDGE_LIMIT})"
         )
-    g, lengths = instance.gradients, instance.lengths
     adj: list[list[tuple[int, int, int]]] = [[] for _ in range(n)]
     for e, (u, v) in enumerate(zip(graph.tails.tolist(), graph.heads.tolist())):
         adj[u].append((e, v, 1))
@@ -105,6 +113,66 @@ def brute_force_min_ratio_cycle(instance: MrcInstance) -> CycleSolution | None:
         extend(anchor, anchor, 0.0, 0.0)
         visited[anchor] = False
     return best
+
+
+def _cancel_opposing(edges: np.ndarray, signs: np.ndarray
+                     ) -> tuple[np.ndarray, np.ndarray]:
+    """Drop edges traversed once in each direction."""
+    coef: dict[int, int] = {}
+    for e, s in zip(edges.tolist(), signs.tolist()):
+        coef[e] = coef.get(e, 0) + s
+    kept = [(e, s) for e, s in coef.items() if s != 0]
+    if len(kept) == len(edges):
+        return edges, signs
+    out_edges = np.asarray([e for e, _ in kept], dtype=np.int64)
+    out_signs = np.asarray([s for _, s in kept], dtype=np.int64)
+    return out_edges, out_signs
+
+
+def exact_min_ratio_cycle(graph: IncrementalGraph, g: np.ndarray,
+                          lengths: np.ndarray, tol: float = 1e-9
+                          ) -> CycleSolution | None:
+    """Minimum-ratio cycle to additive tolerance via parametric search.
+
+    Bisects the shift mu over [-(m * max|g| / min(l) + 1), 0]: a negative
+    cycle under arc costs g - mu*l exists exactly when some cycle has ratio
+    below mu. Returns None when the multigraph is acyclic; when no cycle has
+    negative gradient at all, every cycle gradient is zero and any
+    fundamental cycle attains the minimum ratio 0.
+    """
+    if tol <= 0:
+        raise ValueError("tol must be positive")
+    g = np.asarray(g, dtype=float)
+    lengths = np.asarray(lengths, dtype=float)
+    n, m = graph.n, graph.m
+    tails, heads = graph.tails, graph.heads
+    forest = SpanningForest(n, tails, heads, range(m))
+    off_tree = np.flatnonzero(~forest.tree_edge_mask(m))
+    if off_tree.size == 0:
+        return None
+
+    found = _negative_cycle(n, tails, heads, g, -g)
+    if found is None:
+        edges, signs = forest.fundamental_cycle(int(off_tree[0]), tails, heads)
+        return _solution_from_cycle(edges, signs, g, lengths)
+
+    lo = -(m * float(np.max(np.abs(g))) / float(np.min(lengths)) + 1.0)
+    hi = 0.0
+    best = found
+    while hi - lo > tol:
+        mid = 0.5 * (lo + hi)
+        probe = _negative_cycle(n, tails, heads, g - mid * lengths,
+                                -g - mid * lengths)
+        if probe is None:
+            lo = mid
+        else:
+            hi = mid
+            best = probe
+    edges, signs = _cancel_opposing(*best)
+    solution = _solution_from_cycle(edges, signs, g, lengths)
+    if solution.ratio > 0:
+        raise OracleError("parametric search extracted a non-negative cycle")
+    return solution
 
 
 # --- update logs and stability witnesses ---------------------------------------
@@ -287,13 +355,13 @@ class LogRecorder:
 def run_to_end(state: MwuState,
                events: Iterable[tuple[int, int, float, float, float]] = (),
                after: Callable[[MwuState], None] | None = None
-               ) -> Solution | None:
+               ) -> np.ndarray | None:
     """Step a run until it completes, admitting insertions while stalled.
 
     `events` yields (tail, head, g, r, w) tuples; at each stall the next
     one is added to the graph and admitted into the run. `after(state)`
-    runs after every step and every admission. Returns the finished
-    Solution, or None when the oracle stalls with no events left.
+    runs after every step and every admission. Returns the finished run's
+    circulation, or None when the oracle stalls with no events left.
     """
     events = iter(events)
     while state.iteration < state.T:
@@ -365,8 +433,7 @@ def _reference_push(state: MwuState) -> int:
     if stale.size == 0:
         return 0
     for e in stale.tolist():
-        state.mrc.increase_length(
-            IncreaseLength(edge=e, length=2.0 * float(state._ell[e])))
+        state.mrc.increase_length(e, 2.0 * float(state._ell[e]))
     ell = state._ell[:m]
     tilde = state.length_estimates
     if not (np.all(tilde >= ell * (1 - 1e-12)) and

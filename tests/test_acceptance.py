@@ -12,21 +12,8 @@ import time
 import numpy as np
 
 import pnormflow.refine as refine_mod
-from pnormflow.graph import (
-    IncrementalGraph,
-    PNormInstance,
-    is_circulation,
-    net_demand,
-    pnorm,
-)
-from pnormflow.mrc import MrcInstance, exact_min_ratio_cycle
-from pnormflow.mwu import (
-    MwuState,
-    Solution,
-    mwu_init,
-    mwu_solution,
-    mwu_step,
-)
+from pnormflow.graph import IncrementalGraph, PNormInstance, net_demand, pnorm
+from pnormflow.mwu import MwuState, mwu_init, mwu_solution, mwu_step
 from pnormflow.refine import (
     Flow,
     IncrementalPNormSolver,
@@ -48,6 +35,8 @@ from support import (
     brute_force_min_ratio_cycle,
     canonical_stability_widths,
     check_stability_witness,
+    exact_min_ratio_cycle,
+    is_circulation,
     run_to_end,
 )
 
@@ -209,7 +198,7 @@ class TestAcceptance:
                     violations += 1
                 if step["dpsi"] > 4 * q * K ** q / T * (1 + 1e-9):
                     violations += 1
-            if isinstance(outcome, Solution):
+            if isinstance(outcome, np.ndarray):
                 completed += 1
                 if state.phi > 4 * K ** 2 * (1 + 1e-9):
                     violations += 1
@@ -224,10 +213,10 @@ class TestAcceptance:
         violations = 0
         solutions = 0
         for state, outcome, _ in instrumented_run_set():
-            if not isinstance(outcome, Solution):
+            if not isinstance(outcome, np.ndarray):
                 continue
             solutions += 1
-            c = outcome.circulation
+            c = outcome
             m = state.m
             K = state.K
             if abs(float(state.gradients @ c) + 1.0) > 1e-9:
@@ -317,10 +306,10 @@ class TestAcceptance:
             for _ in range(m):
                 u, v = rng.choice(n, size=2, replace=False)
                 graph.add_edge(int(u), int(v))
-            instance = MrcInstance(graph, rng.normal(size=m),
-                                   rng.uniform(0.5, 2.0, size=m))
-            exact = exact_min_ratio_cycle(instance)
-            brute = brute_force_min_ratio_cycle(instance)
+            gradients = rng.normal(size=m)
+            lengths = rng.uniform(0.5, 2.0, size=m)
+            exact = exact_min_ratio_cycle(graph, gradients, lengths)
+            brute = brute_force_min_ratio_cycle(graph, gradients, lengths)
             if (exact is None) != (brute is None):
                 failures += 1
                 continue
@@ -333,8 +322,8 @@ class TestAcceptance:
             if not is_circulation(graph, c):
                 failures += 1
                 continue
-            grad = float(instance.gradients @ c)
-            length = float(np.abs(instance.lengths * c).sum())
+            grad = float(gradients @ c)
+            length = float(np.abs(lengths * c).sum())
             if abs(grad / length - exact.ratio) > 1e-9 * max(
                     1.0, abs(exact.ratio)):
                 failures += 1
@@ -505,7 +494,7 @@ class TestAcceptance:
         outcome = run_to_end(state, after=recorder)
         live_star = {0: -0.5, 1: 0.5}
         live_widths = canonical_stability_widths(recorder.log, live_star)
-        ok_live = (isinstance(outcome, Solution)
+        ok_live = (isinstance(outcome, np.ndarray)
                    and check_stability_witness(recorder.log, live_star,
                                                live_widths))
 

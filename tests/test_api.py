@@ -24,12 +24,15 @@ PUBLIC = [
     "static_pnorm_opt",
 ]
 
-# Proof tools that live in tests/support.py, and the inner loop's former
-# test hooks.
+# Proof tools that live in tests/support.py, the inner loop's former test
+# hooks, and the wrapper types the oracle and the inner loop no longer take
+# or return.
 GONE = [
     "brute_force_min_ratio_cycle", "UpdateLog", "LogInsert", "LogDelete",
     "check_stability_witness", "canonical_stability_widths",
     "finite_diff_check", "mwu_run", "Certified", "Progress",
+    "MrcInstance", "InsertEdge", "IncreaseLength", "exact_min_ratio_cycle",
+    "Solution", "is_circulation", "residual_value",
 ]
 
 

@@ -53,6 +53,19 @@ class TestMaxflowValidation:
         driver.add_initial_edge(0, 1, float(2 ** 53))
         assert driver.caps == [2 ** 53, 2 ** 53]
 
+    @pytest.mark.parametrize("cap", [0, 2.5, math.nan, 2 ** 53 + 1])
+    def test_rejected_initial_capacity_leaves_the_driver_unchanged(self, cap):
+        driver = MaxflowDriver(3, 4, 0, 2, 0.25, seed=0)
+        driver.add_initial_edge(0, 1, 1)
+        with pytest.raises(ValueError):
+            driver.add_initial_edge(1, 2, cap)
+        assert driver.graph.m == len(driver.caps) == 1
+        driver.add_initial_edge(1, 2, 3)
+        assert driver.graph.m == len(driver.caps) == 2
+        value, _ = driver.start()
+        exact, _ = exact_maxflow(driver.graph, np.asarray(driver.caps), 0, 2)
+        assert value == exact == 1
+
     def test_event_ordering_enforced(self):
         driver = maxflow_driver()
         with pytest.raises(ValueError):
@@ -207,6 +220,21 @@ class TestEffResDriver:
             driver.add_initial_edge(0, 1, 0.0)
         with pytest.raises(ValueError):
             driver.insert(0, 1, 1.0)
+
+    def test_non_finite_inputs_rejected_where_they_enter(self):
+        for theta, eps_rel in ((math.nan, 0.1), (1.0, math.nan)):
+            with pytest.raises(ValueError, match="must be positive"):
+                EffResDriver(3, 4, 0, 1, theta=theta, eps_rel=eps_rel)
+        driver = EffResDriver(2, 4, 0, 1, theta=0.5, eps_rel=0.1)
+        for resistance in (math.inf, math.nan):
+            with pytest.raises(ValueError, match="positive and finite"):
+                driver.add_initial_edge(0, 1, resistance)
+        assert driver.instance.m == 0
+        driver.add_initial_edge(0, 1, 1.0)
+        assert isinstance(driver.start(), AboveThreshold)
+        with pytest.raises(ValueError, match="positive and finite"):
+            driver.insert(0, 1, math.inf)
+        assert driver.instance.m == 1
 
     def test_initial_edges_respect_the_edge_bound(self):
         driver = EffResDriver(3, 2, 0, 2, theta=1.0, eps_rel=0.1)

@@ -6,7 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 from pnormflow.drivers import MaxflowDriver
 from pnormflow.graph import IncrementalGraph, PNormInstance, net_demand
-from pnormflow.mrc import InsertEdge, MonotoneMrcState, MrcInstance
+from pnormflow.mrc import MonotoneMrcState
 from pnormflow.refine import (
     CertifiedAbove,
     IncrementalPNormSolver,
@@ -51,8 +51,7 @@ def test_views_track_insertions_across_doublings(seed, p):
                                     step_budget_per_event=20)
     # A second oracle on the same graph, with no capacity hint, so its own
     # columns grow by doubling too.
-    oracle = MonotoneMrcState(
-        MrcInstance(graph, instance.g, np.ones(initial)), alpha=0.1)
+    oracle = MonotoneMrcState(graph, instance.g, np.ones(initial), alpha=0.1)
 
     def check(m):
         tails, heads, g, r, w = (np.asarray(col) for col in zip(*specs[:m]))
@@ -82,7 +81,7 @@ def test_views_track_insertions_across_doublings(seed, p):
     check(initial)
     for m, spec in enumerate(specs[initial:], start=initial + 1):
         assert isinstance(solver.insert_edge(*spec), CertifiedAbove)
-        oracle.insert(InsertEdge(m - 1, spec[2], 1.0))
+        oracle.insert(m - 1, spec[2], 1.0)
         check(m)
 
 
@@ -107,14 +106,13 @@ def test_tree_backend_rebuilds_when_an_insert_joins_components():
     graph = IncrementalGraph(6)
     for u, v in ((0, 1), (1, 2), (2, 0), (3, 4), (4, 5), (5, 3)):
         graph.add_edge(u, v)
-    state = MonotoneMrcState(
-        MrcInstance(graph, np.arange(6.0), np.ones(6)), alpha=0.1,
-        kappa=4.0, backend="trees", seed=3)
+    state = MonotoneMrcState(graph, np.arange(6.0), np.ones(6), alpha=0.1,
+                             kappa=4.0, backend="trees", seed=3)
     forests = state._trees.forests
-    state.insert(InsertEdge(graph.add_edge(0, 1), 1.0, 0.5))
+    state.insert(graph.add_edge(0, 1), 1.0, 0.5)
     assert state._trees.forests is forests
     bridge = graph.add_edge(2, 3)
-    state.insert(InsertEdge(bridge, -1.0, 0.5))
+    state.insert(bridge, -1.0, 0.5)
     assert state._trees.forests is not forests
     for forest in state._trees.forests:
         assert bridge in forest.tree_edges

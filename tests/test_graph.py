@@ -11,15 +11,14 @@ from pnormflow.graph import (
     IncrementalGraph,
     PNormInstance,
     demand_routable,
-    is_circulation,
     net_demand,
     pnorm,
     pnorm_pow,
-    residual_value,
     smoothed_gradient,
     smoothed_value,
 )
-from support import finite_diff_check
+from pnormflow.refine import ResidualProblem
+from support import finite_diff_check, is_circulation
 
 
 class TestIncrementalGraph:
@@ -229,6 +228,24 @@ class TestPNormInstance:
         with pytest.raises(ValueError):
             PNormInstance(g, np.zeros(2), 2, threshold=1.0, eps=0.0)
 
+    def test_nan_eps_and_threshold_rejected(self):
+        g = IncrementalGraph(2)
+        with pytest.raises(ValueError, match="accuracy must be positive"):
+            PNormInstance(g, np.zeros(2), 2, threshold=1.0, eps=np.nan)
+        with pytest.raises(ValueError, match="threshold"):
+            PNormInstance(g, np.zeros(2), 2, threshold=np.nan, eps=0.1)
+
+    @pytest.mark.parametrize("r, w, message", [
+        (np.inf, 1.0, "resistances must be strictly positive and finite"),
+        (1.0, np.inf, "weights must be strictly positive and finite"),
+    ])
+    def test_set_edge_attrs_rejects_infinite_attributes(self, r, w, message):
+        g = IncrementalGraph(2)
+        g.add_edge(0, 1)
+        inst = PNormInstance(g, np.zeros(2), 2, threshold=1.0, eps=0.1)
+        with pytest.raises(ValueError, match=message):
+            inst.set_edge_attrs(np.zeros(1), np.array([r]), np.array([w]))
+
     def test_nonpositive_resistance_rejected(self):
         g = IncrementalGraph(2)
         inst = PNormInstance(g, np.zeros(2), 2, threshold=1.0, eps=0.1)
@@ -248,9 +265,11 @@ class TestPNormInstance:
         ((0.0, 0.0, 1.0), "resistances must be strictly positive"),
         ((0.0, -1.0, 1.0), "resistances must be strictly positive"),
         ((0.0, np.nan, 1.0), "resistances must be strictly positive"),
+        ((0.0, np.inf, 1.0), "resistances must be strictly positive and finite"),
         ((0.0, 1.0, 0.0), "weights must be strictly positive"),
         ((0.0, 1.0, -1.0), "weights must be strictly positive"),
         ((0.0, 1.0, np.nan), "weights must be strictly positive"),
+        ((0.0, 1.0, np.inf), "weights must be strictly positive and finite"),
     ])
     def test_add_edge_rejects_bad_attributes(self, attrs, message):
         g = IncrementalGraph(2)
@@ -274,32 +293,23 @@ class TestResidualValue:
     """The residual objective shares the smoothed evaluation path."""
 
     def test_substitution(self):
-        class Residual:
-            g = np.array([8.0])
-            r = np.array([3.0])
-            w = np.array([2.0])
-            p = 2
+        residual = ResidualProblem(g=np.array([8.0]), r=np.array([3.0]),
+                                   w=np.array([2.0]), p=2)
 
-        assert residual_value(Residual(), np.array([1.0])) == pytest.approx(
+        assert residual.value(np.array([1.0])) == pytest.approx(
             21.0, rel=1e-12)
 
     def test_zero_input(self):
-        class Residual:
-            g = np.array([8.0])
-            r = np.array([3.0])
-            w = np.array([2.0])
-            p = 2
+        residual = ResidualProblem(g=np.array([8.0]), r=np.array([3.0]),
+                                   w=np.array([2.0]), p=2)
 
-        assert residual_value(Residual(), np.zeros(1)) == 0.0
+        assert residual.value(np.zeros(1)) == 0.0
 
     def test_negative_value_possible(self):
-        class Residual:
-            g = np.array([-1.0])
-            r = np.array([1.0])
-            w = np.array([1.0])
-            p = 2
+        residual = ResidualProblem(g=np.array([-1.0]), r=np.array([1.0]),
+                                   w=np.array([1.0]), p=2)
 
-        assert residual_value(Residual(), np.array([0.25])) == pytest.approx(
+        assert residual.value(np.array([0.25])) == pytest.approx(
             -0.125, rel=1e-12)
 
 

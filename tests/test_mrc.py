@@ -1,18 +1,16 @@
 """Tests for min-ratio-cycle oracles, the monotone state, and the witness
 checker for update logs."""
 
+from typing import NamedTuple
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from pnormflow.graph import IncrementalGraph, is_circulation
-from pnormflow.mrc import (
-    IncreaseLength,
-    InsertEdge,
-    MonotoneMrcState,
-    MrcInstance,
-    exact_min_ratio_cycle,
-)
+import pnormflow.mrc as mrc
+from pnormflow.errors import OracleError
+from pnormflow.graph import IncrementalGraph
+from pnormflow.mrc import MonotoneMrcState
 from support import (
     LogDelete,
     LogInsert,
@@ -20,7 +18,18 @@ from support import (
     brute_force_min_ratio_cycle,
     canonical_stability_widths,
     check_stability_witness,
+    exact_min_ratio_cycle,
+    is_circulation,
 )
+
+
+class MrcInput(NamedTuple):
+    """A graph with per-edge gradients and lengths, unpacked into the
+    oracles' leading arguments."""
+
+    graph: IncrementalGraph
+    gradients: np.ndarray
+    lengths: np.ndarray
 
 
 def triangle_instance():
@@ -28,14 +37,14 @@ def triangle_instance():
     g.add_edge(0, 1)
     g.add_edge(1, 2)
     g.add_edge(2, 0)
-    return MrcInstance(g, np.array([-3.0, 1.0, 1.0]), np.ones(3))
+    return MrcInput(g, np.array([-3.0, 1.0, 1.0]), np.ones(3))
 
 
 def parallel_instance(g0=3.0, g1=1.0):
     g = IncrementalGraph(2)
     g.add_edge(0, 1)
     g.add_edge(0, 1)
-    return MrcInstance(g, np.array([g0, g1]), np.ones(2))
+    return MrcInput(g, np.array([g0, g1]), np.ones(2))
 
 
 def random_mrc(rng, n_max=12):
@@ -49,14 +58,14 @@ def random_mrc(rng, n_max=12):
         g.add_edge(int(u), int(v))
     grads = rng.normal(size=g.m)
     lengths = 0.2 + rng.random(g.m)
-    return MrcInstance(g, grads, lengths)
+    return MrcInput(g, grads, lengths)
 
 
 class TestBruteForce:
     """Exhaustive enumeration over simple oriented cycles."""
 
     def test_triangle(self):
-        sol = brute_force_min_ratio_cycle(triangle_instance())
+        sol = brute_force_min_ratio_cycle(*triangle_instance())
         assert sol.ratio == pytest.approx(-1.0 / 3.0, rel=1e-12)
         assert np.allclose(sol.circulation(3), [1.0, 1.0, 1.0])
 
@@ -64,11 +73,11 @@ class TestBruteForce:
         g = IncrementalGraph(3)
         g.add_edge(0, 1)
         g.add_edge(1, 2)
-        inst = MrcInstance(g, np.array([1.0, -1.0]), np.ones(2))
-        assert brute_force_min_ratio_cycle(inst) is None
+        inst = MrcInput(g, np.array([1.0, -1.0]), np.ones(2))
+        assert brute_force_min_ratio_cycle(*inst) is None
 
     def test_parallel_pair(self):
-        sol = brute_force_min_ratio_cycle(parallel_instance())
+        sol = brute_force_min_ratio_cycle(*parallel_instance())
         assert sol.ratio == pytest.approx(-1.0, rel=1e-12)
         assert sorted(sol.circulation(2).tolist()) == [-1.0, 1.0]
 
@@ -79,16 +88,16 @@ class TestBruteForce:
             g.add_edge(i, (i + 1) % n)
         for i in range(n - 2):
             g.add_edge(i, i + 2)
-        inst = MrcInstance(g, np.zeros(g.m) - 1.0, np.ones(g.m))
+        inst = MrcInput(g, np.zeros(g.m) - 1.0, np.ones(g.m))
         with pytest.raises(ValueError):
-            brute_force_min_ratio_cycle(inst)
+            brute_force_min_ratio_cycle(*inst)
 
     @given(seed=st.integers(min_value=0, max_value=2 ** 32 - 1))
     @settings(max_examples=30, deadline=None)
     def test_reported_ratio_matches_recomputation(self, seed):
         rng = np.random.Generator(np.random.Philox(seed))
         inst = random_mrc(rng, n_max=8)
-        sol = brute_force_min_ratio_cycle(inst)
+        sol = brute_force_min_ratio_cycle(*inst)
         if sol is None:
             return
         c = sol.circulation(inst.graph.m)
@@ -102,12 +111,12 @@ class TestBruteForce:
     def test_simple_cycles_dominate_random_circulations(self, seed):
         rng = np.random.Generator(np.random.Philox(seed))
         inst = random_mrc(rng, n_max=7)
-        sol = brute_force_min_ratio_cycle(inst)
+        sol = brute_force_min_ratio_cycle(*inst)
         if sol is None:
             return
         # Random circulation from two fundamental cycles of the brute oracle.
         other = brute_force_min_ratio_cycle(
-            MrcInstance(inst.graph, -inst.gradients, inst.lengths))
+            inst.graph, -inst.gradients, inst.lengths)
         c = sol.circulation(inst.graph.m)
         mix = c + rng.uniform(-1, 1) * other.circulation(inst.graph.m)
         den = float(np.abs(inst.lengths * mix).sum())
@@ -120,11 +129,11 @@ class TestExactMinRatioCycle:
     """Parametric negative-cycle search against the enumeration oracle."""
 
     def test_triangle_within_tolerance(self):
-        sol = exact_min_ratio_cycle(triangle_instance(), tol=1e-9)
+        sol = exact_min_ratio_cycle(*triangle_instance(), tol=1e-9)
         assert sol.ratio == pytest.approx(-1.0 / 3.0, abs=1e-9)
 
     def test_nonnegative_minimum_reports_zero_ratio(self):
-        sol = exact_min_ratio_cycle(parallel_instance(1.0, 1.0))
+        sol = exact_min_ratio_cycle(*parallel_instance(1.0, 1.0))
         assert sol is not None
         assert sol.ratio == pytest.approx(0.0, abs=1e-9)
 
@@ -132,25 +141,25 @@ class TestExactMinRatioCycle:
         g = IncrementalGraph(4)
         for u, v in ((0, 1), (1, 2), (2, 3), (3, 0)):
             g.add_edge(u, v)
-        inst = MrcInstance(g, np.array([-2.0, -1.0, -1.0, -1.0]),
+        inst = MrcInput(g, np.array([-2.0, -1.0, -1.0, -1.0]),
                            np.array([2.0, 3.0, 2.0, 3.0]))
-        sol = exact_min_ratio_cycle(inst)
+        sol = exact_min_ratio_cycle(*inst)
         assert sol.ratio == pytest.approx(-0.5, abs=1e-9)
 
     def test_acyclic_graph(self):
         g = IncrementalGraph(3)
         g.add_edge(0, 1)
         g.add_edge(1, 2)
-        inst = MrcInstance(g, np.array([-5.0, -5.0]), np.ones(2))
-        assert exact_min_ratio_cycle(inst) is None
+        inst = MrcInput(g, np.array([-5.0, -5.0]), np.ones(2))
+        assert exact_min_ratio_cycle(*inst) is None
 
     @given(seed=st.integers(min_value=0, max_value=2 ** 32 - 1))
     @settings(max_examples=40, deadline=None)
     def test_agrees_with_brute_force(self, seed):
         rng = np.random.Generator(np.random.Philox(seed))
         inst = random_mrc(rng, n_max=9)
-        brute = brute_force_min_ratio_cycle(inst)
-        exact = exact_min_ratio_cycle(inst, tol=1e-9)
+        brute = brute_force_min_ratio_cycle(*inst)
+        exact = exact_min_ratio_cycle(*inst, tol=1e-9)
         if brute is None:
             assert exact is None
             return
@@ -164,46 +173,56 @@ class TestMonotoneMrcState:
     """The incremental oracle: contract queries under monotone updates."""
 
     def test_triangle_query_returns_good_cycle(self):
-        state = MonotoneMrcState(triangle_instance(), alpha=0.3)
+        state = MonotoneMrcState(*triangle_instance(), alpha=0.3)
         sol = state.query()
         assert sol is not None
         assert sol.ratio == pytest.approx(-1.0 / 3.0, rel=1e-9)
         assert sol.ratio <= -state.alpha / state.kappa
 
     def test_length_increase_kills_the_cycle(self):
-        state = MonotoneMrcState(triangle_instance(), alpha=0.3)
-        state.increase_length(IncreaseLength(0, 10.0))
+        state = MonotoneMrcState(*triangle_instance(), alpha=0.3)
+        state.increase_length(0, 10.0)
         assert state.query() is None
         # The survivor ratio is -1/12: same cycle, length 10 + 1 + 1.
-        inst = MrcInstance(
+        inst = MrcInput(
             _graph_of(state), state.gradients.copy(), state.lengths.copy())
-        assert brute_force_min_ratio_cycle(inst).ratio == pytest.approx(
+        assert brute_force_min_ratio_cycle(*inst).ratio == pytest.approx(
             -1.0 / 12.0, rel=1e-12)
 
     def test_length_decrease_rejected(self):
-        state = MonotoneMrcState(triangle_instance(), alpha=0.3)
+        state = MonotoneMrcState(*triangle_instance(), alpha=0.3)
         with pytest.raises(ValueError):
-            state.increase_length(IncreaseLength(0, 0.5))
+            state.increase_length(0, 0.5)
 
     def test_insert_into_empty_state(self):
         g = IncrementalGraph(4)
-        inst = MrcInstance(g, np.zeros(0), np.zeros(0))
-        state = MonotoneMrcState(inst, alpha=0.5)
+        inst = MrcInput(g, np.zeros(0), np.zeros(0))
+        state = MonotoneMrcState(*inst, alpha=0.5)
         assert state.query() is None
-        state.insert(InsertEdge(g.add_edge(0, 1), -1.0, 1.0))
+        state.insert(g.add_edge(0, 1), -1.0, 1.0)
         assert state.m == 1
         assert state.query() is None
-        state.insert(InsertEdge(g.add_edge(0, 1), 1.0, 1.0))
+        state.insert(g.add_edge(0, 1), 1.0, 1.0)
         sol = state.query()
         assert sol is not None
         assert sol.ratio == pytest.approx(-1.0, rel=1e-9)
 
     def test_nonpositive_alpha_rejected(self):
         with pytest.raises(ValueError):
-            MonotoneMrcState(triangle_instance(), alpha=0.0)
+            MonotoneMrcState(*triangle_instance(), alpha=0.0)
+
+    def test_cycle_repeating_an_edge_is_an_oracle_error(self, monkeypatch):
+        """A negative-cycle search that returns one edge traversed both ways
+        fails as a typed oracle error, not as a zero division."""
+        monkeypatch.setattr(
+            mrc, "_negative_cycle",
+            lambda *args: (np.array([0, 0]), np.array([1, -1])))
+        state = MonotoneMrcState(*triangle_instance(), alpha=0.3)
+        with pytest.raises(OracleError, match="repeats an edge"):
+            state.query()
 
     def test_query_counter(self):
-        state = MonotoneMrcState(triangle_instance(), alpha=0.3)
+        state = MonotoneMrcState(*triangle_instance(), alpha=0.3)
         state.query()
         state.query()
         assert state.queries == 2
@@ -214,8 +233,8 @@ class TestMonotoneMrcState:
     def test_exact_backend_query_iff_threshold_met(self, seed, alpha):
         rng = np.random.Generator(np.random.Philox(seed))
         inst = random_mrc(rng, n_max=8)
-        best = brute_force_min_ratio_cycle(inst)
-        state = MonotoneMrcState(inst, alpha=alpha)
+        best = brute_force_min_ratio_cycle(*inst)
+        state = MonotoneMrcState(*inst, alpha=alpha)
         sol = state.query()
         if best is not None and best.ratio <= -alpha - 1e-9:
             assert sol is not None
@@ -230,15 +249,15 @@ class TestMonotoneMrcState:
     def test_monotone_updates_only_raise_the_minimum(self, seed):
         rng = np.random.Generator(np.random.Philox(seed))
         inst = random_mrc(rng, n_max=7)
-        state = MonotoneMrcState(inst, alpha=0.05)
-        previous = brute_force_min_ratio_cycle(inst)
+        state = MonotoneMrcState(*inst, alpha=0.05)
+        previous = brute_force_min_ratio_cycle(*inst)
         for _ in range(4):
             e = int(rng.integers(state.m))
             new_len = float(state.lengths[e] * (1.0 + rng.random()))
-            state.increase_length(IncreaseLength(e, new_len))
-        current = MrcInstance(_graph_of(state), state.gradients.copy(),
+            state.increase_length(e, new_len)
+        current = MrcInput(_graph_of(state), state.gradients.copy(),
                               state.lengths.copy())
-        now = brute_force_min_ratio_cycle(current)
+        now = brute_force_min_ratio_cycle(*current)
         if previous is not None and now is not None:
             assert now.ratio >= previous.ratio - 1e-12
 
@@ -247,7 +266,7 @@ class TestTreeBackend:
     """The spanning-tree collection as an approximate query backend."""
 
     def test_triangle_found_by_trees(self):
-        state = MonotoneMrcState(triangle_instance(), alpha=0.3, kappa=2.0,
+        state = MonotoneMrcState(*triangle_instance(), alpha=0.3, kappa=2.0,
                                  backend="trees", seed=1)
         sol = state.query()
         assert sol is not None
@@ -256,7 +275,7 @@ class TestTreeBackend:
 
     def test_exact_backend_requires_unit_kappa(self):
         with pytest.raises(ValueError):
-            MonotoneMrcState(triangle_instance(), alpha=0.3, kappa=2.0,
+            MonotoneMrcState(*triangle_instance(), alpha=0.3, kappa=2.0,
                              backend="exact")
 
     @given(seed=st.integers(min_value=0, max_value=2 ** 32 - 1))
@@ -264,7 +283,7 @@ class TestTreeBackend:
     def test_returned_cycles_honor_the_contract(self, seed):
         rng = np.random.Generator(np.random.Philox(seed))
         inst = random_mrc(rng, n_max=9)
-        state = MonotoneMrcState(inst, alpha=0.1, kappa=4.0,
+        state = MonotoneMrcState(*inst, alpha=0.1, kappa=4.0,
                                  backend="trees", seed=int(seed))
         sol = state.query()
         if sol is None:
@@ -283,12 +302,12 @@ class TestTreeBackend:
         the collection comes within the configured kappa of it."""
         rng = np.random.Generator(np.random.Philox(seed))
         inst = random_mrc(rng, n_max=7)
-        best = brute_force_min_ratio_cycle(inst)
+        best = brute_force_min_ratio_cycle(*inst)
         alpha = 0.05
         if best is None or best.ratio > -alpha:
             return
         kappa = 4.0
-        state = MonotoneMrcState(inst, alpha=alpha, kappa=kappa,
+        state = MonotoneMrcState(*inst, alpha=alpha, kappa=kappa,
                                  backend="trees", seed=int(seed))
         sol = state.query()
         assert sol is not None, (
@@ -303,24 +322,23 @@ class TestTreeBackend:
         every forest's cycles, across insertions and length increases."""
         rng = np.random.Generator(np.random.Philox(seed))
         inst = random_mrc(rng, n_max=9)
-        cached = MonotoneMrcState(inst, alpha=0.05, kappa=4.0,
+        cached = MonotoneMrcState(*inst, alpha=0.05, kappa=4.0,
                                   backend="trees", seed=int(seed))
-        fresh = MonotoneMrcState(inst, alpha=0.05, kappa=4.0,
+        fresh = MonotoneMrcState(*inst, alpha=0.05, kappa=4.0,
                                  backend="trees", seed=int(seed))
         for _ in range(6):
             if rng.random() < 0.5:
                 u, v = rng.choice(cached.n, size=2, replace=False)
                 # Large gradient, small length: a cycle the query must see.
                 e = inst.graph.add_edge(int(u), int(v))
-                update = InsertEdge(e, float(rng.normal() * 10), 0.01)
-                cached.insert(update)
-                fresh.insert(update)
+                update = (e, float(rng.normal() * 10), 0.01)
+                cached.insert(*update)
+                fresh.insert(*update)
             else:
                 e = int(rng.integers(cached.m))
-                update = IncreaseLength(
-                    e, float(cached.lengths[e] * (1 + rng.random())))
-                cached.increase_length(update)
-                fresh.increase_length(update)
+                update = (e, float(cached.lengths[e] * (1 + rng.random())))
+                cached.increase_length(*update)
+                fresh.increase_length(*update)
             fresh._trees._cycles = None
             got, want = cached.query(), fresh.query()
             assert (got is None) == (want is None)
@@ -349,13 +367,13 @@ class TestTreeBackend:
                 u, v = lo + rng.choice(hi - lo, size=2, replace=False)
                 g.add_edge(int(u), int(v))
         state = MonotoneMrcState(
-            MrcInstance(g, rng.normal(size=g.m), 0.2 + rng.random(g.m)),
+            g, rng.normal(size=g.m), 0.2 + rng.random(g.m),
             alpha=0.05, kappa=4.0, backend="trees", seed=int(seed))
         trees = state._trees
 
         def insert(u, v):
             e = g.add_edge(int(u), int(v))
-            state.insert(InsertEdge(e, float(rng.normal()), 0.01))
+            state.insert(e, float(rng.normal()), 0.01)
 
         def insert_within_first_component():
             forests = trees.forests
@@ -377,8 +395,8 @@ class TestTreeBackend:
 
         forests = trees.forests
         e = int(rng.integers(state.m))
-        state.increase_length(IncreaseLength(
-            e, float(state.lengths[e] + 2.0 * trees.total)))
+        state.increase_length(
+            e, float(state.lengths[e] + 2.0 * trees.total))
         assert trees.forests is not forests
         state.query()
         assert_cache_is_fresh(trees)
@@ -417,7 +435,7 @@ class TestQueryMemo:
     def test_memoized_answers_match_direct_solves(self, seed, backend, alpha):
         rng = np.random.Generator(np.random.Philox(seed))
         inst = random_mrc(rng, n_max=8)
-        state = MonotoneMrcState(inst, alpha=alpha,
+        state = MonotoneMrcState(*inst, alpha=alpha,
                                  kappa=4.0 if backend == "trees" else 1.0,
                                  backend=backend, seed=int(seed))
         changed, answer = True, None
@@ -440,46 +458,45 @@ class TestQueryMemo:
             if action < 0.3:
                 u, v = rng.choice(state.n, size=2, replace=False)
                 e = inst.graph.add_edge(int(u), int(v))
-                state.insert(InsertEdge(e, float(rng.normal() * 5),
-                                        0.05 + float(rng.random())))
+                state.insert(e, float(rng.normal() * 5),
+                             0.05 + float(rng.random()))
             elif changed:
                 # Half the time lengthen an edge of the current answer.
                 pool = (answer.edges if answer is not None and
                         rng.random() < 0.5 else np.arange(state.m))
                 e = int(rng.choice(pool))
-                state.increase_length(IncreaseLength(
-                    e, float(state.lengths[e] * (1 + 3 * rng.random()))))
+                state.increase_length(
+                    e, float(state.lengths[e] * (1 + 3 * rng.random())))
 
     @pytest.mark.parametrize("backend, kappa", [("exact", 1.0),
                                                 ("trees", 2.0)])
     def test_back_to_back_queries_solve_once(self, backend, kappa):
-        state = MonotoneMrcState(triangle_instance(), alpha=0.3, kappa=kappa,
+        state = MonotoneMrcState(*triangle_instance(), alpha=0.3, kappa=kappa,
                                  backend=backend, seed=1)
         first = state.query()
         assert first is not None
         for _ in range(4):
             assert state.query() is first
         assert (state.queries, state.solves) == (5, 1)
-        state.increase_length(IncreaseLength(1, 2.0))
+        state.increase_length(1, 2.0)
         state.query()
         state.query()
         assert (state.queries, state.solves) == (7, 2)
 
     def test_unavailable_answer_is_memoized_too(self):
         g = IncrementalGraph(3)
-        state = MonotoneMrcState(MrcInstance(g, np.zeros(0), np.zeros(0)),
-                                 alpha=0.5)
+        state = MonotoneMrcState(g, np.zeros(0), np.zeros(0), alpha=0.5)
         assert state.query() is None and state.query() is None
         assert (state.queries, state.solves) == (2, 1)
-        state.insert(InsertEdge(g.add_edge(0, 1), 1.0, 1.0))
-        state.insert(InsertEdge(g.add_edge(0, 1), -1.0, 1.0))
+        state.insert(g.add_edge(0, 1), 1.0, 1.0)
+        state.insert(g.add_edge(0, 1), -1.0, 1.0)
         assert state.query() is not None
         assert (state.queries, state.solves) == (3, 2)
 
     @pytest.mark.parametrize("backend, kappa", [("exact", 1.0),
                                                 ("trees", 2.0)])
     def test_oracle_input_and_answer_are_read_only(self, backend, kappa):
-        state = MonotoneMrcState(triangle_instance(), alpha=0.3, kappa=kappa,
+        state = MonotoneMrcState(*triangle_instance(), alpha=0.3, kappa=kappa,
                                  backend=backend, seed=1)
         answer = state.query()
         for view in (state.gradients, state.lengths, answer.edges,

@@ -8,12 +8,11 @@ from hypothesis import given, settings, strategies as st
 
 import pnormflow.mwu as mwu_module
 from pnormflow.errors import InvariantViolation
-from pnormflow.graph import IncrementalGraph, is_circulation, pnorm
-from pnormflow.mrc import CycleSolution, MrcInstance, exact_min_ratio_cycle
+from pnormflow.graph import IncrementalGraph, pnorm
+from pnormflow.mrc import CycleSolution
 from pnormflow.mwu import (
     FIRST_SEGMENT_ROWS,
     MwuState,
-    Solution,
     mwu_init,
     mwu_insert_edge,
     mwu_solution,
@@ -25,7 +24,9 @@ from support import (
     LogRecorder,
     canonical_stability_widths,
     check_stability_witness,
+    exact_min_ratio_cycle,
     good_solution_l1_bound,
+    is_circulation,
     probe_l1_length,
     reference_step,
     run_to_end,
@@ -192,15 +193,15 @@ class TestStep:
         graph = IncrementalGraph(2)
         graph.add_edge(0, 1)
         graph.add_edge(0, 1)
-        inst = MrcInstance(graph, np.array([1.0, -1.0]), np.array([2.0, 2.0]))
-        cycle = exact_min_ratio_cycle(inst)
+        gradients, lengths = np.array([1.0, -1.0]), np.array([2.0, 2.0])
+        cycle = exact_min_ratio_cycle(graph, gradients, lengths)
         assert cycle.gradient == pytest.approx(-2.0)
         assert cycle.length == pytest.approx(4.0)
         assert cycle.ratio == pytest.approx(-0.5)
         scale = -1.0 / cycle.gradient
         delta = cycle.circulation(2) * scale
-        assert float(inst.gradients @ delta) == pytest.approx(-1.0)
-        assert float(np.abs(inst.lengths * delta).sum()) == pytest.approx(2.0)
+        assert float(gradients @ delta) == pytest.approx(-1.0)
+        assert float(np.abs(lengths * delta).sum()) == pytest.approx(2.0)
 
     def test_progress_applies_scaled_delta(self):
         state = parallel_pair_state()
@@ -285,8 +286,8 @@ class TestRun:
         probe_lengths = []
         outcome = run_to_end(state, after=lambda run: probe_lengths.append(
             probe_l1_length(run, probe)))
-        assert isinstance(outcome, Solution)
-        c = outcome.circulation
+        assert isinstance(outcome, np.ndarray)
+        c = outcome
         assert float(state.gradients @ c) == pytest.approx(-1.0, rel=1e-9)
         assert float(np.linalg.norm(state._r[:2] * c)) <= 2 * state.K
         assert float(np.sum(np.abs(state._w[:2] * c) ** state.p)
@@ -301,8 +302,8 @@ class TestRun:
         # e^(709/200), about 35, yet the contract allows up to 2K = 400.
         state = parallel_pair_state(m_max=4, p=200, w=(70.0, 70.0), seed=0)
         outcome = run_to_end(state)
-        assert isinstance(outcome, Solution)
-        normp = pnorm(state._w[:2] * outcome.circulation, state.p)
+        assert isinstance(outcome, np.ndarray)
+        normp = pnorm(state._w[:2] * outcome, state.p)
         assert 35.0 < normp <= 2 * state.K == 400
 
     def test_no_negative_cycle_certifies_forever(self):
@@ -317,8 +318,8 @@ class TestRun:
         assert run_to_end(state) is None
         # The planted partner edge makes (-1/2, +1/2) a good circulation.
         outcome = run_to_end(state, events=[(0, 1, -1.0, 1.0, 1.0)])
-        assert isinstance(outcome, Solution)
-        assert float(state.gradients @ outcome.circulation) == pytest.approx(
+        assert isinstance(outcome, np.ndarray)
+        assert float(state.gradients @ outcome) == pytest.approx(
             -1.0, rel=1e-9)
 
     def test_solution_before_completion_rejected(self):
@@ -329,7 +330,7 @@ class TestRun:
 
     def test_step_after_completion_rejected(self):
         state = parallel_pair_state()
-        assert isinstance(run_to_end(state), Solution)
+        assert isinstance(run_to_end(state), np.ndarray)
         with pytest.raises(ValueError):
             mwu_step(state)
 
@@ -337,7 +338,7 @@ class TestRun:
         state = parallel_pair_state()
         recorder = LogRecorder(state)
         outcome = run_to_end(state, after=recorder)
-        assert isinstance(outcome, Solution)
+        assert isinstance(outcome, np.ndarray)
         c_star = {0: -0.5, 1: 0.5}
         widths = canonical_stability_widths(recorder.log, c_star)
         assert check_stability_witness(recorder.log, c_star, widths)
@@ -351,7 +352,7 @@ class TestRun:
         recorder = LogRecorder(state)
         outcome = run_to_end(state, events=[(0, 1, -1.0, 1.0, 1.0)],
                              after=recorder)
-        assert isinstance(outcome, Solution)
+        assert isinstance(outcome, np.ndarray)
         batches = recorder.log.batches
         assert batches[0] == [LogInsert(0, 0, 1, 1.0, 200.0)]
         assert batches[1] == [LogInsert(1, 0, 1, -1.0, 200.0)]
@@ -378,8 +379,8 @@ class TestRun:
         state = parallel_pair_state(backend="trees", seed=int(seed),
                                     kappa=2.0)
         outcome = run_to_end(state)
-        if isinstance(outcome, Solution):
-            c = outcome.circulation
+        if isinstance(outcome, np.ndarray):
+            c = outcome
             assert float(state.gradients @ c) == pytest.approx(-1.0, rel=1e-9)
             assert float(np.linalg.norm(state._r[:2] * c)) <= 2 * state.K
 
@@ -454,8 +455,8 @@ def _run_lockstep(kind, p, m_max, backend, calls):
             break
     assert fast_trace == ref_trace
     if fast.iteration == fast.T:
-        assert np.array_equal(mwu_solution(fast).circulation,
-                              mwu_solution(ref).circulation)
+        assert np.array_equal(mwu_solution(fast),
+                              mwu_solution(ref))
     return fast, largest, stalls
 
 

@@ -3,9 +3,9 @@
 import numpy as np
 from hypothesis import given, settings, strategies as st
 
-from pnormflow.graph import IncrementalGraph, is_circulation, net_demand
+from pnormflow.graph import IncrementalGraph, net_demand
 from pnormflow.trees import SpanningForest
-from support import reference_forest
+from support import is_circulation, reference_forest
 
 
 def random_graph(rng, n, m):
