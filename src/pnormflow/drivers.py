@@ -98,10 +98,17 @@ class MaxflowDriver:
         self.caps: list[int] = []
         self.phase: MaxflowPhase | None = None
         self.phase_count = 0
-        self.events = 0
         self._started = False
+        self._initial_m = 0
         self._queries_base = 0
         self._iterations_base = 0
+
+    @property
+    def events(self) -> int:
+        """start() plus each insertion the graph accepted: a rejected one
+        is not counted, and a phase solver, which adds the edge before it
+        traces its verdict, already sees its event counted."""
+        return 1 + self.graph.m - self._initial_m if self._started else 0
 
     @property
     def queries(self) -> int:
@@ -136,7 +143,7 @@ class MaxflowDriver:
     def start(self) -> tuple[float, np.ndarray]:
         """Published (value, flow) for the initial graph."""
         self._started = True
-        self.events += 1
+        self._initial_m = self.graph.m
         return self._event(None)
 
     def insert(self, u: int, v: int, cap: int) -> tuple[float, np.ndarray]:
@@ -146,7 +153,6 @@ class MaxflowDriver:
         if len(self.caps) >= self.m_max:
             raise ValueError("edge bound m_max exceeded")
         cap = self._check_cap(cap)
-        self.events += 1
         if self.phase is None:
             self.graph.add_edge(u, v)
             self.caps.append(cap)

@@ -1,23 +1,27 @@
 """Update-stream grammar, serialization, and seeded instance generators.
 
-A stream is line-oriented UTF-8 text. The first meaningful line is a header:
+A stream is line-oriented UTF-8 text. The first meaningful line is a header;
+its keys may come in any order, and print_stream writes them in this one:
 
     problem pnorm n=<int> mmax=<int> p=<int> F=<real> eps=<real>
-    problem maxflow n=<int> mmax=<int> s=<int> t=<int> eps=<real>
-    problem effres n=<int> mmax=<int> s=<int> t=<int> theta=<real> eps=<real>
+    problem maxflow n=<int> mmax=<int> s=<vertex> t=<vertex> eps=<real>
+    problem effres n=<int> mmax=<int> s=<vertex> t=<vertex> theta=<real> eps=<real>
 
+with n, mmax >= 1, p >= 2, eps and theta positive and s != t. It is
 followed by optional `demand <vertex> <real>` lines (pnorm only, at most one
 per vertex), `edge <u> <v> [key=value ...]` lines for the initial graph, a
 single `start` marker, and `add` lines (same attribute forms) for the
-insertion events. Each kind takes its own edge keys, all optional:
+insertion events. Each kind takes its own edge keys, all optional, printed
+in this order:
 
-    pnorm    g=<real> r=<real> w=<real>   (defaults 0, 1, 1)
-    maxflow  cap=<int>                    (default 1)
-    effres   r=<real>                     (default 1)
+    pnorm    g=<real> r=<real> w=<real>   (defaults 0, 1, 1; r, w > 0)
+    maxflow  cap=<int>                    (default 1; 1 <= cap <= 2^53)
+    effres   r=<real>                     (default 1; r > 0)
 
-`#` starts a comment. Vertices are 1-based in the text and 0-based on
-parsed objects. Unknown directives, and edge keys that are not the
-stream kind's own, are rejected with the offending line number.
+`_GRAMMAR` holds these keys, and EdgeSpec's accessors the defaults. Reals
+must be finite. `#` starts a comment. Vertices are 1-based in the text and
+0-based on parsed objects. Unknown directives, and edge keys that are not
+the stream kind's own, are rejected with the offending line number.
 """
 
 from __future__ import annotations
@@ -31,14 +35,11 @@ from .errors import StreamError
 from .graph import DEMAND_SUM_RTOL, IncrementalGraph, PNormInstance
 from .verify import effective_resistance, static_pnorm_opt
 
-_HEADER_KEYS = {
-    "pnorm": ("n", "mmax", "p", "F", "eps"),
-    "maxflow": ("n", "mmax", "s", "t", "eps"),
-    "effres": ("n", "mmax", "s", "t", "theta", "eps"),
-}
-_EDGE_KEYS = {"pnorm": ("g", "r", "w"), "maxflow": ("cap",), "effres": ("r",)}
-
-GENERATOR_MODES = ("random", "planted-threshold", "phase-stress")
+# The stream kinds each generator mode makes.
+_MODE_KINDS = {"random": ("pnorm", "maxflow", "effres"),
+               "planted-threshold": ("pnorm", "effres"),
+               "phase-stress": ("maxflow",)}
+GENERATOR_MODES = tuple(_MODE_KINDS)
 
 # The maxflow driver computes in float64, which holds every integer up to
 # 2^53 exactly and no larger capacity reliably.
@@ -120,56 +121,91 @@ def _integer(token: str, lineno: int, key: str) -> int:
             f"expected an integer for {key}, got {token!r}", lineno)
 
 
-def _keyvals(tokens: list[str], allowed: tuple[str, ...],
-             lineno: int) -> dict[str, str]:
-    pairs: dict[str, str] = {}
+def _positive(token: str, lineno: int, key: str, read=_real):
+    x = read(token, lineno, key)
+    if x <= 0:
+        raise StreamError(f"{key} must be positive, got {x}", lineno)
+    return x
+
+
+def _exponent(token: str, lineno: int, key: str) -> int:
+    p = _integer(token, lineno, key)
+    if p < 2:
+        raise StreamError(f"p must be at least 2, got {p}", lineno)
+    return p
+
+
+def _capacity(token: str, lineno: int, key: str) -> int:
+    cap = _integer(token, lineno, key)
+    if cap < 1:
+        raise StreamError(f"cap must be at least 1, got {cap}", lineno)
+    if cap > MAX_CAPACITY:
+        raise StreamError(
+            f"cap must be at most 2^53 = {MAX_CAPACITY}, got {cap}", lineno)
+    return cap
+
+
+def _format_real(x: float) -> str:
+    return repr(float(x))
+
+
+# Per kind: the header keys after n and mmax, in printed order, each with
+# the UpdateStream field it fills and its reader; then the edge keys, each
+# with its reader, filling the EdgeSpec field of the same name.
+_GRAMMAR = {
+    "pnorm": ({"p": ("p", _exponent), "F": ("threshold", _real),
+               "eps": ("eps", _positive)},
+              {"g": _real, "r": _positive, "w": _positive}),
+    "maxflow": ({"s": ("s", _vertex), "t": ("t", _vertex),
+                 "eps": ("eps", _positive)},
+                {"cap": _capacity}),
+    "effres": ({"s": ("s", _vertex), "t": ("t", _vertex),
+                "theta": ("threshold", _positive), "eps": ("eps", _positive)},
+               {"r": _positive}),
+}
+# How print_stream writes a value back, by the reader that read it.
+_SHOW = {_real: _format_real, _positive: _format_real, _exponent: str,
+         _capacity: str, _vertex: lambda v: str(v + 1)}
+
+
+def _keyvals(tokens: list[str], readers: dict, lineno: int) -> dict:
+    """Each key=value token's value, read by its key's reader."""
+    pairs: dict = {}
     for token in tokens:
         key, sep, value = token.partition("=")
         if not sep or not key or not value:
             raise StreamError(f"expected key=value, got {token!r}", lineno)
-        if key not in allowed:
+        read = readers.get(key)
+        if read is None:
             raise StreamError(f"unknown key {key!r}", lineno)
         if key in pairs:
             raise StreamError(f"duplicate key {key!r}", lineno)
-        pairs[key] = value
+        pairs[key] = read(value, lineno, key)
     return pairs
 
 
 def _parse_header(fields: list[str], lineno: int) -> UpdateStream:
-    if len(fields) < 2 or fields[1] not in _HEADER_KEYS:
-        kinds = ", ".join(sorted(_HEADER_KEYS))
+    if len(fields) < 2 or fields[1] not in _GRAMMAR:
+        kinds = ", ".join(sorted(_GRAMMAR))
         raise StreamError(f"problem kind must be one of {kinds}", lineno)
     kind = fields[1]
-    keys = _HEADER_KEYS[kind]
-    pairs = _keyvals(fields[2:], keys, lineno)
+    header = _GRAMMAR[kind][0]
+    keys = ("n", "mmax", *header)
+    # Text first: s and t are read once n is known.
+    pairs = _keyvals(fields[2:], dict.fromkeys(keys, lambda token, *_: token),
+                     lineno)
     missing = [k for k in keys if k not in pairs]
     if missing:
         raise StreamError(f"missing header keys: {', '.join(missing)}", lineno)
-    n = _integer(pairs["n"], lineno, "n")
-    if n < 1:
-        raise StreamError(f"n must be positive, got {n}", lineno)
-    m_max = _integer(pairs["mmax"], lineno, "mmax")
-    if m_max < 1:
-        raise StreamError(f"mmax must be positive, got {m_max}", lineno)
+    n = _positive(pairs["n"], lineno, "n", _integer)
+    m_max = _positive(pairs["mmax"], lineno, "mmax", _integer)
     stream = UpdateStream(kind=kind, n=n, m_max=m_max)
-    stream.eps = _real(pairs["eps"], lineno, "eps")
-    if stream.eps <= 0:
-        raise StreamError(f"eps must be positive, got {stream.eps}", lineno)
-    if kind == "pnorm":
-        stream.p = _integer(pairs["p"], lineno, "p")
-        if stream.p < 2:
-            raise StreamError(f"p must be at least 2, got {stream.p}", lineno)
-        stream.threshold = _real(pairs["F"], lineno, "F")
-    else:
-        stream.s = _vertex(pairs["s"], n, lineno)
-        stream.t = _vertex(pairs["t"], n, lineno)
-        if stream.s == stream.t:
-            raise StreamError("s and t must differ", lineno)
-    if kind == "effres":
-        stream.threshold = _real(pairs["theta"], lineno, "theta")
-        if stream.threshold <= 0:
-            raise StreamError(
-                f"theta must be positive, got {stream.threshold}", lineno)
+    for key, (name, read) in header.items():
+        token = pairs[key]
+        setattr(stream, name, _vertex(token, n, lineno) if read is _vertex
+                else read(token, lineno, key))
+    if stream.s is not None and stream.s == stream.t:
+        raise StreamError("s and t must differ", lineno)
     return stream
 
 
@@ -181,28 +217,8 @@ def _parse_edge(fields: list[str], stream: UpdateStream,
     v = _vertex(fields[2], stream.n, lineno)
     if u == v:
         raise StreamError(f"self-loop at vertex {u + 1} rejected", lineno)
-    pairs = _keyvals(fields[3:], _EDGE_KEYS[stream.kind], lineno)
-    spec = EdgeSpec(u=u, v=v)
-    if "g" in pairs:
-        spec.g = _real(pairs["g"], lineno, "g")
-    if "r" in pairs:
-        spec.r = _real(pairs["r"], lineno, "r")
-        if spec.r <= 0:
-            raise StreamError(f"r must be positive, got {spec.r}", lineno)
-    if "w" in pairs:
-        spec.w = _real(pairs["w"], lineno, "w")
-        if spec.w <= 0:
-            raise StreamError(f"w must be positive, got {spec.w}", lineno)
-    if "cap" in pairs:
-        spec.cap = _integer(pairs["cap"], lineno, "cap")
-        if spec.cap < 1:
-            raise StreamError(f"cap must be at least 1, got {spec.cap}",
-                              lineno)
-        if spec.cap > MAX_CAPACITY:
-            raise StreamError(
-                f"cap must be at most 2^53 = {MAX_CAPACITY}, got {spec.cap}",
-                lineno)
-    return spec
+    return EdgeSpec(u, v, **_keyvals(fields[3:], _GRAMMAR[stream.kind][1],
+                                     lineno))
 
 
 def parse_stream(text: str) -> UpdateStream:
@@ -271,46 +287,30 @@ def parse_stream(text: str) -> UpdateStream:
     return stream
 
 
-def _format_real(x: float) -> str:
-    return repr(float(x))
-
-
-def _format_edge(word: str, spec: EdgeSpec) -> str:
+def _format_edge(word: str, spec: EdgeSpec, readers: dict) -> str:
     parts = [word, str(spec.u + 1), str(spec.v + 1)]
-    if spec.g is not None:
-        parts.append(f"g={_format_real(spec.g)}")
-    if spec.r is not None:
-        parts.append(f"r={_format_real(spec.r)}")
-    if spec.w is not None:
-        parts.append(f"w={_format_real(spec.w)}")
-    if spec.cap is not None:
-        parts.append(f"cap={spec.cap}")
+    for key, read in readers.items():
+        value = getattr(spec, key)
+        if value is not None:
+            parts.append(f"{key}={_SHOW[read](value)}")
     return " ".join(parts)
 
 
 def print_stream(stream: UpdateStream) -> str:
     """Serialize a stream; parse_stream(print_stream(s)) reproduces s."""
-    if stream.kind == "pnorm":
-        header = (f"problem pnorm n={stream.n} mmax={stream.m_max} "
-                  f"p={stream.p} F={_format_real(stream.threshold)} "
-                  f"eps={_format_real(stream.eps)}")
-    elif stream.kind == "maxflow":
-        header = (f"problem maxflow n={stream.n} mmax={stream.m_max} "
-                  f"s={stream.s + 1} t={stream.t + 1} "
-                  f"eps={_format_real(stream.eps)}")
-    elif stream.kind == "effres":
-        header = (f"problem effres n={stream.n} mmax={stream.m_max} "
-                  f"s={stream.s + 1} t={stream.t + 1} "
-                  f"theta={_format_real(stream.threshold)} "
-                  f"eps={_format_real(stream.eps)}")
-    else:
+    if stream.kind not in _GRAMMAR:
         raise ValueError(f"unknown stream kind {stream.kind!r}")
-    lines = [header]
+    header, readers = _GRAMMAR[stream.kind]
+    words = [f"problem {stream.kind} n={stream.n} mmax={stream.m_max}"]
+    words += [f"{key}={_SHOW[read](getattr(stream, name))}"
+              for key, (name, read) in header.items()]
+    lines = [" ".join(words)]
     for v in sorted(stream.demand):
         lines.append(f"demand {v + 1} {_format_real(stream.demand[v])}")
-    lines.extend(_format_edge("edge", spec) for spec in stream.initial_edges)
+    lines += [_format_edge("edge", spec, readers)
+              for spec in stream.initial_edges]
     lines.append("start")
-    lines.extend(_format_edge("add", spec) for spec in stream.events)
+    lines += [_format_edge("add", spec, readers) for spec in stream.events]
     return "\n".join(lines) + "\n"
 
 
@@ -335,20 +335,34 @@ def _split_rng(seed: int, count: int) -> list[np.random.Generator]:
     return [np.random.Generator(base.jumped(i)) for i in range(count)]
 
 
-def _spanning_order_edges(rng: np.random.Generator,
-                          n: int) -> list[tuple[int, int]]:
-    """Edges of a random spanning path; inserting all of them connects
-    the whole vertex set."""
-    path = [int(v) for v in rng.permutation(n)]
-    return list(zip(path[:-1], path[1:]))
-
-
 def _random_pair(rng: np.random.Generator, n: int) -> tuple[int, int]:
     u = int(rng.integers(n))
     v = int(rng.integers(n - 1))
     if v >= u:
         v += 1
     return u, v
+
+
+def _edge_order(rng: np.random.Generator, n: int, total: int, mode: str,
+                kind: str, terminals: tuple[int, int]) -> list[tuple[int, int]]:
+    """`total` edges in insertion order: a random spanning path, so that
+    all of them connect the vertex set, and random pairs, shuffled."""
+    path = [int(v) for v in rng.permutation(n)]
+    spine = list(zip(path[:-1], path[1:]))
+    extra = total - len(spine)
+    if mode == "phase-stress":
+        # Grow the s-t cut capacity steadily so phases keep restarting.
+        return spine + [terminals if rng.uniform() < 0.6
+                        else _random_pair(rng, n) for _ in range(extra)]
+    extras = [_random_pair(rng, n) for _ in range(extra)]
+    if mode == "planted-threshold" and kind == "pnorm":
+        # Keep the demand routable from the start so the crossing, not
+        # connectivity, is what the stream exercises.
+        rng.shuffle(extras)
+        return spine + extras
+    order = spine + extras
+    rng.shuffle(order)
+    return order
 
 
 def _prefix_optima(stream: UpdateStream,
@@ -380,137 +394,34 @@ def _prefix_optima(stream: UpdateStream,
     return values
 
 
-def _generate_pnorm(mode: str, n: int, initial: int, events: int, p: int,
-                    eps: float | None, seed: int) -> UpdateStream:
-    rng_topo, rng_attr, rng_pick = _split_rng(seed, 3)
-    total = initial + events
-    if total < n:
-        raise ValueError("need initial+events >= n so the stream can "
-                         "connect its terminals")
-    spine = _spanning_order_edges(rng_topo, n)
-    extras = [_random_pair(rng_topo, n) for _ in range(total - len(spine))]
-    if mode == "planted-threshold":
-        # Keep the demand routable from the start so the crossing, not
-        # connectivity, is what the stream exercises.
-        order = spine + extras
-        if initial < len(spine):
-            raise ValueError("planted-threshold needs initial >= n-1")
-        tail = order[len(spine):]
-        rng_topo.shuffle(tail)
-        order = spine + tail
-    else:
-        order = spine + extras
-        rng_topo.shuffle(order)
-
-    scale = float(rng_attr.uniform(0.5, 2.0))
-    s, t = _random_pair(rng_attr, n)
-    stream = UpdateStream(kind="pnorm", n=n, m_max=total, p=p,
-                          threshold=0.0, eps=1e-3,
-                          demand={s: -scale, t: scale})
-    for u, v in order[:initial]:
-        stream.initial_edges.append(EdgeSpec(
-            u=u, v=v, g=float(rng_attr.normal(0.0, 1.0)),
-            r=float(rng_attr.uniform(0.5, 2.0)),
-            w=float(rng_attr.uniform(0.5, 2.0))))
-    for u, v in order[initial:]:
-        stream.events.append(EdgeSpec(
-            u=u, v=v, g=float(rng_attr.normal(0.0, 1.0)),
-            r=float(rng_attr.uniform(0.5, 2.0)),
-            w=float(rng_attr.uniform(0.5, 2.0))))
-
+def _pnorm_threshold(stream: UpdateStream, planted: bool,
+                     rng_pick: np.random.Generator,
+                     seed: int) -> tuple[float, float]:
+    """Threshold F and default eps for a pnorm stream. Planted: midway
+    through the largest drop between consecutive prefix optima, so the
+    verdict flips there; random: anywhere around the optima's range."""
     optima = _prefix_optima(stream, seed)
     finite = [x for x in optima if math.isfinite(x)]
     final = finite[-1]
     span = max(abs(x) for x in finite) + 1.0
-    if mode == "planted-threshold":
-        best_j, best_drop = None, 0.0
-        for j in range(1, len(optima)):
-            if not (math.isfinite(optima[j - 1]) and math.isfinite(optima[j])):
-                continue
-            drop = (optima[j - 1] - optima[j]) / span
-            if drop > best_drop:
-                best_j, best_drop = j, drop
-        if best_j is not None and best_drop > 1e-6:
-            high, low = optima[best_j - 1], optima[best_j]
-            threshold = 0.5 * (high + low)
-            eps_val = min(0.25 * (high - threshold),
-                          1e-3 * (1.0 + abs(threshold)))
-        else:
-            threshold = final + 0.1 * span
-            eps_val = 1e-3 * (1.0 + abs(threshold))
-    else:
-        first = finite[0]
+    if not planted:
         beta = float(rng_pick.uniform(-0.5, 1.5))
-        threshold = final + beta * max(first - final, 0.2 * span)
-        eps_val = 1e-3 * (1.0 + abs(threshold))
-    stream.threshold = float(threshold)
-    stream.eps = float(eps_val) if eps is None else float(eps)
-    return stream
-
-
-def _generate_maxflow(mode: str, n: int, initial: int, events: int,
-                      eps: float | None, seed: int,
-                      cap_max: int) -> UpdateStream:
-    rng_topo, rng_attr, _ = _split_rng(seed, 3)
-    total = initial + events
-    if total < n:
-        raise ValueError("need initial+events >= n so the stream can "
-                         "connect its terminals")
-    s, t = _random_pair(rng_attr, n)
-    stream = UpdateStream(kind="maxflow", n=n, m_max=total, s=s, t=t,
-                          eps=0.25 if eps is None else float(eps))
-    if mode == "phase-stress":
-        # Grow the s-t cut capacity steadily so phases keep restarting.
-        order: list[tuple[int, int]] = _spanning_order_edges(rng_topo, n)
-        while len(order) < total:
-            if rng_topo.uniform() < 0.6:
-                order.append((s, t))
-            else:
-                order.append(_random_pair(rng_topo, n))
-        order = order[:total]
-    else:
-        spine = _spanning_order_edges(rng_topo, n)
-        extras = [_random_pair(rng_topo, n) for _ in range(total - len(spine))]
-        order = spine + extras
-        rng_topo.shuffle(order)
-    specs = [EdgeSpec(u=u, v=v, cap=int(rng_attr.integers(1, cap_max + 1)))
-             for u, v in order]
-    stream.initial_edges = specs[:initial]
-    stream.events = specs[initial:]
-    return stream
-
-
-def _generate_effres(mode: str, n: int, initial: int, events: int,
-                     eps: float | None, seed: int) -> UpdateStream:
-    rng_topo, rng_attr, rng_pick = _split_rng(seed, 3)
-    total = initial + events
-    if total < n:
-        raise ValueError("need initial+events >= n so the stream can "
-                         "connect its terminals")
-    spine = _spanning_order_edges(rng_topo, n)
-    extras = [_random_pair(rng_topo, n) for _ in range(total - len(spine))]
-    order = spine + extras
-    rng_topo.shuffle(order)
-    s, t = _random_pair(rng_attr, n)
-    specs = [EdgeSpec(u=u, v=v, r=float(rng_attr.uniform(0.5, 2.0)))
-             for u, v in order]
-
-    graph = IncrementalGraph(n)
-    resistances: list[float] = []
-    for spec in specs:
-        graph.add_edge(spec.u, spec.v)
-        resistances.append(spec.resistance())
-    final = effective_resistance(graph, np.asarray(resistances), s, t)
-    if mode == "planted-threshold":
-        factor = float(rng_pick.uniform(1.1, 2.0))
-    else:
-        factor = float(rng_pick.uniform(0.7, 2.5))
-    stream = UpdateStream(kind="effres", n=n, m_max=total, s=s, t=t,
-                          threshold=float(final * factor),
-                          eps=0.25 if eps is None else float(eps))
-    stream.initial_edges = specs[:initial]
-    stream.events = specs[initial:]
-    return stream
+        threshold = final + beta * max(finite[0] - final, 0.2 * span)
+        return threshold, 1e-3 * (1.0 + abs(threshold))
+    best_j, best_drop = None, 0.0
+    for j in range(1, len(optima)):
+        if not (math.isfinite(optima[j - 1]) and math.isfinite(optima[j])):
+            continue
+        drop = (optima[j - 1] - optima[j]) / span
+        if drop > best_drop:
+            best_j, best_drop = j, drop
+    if best_j is None or best_drop <= 1e-6:
+        threshold = final + 0.1 * span
+        return threshold, 1e-3 * (1.0 + abs(threshold))
+    high, low = optima[best_j - 1], optima[best_j]
+    threshold = 0.5 * (high + low)
+    return threshold, min(0.25 * (high - threshold),
+                          1e-3 * (1.0 + abs(threshold)))
 
 
 def generate_stream(mode: str, kind: str, n: int, initial: int, events: int,
@@ -523,26 +434,65 @@ def generate_stream(mode: str, kind: str, n: int, initial: int, events: int,
     so the verdict flips mid-stream), `phase-stress` (maxflow: the s-t cut
     grows steadily to force phase restarts).
     """
-    if mode not in GENERATOR_MODES:
+    if mode not in _MODE_KINDS:
         raise ValueError(f"unknown mode {mode!r}")
     if n < 2:
         raise ValueError("need at least two vertices")
     if initial < 0 or events < 0 or initial + events < 1:
         raise ValueError("need a nonempty edge sequence")
+    if kind not in _GRAMMAR:
+        raise ValueError(f"unknown kind {kind!r}")
+    if kind not in _MODE_KINDS[mode]:
+        raise ValueError(
+            f"{mode} generates {' or '.join(_MODE_KINDS[mode])} streams")
+    if kind == "maxflow" and not 1 <= cap_max <= MAX_CAPACITY:
+        raise ValueError(f"cap_max must be in [1, 2^53 = {MAX_CAPACITY}], "
+                         f"got {cap_max}")
+    total = initial + events
+    if total < n:
+        raise ValueError("need initial+events >= n so the stream can "
+                         "connect its terminals")
+    planted = mode == "planted-threshold"
+    if planted and kind == "pnorm" and initial < n - 1:
+        raise ValueError("planted-threshold needs initial >= n-1")
+
+    rng_topo, rng_attr, rng_pick = _split_rng(seed, 3)
+    stream = UpdateStream(kind=kind, n=n, m_max=total,
+                          eps=0.25 if eps is None else float(eps))
     if kind == "pnorm":
-        if mode == "phase-stress":
-            raise ValueError("phase-stress generates maxflow streams only")
-        return _generate_pnorm(mode, n, initial, events, p, eps, seed)
-    if kind == "maxflow":
-        if mode == "planted-threshold":
-            raise ValueError(
-                "planted-threshold generates pnorm or effres streams")
-        if not 1 <= cap_max <= MAX_CAPACITY:
-            raise ValueError(f"cap_max must be in [1, 2^53 = {MAX_CAPACITY}], "
-                             f"got {cap_max}")
-        return _generate_maxflow(mode, n, initial, events, eps, seed, cap_max)
-    if kind == "effres":
-        if mode == "phase-stress":
-            raise ValueError("phase-stress generates maxflow streams only")
-        return _generate_effres(mode, n, initial, events, eps, seed)
-    raise ValueError(f"unknown kind {kind!r}")
+        scale = float(rng_attr.uniform(0.5, 2.0))
+    s, t = _random_pair(rng_attr, n)
+    order = _edge_order(rng_topo, n, total, mode, kind, (s, t))
+    if kind == "pnorm":
+        # The threshold is placed once the edges are drawn.
+        stream.p, stream.threshold = p, 0.0
+        stream.demand = {s: -scale, t: scale}
+        specs = [EdgeSpec(u=u, v=v, g=float(rng_attr.normal(0.0, 1.0)),
+                          r=float(rng_attr.uniform(0.5, 2.0)),
+                          w=float(rng_attr.uniform(0.5, 2.0)))
+                 for u, v in order]
+    elif kind == "maxflow":
+        stream.s, stream.t = s, t
+        specs = [EdgeSpec(u=u, v=v, cap=int(rng_attr.integers(1, cap_max + 1)))
+                 for u, v in order]
+    else:
+        stream.s, stream.t = s, t
+        specs = [EdgeSpec(u=u, v=v, r=float(rng_attr.uniform(0.5, 2.0)))
+                 for u, v in order]
+    stream.initial_edges, stream.events = specs[:initial], specs[initial:]
+
+    if kind == "pnorm":
+        threshold, default_eps = _pnorm_threshold(stream, planted, rng_pick,
+                                                  seed)
+        stream.threshold = float(threshold)
+        if eps is None:
+            stream.eps = float(default_eps)
+    elif kind == "effres":
+        graph = IncrementalGraph(n)
+        for spec in specs:
+            graph.add_edge(spec.u, spec.v)
+        final = effective_resistance(
+            graph, np.asarray([spec.r for spec in specs]), s, t)
+        low, high = (1.1, 2.0) if planted else (0.7, 2.5)
+        stream.threshold = float(final * rng_pick.uniform(low, high))
+    return stream

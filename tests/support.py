@@ -398,17 +398,18 @@ def finite_diff_check(problem, f: np.ndarray, h: float = 1e-6) -> float:
     smoothed objective and central differences.
 
     `problem` is anything with g, r, w, p attributes (an instance or a
-    residual problem).
+    residual problem). The objective is a sum of per-edge terms, so each
+    edge differences its own term: differencing the whole objective would
+    add every other edge's roundoff, about eps * |E| / h.
     """
     f = np.asarray(f, dtype=float)
     g, r, w, p = problem.g, problem.r, problem.w, problem.p
     analytic = smoothed_gradient(g, r, w, p, f)
     worst = 0.0
     for e in range(f.size):
-        bump = np.zeros_like(f)
-        bump[e] = h
-        upper = smoothed_value(g, r, w, p, f + bump)
-        lower = smoothed_value(g, r, w, p, f - bump)
+        term = slice(e, e + 1)
+        upper = smoothed_value(g[term], r[term], w[term], p, f[term] + h)
+        lower = smoothed_value(g[term], r[term], w[term], p, f[term] - h)
         numeric = (upper - lower) / (2.0 * h)
         err = abs(analytic[e] - numeric) / max(1.0, abs(analytic[e]))
         worst = max(worst, err)

@@ -12,7 +12,7 @@ from pnormflow.drivers import (
     MaxflowDriver,
     event_calls,
 )
-from pnormflow.errors import InvariantViolation
+from pnormflow.errors import GraphError, InvariantViolation
 from pnormflow.graph import IncrementalGraph, net_demand
 from pnormflow.streams import generate_stream, parse_stream
 from pnormflow.verify import effective_resistance, exact_maxflow
@@ -81,6 +81,29 @@ class TestMaxflowValidation:
         driver.start()
         with pytest.raises(ValueError):
             driver.insert(0, 1, 1)
+
+    @pytest.mark.parametrize("initial", [[(0, 1)], [(0, 1), (1, 2)]],
+                             ids=["no-phase", "phase"])
+    def test_rejected_insertion_is_not_an_event(self, initial):
+        """Without a phase (s-t disconnected) and with one, a rejected
+        insertion leaves the event count, the capacities and the graph as
+        they were, and the next event's verdict records carry its own
+        number."""
+        records = []
+        driver = MaxflowDriver(3, 4, 0, 2, 0.25, seed=0,
+                               trace=records.append)
+        for u, v in initial:
+            driver.add_initial_edge(u, v, 1)
+        driver.start()
+        for u, v in ((1, 1), (0, 5)):
+            with pytest.raises(GraphError):
+                driver.insert(u, v, 1)
+            assert driver.events == 1
+            assert len(driver.caps) == driver.graph.m == len(initial)
+        driver.insert(0, 2, 1)
+        assert driver.events == 2
+        events = [r["event"] for r in records if r["kind"] == "verdict"]
+        assert events and set(events) <= {1, 2} and events[-1] == 2
 
     def test_instance_constants(self):
         driver = maxflow_driver(m_max=8, eps=0.25)

@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 from scipy.sparse import coo_matrix
 from scipy.sparse.csgraph import connected_components
 
@@ -182,6 +182,9 @@ class TestEnergy:
 
     @given(seed=st.integers(min_value=0, max_value=2 ** 32 - 1),
            exponent=st.sampled_from([2, 3, 4, 8]))
+    # A draw with energy near 1e7: differencing the whole energy, not each
+    # edge's term, would carry roundoff past the bound.
+    @example(seed=28691, exponent=8)
     @settings(max_examples=40, deadline=None)
     def test_gradient_matches_finite_differences(self, seed, exponent):
         rng = np.random.Generator(np.random.Philox(seed))

@@ -1,5 +1,6 @@
 """Tests for the update-stream grammar, serializer, and generators."""
 
+import hashlib
 import math
 
 import numpy as np
@@ -209,6 +210,27 @@ class TestGenerate:
         assert parse_stream(text) == stream
         assert len(stream.initial_edges) == 4
         assert len(stream.events) == 6
+
+    @pytest.mark.parametrize("mode, kind, digest", [
+        ("random", "pnorm", "41d506d59b44c6f5"),
+        ("random", "maxflow", "8ff2a00e625a5519"),
+        ("random", "effres", "104a07d82c2186e3"),
+        ("planted-threshold", "pnorm", "7156b6ff5ed734e9"),
+        ("planted-threshold", "effres", "e6754181add2100f"),
+        ("phase-stress", "maxflow", "9cca46ca08380768"),
+    ])
+    def test_generated_streams_are_byte_stable(self, mode, kind, digest):
+        """perfbench builds its streams with generate_stream, so a change
+        in draw order, edge order or formatting must show up here. The
+        pnorm and effres thresholds come from numerical solves, so another
+        numpy or scipy build may move their last digits."""
+        h = hashlib.sha256()
+        for seed in range(3):
+            for n, initial, events in ((5, 4, 6), (12, 11, 16)):
+                stream = generate_stream(mode, kind, n=n, initial=initial,
+                                         events=events, seed=seed)
+                h.update(print_stream(stream).encode())
+        assert h.hexdigest()[:16] == digest
 
     def test_same_seed_is_byte_identical(self):
         a = generate_stream("random", "pnorm", n=6, initial=5, events=5,
