@@ -290,73 +290,108 @@ def _repeat_add(start: np.ndarray, inc: np.ndarray, n: int) -> np.ndarray:
     return np.add.accumulate(rows, axis=0)
 
 
-def mwu_step(state: MwuState) -> CycleSolution | None:
-    """One oracle round: None when stalled, otherwise the oracle's cycle,
-    which the step applied scaled to unit negative gradient.
+def mwu_step(state: MwuState, limit: int = 1) -> CycleSolution | None:
+    """Up to `limit` oracle rounds, fewer when the run reaches T: None
+    when a round stalled, otherwise the last cycle applied, each round
+    scaled to unit negative gradient.
 
-    A progress step asserts the potential increase bounds and the domination
-    of the running circulation by a and b. With a trace, the step's
-    `progress` or `stall` record says in `solved` whether the oracle solved
-    or answered from its memo.
+    Each progress round asserts the potential increase bounds and the
+    domination of the running circulation by a and b. With a trace, every
+    round writes its `progress` or `stall` record, which says in `solved`
+    whether the oracle solved or answered from its memo.
     """
     if state.iteration >= state.T:
         raise ValueError("the run is complete; no steps remain")
-    pushes = _push_length_estimates(state)
-    solves = state.mrc.solves
-    cycle = state.mrc.query()
-    solved = state.mrc.solves > solves
-    if cycle is None:
-        if state.trace is not None:
-            state.trace({"kind": "stall", "iteration": state.iteration,
-                         "phi": state.phi, "psi": state.psi,
-                         "pushes": pushes, "solved": solved})
-        return None
+    if limit < 1:
+        raise ValueError(f"limit must be at least 1, got {limit}")
+    end = min(state.T, state.iteration + limit)
+    while True:
+        pushes = _push_length_estimates(state)
+        solves = state.mrc.solves
+        cycle = state.mrc.query()
+        solved = state.mrc.solves > solves
+        if cycle is None:
+            if state.trace is not None:
+                state.trace({"kind": "stall", "iteration": state.iteration,
+                             "phi": state.phi, "psi": state.psi,
+                             "pushes": pushes, "solved": solved})
+            return None
 
-    if cycle.gradient >= 0:
-        raise InvariantViolation(
-            "oracle returned a nonnegative-gradient cycle")
-    bound = state.kappa / state.alpha
-    if cycle.length / -cycle.gradient > bound * (1 + POTENTIAL_RTOL):
-        raise InvariantViolation(
-            "scaled cycle exceeds the l1-length bound kappa/alpha")
+        if cycle.gradient >= 0:
+            raise InvariantViolation(
+                "oracle returned a nonnegative-gradient cycle")
+        bound = state.kappa / state.alpha
+        if cycle.length / -cycle.gradient > bound * (1 + POTENTIAL_RTOL):
+            raise InvariantViolation(
+                "scaled cycle exceeds the l1-length bound kappa/alpha")
 
-    segment = state._segment
-    if segment is None or segment.cycle is not cycle:
-        size = FIRST_SEGMENT_ROWS
-    elif segment.used == segment.rows:
-        size = 2 * segment.size
-    else:
-        size = 0
-    if size:
-        size = min(size, state.T - state.iteration,
+        # The last segment was used up: the call ends with its segment's
+        # last row, and other rounds only stop at a failed check.
+        segment = state._segment
+        size = (FIRST_SEGMENT_ROWS if segment is None
+                or segment.cycle is not cycle else 2 * segment.size)
+        size = min(size, end - state.iteration,
                    max(1, MAX_SEGMENT_CELLS // cycle.edges.size))
         segment = state._segment = _Segment(state, cycle, size)
-    i = segment.used
-    segment.used += 1
-    edges = cycle.edges
-    state._a[edges] = segment.a[i]
-    state._b[edges] = segment.b[i]
-    state._c[edges] = segment.c[i]
-    state._pending = True
-    dphi, dpsi = segment.dphi[i], segment.dpsi[i]
-    state.phi += dphi
-    state.psi += dpsi
-    state.iteration += 1
+        _apply_rows(state, segment, end, pushes, solved)
+        if state.iteration == end:
+            return cycle
 
+
+def _apply_rows(state: MwuState, segment: _Segment, end: int, pushes: int,
+                solved: bool) -> None:
+    """Take the segment's next rows, one round each, until iteration `end`,
+    the segment's last row or a row whose length decreased, with one write
+    of a, b and c. The potentials add each row's increases in turn, and
+    each round is checked and traced as it is taken; a failed check raises
+    with the failing round written."""
     K, q, T = state.K, state.q, state.T
-    if dphi > 3 * K ** 2 / T * (1 + POTENTIAL_RTOL):
-        raise InvariantViolation(f"potential increase {dphi} exceeds 3K^2/T")
-    if dpsi > 4 * q * K ** q / T * (1 + POTENTIAL_RTOL):
-        raise InvariantViolation(f"potential increase {dpsi} exceeds 4qK^q/T")
-    if segment.undominated[i]:
-        raise InvariantViolation("weights no longer dominate |c|")
-
-    if state.trace is not None:
-        state.trace({"kind": "progress", "iteration": state.iteration,
-                     "phi": state.phi, "psi": state.psi,
-                     "ratio": cycle.ratio, "pushes": pushes,
-                     "solved": solved})
-    return cycle
+    phi_cap = 3 * K ** 2 / T * (1 + POTENTIAL_RTOL)
+    psi_cap = 4 * q * K ** q / T * (1 + POTENTIAL_RTOL)
+    first = segment.used
+    stop = min(segment.rows, first + end - state.iteration)
+    phi, psi = state.phi, state.psi
+    trace, ratio = state.trace, segment.cycle.ratio
+    dphis, dpsis = segment.dphi, segment.dpsi
+    undominated, decreased = segment.undominated, segment.decreased
+    failure = None
+    for i in range(first, stop):
+        dphi, dpsi = dphis[i], dpsis[i]
+        phi += dphi
+        psi += dpsi
+        if dphi > phi_cap:
+            failure = f"potential increase {dphi} exceeds 3K^2/T"
+        elif dpsi > psi_cap:
+            failure = f"potential increase {dpsi} exceeds 4qK^q/T"
+        elif undominated[i]:
+            failure = "weights no longer dominate |c|"
+        if failure is not None:
+            stop = i + 1
+            break
+        if trace is not None:
+            trace({"kind": "progress",
+                   "iteration": state.iteration + i - first + 1,
+                   "phi": phi, "psi": psi, "ratio": ratio,
+                   "pushes": pushes if i == first else 0,
+                   "solved": solved and i == first})
+        if decreased[i]:
+            # The next round's push writes this row's lengths and raises.
+            stop = i + 1
+            break
+    edges = segment.cycle.edges
+    if stop - first > 1:
+        # What the pushes of the rounds after the first wrote; the last
+        # row's lengths stay pending.
+        state._ell[edges] = segment.ell[stop - 2]
+    state._a[edges] = segment.a[stop - 1]
+    state._b[edges] = segment.b[stop - 1]
+    state._c[edges] = segment.c[stop - 1]
+    state.phi, state.psi = phi, psi
+    state.iteration += stop - first
+    segment.used = stop
+    state._pending = True
+    if failure is not None:
+        raise InvariantViolation(failure)
 
 
 def mwu_solution(state: MwuState) -> np.ndarray:

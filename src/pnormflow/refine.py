@@ -257,11 +257,16 @@ class IncrementalPNormSolver:
             if self.mwu is None:
                 self._start_run()
             while self.mwu.iteration < self.T and used < self.step_budget:
-                used += 1
-                self.queries += 1
-                if mwu_step(self.mwu) is None:
+                begin = self.mwu.iteration
+                cycle = mwu_step(self.mwu, min(self.step_budget - used,
+                                               self.T - begin))
+                rounds = self.mwu.iteration - begin
+                used += rounds
+                self.iterations += rounds
+                self.queries += rounds
+                if cycle is None:
+                    self.queries += 1
                     return CertifiedAbove()
-                self.iterations += 1
             if self.mwu.iteration >= self.T:
                 self._flow[:instance.m] = refinement_step(
                     self, mwu_solution(self.mwu))

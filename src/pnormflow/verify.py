@@ -55,18 +55,25 @@ class _LaplacianNewton:
     on the off-tree edges, so x is Delta read off there. No k x k matrix
     is formed; iterative refinement feeds the cycle-space residual back
     through the same factorization until it stops shrinking.
+
+    With at most _DENSE_LAPLACIAN_LIMIT free vertices the Laplacian is
+    factored densely, and C is held as its (cycle, edge, sign) triplets,
+    sorted by cycle and then edge as scipy's compressed arrays store
+    them: np.bincount then forms C x and C^T y adding the same terms in
+    the same order as scipy's products, so they are bit-identical to
+    them without a sparse matrix per solve. Above the limit C is a
+    scipy CSC matrix and C^T its CSR copy.
     """
 
     def __init__(self, graph: IncrementalGraph, forest: SpanningForest,
-                 off_tree: np.ndarray, basis: sp.csc_matrix,
-                 basis_t: sp.csr_matrix):
+                 off_tree: np.ndarray, cycle: np.ndarray, edges: np.ndarray,
+                 signs: np.ndarray):
         n, m = graph.n, graph.m
-        self.n = n
+        self.n, self.m = n, m
         self.tails, self.heads = graph.tails, graph.heads
         self.off_tree = off_tree
         self.off_tails = self.tails[off_tree]
         self.off_heads = self.heads[off_tree]
-        self.basis, self.basis_t = basis, basis_t
         self.free = np.flatnonzero(forest.parent_vertex >= 0)
         size = self.free.size
         local = np.full(n, -1, dtype=np.int64)
@@ -81,10 +88,30 @@ class _LaplacianNewton:
         self.entry_sign = np.repeat([1.0, 1.0, -1.0, -1.0], m)[keep]
         self.size = size
         self.dense = size <= _DENSE_LAPLACIAN_LIMIT
+        signs = signs.astype(float)
         if self.dense:
             self.entry_flat = rows[keep] * size + cols[keep]
+            order = np.lexsort((edges, cycle))
+            self.cycle, self.edge = cycle[order], edges[order]
+            self.sign = signs[order]
         else:
             self.rows, self.cols = rows[keep], cols[keep]
+            self.basis = sp.csc_matrix((signs, (edges, cycle)),
+                                       shape=(m, off_tree.size))
+            self.basis_t = self.basis.T.tocsr()
+
+    def to_edges(self, x: np.ndarray) -> np.ndarray:
+        """C x: the circulation with cycle coordinates x."""
+        if self.dense:
+            return np.bincount(self.edge, self.sign * x[self.cycle], self.m)
+        return self.basis @ x
+
+    def to_cycles(self, y: np.ndarray) -> np.ndarray:
+        """C^T y: the edge vector y summed around each cycle."""
+        if self.dense:
+            return np.bincount(self.cycle, self.sign * y[self.edge],
+                               self.off_tree.size)
+        return self.basis_t @ y
 
     def _potentials(self, solve, tails, heads, y):
         rhs = np.bincount(tails, y, self.n) - np.bincount(heads, y, self.n)
@@ -115,7 +142,7 @@ class _LaplacianNewton:
         off_t, off_h = self.off_tails, self.off_heads
         off_cond = cond[self.off_tree]
         x = -(edge_grad[self.off_tree] + phi[off_h] - phi[off_t]) * off_cond
-        residual = -grad - self.basis_t @ (h * (self.basis @ x))
+        residual = -grad - self.to_cycles(h * self.to_edges(x))
         rnorm = float(np.linalg.norm(residual))
         target = np.finfo(float).eps * float(np.linalg.norm(grad))
         while rnorm > target:
@@ -123,8 +150,8 @@ class _LaplacianNewton:
             # the tree, gives the correction C^T H C dx = residual.
             phi = self._potentials(solve, off_t, off_h, -residual * off_cond)
             candidate = x + (residual - phi[off_h] + phi[off_t]) * off_cond
-            cand_residual = (-grad - self.basis_t
-                             @ (h * (self.basis @ candidate)))
+            cand_residual = -grad - self.to_cycles(
+                h * self.to_edges(candidate))
             cand_norm = float(np.linalg.norm(cand_residual))
             if not cand_norm < rnorm:
                 break
@@ -206,18 +233,16 @@ def static_pnorm_opt(
         value = smoothed_value(g, r, w, p, f)
         return OracleReport(value=value, flow=f, iterations=0, gradient_norm=0.0)
 
-    cycle, edges, signs = forest.fundamental_cycles(off_tree,
-                                                    graph.tails, graph.heads)
-    basis = sp.csc_matrix((signs.astype(float), (edges, cycle)), shape=(m, k))
-    basis_t = basis.T.tocsr()
-    newton = _LaplacianNewton(graph, forest, off_tree, basis, basis_t)
+    newton = _LaplacianNewton(graph, forest, off_tree,
+                              *forest.fundamental_cycles(off_tree, graph.tails,
+                                                         graph.heads))
 
     energy = smoothed_value(g, r, w, p, f)
     last_energy = math.inf
     stagnant = 0
     for iteration in range(max_iterations):
         edge_grad = smoothed_gradient(g, r, w, p, f)
-        grad = basis_t @ edge_grad
+        grad = newton.to_cycles(edge_grad)
         gnorm = float(np.linalg.norm(grad))
         if gnorm <= tol * (1.0 + abs(energy)):
             return OracleReport(value=energy, flow=f, iterations=iteration,
@@ -233,12 +258,12 @@ def static_pnorm_opt(
             stagnant = 0
         last_energy = energy
         step = newton.step(smoothed_hessian_diag(r, w, p, f), edge_grad, grad)
-        direction = basis @ step
+        direction = newton.to_edges(step)
         slope = float(grad @ step)
         if not slope < 0:
             # Numerical degeneracy; fall back to steepest descent.
             step = -grad
-            direction = basis @ step
+            direction = newton.to_edges(step)
             slope = float(grad @ step)
         t = 1.0
         accepted = False
@@ -251,7 +276,7 @@ def static_pnorm_opt(
                 break
             t *= 0.5
         if not accepted:
-            grad = basis_t @ smoothed_gradient(g, r, w, p, f)
+            grad = newton.to_cycles(smoothed_gradient(g, r, w, p, f))
             gnorm = float(np.linalg.norm(grad))
             if gnorm <= max(tol, _STAGNATION_GNORM) * (1.0 + abs(energy)):
                 return OracleReport(value=energy, flow=f, iterations=iteration,
@@ -259,7 +284,7 @@ def static_pnorm_opt(
             raise OracleError(
                 f"line search stalled at gradient norm {gnorm:.3e}"
             )
-    grad = basis_t @ smoothed_gradient(g, r, w, p, f)
+    grad = newton.to_cycles(smoothed_gradient(g, r, w, p, f))
     gnorm = float(np.linalg.norm(grad))
     if gnorm <= tol * (1.0 + abs(energy)):
         return OracleReport(value=energy, flow=f, iterations=max_iterations,

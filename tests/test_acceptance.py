@@ -550,11 +550,15 @@ class TestAcceptance:
                 init_violations += 1
             return state
 
-        def wrapped_step(state):
+        def wrapped_step(state, limit=1):
+            # One round per call of the original, so every round is checked.
             nonlocal step_violations, steps_checked
-            phi, psi = state.phi, state.psi
-            progress = originals[1](state)
-            if progress is not None:
+            end = min(state.T, state.iteration + limit)
+            while True:
+                phi, psi = state.phi, state.psi
+                progress = originals[1](state)
+                if progress is None:
+                    return None
                 steps_checked += 1
                 K, q, T = state.K, state.q, state.T
                 if state.phi - phi > 3 * K ** 2 / T * (1 + 1e-9):
@@ -567,7 +571,8 @@ class TestAcceptance:
                 if np.any(tilde < ell * (1 - 1e-12)) or np.any(
                         tilde > 2 * ell * (1 + 1e-12)):
                     step_violations += 1
-            return progress
+                if state.iteration == end:
+                    return progress
 
         refine_mod.mwu_init = wrapped_init
         refine_mod.mwu_step = wrapped_step

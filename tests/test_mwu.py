@@ -386,19 +386,25 @@ class TestRun:
 
 
 def _lockstep_state(kind, p, m_max, backend, seed, trace):
-    """A seeded run: a parallel pair with the planted circulation, a ring of
-    ten edges (one cycle past numpy's 8-wide pairwise-sum block) or a path
-    on six vertices, which stalls until insertions close cycles."""
+    """A seeded run: a parallel pair with the planted circulation, a faint
+    pair whose cycle, at p = 2 and m_max = 16, has ratio 1.5 times the
+    threshold until its first estimate push doubles its length (so the
+    run stalls in its second round), a ring of ten edges (one cycle past
+    numpy's 8-wide pairwise-sum block) or a path on six vertices, which
+    stalls until insertions close cycles."""
     rng = np.random.Generator(np.random.Philox(seed))
-    ends = {"pair": [(0, 1), (0, 1)],
+    ends = {"pair": [(0, 1), (0, 1)], "faint": [(0, 1), (0, 1), (1, 2)],
             "ring": [(i, (i + 1) % 10) for i in range(10)],
             "path": [(i, i + 1) for i in range(5)]}[kind]
     graph = IncrementalGraph(max(max(uv) for uv in ends) + 1)
     for u, v in ends:
         graph.add_edge(u, v)
     m = len(ends)
-    g = (np.array([1.0, -1.0]) if kind == "pair"
-         else -1.0 - rng.random(m) if kind == "ring" else rng.normal(size=m))
+    g = {"pair": np.array([1.0, -1.0]), "faint": np.array([0.0094, -0.0094, 0]),
+         "ring": -1.0 - rng.random(m)}.get(kind, rng.normal(size=m))
+    if kind == "faint":
+        return mwu_init(graph, g, np.ones(m), np.ones(m), p, m_max=m_max,
+                        seed=seed, trace=trace)
     kwargs = ({"backend": "trees", "kappa": 2.0} if backend == "trees"
               else {})
     return mwu_init(graph, g, 0.5 + rng.random(m), 0.5 + rng.random(m), p,
@@ -422,11 +428,24 @@ def _same_cycle(got, want):
             == (want.gradient, want.length, want.ratio))
 
 
+def _reference_rounds(state, limit):
+    """reference_step repeated up to `limit` rounds, stopping at T or at a
+    stall; returns the last round's result, as mwu_step(state, limit)."""
+    end = min(state.T, state.iteration + limit)
+    while True:
+        got = reference_step(state)
+        if got is None or state.iteration == end:
+            return got
+
+
 def _run_lockstep(kind, p, m_max, backend, calls):
-    """Drive a run with mwu_step and its twin with reference_step, admitting
-    the same random edge into both at every stall and every 300 calls, and
-    compare them after every call; returns the mwu_step run, its largest
-    segment and its stall count."""
+    """Drive a run with mwu_step calls of random limits (1 at every fourth
+    call, else 1..300) and its twin with as many reference_step rounds,
+    admitting the same random edge into both at every stall and every
+    fourth call, and compare them after every call; returns the mwu_step
+    run and a tally: its largest segment, its stalls, the calls that
+    stalled after progress rounds, and the insertions that came while the
+    current segment had rows left."""
     seed = 7 * p + m_max
     fast_trace, ref_trace = [], []
     fast = _lockstep_state(kind, p, m_max, backend, seed, fast_trace.append)
@@ -434,16 +453,27 @@ def _run_lockstep(kind, p, m_max, backend, calls):
     assert fast.q == min(int(math.log2(m_max)), p)
     rng = np.random.Generator(np.random.Philox(seed + 1))
     n = fast.graph.n
-    largest = stalls = call = 0
+    tally = dict.fromkeys(("largest", "stalls", "mid_call_stalls",
+                           "cut_segment_inserts"), 0)
+    call = 0
     while fast.iteration < fast.T and (calls is None or call < calls):
         call += 1
-        got, want = mwu_step(fast), reference_step(ref)
+        limit = 1 if call % 4 == 0 else int(rng.integers(1, 301))
+        begin = fast.iteration
+        got, want = mwu_step(fast, limit), _reference_rounds(ref, limit)
         assert _same_cycle(got, want)
         _assert_same_state(fast, ref)
-        if fast._segment is not None:
-            largest = max(largest, fast._segment.size)
-        stalls += got is None
-        if (got is None or call % 300 == 0) and fast.m < fast.m_max:
+        assert fast_trace == ref_trace
+        segment = fast._segment
+        if segment is not None:
+            tally["largest"] = max(tally["largest"], segment.size)
+        tally["stalls"] += got is None
+        tally["mid_call_stalls"] += got is None and fast.iteration > begin
+        if (got is None or call % 4 == 0) and fast.m < fast.m_max:
+            # The limit, not a push, ended the call: the oracle still
+            # holds the call's last cycle.
+            tally["cut_segment_inserts"] += (
+                got is not None and segment.stale.size == 0)
             u, v = (int(x) for x in rng.choice(n, size=2, replace=False))
             attrs = (float(rng.normal()), 0.5 + float(rng.random()),
                      0.5 + float(rng.random()))
@@ -453,49 +483,64 @@ def _run_lockstep(kind, p, m_max, backend, calls):
             _assert_same_state(fast, ref)
         elif got is None:
             break
-    assert fast_trace == ref_trace
     if fast.iteration == fast.T:
         assert np.array_equal(mwu_solution(fast),
                               mwu_solution(ref))
-    return fast, largest, stalls
+    return fast, tally
 
 
 class TestMatchesReference:
-    """mwu_step, which replays precomputed rows along a memoized cycle,
-    leaves every state the caller can read bit-identical to the step
-    computed from scratch over all edges."""
+    """mwu_step(state, k), which replays precomputed rows along a memoized
+    cycle, leaves every state the caller can read, its trace records and
+    its answer bit-identical to k rounds of the step computed from scratch
+    over all edges."""
 
     @pytest.mark.parametrize("backend", ["exact", "trees"])
     @pytest.mark.parametrize("kind, p, m_max, calls", [
         ("pair", 2, 4, None),
         ("ring", 3, 16, None),
-        ("path", 4, 16, 2500),
-        ("path", 37, 32, 2500),
+        ("path", 4, 16, 60),
+        ("path", 37, 32, 60),
     ])
     def test_lockstep_with_reference(self, kind, p, m_max, calls, backend):
-        fast, largest, stalls = _run_lockstep(kind, p, m_max, backend, calls)
-        assert largest > FIRST_SEGMENT_ROWS
+        fast, tally = _run_lockstep(kind, p, m_max, backend, calls)
+        assert tally["largest"] > FIRST_SEGMENT_ROWS
+        assert tally["cut_segment_inserts"] > 0
         if kind == "path":
-            assert stalls > 0
+            assert tally["stalls"] > 0
         if calls is None:
             assert fast.iteration == fast.T
 
+    def test_lockstep_stalls_inside_a_call(self):
+        fast, tally = _run_lockstep("faint", 2, 16, "exact", None)
+        assert tally["mid_call_stalls"] > 0
+        assert fast.iteration == fast.T
+
     def test_lockstep_with_capped_segments(self, monkeypatch):
         monkeypatch.setattr(mwu_module, "MAX_SEGMENT_CELLS", 64)
-        fast, largest, _ = _run_lockstep("ring", 3, 16, "exact", None)
+        fast, tally = _run_lockstep("ring", 3, 16, "exact", None)
         assert fast.iteration == fast.T
         # Every cycle has at least 2 edges; uncapped, this run's segments
-        # grow to 1024 rows.
-        assert largest <= 64 // 2
+        # grow to 256 rows.
+        assert tally["largest"] <= 64 // 2
 
+    @pytest.mark.parametrize("limit", [1, 50])
     @pytest.mark.parametrize("memo_hit", [False, True])
     def test_negative_rtol_raises_at_first_progress_step(self, monkeypatch,
-                                                         memo_hit):
-        state = parallel_pair_state()
-        for _ in range(20 if memo_hit else 0):
-            assert isinstance(mwu_step(state), CycleSolution)
+                                                         memo_hit, limit):
+        # The twin takes one round per call; both raise in the same round.
+        state, twin = parallel_pair_state(), parallel_pair_state()
+        if memo_hit:
+            assert isinstance(mwu_step(state, 20), CycleSolution)
+            for _ in range(20):
+                assert isinstance(mwu_step(twin), CycleSolution)
         solves = state.mrc.solves
         monkeypatch.setattr(mwu_module, "POTENTIAL_RTOL", -1.0)
-        with pytest.raises(InvariantViolation):
-            mwu_step(state)
+        with pytest.raises(InvariantViolation) as raised:
+            mwu_step(state, limit)
+        with pytest.raises(InvariantViolation) as twin_raised:
+            mwu_step(twin)
+        assert str(raised.value) == str(twin_raised.value)
+        assert (state.iteration, state.mrc.solves) == (twin.iteration,
+                                                       twin.mrc.solves)
         assert (state.mrc.solves == solves) == memo_hit
