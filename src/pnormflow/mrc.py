@@ -59,8 +59,12 @@ def _negative_cycle(n: int, tails: np.ndarray, heads: np.ndarray,
     """A strictly negative cycle in the bidirected arc graph, or None.
 
     Bellman-Ford from a virtual source (all distances start at zero) with
-    simultaneous relaxation; any cycle in the resulting parent graph has
-    strictly negative weight. Returns (edge ids, orientation signs).
+    simultaneous relaxation. Every cycle of the parent graph has strictly
+    negative weight, so after each round that improved a distance the
+    search looks for one and returns the first it finds ("Negative-cycle
+    detection algorithms", Cherkassky-Goldberg); a negative cycle shows up
+    there within n rounds, and often within a few. Returns (edge ids,
+    orientation signs).
     """
     m = tails.size
     if m == 0 or n == 0:
@@ -70,34 +74,43 @@ def _negative_cycle(n: int, tails: np.ndarray, heads: np.ndarray,
     cost = np.concatenate((forward_cost, backward_cost))
     dist = np.zeros(n)
     parent = np.full(n, -1, dtype=np.int64)
-    improved = np.empty(0, dtype=np.int64)
+    # Each vertex's parent vertex, with n standing for none and mapping to
+    # itself; 2^doublings >= n + 1 steps along it leave every path that
+    # does not end at n on a cycle.
+    up = np.full(n + 1, n, dtype=np.int64)
+    doublings = max(1, math.ceil(math.log2(n + 1)))
     for _ in range(n):
         cand = dist[arc_tail] + cost
         new = dist.copy()
         np.minimum.at(new, arc_head, cand)
-        improved = np.flatnonzero(new < dist)
-        if improved.size == 0:
+        if not np.any(new < dist):
             return None
         winners = np.flatnonzero((cand == new[arc_head]) &
                                  (new[arc_head] < dist[arc_head]))
         parent[arc_head[winners]] = winners
         dist = new
+        up[:n] = np.where(parent >= 0, arc_tail[parent], n)
+        far = up
+        for _ in range(doublings):
+            far = far[far]
+        on_cycle = np.flatnonzero(far[:n] < n)
+        if on_cycle.size:
+            return _parent_cycle(int(far[on_cycle[0]]), parent, arc_tail, m)
+    raise OracleError("Bellman-Ford improved for n rounds without a cycle "
+                      "in its parent graph")
 
-    # Walk n parent steps to guarantee we are inside a parent cycle, then
-    # collect it. Parent cycles are vertex-simple, so an edge could repeat
-    # only as one edge traversed both ways, a cycle of positive weight.
-    v = int(improved[0])
-    for _ in range(n):
-        v = int(arc_tail[parent[v]])
-    seen: dict[int, int] = {}
-    arcs: list[int] = []
-    u = v
-    while u not in seen:
-        seen[u] = len(arcs)
-        a = int(parent[u])
-        arcs.append(a)
-        u = int(arc_tail[a])
-    cycle_arcs = np.asarray(arcs[seen[u]:], dtype=np.int64)
+
+def _parent_cycle(v: int, parent: np.ndarray, arc_tail: np.ndarray,
+                  m: int) -> tuple[np.ndarray, np.ndarray]:
+    """The parent-graph cycle through v, as (edge ids, signs). Parent
+    cycles are vertex-simple, so an edge could repeat only as one edge
+    traversed both ways, a cycle of positive weight."""
+    arcs = [int(parent[v])]
+    u = int(arc_tail[arcs[0]])
+    while u != v:
+        arcs.append(int(parent[u]))
+        u = int(arc_tail[arcs[-1]])
+    cycle_arcs = np.asarray(arcs, dtype=np.int64)
     edges = np.where(cycle_arcs < m, cycle_arcs, cycle_arcs - m)
     signs = np.where(cycle_arcs < m, 1, -1).astype(np.int64)
     return edges, signs

@@ -19,7 +19,9 @@ in this order:
     effres   r=<real>                     (default 1; r > 0)
 
 `_GRAMMAR` holds these keys, and EdgeSpec's accessors the defaults. Reals
-must be finite. `#` starts a comment. Vertices are 1-based in the text and
+must be finite. `#` starts a comment; outside comments a stream is plain
+ASCII without underscores, so every number reads back as print_stream
+writes it. Vertices are 1-based in the text and
 0-based on parsed objects. Unknown directives, and edge keys that are not
 the stream kind's own, are rejected with the offending line number.
 """
@@ -221,6 +223,17 @@ def _parse_edge(fields: list[str], stream: UpdateStream,
                                      lineno))
 
 
+def _foreign(line: str) -> str:
+    """The first token of a line holding an underscore or a non-ASCII
+    character; Python's int and float would read `1_2` or an Arabic-Indic
+    digit, which print_stream does not write back. When the character is
+    whitespace between tokens, that character."""
+    for token in line.split():
+        if "_" in token or not token.isascii():
+            return token
+    return next(c for c in line if not c.isascii())
+
+
 def parse_stream(text: str) -> UpdateStream:
     """Parse stream text; raises StreamError with the offending line."""
     stream: UpdateStream | None = None
@@ -231,6 +244,9 @@ def parse_stream(text: str) -> UpdateStream:
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
+        if "_" in line or not line.isascii():
+            raise StreamError(f"{_foreign(line)!r} is not plain ASCII "
+                              f"without underscores", lineno)
         fields = line.split()
         word = fields[0]
         if stream is None:

@@ -2,9 +2,10 @@
 
 Nothing in the package imports this module. It holds
 
-  * brute_force_min_ratio_cycle, an exhaustive simple-cycle oracle, and
-    exact_min_ratio_cycle, a parametric search with negative-cycle
-    detection;
+  * brute_force_min_ratio_cycle, an exhaustive simple-cycle oracle,
+    full_negative_cycle, Bellman-Ford run for all n rounds before it
+    looks for a cycle, and exact_min_ratio_cycle, a parametric search
+    over it;
   * is_circulation, the zero-demand check with a scale-aware tolerance;
   * update logs (UpdateLog, LogInsert, LogDelete) with the stability
     witness checker and the canonical witness for monotone logs;
@@ -37,7 +38,7 @@ from pnormflow.graph import (
     smoothed_gradient,
     smoothed_value,
 )
-from pnormflow.mrc import CycleSolution, _negative_cycle, _solution_from_cycle
+from pnormflow.mrc import CycleSolution, _solution_from_cycle
 from pnormflow.mwu import MwuState, mwu_insert_edge, mwu_solution, mwu_step
 from pnormflow.trees import SpanningForest
 
@@ -129,6 +130,52 @@ def _cancel_opposing(edges: np.ndarray, signs: np.ndarray
     return out_edges, out_signs
 
 
+def full_negative_cycle(n: int, tails: np.ndarray, heads: np.ndarray,
+                        forward_cost: np.ndarray, backward_cost: np.ndarray
+                        ) -> tuple[np.ndarray, np.ndarray] | None:
+    """A strictly negative cycle in the bidirected arc graph, or None:
+    Bellman-Ford from a virtual source with simultaneous relaxation, run
+    for all n rounds, then a walk of n parent steps from a vertex the last
+    round improved, which ends on a parent cycle. Returns (edge ids,
+    orientation signs)."""
+    m = tails.size
+    if m == 0 or n == 0:
+        return None
+    arc_tail = np.concatenate((tails, heads))
+    arc_head = np.concatenate((heads, tails))
+    cost = np.concatenate((forward_cost, backward_cost))
+    dist = np.zeros(n)
+    parent = np.full(n, -1, dtype=np.int64)
+    improved = np.empty(0, dtype=np.int64)
+    for _ in range(n):
+        cand = dist[arc_tail] + cost
+        new = dist.copy()
+        np.minimum.at(new, arc_head, cand)
+        improved = np.flatnonzero(new < dist)
+        if improved.size == 0:
+            return None
+        winners = np.flatnonzero((cand == new[arc_head]) &
+                                 (new[arc_head] < dist[arc_head]))
+        parent[arc_head[winners]] = winners
+        dist = new
+
+    v = int(improved[0])
+    for _ in range(n):
+        v = int(arc_tail[parent[v]])
+    seen: dict[int, int] = {}
+    arcs: list[int] = []
+    u = v
+    while u not in seen:
+        seen[u] = len(arcs)
+        a = int(parent[u])
+        arcs.append(a)
+        u = int(arc_tail[a])
+    cycle_arcs = np.asarray(arcs[seen[u]:], dtype=np.int64)
+    edges = np.where(cycle_arcs < m, cycle_arcs, cycle_arcs - m)
+    signs = np.where(cycle_arcs < m, 1, -1).astype(np.int64)
+    return edges, signs
+
+
 def exact_min_ratio_cycle(graph: IncrementalGraph, g: np.ndarray,
                           lengths: np.ndarray, tol: float = 1e-9
                           ) -> CycleSolution | None:
@@ -151,7 +198,7 @@ def exact_min_ratio_cycle(graph: IncrementalGraph, g: np.ndarray,
     if off_tree.size == 0:
         return None
 
-    found = _negative_cycle(n, tails, heads, g, -g)
+    found = full_negative_cycle(n, tails, heads, g, -g)
     if found is None:
         edges, signs = forest.fundamental_cycle(int(off_tree[0]), tails, heads)
         return _solution_from_cycle(edges, signs, g, lengths)
@@ -161,8 +208,8 @@ def exact_min_ratio_cycle(graph: IncrementalGraph, g: np.ndarray,
     best = found
     while hi - lo > tol:
         mid = 0.5 * (lo + hi)
-        probe = _negative_cycle(n, tails, heads, g - mid * lengths,
-                                -g - mid * lengths)
+        probe = full_negative_cycle(n, tails, heads, g - mid * lengths,
+                                    -g - mid * lengths)
         if probe is None:
             lo = mid
         else:

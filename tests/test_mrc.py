@@ -19,6 +19,7 @@ from support import (
     canonical_stability_widths,
     check_stability_witness,
     exact_min_ratio_cycle,
+    full_negative_cycle,
     is_circulation,
 )
 
@@ -167,6 +168,76 @@ class TestExactMinRatioCycle:
         assert exact.ratio == pytest.approx(brute.ratio, abs=1e-7)
         c = exact.circulation(inst.graph.m)
         assert is_circulation(inst.graph, c)
+
+
+@st.composite
+def arc_costs(draw):
+    """A connected multigraph on up to 40 vertices (a path through all of
+    them plus drawn edges) with drawn parallel copies of its edges, and
+    forward and backward arc costs g + alpha l and -g + alpha l.
+    The gradients are free, zero, or differences of vertex potentials
+    (every cycle sums to zero) plus a few twisted edges, so that negative
+    cycles also run through long paths. Gradients are quarters and
+    lengths and alpha dyadic, so every path sum is exact in floating
+    point."""
+    n = draw(st.integers(2, 40))
+    spine = draw(st.permutations(range(n)))
+    pair = st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)).filter(
+        lambda uv: uv[0] != uv[1])
+    ends = list(zip(spine, spine[1:]))
+    ends += draw(st.lists(pair, min_size=1, max_size=2 * n))
+    ends += draw(st.lists(st.sampled_from(ends), max_size=n // 4))
+    m = len(ends)
+    tails = np.asarray([u for u, _ in ends], dtype=np.int64)
+    heads = np.asarray([v for _, v in ends], dtype=np.int64)
+    quarter = st.integers(-12, 12).map(lambda k: k / 4)
+    style = draw(st.sampled_from(["free", "zero", "potential"]))
+    if style == "free":
+        g = np.asarray(draw(st.lists(quarter, min_size=m, max_size=m)))
+    else:
+        g = np.zeros(m)
+    if style == "potential":
+        potential = np.asarray(draw(st.lists(quarter, min_size=n,
+                                             max_size=n)))
+        g = potential[heads] - potential[tails]
+        for e in draw(st.lists(st.integers(0, m - 1), max_size=3)):
+            g[e] += draw(quarter)
+    lengths = np.asarray(draw(st.lists(
+        st.integers(1, 8).map(lambda k: k / 4), min_size=m, max_size=m)))
+    alpha = draw(st.sampled_from([0.0625, 0.25, 1.0]))
+    return n, tails, heads, g + alpha * lengths, -g + alpha * lengths
+
+
+class TestNegativeCycle:
+    """The search that stops at the first parent-graph cycle against the
+    one that runs all n rounds first."""
+
+    @given(arc_costs())
+    @settings(max_examples=200, deadline=None)
+    def test_early_exit_agrees_with_the_full_search(self, arcs):
+        n, tails, heads, forward, backward = arcs
+        found = mrc._negative_cycle(*arcs)
+        full = full_negative_cycle(*arcs)
+        assert (found is None) == (full is None)
+        for cycle in (found, full):
+            if cycle is None:
+                continue
+            edges, signs = cycle
+            assert np.unique(edges).size == edges.size
+            # As arcs, the cycle leaves and enters each of its vertices
+            # once and closes after all of them.
+            arc_from = np.where(signs > 0, tails[edges], heads[edges])
+            arc_to = np.where(signs > 0, heads[edges], tails[edges])
+            succ = dict(zip(arc_from.tolist(), arc_to.tolist()))
+            assert len(succ) == edges.size
+            v, steps = int(arc_from[0]), 0
+            while True:
+                v, steps = succ[v], steps + 1
+                if v == arc_from[0]:
+                    break
+            assert steps == edges.size
+            weight = np.where(signs > 0, forward[edges], backward[edges])
+            assert float(weight.sum()) < 0
 
 
 class TestMonotoneMrcState:

@@ -85,7 +85,8 @@ class TestParse:
 
     def test_comments_and_blank_lines_ignored(self):
         text = ("\n# leading comment\nproblem pnorm n=2 mmax=1 p=2 "
-                "F=0.0 eps=0.1\n\nedge 1 2 # trailing comment\nstart\n")
+                "F=0.0 eps=0.1\n\nedge 1 2 # trailing_comment \u0663\n"
+                "start\n")
         stream = parse_stream(text)
         assert len(stream.initial_edges) == 1
 
@@ -121,6 +122,14 @@ class TestParse:
         (EFFRES_TEXT.replace("theta=0.8", "theta=-1"), 1, "positive"),
         (PNORM_TEXT.replace("mmax=4", ""), 2, "missing header"),
         ("problem heat n=2 mmax=1\nstart\n", 1, "must be one of"),
+        # Python's int and float read these; the grammar does not.
+        (MAXFLOW_TEXT.replace("n=4", "n=1_2"), 1, "'n=1_2'"),
+        (MAXFLOW_TEXT.replace("eps=0.25", "eps=2_5e-2"), 1, "'eps=2_5e-2'"),
+        (MAXFLOW_TEXT.replace("edge 2 4", "edge 2 0_4"), 3, "'0_4'"),
+        (MAXFLOW_TEXT.replace("cap=3", "cap=\u0663"), 2, "'cap=\u0663'"),
+        (PNORM_TEXT.replace("r=0.5", "r=\uff10.5"), 8, "'r=\uff10.5'"),
+        (PNORM_TEXT.replace("add 1 3\n", "add 1\u00a03\n"), 9,
+         "'\\xa0'"),
     ])
     def test_rejected_lines_carry_line_numbers(self, text, line, needle):
         with pytest.raises(StreamError) as err:
