@@ -9,8 +9,9 @@ average satisfies <g, c> = -1 with the scaled 2-norm and p-norm both at most
 gradient and both scaled norms at most 1 can exist on the current graph,
 which is the certificate the refinement layer turns into a threshold
 verdict; the solver then waits for the next edge insertion. The caller
-owns the loop: mwu_step takes one round, mwu_insert_edge admits an edge,
-and mwu_solution reads the average once T progress steps are done.
+owns the loop: mwu_step(state, limit) takes up to `limit` rounds (stopping
+early at T or at a stall), mwu_insert_edge admits an edge, and
+mwu_solution reads the average once T progress steps are done.
 
 Potentials Phi = ||R a||_2^2 and Psi = ||W b||_q^q are padded with the
 contribution K^2/m_max (resp. K^q/m_max) per not-yet-inserted edge slot, so
@@ -19,27 +20,32 @@ unchanged. Per-step increases are the same padded or not.
 
 Lengths only grow, so the oracle answers from its memo, with the same
 CycleSolution object, until an estimate is pushed or an edge inserted; most
-steps apply the previous step's cycle again. A step with a cycle that is
-not its segment's builds a segment: one vectorized pass that precomputes,
-for the next J repetitions (16 at first, doubled while the same cycle
-outlives its segment, capped by the steps left and a memory bound), the
+rounds apply the previous round's cycle again. Each cycle the oracle
+returns gets a segment: one vectorized pass that precomputes, for the next
+J repetitions (16 at first, doubled while the same cycle outlives its
+segment, capped by the rounds the call has left and a memory bound), the
 cycle edges' a, b and c, the potential increases, the lengths, and the
-flags of every check. The rows come from np.add.accumulate over [start; inc; inc; ...], which adds
-in the order of J in-place `+=` steps, and each row's potential increase
-sums the same per-edge terms in the same order as a single step would, so
-every row is bit-identical to the step it stands for. The rows stop at the
-first step after which some cycle edge outgrows its estimate: that push
-changes the oracle's input and ends the memo. A step on the segment's
-cycle then only writes its row into a, b and c, adds its increases and
-raises if its row failed a check. Its lengths stay pending until the next
-step begins, which writes them and pushes the stale edges in edge order,
-so between steps the lengths trail a and b by one step.
+flags of every check. The rows come from np.add.accumulate over
+[start; inc; inc; ...], which adds in the order of J in-place `+=` steps,
+and each row's potential increase sums the same per-edge terms in the
+same order as a single step would, so every row is bit-identical to the
+round it stands for. The rows stop at the first round after which some
+cycle edge outgrows its estimate: that push changes the oracle's input
+and ends the memo. The call then takes every row of the segment in one
+pass: the potentials add each row's increases in turn, each round's
+bounds and domination flag are checked (and its trace record written) in
+turn, and a, b, c and the lengths are written once, for the last row. The
+last row's lengths stay pending until the next round begins, which writes
+them and pushes the stale edges in edge order, so between calls the
+lengths trail a and b by one round, as they would after single rounds.
+Segments end where the call does, so only a failed check leaves one
+half-used.
 
 Only mwu_step and mwu_insert_edge write the weight columns, and an inserted
-edge is never on the current cycle. So a step changes a, b, c and the
+edge is never on the current cycle. So a round changes a, b, c and the
 lengths of its cycle's edges alone, and every other edge still meets the
-length, window and domination checks it met at the previous step; the
-checks therefore run on the cycle's edges only, at every step.
+length, window and domination checks it met at the previous round; the
+checks therefore run on the cycle's edges only, at every round.
 """
 
 from __future__ import annotations
@@ -58,7 +64,7 @@ from .mrc import CycleSolution, MonotoneMrcState
 MIN_EDGE_BOUND = 4
 POTENTIAL_RTOL = 1e-9
 # Rows of the first segment built for a cycle; each further segment for the
-# same cycle doubles it, up to the steps the run has left and to at most
+# same cycle doubles it, up to the rounds the call has left and to at most
 # MAX_SEGMENT_CELLS rows times cycle edges, which keeps a long-lived cycle
 # on a large graph at a few MB.
 FIRST_SEGMENT_ROWS = 16
@@ -207,7 +213,7 @@ def mwu_insert_edge(state: MwuState, e: int, g_e: float, r_e: float,
 
 
 def _push_length_estimates(state: MwuState) -> int:
-    """Write the pending lengths of the last step's cycle edges and push
+    """Write the pending lengths of the last round's cycle edges and push
     doubled estimates, in edge order, for those that outgrew their
     estimate; returns the number of pushed edges."""
     if not state._pending:
@@ -325,8 +331,8 @@ def mwu_step(state: MwuState, limit: int = 1) -> CycleSolution | None:
             raise InvariantViolation(
                 "scaled cycle exceeds the l1-length bound kappa/alpha")
 
-        # The last segment was used up: the call ends with its segment's
-        # last row, and other rounds only stop at a failed check.
+        # The last segment was used up: calls end with a segment's last
+        # row, and rounds stop inside one only at a failed check.
         segment = state._segment
         size = (FIRST_SEGMENT_ROWS if segment is None
                 or segment.cycle is not cycle else 2 * segment.size)

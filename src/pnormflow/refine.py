@@ -17,7 +17,9 @@ The solver owns only the flow f. The residual problem is a pure function of
 keeps no copy of it: the run holds the scaled r and w, its oracle holds g,
 and an insertion or a refinement step rebuilds the residual from f.
 
-Inner runs are capped by a per-event step budget. A crossing of the
+Inner runs are capped by a per-event step budget, and the solver hands
+each inner call the rounds left to it (the budget's rest, capped by the
+run's T), so a run of memo hits costs one call. A crossing of the
 threshold can require more inner work than any desk-scale budget allows, so
 on exhaustion the event is resolved by recomputing an optimal flow from the
 current point (a materialization) and restarting refinement there; above
@@ -145,8 +147,9 @@ class IncrementalPNormSolver:
 
     The solver owns only the flow f, in a column of m_max entries that f
     views; the active inner run (`mwu`) holds the residual problem.
-    `queries` counts inner steps (oracle queries) and `iterations` the
-    progress steps among them, over all runs. An edge bound below 4 runs
+    `queries` counts inner rounds (oracle queries, however many one
+    mwu_step call takes) and `iterations` the progress rounds among them,
+    over all runs. An edge bound below 4 runs
     the same loop: its inner runs are scheduled on 4 slots, while
     insert_edge still enforces the caller's m_max.
     """

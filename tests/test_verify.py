@@ -4,12 +4,15 @@ import math
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 from hypothesis import given, settings, strategies as st
 
 from pnormflow.graph import IncrementalGraph, PNormInstance, net_demand
 from pnormflow.refine import MATERIALIZE_MAX_ITERATIONS, MATERIALIZE_TOL
+from pnormflow.trees import SpanningForest
 from pnormflow.verify import (
     _DENSE_LAPLACIAN_LIMIT,
+    _LaplacianNewton,
     effective_resistance,
     exact_maxflow,
     static_pnorm_opt,
@@ -208,6 +211,47 @@ class TestStaticPNormOpt:
         imbalance = net_demand(inst.graph, report.flow) - inst.d
         assert float(np.max(np.abs(imbalance))) <= 1e-9 * float(
             np.max(np.abs(inst.d)))
+
+
+class TestCycleBasisProducts:
+    """At desk size the Newton solver forms C x and C^T y with np.bincount
+    over sorted triplets; they must equal scipy's CSC and CSR products bit
+    for bit, since the static optimizer's iterates depend on them."""
+
+    @pytest.mark.parametrize("n", [12, _DENSE_LAPLACIAN_LIMIT + 1])
+    @pytest.mark.parametrize("seed", range(10))
+    def test_bincount_products_match_scipy(self, n, seed):
+        rng = np.random.Generator(np.random.Philox(seed))
+        graph = IncrementalGraph(n)
+        # A random forest (odd seeds leave some vertices unattached), then
+        # random and parallel extra edges.
+        for v in range(1, n):
+            if seed % 2 == 0 or rng.random() < 0.8:
+                graph.add_edge(int(rng.integers(0, v)), v)
+        for _ in range(int(rng.integers(1, 3 * n))):
+            u, v = rng.choice(n, size=2, replace=False)
+            for _ in range(int(rng.integers(1, 3))):
+                graph.add_edge(int(u), int(v))
+        m = graph.m
+        forest = SpanningForest(n, graph.tails, graph.heads,
+                                rng.permutation(m))
+        off_tree = np.flatnonzero(~forest.tree_edge_mask(m))
+        cycle, edges, signs = forest.fundamental_cycles(
+            off_tree, graph.tails, graph.heads)
+        newton = _LaplacianNewton(graph, forest, off_tree, cycle, edges,
+                                  signs)
+        assert newton.dense
+        if seed % 2 == 0:
+            assert newton.size == n - 1
+        basis = sp.csc_matrix((signs.astype(float), (edges, cycle)),
+                              shape=(m, off_tree.size))
+        # Entries over many magnitudes, so that any other summation order
+        # would round differently.
+        x = rng.normal(size=off_tree.size) * 10.0 ** rng.uniform(
+            -6, 6, off_tree.size)
+        y = rng.normal(size=m) * 10.0 ** rng.uniform(-6, 6, m)
+        assert np.array_equal(newton.to_edges(x), basis @ x)
+        assert np.array_equal(newton.to_cycles(y), basis.T.tocsr() @ y)
 
 
 class TestExactMaxflow:
