@@ -240,11 +240,14 @@ def parse_stream(text: str) -> UpdateStream:
     started = False
     # Zero demands are not stored, so duplicates are caught here.
     demand_seen: set[int] = set()
+    # Only comments may hold underscores or non-ASCII characters, so lines
+    # are screened only when the text holds some.
+    screen = "_" in text or not text.isascii()
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
-        if "_" in line or not line.isascii():
+        if screen and ("_" in line or not line.isascii()):
             raise StreamError(f"{_foreign(line)!r} is not plain ASCII "
                               f"without underscores", lineno)
         fields = line.split()
