@@ -149,9 +149,9 @@ class IncrementalPNormSolver:
     views; the active inner run (`mwu`) holds the residual problem.
     `queries` counts inner rounds (oracle queries, however many one
     mwu_step call takes) and `iterations` the progress rounds among them,
-    over all runs. An edge bound below 4 runs
-    the same loop: its inner runs are scheduled on 4 slots, while
-    insert_edge still enforces the caller's m_max.
+    over all runs. An edge bound below 4 runs the same loop: its inner
+    runs are scheduled on 4 slots, while insert_edge still enforces the
+    caller's m_max.
     """
 
     def __init__(self, instance: PNormInstance, m_max: int | None = None,

@@ -21,9 +21,9 @@ in this order:
 `_GRAMMAR` holds these keys, and EdgeSpec's accessors the defaults. Reals
 must be finite. `#` starts a comment; outside comments a stream is plain
 ASCII without underscores, so every number reads back as print_stream
-writes it. Vertices are 1-based in the text and
-0-based on parsed objects. Unknown directives, and edge keys that are not
-the stream kind's own, are rejected with the offending line number.
+writes it. Vertices are 1-based in the text and 0-based on parsed objects.
+Unknown directives, and edge keys that are not the stream kind's own, are
+rejected with the offending line number.
 """
 
 from __future__ import annotations
@@ -244,12 +244,13 @@ def parse_stream(text: str) -> UpdateStream:
     # are screened only when the text holds some.
     screen = "_" in text or not text.isascii()
     for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
+        line = raw.split("#", 1)[0]
         if screen and ("_" in line or not line.isascii()):
             raise StreamError(f"{_foreign(line)!r} is not plain ASCII "
                               f"without underscores", lineno)
+        line = line.strip()
+        if not line:
+            continue
         fields = line.split()
         word = fields[0]
         if stream is None:

@@ -334,6 +334,18 @@ class TestRun:
         with pytest.raises(ValueError):
             mwu_step(state)
 
+    def test_limit_below_one_rejected(self):
+        state = parallel_pair_state()
+        with pytest.raises(ValueError, match="limit"):
+            mwu_step(state, 0)
+        assert state.iteration == 0
+
+    def test_call_stops_at_T(self):
+        state = parallel_pair_state()
+        assert isinstance(mwu_step(state, 10 * state.T), CycleSolution)
+        assert state.iteration == state.T
+        assert isinstance(mwu_solution(state), np.ndarray)
+
     def test_update_log_supports_canonical_witness(self):
         state = parallel_pair_state()
         recorder = LogRecorder(state)

@@ -130,6 +130,7 @@ class TestParse:
         (PNORM_TEXT.replace("r=0.5", "r=\uff10.5"), 8, "'r=\uff10.5'"),
         (PNORM_TEXT.replace("add 1 3\n", "add 1\u00a03\n"), 9,
          "'\\xa0'"),
+        (PNORM_TEXT.replace("start", "start\u3000"), 7, "'\\u3000'"),
     ])
     def test_rejected_lines_carry_line_numbers(self, text, line, needle):
         with pytest.raises(StreamError) as err:
