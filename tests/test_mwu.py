@@ -412,11 +412,11 @@ def _lockstep_state(kind, p, m_max, backend, seed, trace):
     for u, v in ends:
         graph.add_edge(u, v)
     m = len(ends)
-    g = {"pair": np.array([1.0, -1.0]), "faint": np.array([0.0094, -0.0094, 0]),
-         "ring": -1.0 - rng.random(m)}.get(kind, rng.normal(size=m))
     if kind == "faint":
-        return mwu_init(graph, g, np.ones(m), np.ones(m), p, m_max=m_max,
-                        seed=seed, trace=trace)
+        return mwu_init(graph, np.array([0.0094, -0.0094, 0.0]), np.ones(m),
+                        np.ones(m), p, m_max=m_max, seed=seed, trace=trace)
+    g = (np.array([1.0, -1.0]) if kind == "pair"
+         else -1.0 - rng.random(m) if kind == "ring" else rng.normal(size=m))
     kwargs = ({"backend": "trees", "kappa": 2.0} if backend == "trees"
               else {})
     return mwu_init(graph, g, 0.5 + rng.random(m), 0.5 + rng.random(m), p,
@@ -454,10 +454,10 @@ def _run_lockstep(kind, p, m_max, backend, calls):
     """Drive a run with mwu_step calls of random limits (1 at every fourth
     call, else 1..300) and its twin with as many reference_step rounds,
     admitting the same random edge into both at every stall and every
-    fourth call, and compare them after every call; returns the mwu_step
+    third call, and compare them after every call; returns the mwu_step
     run and a tally: its largest segment, its stalls, the calls that
-    stalled after progress rounds, and the insertions that came while the
-    current segment had rows left."""
+    stalled after progress rounds, and the insertions that followed a
+    call its limit ended while the oracle still held its cycle."""
     seed = 7 * p + m_max
     fast_trace, ref_trace = [], []
     fast = _lockstep_state(kind, p, m_max, backend, seed, fast_trace.append)
@@ -481,7 +481,7 @@ def _run_lockstep(kind, p, m_max, backend, calls):
             tally["largest"] = max(tally["largest"], segment.size)
         tally["stalls"] += got is None
         tally["mid_call_stalls"] += got is None and fast.iteration > begin
-        if (got is None or call % 4 == 0) and fast.m < fast.m_max:
+        if (got is None or call % 3 == 0) and fast.m < fast.m_max:
             # The limit, not a push, ended the call: the oracle still
             # holds the call's last cycle.
             tally["cut_segment_inserts"] += (
@@ -533,7 +533,7 @@ class TestMatchesReference:
         fast, tally = _run_lockstep("ring", 3, 16, "exact", None)
         assert fast.iteration == fast.T
         # Every cycle has at least 2 edges; uncapped, this run's segments
-        # grow to 256 rows.
+        # grow to 120 rows.
         assert tally["largest"] <= 64 // 2
 
     @pytest.mark.parametrize("limit", [1, 50])
