@@ -61,15 +61,22 @@ class _UnionFind:
 
     def union(self, u: int, v: int) -> bool:
         """Merge the sets of u and v; False when they were already one."""
-        ru, rv = self.find(u), self.find(v)
-        if ru == rv:
+        # find(u) then find(v), inline: Kruskal calls this per scanned edge.
+        parent = self.parent
+        while parent[u] != u:
+            parent[u] = parent[parent[u]]
+            u = parent[u]
+        while parent[v] != v:
+            parent[v] = parent[parent[v]]
+            v = parent[v]
+        if u == v:
             return False
         rank = self.rank
-        if rank[ru] < rank[rv]:
-            ru, rv = rv, ru
-        self.parent[rv] = ru
-        if rank[ru] == rank[rv]:
-            rank[ru] += 1
+        if rank[u] < rank[v]:
+            u, v = v, u
+        parent[v] = u
+        if rank[u] == rank[v]:
+            rank[u] += 1
         return True
 
 

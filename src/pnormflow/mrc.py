@@ -215,7 +215,7 @@ class MonotoneMrcState:
         self.m += 1
         self._fresh = False
         if self._trees is not None:
-            self._trees.note_insert(e)
+            self._trees.note_insert(self, e)
         return e
 
     def increase_length(self, e: int, length: float) -> None:
@@ -231,7 +231,7 @@ class MonotoneMrcState:
         self._lengths[e] = length
         self._fresh = False
         if self._trees is not None:
-            self._trees.note_increase(length - old)
+            self._trees.note_increase(self, length - old)
 
     def query(self) -> CycleSolution | None:
         """Any cycle with ratio <= -alpha/kappa; None when unavailable.
@@ -242,7 +242,7 @@ class MonotoneMrcState:
             if self.m < 2:
                 self._answer = None
             elif self._trees is not None:
-                self._answer = self._trees.query()
+                self._answer = self._trees.query(self)
             else:
                 self._answer = self._exact_query()
             if self._answer is not None:
@@ -276,23 +276,32 @@ class _TreeCollection:
     of randomized minimum-length trees, rebuilt when the total length doubles
     or an insertion connects components.
 
-    Each forest's off-tree edges and their cycle gradients are cached. A
+    A rebuild also stacks the forests into one (`stacked`, forest i's vertex
+    v at i * n + v) and takes the signed gradient prefix sums over it once;
+    each query takes the length prefix sums over it once, and each forest
+    reads its own slice. LCA batches run on the stacked forest's table, one
+    forest per call.
+
+    Each forest's off-tree edges, their endpoints and meeting vertices (in
+    the forest's own numbering) and their cycle gradients are cached. A
     rebuild drops the cache and the next query recomputes it; an insertion
     that does not rebuild appends the new edge, which is off-tree in every
-    forest, to each forest's entry."""
+    forest, to each forest's entry.
+
+    The collection keeps no reference to its state: every method takes it,
+    so a dropped state and its forests are freed without waiting for the
+    cyclic garbage collector."""
 
     def __init__(self, state: MonotoneMrcState, seed: int | None):
-        self.state = state
         self.rng = np.random.Generator(np.random.Philox(key=seed or 0))
         self.count = 4 * max(1, math.ceil(math.log2(max(state.n, 2))))
         self.forests: list[SpanningForest] = []
         self._cycles: list[tuple[np.ndarray, ...]] | None = None
         self.total = float(state.lengths.sum())
         self.checkpoint = 0.0
-        self.rebuild()
+        self.rebuild(state)
 
-    def rebuild(self) -> None:
-        state = self.state
+    def rebuild(self, state: MonotoneMrcState) -> None:
         m = state.m
         tails, heads = state.tails.tolist(), state.heads.tolist()
         self.forests = []
@@ -300,64 +309,68 @@ class _TreeCollection:
             keys = state.lengths * self.rng.uniform(1.0, 4.0, m)
             order = np.argsort(keys, kind="stable")
             self.forests.append(SpanningForest(state.n, tails, heads, order))
+        self.stacked = SpanningForest.disjoint_union(self.forests)
+        # Tree edges keep their gradients, so these stay valid until the
+        # next rebuild.
+        self.gsum = self.stacked.prefix_sums(state.gradients, signed=True)
         self.checkpoint = max(self.total, 1e-300)
         self.components = state.graph.components
         self._cycles = None
 
-    def _forest_cycles(self, forest: SpanningForest,
+    def _forest_cycles(self, state: MonotoneMrcState, i: int,
                        off: np.ndarray | None = None
                        ) -> tuple[np.ndarray, ...]:
-        """Off-tree edges `off` of a forest (by default all of them), their
+        """Off-tree edges `off` of forest i (by default all of them), their
         endpoints and meeting vertices, and their fundamental-cycle
         gradients."""
-        state = self.state
         g = state.gradients
         if off is None:
-            off = np.flatnonzero(~forest.tree_edge_mask(state.m))
-        gsum = forest.prefix_sums(g, signed=True)
+            off = np.flatnonzero(~self.forests[i].tree_edge_mask(state.m))
+        shift = i * state.n
+        gsum = self.gsum[shift:shift + state.n]
         u, v = state.tails[off], state.heads[off]
-        meet = forest.lca_many(u, v)
+        meet = self.stacked.lca_many(u + shift, v + shift) - shift
         return off, u, v, meet, g[off] + gsum[u] - gsum[v]
 
-    def note_insert(self, e: int) -> None:
-        self.total += float(self.state.lengths[e])
-        connected = self.state.graph.components < self.components
+    def note_insert(self, state: MonotoneMrcState, e: int) -> None:
+        self.total += float(state.lengths[e])
+        connected = state.graph.components < self.components
         if connected or self.total >= 2.0 * self.checkpoint:
-            self.rebuild()
+            self.rebuild(state)
         elif self._cycles is not None:
             # Forests and existing gradients are unchanged, so only the new
             # edge's cycle is computed.
             new = np.array([e], dtype=np.int64)
             self._cycles = [
                 tuple(map(np.concatenate,
-                          zip(cached, self._forest_cycles(forest, new))))
-                for forest, cached in zip(self.forests, self._cycles)]
+                          zip(cached, self._forest_cycles(state, i, new))))
+                for i, cached in enumerate(self._cycles)]
 
-    def note_increase(self, delta: float) -> None:
+    def note_increase(self, state: MonotoneMrcState, delta: float) -> None:
         self.total += delta
         if self.total >= 2.0 * self.checkpoint:
-            self.rebuild()
+            self.rebuild(state)
 
-    def query(self) -> CycleSolution | None:
-        state = self.state
+    def query(self, state: MonotoneMrcState) -> CycleSolution | None:
         g, lengths = state.gradients, state.lengths
         threshold = -state.alpha / state.kappa
         best_ratio = 0.0
         best: tuple[SpanningForest, int] | None = None
         if self._cycles is None:
-            self._cycles = [self._forest_cycles(forest)
-                            for forest in self.forests]
-        for forest, (off, u, v, meet, grads) in zip(self.forests,
-                                                    self._cycles):
+            self._cycles = [self._forest_cycles(state, i)
+                            for i in range(len(self.forests))]
+        stacked_lsum = self.stacked.prefix_sums(lengths, signed=False)
+        n = state.n
+        for i, (off, u, v, meet, grads) in enumerate(self._cycles):
             if off.size == 0:
                 continue
-            lsum = forest.prefix_sums(lengths, signed=False)
+            lsum = stacked_lsum[i * n:(i + 1) * n]
             lens = lengths[off] + lsum[u] + lsum[v] - 2.0 * lsum[meet]
             ratios = -np.abs(grads) / lens
             pick = int(np.argmin(ratios))
             if ratios[pick] < best_ratio:
                 best_ratio = float(ratios[pick])
-                best = (forest, int(off[pick]))
+                best = (self.forests[i], int(off[pick]))
         if best is None or best_ratio > threshold:
             return None
         forest, e = best

@@ -243,7 +243,10 @@ def parse_stream(text: str) -> UpdateStream:
     # Only comments may hold underscores or non-ASCII characters, so lines
     # are screened only when the text holds some.
     screen = "_" in text or not text.isascii()
-    for lineno, raw in enumerate(text.splitlines(), start=1):
+    # Lines end at "\n" only (str.splitlines also breaks at a lone "\r",
+    # \v, \f, \x1c-\x1e, U+0085, U+2028 and U+2029); strip() drops the
+    # "\r" of a CRLF ending.
+    for lineno, raw in enumerate(text.split("\n"), start=1):
         line = raw.split("#", 1)[0]
         if screen and ("_" in line or not line.isascii()):
             raise StreamError(f"{_foreign(line)!r} is not plain ASCII "

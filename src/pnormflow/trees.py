@@ -4,8 +4,9 @@ Shared by the static optimizer (cycle-space parameterization), the exact
 min-ratio backend (degenerate all-zero-gradient case) and the tree-collection
 backend (fundamental-cycle candidates), which builds dozens of forests over
 thousands of edges per run. So a forest is built on plain Python lists and
-becomes numpy arrays only at the end, and batched LCA lifts whole arrays
-with np.where.
+becomes numpy arrays only at the end, and the backend stacks its forests
+into one (`SpanningForest.disjoint_union`) so that path sums and LCA batches
+run as whole-array passes over all of them.
 """
 
 from __future__ import annotations
@@ -33,8 +34,11 @@ class SpanningForest:
 
     Kruskal scans `edge_order` and stops once it holds n - 1 tree edges,
     where no later edge can join two trees; `tree_edges` keeps the order in
-    which they were taken. lca_many answers batches by binary lifting over a
-    table built on first use.
+    which they were taken. prefix_sums runs one vectorized pass per depth
+    level. lca_many answers a batch by range minima over a depth-first
+    preorder (Bender and Farach-Colton, "The LCA Problem Revisited"), from
+    a sparse table built on first use. disjoint_union stacks forests into
+    one, so the tree backend runs both over all of its forests at once.
     """
 
     def __init__(self, n: int, tails: Sequence[int], heads: Sequence[int],
@@ -86,8 +90,35 @@ class SpanningForest:
         self.depth = np.array(depth, dtype=np.int64)
         self.order = np.array(order, dtype=np.int64)
         self.tree_edges = np.array(tree_edges, dtype=np.int64)
-        self._lift: np.ndarray | None = None
         self._levels: list[np.ndarray] | None = None
+        self._lca: tuple[np.ndarray, np.ndarray] | None = None
+
+    @classmethod
+    def disjoint_union(cls, forests: Sequence[SpanningForest]
+                       ) -> SpanningForest:
+        """The forests side by side as one forest over the same edge ids.
+
+        Forest i's vertex v becomes vertex offset_i + v, where offset_i is
+        the vertex count of the forests before it (i * n when all have n
+        vertices); parent edges and signs are kept. No Kruskal pass runs.
+        `tree_edges` concatenates the forests' tree edges, so an edge id may
+        repeat. Pairs passed to lca_many must come from one forest, like any
+        pair must share a component.
+        """
+        offsets = np.cumsum([0] + [f.n for f in forests[:-1]])
+        union = cls.__new__(cls)
+        union.n = int(sum(f.n for f in forests))
+        union.parent_vertex = np.concatenate([
+            np.where(f.parent_vertex >= 0, f.parent_vertex + shift, -1)
+            for f, shift in zip(forests, offsets)])
+        union.order = np.concatenate([f.order + shift
+                                      for f, shift in zip(forests, offsets)])
+        for name in ("parent_edge", "parent_sign", "depth", "tree_edges"):
+            setattr(union, name,
+                    np.concatenate([getattr(f, name) for f in forests]))
+        union._levels = None
+        union._lca = None
+        return union
 
     def tree_edge_mask(self, m: int) -> np.ndarray:
         mask = np.zeros(m, dtype=bool)
@@ -116,6 +147,17 @@ class SpanningForest:
         """True when the edge above v is stored with v as its head."""
         return self.parent_sign[v] == -1
 
+    def _depth_levels(self) -> list[np.ndarray]:
+        """Non-root vertices grouped by depth, shallowest level first, each
+        level in increasing vertex order."""
+        if self._levels is None:
+            by_depth = np.argsort(self.depth, kind="stable")
+            top = int(self.depth.max(initial=0))
+            bounds = np.searchsorted(self.depth[by_depth],
+                                     np.arange(1, top + 1))
+            self._levels = np.split(by_depth, bounds)[1:]
+        return self._levels
+
     def prefix_sums(self, values: np.ndarray, signed: bool) -> np.ndarray:
         """Per-vertex sums of `values` along the root -> v tree path.
 
@@ -123,51 +165,74 @@ class SpanningForest:
         tail -> head and -value otherwise; unsigned sums are plain totals
         (used for lengths).
         """
-        if self._levels is None:
-            # Non-root vertices grouped by depth, shallowest level first.
-            by_depth = np.argsort(self.depth, kind="stable")
-            top = int(self.depth.max(initial=0))
-            bounds = np.searchsorted(self.depth[by_depth],
-                                     np.arange(1, top + 1))
-            self._levels = np.split(by_depth, bounds)[1:]
         out = np.zeros(self.n)
         pv, pe, ps = self.parent_vertex, self.parent_edge, self.parent_sign
-        for level in self._levels:
+        for level in self._depth_levels():
             val = values[pe[level]]
             # Traversal parent -> child runs against parent_sign.
             out[level] = out[pv[level]] + (-ps[level] * val if signed else val)
         return out
 
-    def _build_lift(self) -> None:
-        levels = max(1, int(np.max(self.depth)).bit_length())
-        lift = np.full((levels, self.n), -1, dtype=np.int64)
-        lift[0] = self.parent_vertex
-        for k in range(1, levels):
-            prev = lift[k - 1]
-            lift[k] = np.where(prev >= 0, prev[prev], -1)
-        self._lift = lift
+    def _build_lca(self) -> tuple[np.ndarray, np.ndarray]:
+        """Each vertex's position in a depth-first preorder, and a sparse
+        table of range minima over the preorder's keys depth * n + parent.
+
+        In a preorder every subtree is contiguous, so for distinct u, v the
+        positions after the earlier one up to the later one hold the child
+        of their LCA on the path to the later vertex and nothing shallower;
+        the shallowest vertices there are all children of the LCA, so the
+        minimum key names it. Row k holds the minimum over 2^k positions.
+        """
+        n, pv = self.n, self.parent_vertex
+        levels = self._depth_levels()
+        size = np.ones(n, dtype=np.int64)
+        for level in reversed(levels):
+            np.add.at(size, pv[level], size[level])
+        # A child is placed after its parent and the subtrees of its
+        # earlier siblings, siblings in vertex order.
+        kids = np.flatnonzero(pv >= 0)
+        kids = kids[np.argsort(pv[kids], kind="stable")]
+        before = np.cumsum(size[kids]) - size[kids]
+        first = np.ones(kids.size, dtype=bool)
+        first[1:] = pv[kids[1:]] != pv[kids[:-1]]
+        # `before` never decreases, so this is each sibling group's start.
+        group = np.maximum.accumulate(np.where(first, before, 0))
+        skip = np.zeros(n, dtype=np.int64)
+        skip[kids] = before - group + 1
+        roots = np.flatnonzero(pv < 0)
+        pos = np.zeros(n, dtype=np.int64)
+        pos[roots] = np.cumsum(size[roots]) - size[roots]
+        for level in levels:
+            pos[level] = pos[pv[level]] + skip[level]
+
+        # Query ranges stay inside one component.
+        rows = max(1, int(size[roots].max(initial=1)).bit_length())
+        table = np.empty((rows, n), dtype=np.int64)
+        table[0, pos] = self.depth * n + pv
+        for k in range(1, rows):
+            half = 1 << (k - 1)
+            table[k] = table[k - 1]
+            np.minimum(table[k - 1, :-half], table[k - 1, half:],
+                       out=table[k, :-half])
+        return pos, table
 
     def lca_many(self, us: np.ndarray, vs: np.ndarray) -> np.ndarray:
         """Lowest common ancestor of each pair (us[i], vs[i]); every pair
         must share a component."""
-        if self._lift is None:
-            self._build_lift()
-        lift = self._lift
+        if self._lca is None:
+            self._lca = self._build_lca()
+        pos, table = self._lca
         us = np.asarray(us, dtype=np.int64)
         vs = np.asarray(vs, dtype=np.int64)
-        du, dv = self.depth[us], self.depth[vs]
-        # us climbs to the depth of vs, then both climb while they differ.
-        swap = du < dv
-        us, vs = np.where(swap, vs, us), np.where(swap, us, vs)
-        diff = np.abs(du - dv)
-        for k in range(int(diff.max(initial=0)).bit_length()):
-            us = np.where((diff >> k) & 1 == 1, lift[k][us], us)
-        for k in range(lift.shape[0] - 1, -1, -1):
-            lu, lv = lift[k][us], lift[k][vs]
-            step = lu != lv
-            us = np.where(step, lu, us)
-            vs = np.where(step, lv, vs)
-        return np.where(us == vs, us, self.parent_vertex[us])
+        at_u, at_v = pos[us], pos[vs]
+        same = at_u == at_v
+        hi = np.maximum(at_u, at_v)
+        # Positions lo + 1..hi, covered by two runs of 2^k; a pair of one
+        # vertex reads a valid dummy range.
+        lo = np.where(same, hi - 1, np.minimum(at_u, at_v))
+        k = np.frexp(hi - lo)[1] - 1
+        key = np.minimum(table[k, lo + 1], table[k, hi + 1 - (1 << k)])
+        return np.where(same, us, key % self.n)
 
     def fundamental_cycles(self, edges: np.ndarray, tails: np.ndarray,
                            heads: np.ndarray

@@ -450,10 +450,10 @@ class TestTreeBackend:
             forests = trees.forests
             insert(*rng.choice(k, size=2, replace=False))
             assert trees.forests is forests
-            assert_cache_is_fresh(trees)
+            assert_cache_is_fresh(state)
 
         state.query()
-        assert_cache_is_fresh(trees)
+        assert_cache_is_fresh(state)
         for _ in range(3):
             insert_within_first_component()
 
@@ -461,7 +461,7 @@ class TestTreeBackend:
         insert(rng.integers(k), rng.integers(k, n))
         assert trees.forests is not forests
         state.query()
-        assert_cache_is_fresh(trees)
+        assert_cache_is_fresh(state)
         insert_within_first_component()
 
         forests = trees.forests
@@ -470,16 +470,17 @@ class TestTreeBackend:
             e, float(state.lengths[e] + 2.0 * trees.total))
         assert trees.forests is not forests
         state.query()
-        assert_cache_is_fresh(trees)
+        assert_cache_is_fresh(state)
         insert_within_first_component()
 
 
-def assert_cache_is_fresh(trees):
+def assert_cache_is_fresh(state):
     """Each forest's cached (off, u, v, meet, grads) equals a fresh
-    computation element by element."""
+    computation element by element and dtype by dtype."""
+    trees = state._trees
     assert len(trees._cycles) == len(trees.forests)
-    for forest, cached in zip(trees.forests, trees._cycles):
-        fresh = trees._forest_cycles(forest)
+    for i, cached in enumerate(trees._cycles):
+        fresh = trees._forest_cycles(state, i)
         assert len(cached) == len(fresh) == 5
         for got, want in zip(cached, fresh):
             assert got.dtype == want.dtype
@@ -491,7 +492,7 @@ def direct_solve(state):
     if state.m < 2:
         return None
     if state.backend == "trees":
-        return state._trees.query()
+        return state._trees.query(state)
     return state._exact_query()
 
 

@@ -1,6 +1,8 @@
 """Tests for the multiplicative-weights inner loop over the cycle oracle."""
 
+import gc
 import math
+import weakref
 
 import numpy as np
 import pytest
@@ -395,6 +397,19 @@ class TestRun:
             c = outcome
             assert float(state.gradients @ c) == pytest.approx(-1.0, rel=1e-9)
             assert float(np.linalg.norm(state._r[:2] * c)) <= 2 * state.K
+
+    def test_a_dropped_tree_backend_run_is_freed_without_the_collector(self):
+        """No reference cycle keeps a finished run's forests and cycle
+        caches alive until the cyclic garbage collector reaches them."""
+        gc.disable()
+        try:
+            state = parallel_pair_state(backend="trees", seed=1, kappa=2.0)
+            run_to_end(state)
+            collection = weakref.ref(state.mrc._trees)
+            del state
+            assert collection() is None
+        finally:
+            gc.enable()
 
 
 def _lockstep_state(kind, p, m_max, backend, seed, trace):

@@ -131,12 +131,24 @@ class TestParse:
         (PNORM_TEXT.replace("add 1 3\n", "add 1\u00a03\n"), 9,
          "'\\xa0'"),
         (PNORM_TEXT.replace("start", "start\u3000"), 7, "'\\u3000'"),
+        # Only "\n" ends a line: a character str.splitlines also breaks at
+        # stays inside its line, so the bad vertex on text line 4 is never
+        # reached (nor counted as line 5).
+        *((MAXFLOW_TEXT.replace("cap=3\n", "cap=3" + sep)
+           .replace("add 1 3", "add 1 9"), 2, needle)
+          for sep, needle in (("\u2028", "'\\u2028'"), ("\x85", "'\\x85'"),
+                              ("\f", "key=value"), ("\x1e", "key=value"))),
     ])
     def test_rejected_lines_carry_line_numbers(self, text, line, needle):
         with pytest.raises(StreamError) as err:
             parse_stream(text)
         assert needle in str(err.value)
         assert err.value.line == line
+
+    def test_crlf_line_endings_parse_alike(self):
+        for text in (PNORM_TEXT, MAXFLOW_TEXT, EFFRES_TEXT):
+            assert parse_stream(text.replace("\n", "\r\n")) \
+                == parse_stream(text)
 
     def test_add_before_start_and_edge_after_start(self):
         with pytest.raises(StreamError, match="follow start"):

@@ -22,6 +22,13 @@ def forest_of(g, rng=None):
     return SpanningForest(g.n, g.tails, g.heads, order)
 
 
+def random_forests(rng, n):
+    """One to three forests of a random multigraph, which often has several
+    components."""
+    g = random_graph(rng, n, int(rng.integers(1, 3 * n)))
+    return g, [forest_of(g, rng) for _ in range(int(rng.integers(1, 4)))]
+
+
 class TestConstruction:
     """Forest shape: acyclic, spanning within components, parents oriented."""
 
@@ -56,6 +63,28 @@ class TestConstruction:
         forest = forest_of(g, rng)
         roots = {g.find(v) for v in range(n)}
         assert forest.tree_edges.size == n - len(roots)
+
+    @given(seed=st.integers(min_value=0, max_value=2 ** 32 - 1))
+    @settings(max_examples=30, deadline=None)
+    def test_disjoint_union_shifts_vertices_and_keeps_edge_ids(self, seed):
+        rng = np.random.Generator(np.random.Philox(seed))
+        n = int(rng.integers(2, 12))
+        _, forests = random_forests(rng, n)
+        stacked = SpanningForest.disjoint_union(forests)
+        assert stacked.n == n * len(forests)
+        assert np.array_equal(stacked.tree_edges, np.concatenate(
+            [f.tree_edges for f in forests]))
+        for i, forest in enumerate(forests):
+            part = slice(i * n, (i + 1) * n)
+            pv = forest.parent_vertex
+            assert np.array_equal(stacked.parent_vertex[part],
+                                  np.where(pv >= 0, pv + i * n, -1))
+            assert np.array_equal(stacked.order[part], forest.order + i * n)
+            for name in ("parent_edge", "parent_sign", "depth"):
+                assert np.array_equal(getattr(stacked, name)[part],
+                                      getattr(forest, name)), name
+        for name in FOREST_FIELDS:
+            assert getattr(stacked, name).dtype == np.int64, name
 
 
 FOREST_FIELDS = ("parent_vertex", "parent_edge", "parent_sign", "depth",
@@ -225,7 +254,8 @@ class TestFundamentalCycles:
 
 
 class TestLca:
-    """Binary-lifting LCA against the naive parent walk."""
+    """Range-minimum LCA against the naive parent walk, on forests with
+    several components and on their disjoint union."""
 
     def naive_lca(self, forest, u, v):
         ancestors = set()
@@ -236,35 +266,38 @@ class TestLca:
             v = int(forest.parent_vertex[v])
         return v
 
+    def same_component_pairs(self, forest, rng, size):
+        root = np.arange(forest.n)
+        while np.any(forest.parent_vertex[root] >= 0):
+            root = np.where(forest.parent_vertex[root] >= 0,
+                            forest.parent_vertex[root], root)
+        us = rng.integers(0, forest.n, size=size)
+        vs = np.array([rng.choice(np.flatnonzero(root == root[u]))
+                       for u in us])
+        return us, vs
+
     @given(seed=st.integers(min_value=0, max_value=2 ** 32 - 1))
     @settings(max_examples=40, deadline=None)
     def test_lca_matches_naive_walk(self, seed):
         rng = np.random.Generator(np.random.Philox(seed))
-        n = int(rng.integers(2, 16))
-        g = IncrementalGraph(n)
-        spine = rng.permutation(n)
-        for i in range(n - 1):
-            g.add_edge(int(spine[i]), int(spine[i + 1]))
-        forest = forest_of(g, rng)
-        for _ in range(10):
-            u, v = int(rng.integers(n)), int(rng.integers(n))
-            assert forest.lca_many([u], [v])[0] == self.naive_lca(forest, u, v)
+        _, forests = random_forests(rng, int(rng.integers(2, 16)))
+        for forest in forests + [SpanningForest.disjoint_union(forests)]:
+            for u, v in zip(*self.same_component_pairs(forest, rng, 10)):
+                assert forest.lca_many([u], [v])[0] \
+                    == self.naive_lca(forest, int(u), int(v))
 
     @given(seed=st.integers(min_value=0, max_value=2 ** 32 - 1))
     @settings(max_examples=30, deadline=None)
     def test_lca_many_matches_scalar(self, seed):
         rng = np.random.Generator(np.random.Philox(seed))
-        n = int(rng.integers(2, 16))
-        g = IncrementalGraph(n)
-        spine = rng.permutation(n)
-        for i in range(n - 1):
-            g.add_edge(int(spine[i]), int(spine[i + 1]))
-        forest = forest_of(g, rng)
-        us = rng.integers(0, n, size=8)
-        vs = rng.integers(0, n, size=8)
-        batch = forest.lca_many(us, vs)
-        for i in range(8):
-            assert batch[i] == self.naive_lca(forest, int(us[i]), int(vs[i]))
+        _, forests = random_forests(rng, int(rng.integers(2, 16)))
+        for forest in forests + [SpanningForest.disjoint_union(forests)]:
+            us, vs = self.same_component_pairs(forest, rng, 8)
+            batch = forest.lca_many(us, vs)
+            assert batch.dtype == np.int64
+            for i in range(8):
+                assert batch[i] == self.naive_lca(forest, int(us[i]),
+                                                  int(vs[i]))
 
     def test_lca_of_a_vertex_with_itself(self):
         g = IncrementalGraph(4)
@@ -320,20 +353,28 @@ class TestPrefixSums:
     @given(seed=st.integers(min_value=0, max_value=2 ** 32 - 1))
     @settings(max_examples=40, deadline=None)
     def test_prefix_sums_equal_the_vertex_loop(self, seed):
+        """Bit for bit, on each forest and on each forest's slice of their
+        disjoint union."""
         rng = np.random.Generator(np.random.Philox(seed))
         n = int(rng.integers(2, 20))
-        g = random_graph(rng, n, int(rng.integers(1, 3 * n)))
-        forest = forest_of(g, rng)
+        g, forests = random_forests(rng, n)
+        stacked = SpanningForest.disjoint_union(forests)
         values = rng.normal(size=g.m) * 10.0 ** rng.uniform(-6, 6, g.m)
         for signed in (False, True):
-            # The per-vertex loop in parent-first order is the reference;
-            # the level-by-level sums add the same terms in the same order.
-            expect = np.zeros(n)
-            for v in forest.order:
-                p = forest.parent_vertex[v]
-                if p < 0:
-                    continue
-                val = values[forest.parent_edge[v]]
-                expect[v] = expect[p] + (
-                    -forest.parent_sign[v] * val if signed else val)
-            assert np.array_equal(forest.prefix_sums(values, signed), expect)
+            stacked_sums = stacked.prefix_sums(values, signed)
+            for i, forest in enumerate(forests):
+                # The per-vertex loop in parent-first order is the
+                # reference; the level-by-level sums add the same terms in
+                # the same order.
+                expect = np.zeros(n)
+                for v in forest.order:
+                    p = forest.parent_vertex[v]
+                    if p < 0:
+                        continue
+                    val = values[forest.parent_edge[v]]
+                    expect[v] = expect[p] + (
+                        -forest.parent_sign[v] * val if signed else val)
+                assert np.array_equal(forest.prefix_sums(values, signed),
+                                      expect)
+                assert np.array_equal(stacked_sums[i * n:(i + 1) * n],
+                                      expect)
