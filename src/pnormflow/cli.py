@@ -324,7 +324,7 @@ def main(argv=None) -> int:
     except StreamError as exc:
         print(f"pnormflow: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except FileNotFoundError as exc:
+    except OSError as exc:
         print(f"pnormflow: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except (InvariantViolation, OracleError) as exc:

@@ -146,10 +146,9 @@ class MonotoneMrcState:
 
     def __init__(self, graph: IncrementalGraph, gradients: np.ndarray,
                  lengths: np.ndarray, alpha: float, kappa: float = 1.0,
-                 backend: str = "exact", seed: int | None = None,
-                 capacity: int | None = None):
-        gradients = np.asarray(gradients, dtype=float)
-        lengths = np.asarray(lengths, dtype=float)
+                 backend: str = "exact", seed: int | None = None):
+        gradients = np.array(gradients, dtype=float)
+        lengths = np.array(lengths, dtype=float)
         if gradients.shape != (graph.m,) or lengths.shape != (graph.m,):
             raise ValueError("gradient/length arrays must match the edge count")
         if not np.all(np.isfinite(gradients)):
@@ -166,7 +165,6 @@ class MonotoneMrcState:
             raise ValueError("the exact backend is exactly kappa = 1")
         self.graph = graph
         self.n, self.m = graph.n, graph.m
-        capacity = max(capacity or 0, self.m)
         self.alpha = alpha
         self.kappa = kappa
         self.backend = backend
@@ -174,10 +172,8 @@ class MonotoneMrcState:
         self.solves = 0
         self._fresh = False
         self._answer: CycleSolution | None = None
-        self._grads = np.zeros(capacity)
-        self._lengths = np.zeros(capacity)
-        self._grads[:self.m] = gradients
-        self._lengths[:self.m] = lengths
+        self._grads = gradients
+        self._lengths = lengths
         self._trees = (_TreeCollection(self, seed) if backend == "trees"
                        else None)
 
@@ -276,11 +272,13 @@ class _TreeCollection:
     of randomized minimum-length trees, rebuilt when the total length doubles
     or an insertion connects components.
 
-    A rebuild also stacks the forests into one (`stacked`, forest i's vertex
-    v at i * n + v) and takes the signed gradient prefix sums over it once;
-    each query takes the length prefix sums over it once, and each forest
-    reads its own slice. LCA batches run on the stacked forest's table, one
-    forest per call.
+    A rebuild stacks the forests into one (`stacked`, forest i's vertex v
+    at i * n + v) and keeps only that; every forest has the same number of
+    tree edges, so forest i's are slice i of `stacked.tree_edges`. The
+    rebuild takes the signed gradient prefix sums over it once; each query
+    takes the length prefix sums over it once, and each forest reads its
+    own slice. LCA batches run on the stacked forest's table, one forest
+    per call, and the winning cycle is walked on it too.
 
     Each forest's off-tree edges, their endpoints and meeting vertices (in
     the forest's own numbering) and their cycle gradients are cached. A
@@ -295,7 +293,6 @@ class _TreeCollection:
     def __init__(self, state: MonotoneMrcState, seed: int | None):
         self.rng = np.random.Generator(np.random.Philox(key=seed or 0))
         self.count = 4 * max(1, math.ceil(math.log2(max(state.n, 2))))
-        self.forests: list[SpanningForest] = []
         self._cycles: list[tuple[np.ndarray, ...]] | None = None
         self.total = float(state.lengths.sum())
         self.checkpoint = 0.0
@@ -304,12 +301,12 @@ class _TreeCollection:
     def rebuild(self, state: MonotoneMrcState) -> None:
         m = state.m
         tails, heads = state.tails.tolist(), state.heads.tolist()
-        self.forests = []
+        forests = []
         for _ in range(self.count):
             keys = state.lengths * self.rng.uniform(1.0, 4.0, m)
             order = np.argsort(keys, kind="stable")
-            self.forests.append(SpanningForest(state.n, tails, heads, order))
-        self.stacked = SpanningForest.disjoint_union(self.forests)
+            forests.append(SpanningForest(state.n, tails, heads, order))
+        self.stacked = SpanningForest.disjoint_union(forests)
         # Tree edges keep their gradients, so these stay valid until the
         # next rebuild.
         self.gsum = self.stacked.prefix_sums(state.gradients, signed=True)
@@ -325,7 +322,10 @@ class _TreeCollection:
         gradients."""
         g = state.gradients
         if off is None:
-            off = np.flatnonzero(~self.forests[i].tree_edge_mask(state.m))
+            size = self.stacked.tree_edges.size // self.count
+            off = np.ones(state.m, dtype=bool)
+            off[self.stacked.tree_edges[i * size:(i + 1) * size]] = False
+            off = np.flatnonzero(off)
         shift = i * state.n
         gsum = self.gsum[shift:shift + state.n]
         u, v = state.tails[off], state.heads[off]
@@ -355,10 +355,10 @@ class _TreeCollection:
         g, lengths = state.gradients, state.lengths
         threshold = -state.alpha / state.kappa
         best_ratio = 0.0
-        best: tuple[SpanningForest, int] | None = None
+        best: tuple[int, int] | None = None
         if self._cycles is None:
             self._cycles = [self._forest_cycles(state, i)
-                            for i in range(len(self.forests))]
+                            for i in range(self.count)]
         stacked_lsum = self.stacked.prefix_sums(lengths, signed=False)
         n = state.n
         for i, (off, u, v, meet, grads) in enumerate(self._cycles):
@@ -370,11 +370,13 @@ class _TreeCollection:
             pick = int(np.argmin(ratios))
             if ratios[pick] < best_ratio:
                 best_ratio = float(ratios[pick])
-                best = (self.forests[i], int(off[pick]))
+                best = (i, pick)
         if best is None or best_ratio > threshold:
             return None
-        forest, e = best
-        edges, signs = forest.fundamental_cycle(e, state.tails, state.heads)
+        i, pick = best
+        off, u, v = (col[pick:pick + 1] for col in self._cycles[i][:3])
+        _, edges, signs = self.stacked.fundamental_cycle(off, u + i * n,
+                                                         v + i * n)
         solution = _solution_from_cycle(edges, signs, g, lengths)
         if solution.gradient > 0:
             solution = _solution_from_cycle(edges, -signs, g, lengths)

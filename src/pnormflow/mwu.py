@@ -155,7 +155,7 @@ class MwuState:
         # start at the lengths.
         self.mrc = MonotoneMrcState(graph, g, self._ell[:m], self.alpha,
                                     kappa=self.kappa, backend=backend,
-                                    seed=seed, capacity=m_max)
+                                    seed=seed)
 
     @property
     def gradients(self) -> np.ndarray:

@@ -1,12 +1,12 @@
 """Spanning forests: construction, demand routing, fundamental cycles, LCA.
 
-Shared by the static optimizer (cycle-space parameterization), the exact
-min-ratio backend (degenerate all-zero-gradient case) and the tree-collection
-backend (fundamental-cycle candidates), which builds dozens of forests over
-thousands of edges per run. So a forest is built on plain Python lists and
-becomes numpy arrays only at the end, and the backend stacks its forests
-into one (`SpanningForest.disjoint_union`) so that path sums and LCA batches
-run as whole-array passes over all of them.
+Shared by the static optimizer (starting flow and cycle-space
+parameterization) and the tree-collection backend (fundamental-cycle
+candidates), which builds dozens of forests over thousands of edges per
+run. So a forest is built on plain Python lists and becomes numpy arrays
+only at the end, and the backend stacks its forests into one
+(`SpanningForest.disjoint_union`) so that path sums and LCA batches run as
+whole-array passes over all of them.
 """
 
 from __future__ import annotations
@@ -34,11 +34,15 @@ class SpanningForest:
 
     Kruskal scans `edge_order` and stops once it holds n - 1 tree edges,
     where no later edge can join two trees; `tree_edges` keeps the order in
-    which they were taken. prefix_sums runs one vectorized pass per depth
-    level. lca_many answers a batch by range minima over a depth-first
-    preorder (Bender and Farach-Colton, "The LCA Problem Revisited"), from
-    a sparse table built on first use. disjoint_union stacks forests into
-    one, so the tree backend runs both over all of its forests at once.
+    which they were taken. `order` is a depth-first preorder, each tree
+    rooted at its smallest vertex and children in the order their edges
+    were taken, so every subtree is one contiguous block starting at its
+    root. prefix_sums runs one vectorized pass per depth level. lca_many
+    answers a batch by range minima over `order` (Bender and Farach-Colton,
+    "The LCA Problem Revisited"), from a sparse table built on first use.
+    fundamental_cycle walks a batch of cycles at once. disjoint_union
+    stacks forests into one, so the tree backend takes path sums and builds
+    one LCA table over all of its forests at once.
     """
 
     def __init__(self, n: int, tails: Sequence[int], heads: Sequence[int],
@@ -58,8 +62,9 @@ class SpanningForest:
                 adj[u].append((e, v))
                 adj[v].append((e, u))
 
-        # Orient each tree from its smallest vertex, parents before children
-        # in `order`.
+        # Orient each tree from its smallest vertex. A vertex joins `order`
+        # when popped and its children are pushed last to first, so `order`
+        # is a depth-first preorder: every subtree is one contiguous block.
         parent_vertex = [-1] * n
         parent_edge = [-1] * n
         parent_sign = [0] * n
@@ -70,19 +75,18 @@ class SpanningForest:
             if seen[root]:
                 continue
             seen[root] = True
-            queue = [root]
-            order.append(root)
-            while queue:
-                x = queue.pop()
-                for e, y in adj[x]:
+            stack = [root]
+            while stack:
+                x = stack.pop()
+                order.append(x)
+                for e, y in reversed(adj[x]):
                     if not seen[y]:
                         seen[y] = True
                         parent_vertex[y] = x
                         parent_edge[y] = e
                         parent_sign[y] = 1 if tails[e] == y else -1
                         depth[y] = depth[x] + 1
-                        order.append(y)
-                        queue.append(y)
+                        stack.append(y)
 
         self.parent_vertex = np.array(parent_vertex, dtype=np.int64)
         self.parent_edge = np.array(parent_edge, dtype=np.int64)
@@ -139,13 +143,9 @@ class SpanningForest:
                 continue
             e = self.parent_edge[v]
             # +flow enters the child side when the child is the head.
-            flow[e] = subtree[v] if self.heads_child(v) else -subtree[v]
+            flow[e] = subtree[v] if self.parent_sign[v] == -1 else -subtree[v]
             subtree[p] += subtree[v]
         return flow
-
-    def heads_child(self, v: int) -> bool:
-        """True when the edge above v is stored with v as its head."""
-        return self.parent_sign[v] == -1
 
     def _depth_levels(self) -> list[np.ndarray]:
         """Non-root vertices grouped by depth, shallowest level first, each
@@ -174,8 +174,9 @@ class SpanningForest:
         return out
 
     def _build_lca(self) -> tuple[np.ndarray, np.ndarray]:
-        """Each vertex's position in a depth-first preorder, and a sparse
-        table of range minima over the preorder's keys depth * n + parent.
+        """Each vertex's position in `order`, a depth-first preorder, and a
+        sparse table of range minima over the preorder's keys depth * n +
+        parent.
 
         In a preorder every subtree is contiguous, so for distinct u, v the
         positions after the earlier one up to the later one hold the child
@@ -183,32 +184,15 @@ class SpanningForest:
         the shallowest vertices there are all children of the LCA, so the
         minimum key names it. Row k holds the minimum over 2^k positions.
         """
-        n, pv = self.n, self.parent_vertex
-        levels = self._depth_levels()
-        size = np.ones(n, dtype=np.int64)
-        for level in reversed(levels):
-            np.add.at(size, pv[level], size[level])
-        # A child is placed after its parent and the subtrees of its
-        # earlier siblings, siblings in vertex order.
-        kids = np.flatnonzero(pv >= 0)
-        kids = kids[np.argsort(pv[kids], kind="stable")]
-        before = np.cumsum(size[kids]) - size[kids]
-        first = np.ones(kids.size, dtype=bool)
-        first[1:] = pv[kids[1:]] != pv[kids[:-1]]
-        # `before` never decreases, so this is each sibling group's start.
-        group = np.maximum.accumulate(np.where(first, before, 0))
-        skip = np.zeros(n, dtype=np.int64)
-        skip[kids] = before - group + 1
-        roots = np.flatnonzero(pv < 0)
-        pos = np.zeros(n, dtype=np.int64)
-        pos[roots] = np.cumsum(size[roots]) - size[roots]
-        for level in levels:
-            pos[level] = pos[pv[level]] + skip[level]
-
-        # Query ranges stay inside one component.
-        rows = max(1, int(size[roots].max(initial=1)).bit_length())
+        n, pv, order = self.n, self.parent_vertex, self.order
+        pos = np.empty(n, dtype=np.int64)
+        pos[order] = np.arange(n)
+        # Query ranges stay inside one component, the block of `order` from
+        # its root up to the next root.
+        starts = np.flatnonzero(pv[order] < 0)
+        rows = int(np.diff(starts, append=n).max(initial=1)).bit_length()
         table = np.empty((rows, n), dtype=np.int64)
-        table[0, pos] = self.depth * n + pv
+        table[0] = (self.depth * n + pv)[order]
         for k in range(1, rows):
             half = 1 << (k - 1)
             table[k] = table[k - 1]
@@ -234,54 +218,33 @@ class SpanningForest:
         key = np.minimum(table[k, lo + 1], table[k, hi + 1 - (1 << k)])
         return np.where(same, us, key % self.n)
 
-    def fundamental_cycles(self, edges: np.ndarray, tails: np.ndarray,
-                           heads: np.ndarray
-                           ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """All cycles closed by the off-tree `edges` at once, as triplets
-        (cycle index into `edges`, edge id, orientation sign); cycle j holds
-        the same edges and signs as fundamental_cycle(edges[j]).
+    def fundamental_cycle(self, edges: np.ndarray, u: np.ndarray,
+                          v: np.ndarray
+                          ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The cycles closed by the off-tree `edges`, whose tails are the
+        forest vertices u and heads v, as triplets (cycle index into
+        `edges`, edge id, orientation sign). Cycle j is edges[j] traversed
+        tail -> head, then the tree path from the head up to the meeting
+        vertex, then the path from the tail up to it, traversed downwards;
+        its triplets come in that order.
 
         Both endpoints climb towards their meeting vertex, the deeper one
         first, so the loop runs at most twice the forest depth.
         """
         edges = np.asarray(edges, dtype=np.int64)
         index = np.arange(edges.size, dtype=np.int64)
-        cyc, eids = [index], [edges]
-        signs = [np.ones(edges.size, dtype=np.int64)]
-        u, v = tails[edges], heads[edges]
+        head_side = [(index, edges, np.ones(edges.size, dtype=np.int64))]
+        tail_side = []
         depth, pv, pe, ps = (self.depth, self.parent_vertex, self.parent_edge,
                              self.parent_sign)
         while index.size:
             du, dv = depth[u], depth[v]
             up_u, up_v = du >= dv, dv >= du
-            cyc += [index[up_v], index[up_u]]
-            eids += [pe[v[up_v]], pe[u[up_u]]]
-            signs += [ps[v[up_v]], -ps[u[up_u]]]
+            head_side.append((index[up_v], pe[v[up_v]], ps[v[up_v]]))
+            tail_side.append((index[up_u], pe[u[up_u]], -ps[u[up_u]]))
             v = np.where(up_v, pv[v], v)
             u = np.where(up_u, pv[u], u)
             active = u != v
             index, u, v = index[active], u[active], v[active]
+        cyc, eids, signs = zip(*(head_side + tail_side))
         return np.concatenate(cyc), np.concatenate(eids), np.concatenate(signs)
-
-    def fundamental_cycle(self, e: int, tails: Sequence[int], heads: Sequence[int]
-                          ) -> tuple[np.ndarray, np.ndarray]:
-        """Cycle closed by off-tree edge e: e traversed tail -> head, then the
-        tree path head -> tail. Returns (edge ids, orientation signs): e,
-        then the path from the head up to the meeting vertex, then the path
-        from the tail up to it, traversed downwards."""
-        u, v = int(tails[e]), int(heads[e])
-        depth, pv, pe, ps = (self.depth, self.parent_vertex, self.parent_edge,
-                             self.parent_sign)
-        ev, sv, eu, su = [], [], [], []
-        # The deeper endpoint climbs (the head on ties) until they meet.
-        while u != v:
-            if depth[v] >= depth[u]:
-                ev.append(int(pe[v]))
-                sv.append(int(ps[v]))
-                v = int(pv[v])
-            else:
-                eu.append(int(pe[u]))
-                su.append(-int(ps[u]))
-                u = int(pv[u])
-        return (np.asarray([e] + ev + eu, dtype=np.int64),
-                np.asarray([1] + sv + su, dtype=np.int64))

@@ -234,8 +234,9 @@ def static_pnorm_opt(
         return OracleReport(value=value, flow=f, iterations=0, gradient_norm=0.0)
 
     newton = _LaplacianNewton(graph, forest, off_tree,
-                              *forest.fundamental_cycles(off_tree, graph.tails,
-                                                         graph.heads))
+                              *forest.fundamental_cycle(
+                                  off_tree, graph.tails[off_tree],
+                                  graph.heads[off_tree]))
 
     energy = smoothed_value(g, r, w, p, f)
     last_energy = math.inf

@@ -18,7 +18,9 @@ Nothing in the package imports this module. It holds
   * reference_step, the inner step computed from scratch over all edges,
     which mwu_step must match bit for bit;
   * reference_forest, Kruskal and the orienting traversal on numpy arrays
-    over the whole edge order, which SpanningForest must match exactly.
+    over the whole edge order, which SpanningForest must match exactly;
+  * reference_cycle, one fundamental cycle walked edge by edge, which each
+    cycle of SpanningForest.fundamental_cycle must match in order.
 """
 
 from __future__ import annotations
@@ -200,7 +202,8 @@ def exact_min_ratio_cycle(graph: IncrementalGraph, g: np.ndarray,
 
     found = full_negative_cycle(n, tails, heads, g, -g)
     if found is None:
-        edges, signs = forest.fundamental_cycle(int(off_tree[0]), tails, heads)
+        edges, signs = reference_cycle(forest, int(off_tree[0]), tails,
+                                       heads)
         return _solution_from_cycle(edges, signs, g, lengths)
 
     lo = -(m * float(np.max(np.abs(g))) / float(np.min(lengths)) + 1.0)
@@ -571,29 +574,54 @@ def reference_forest(n: int, tails: Sequence[int], heads: Sequence[int],
             adj[u].append((e, v))
             adj[v].append((e, u))
 
-    # Orient the forest by BFS so parents precede children in `order`.
+    # Orient the forest by depth-first search: a vertex joins `order` when
+    # popped and its children are pushed last to first, so `order` is a
+    # preorder with children in the order their edges were taken.
     order: list[int] = []
     seen = np.zeros(n, dtype=bool)
     for root in range(n):
         if seen[root]:
             continue
         seen[root] = True
-        queue = [root]
-        order.append(root)
-        while queue:
-            x = queue.pop()
-            for e, y in adj[x]:
+        stack = [root]
+        while stack:
+            x = stack.pop()
+            order.append(x)
+            for e, y in reversed(adj[x]):
                 if not seen[y]:
                     seen[y] = True
                     parent_vertex[y] = x
                     parent_edge[y] = e
                     parent_sign[y] = 1 if tails[e] == y else -1
                     depth[y] = depth[x] + 1
-                    order.append(y)
-                    queue.append(y)
+                    stack.append(y)
 
     return SimpleNamespace(
         parent_vertex=parent_vertex, parent_edge=parent_edge,
         parent_sign=parent_sign, depth=depth,
         order=np.asarray(order, dtype=np.int64),
         tree_edges=np.asarray(tree_edges, dtype=np.int64))
+
+
+def reference_cycle(forest: SpanningForest, e: int, tails: Sequence[int],
+                    heads: Sequence[int]) -> tuple[np.ndarray, np.ndarray]:
+    """Cycle closed by off-tree edge e, one vertex step at a time: e
+    traversed tail -> head, then the path from the head up to the meeting
+    vertex, then the path from the tail up to it, traversed downwards.
+    Returns (edge ids, orientation signs)."""
+    u, v = int(tails[e]), int(heads[e])
+    depth, pv, pe, ps = (forest.depth, forest.parent_vertex,
+                         forest.parent_edge, forest.parent_sign)
+    ev, sv, eu, su = [], [], [], []
+    # The deeper endpoint climbs (the head on ties) until they meet.
+    while u != v:
+        if depth[v] >= depth[u]:
+            ev.append(int(pe[v]))
+            sv.append(int(ps[v]))
+            v = int(pv[v])
+        else:
+            eu.append(int(pe[u]))
+            su.append(-int(ps[u]))
+            u = int(pv[u])
+    return (np.asarray([e] + ev + eu, dtype=np.int64),
+            np.asarray([1] + sv + su, dtype=np.int64))

@@ -56,6 +56,10 @@ def test_deleted_methods_and_hooks_are_gone():
     assert not hasattr(graph.IncrementalGraph, "copy")
     assert not hasattr(trees.SpanningForest, "lca")
     assert not hasattr(trees.SpanningForest, "path_to_ancestor")
+    assert not hasattr(trees.SpanningForest, "fundamental_cycles")
+    assert not hasattr(trees.SpanningForest, "heads_child")
+    assert "capacity" not in inspect.signature(
+        mrc.MonotoneMrcState).parameters
     assert not hasattr(cli, "cmd_bench")
     for fn in (mwu.mwu_init, mwu.MwuState):
         assert "record_log" not in inspect.signature(fn).parameters

@@ -300,6 +300,18 @@ class TestExitCodes:
         assert main(["pnorm", "/no/such/file"]) == EXIT_USAGE
         assert "pnormflow:" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("argv", [
+        ["pnorm", "{dir}"],
+        ["maxflow", "{stream}", "--trace", "{dir}"],
+        ["gen", "--kind", "pnorm", "--n", "4", "--initial", "3",
+         "--events", "3", "--out", "{dir}"],
+    ], ids=["stream", "trace", "out"])
+    def test_directory_path_is_usage(self, tmp_path, capsys, argv):
+        stream = write(tmp_path, "s.stream", MAXFLOW_TEXT)
+        argv = [arg.format(dir=tmp_path, stream=stream) for arg in argv]
+        assert main(argv) == EXIT_USAGE
+        assert capsys.readouterr().err.startswith("pnormflow: ")
+
     def test_parse_error_is_usage(self, tmp_path, capsys):
         path = write(tmp_path, "bad.stream", "problem pnorm nope\n")
         assert main(["pnorm", path]) == EXIT_USAGE

@@ -49,8 +49,8 @@ def test_views_track_insertions_across_doublings(seed, p):
         instance.add_edge(*spec)
     solver = IncrementalPNormSolver(instance, m_max=m_total, seed=seed,
                                     step_budget_per_event=20)
-    # A second oracle on the same graph, with no capacity hint, so its own
-    # columns grow by doubling too.
+    # A second oracle on the same graph, whose columns grow by doubling
+    # like those of the solver's own oracle.
     oracle = MonotoneMrcState(graph, instance.g, np.ones(initial), alpha=0.1)
 
     def check(m):
@@ -108,11 +108,11 @@ def test_tree_backend_rebuilds_when_an_insert_joins_components():
         graph.add_edge(u, v)
     state = MonotoneMrcState(graph, np.arange(6.0), np.ones(6), alpha=0.1,
                              kappa=4.0, backend="trees", seed=3)
-    forests = state._trees.forests
+    stacked = state._trees.stacked
     state.insert(graph.add_edge(0, 1), 1.0, 0.5)
-    assert state._trees.forests is forests
+    assert state._trees.stacked is stacked
     bridge = graph.add_edge(2, 3)
     state.insert(bridge, -1.0, 0.5)
-    assert state._trees.forests is not forests
-    for forest in state._trees.forests:
-        assert bridge in forest.tree_edges
+    assert state._trees.stacked is not stacked
+    assert np.count_nonzero(state._trees.stacked.tree_edges == bridge) \
+        == state._trees.count

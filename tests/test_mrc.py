@@ -447,9 +447,9 @@ class TestTreeBackend:
             state.insert(e, float(rng.normal()), 0.01)
 
         def insert_within_first_component():
-            forests = trees.forests
+            stacked = trees.stacked
             insert(*rng.choice(k, size=2, replace=False))
-            assert trees.forests is forests
+            assert trees.stacked is stacked
             assert_cache_is_fresh(state)
 
         state.query()
@@ -457,18 +457,18 @@ class TestTreeBackend:
         for _ in range(3):
             insert_within_first_component()
 
-        forests = trees.forests
+        stacked = trees.stacked
         insert(rng.integers(k), rng.integers(k, n))
-        assert trees.forests is not forests
+        assert trees.stacked is not stacked
         state.query()
         assert_cache_is_fresh(state)
         insert_within_first_component()
 
-        forests = trees.forests
+        stacked = trees.stacked
         e = int(rng.integers(state.m))
         state.increase_length(
             e, float(state.lengths[e] + 2.0 * trees.total))
-        assert trees.forests is not forests
+        assert trees.stacked is not stacked
         state.query()
         assert_cache_is_fresh(state)
         insert_within_first_component()
@@ -478,7 +478,7 @@ def assert_cache_is_fresh(state):
     """Each forest's cached (off, u, v, meet, grads) equals a fresh
     computation element by element and dtype by dtype."""
     trees = state._trees
-    assert len(trees._cycles) == len(trees.forests)
+    assert len(trees._cycles) == trees.count
     for i, cached in enumerate(trees._cycles):
         fresh = trees._forest_cycles(state, i)
         assert len(cached) == len(fresh) == 5

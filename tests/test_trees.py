@@ -5,7 +5,7 @@ from hypothesis import given, settings, strategies as st
 
 from pnormflow.graph import IncrementalGraph, net_demand
 from pnormflow.trees import SpanningForest
-from support import is_circulation, reference_forest
+from support import is_circulation, reference_cycle, reference_forest
 
 
 def random_graph(rng, n, m):
@@ -20,6 +20,26 @@ def forest_of(g, rng=None):
     order = (np.arange(g.m) if rng is None
              else rng.permutation(g.m))
     return SpanningForest(g.n, g.tails, g.heads, order)
+
+
+def cycles_of(forest, g, edges):
+    """forest.fundamental_cycle over `edges`, with their endpoints."""
+    edges = np.asarray(edges, dtype=np.int64)
+    return forest.fundamental_cycle(edges, g.tails[edges], g.heads[edges])
+
+
+def assert_subtrees_contiguous(forest):
+    """In `order`, each vertex's subtree is one block starting at it."""
+    order = forest.order.tolist()
+    assert sorted(order) == list(range(forest.n))
+    subtree = [set() for _ in range(forest.n)]
+    for x in range(forest.n):
+        a = x
+        while a >= 0:
+            subtree[a].add(x)
+            a = int(forest.parent_vertex[a])
+    for at, v in enumerate(order):
+        assert set(order[at:at + len(subtree[v])]) == subtree[v], v
 
 
 def random_forests(rng, n):
@@ -85,6 +105,9 @@ class TestConstruction:
                                       getattr(forest, name)), name
         for name in FOREST_FIELDS:
             assert getattr(stacked, name).dtype == np.int64, name
+        # The range-minimum LCA relies on `order` being a preorder.
+        for forest in forests + [stacked]:
+            assert_subtrees_contiguous(forest)
 
 
 FOREST_FIELDS = ("parent_vertex", "parent_edge", "parent_sign", "depth",
@@ -98,6 +121,7 @@ def assert_forest_matches_reference(n, tails, heads, edge_order):
         got, expect = getattr(forest, name), getattr(want, name)
         assert got.dtype == expect.dtype, name
         assert np.array_equal(got, expect), name
+    assert_subtrees_contiguous(forest)
 
 
 def edge_orders(rng, m):
@@ -211,7 +235,7 @@ class TestFundamentalCycles:
         g.add_edge(2, 0)
         forest = SpanningForest(3, g.tails, g.heads, [0, 1, 2])
         off = [e for e in range(3) if e not in forest.tree_edges][0]
-        edges, signs = forest.fundamental_cycle(off, g.tails, g.heads)
+        _, edges, signs = cycles_of(forest, g, [off])
         c = np.zeros(3)
         np.add.at(c, edges, signs.astype(float))
         assert is_circulation(g, c)
@@ -224,33 +248,40 @@ class TestFundamentalCycles:
         n = int(rng.integers(3, 12))
         g = random_graph(rng, n, int(rng.integers(n, 3 * n)))
         forest = forest_of(g, rng)
-        mask = forest.tree_edge_mask(g.m)
-        for e in np.flatnonzero(~mask):
-            edges, signs = forest.fundamental_cycle(int(e), g.tails, g.heads)
+        off = np.flatnonzero(~forest.tree_edge_mask(g.m))
+        cycle, edges, signs = cycles_of(forest, g, off)
+        for j, e in enumerate(off):
             c = np.zeros(g.m)
-            np.add.at(c, edges, signs.astype(float))
+            np.add.at(c, edges[cycle == j], signs[cycle == j].astype(float))
             assert is_circulation(g, c)
             assert c[e] == 1.0
 
     @given(seed=st.integers(min_value=0, max_value=2 ** 32 - 1))
     @settings(max_examples=50, deadline=None)
     def test_batch_matches_single_cycles(self, seed):
+        """Each cycle's triplets equal the one-step-at-a-time walk in order,
+        on a forest and on its slice of a disjoint union."""
         rng = np.random.Generator(np.random.Philox(seed))
         n = int(rng.integers(3, 12))
-        g = random_graph(rng, n, int(rng.integers(1, 3 * n)))
-        forest = forest_of(g, rng)
-        tails, heads = g.tails, g.heads
+        g, forests = random_forests(rng, n)
+        stacked = SpanningForest.disjoint_union(forests)
+        i = int(rng.integers(len(forests)))
+        forest = forests[i]
         off = np.flatnonzero(~forest.tree_edge_mask(g.m))
-        cycle, edges, signs = forest.fundamental_cycles(off, tails, heads)
-        for j, e in enumerate(off):
-            one_edges, one_signs = forest.fundamental_cycle(
-                int(e), g.tails, g.heads)
-            pick = cycle == j
-            assert sorted(zip(edges[pick].tolist(), signs[pick].tolist())) \
-                == sorted(zip(one_edges.tolist(), one_signs.tolist()))
-        assert cycle.size == sum(
-            forest.fundamental_cycle(int(e), g.tails, g.heads)[0].size
-            for e in off)
+        batch = cycles_of(forest, g, off)
+        shifted = stacked.fundamental_cycle(off, g.tails[off] + i * n,
+                                            g.heads[off] + i * n)
+        for got in (batch, shifted):
+            assert all(part.dtype == np.int64 for part in got)
+            cycle, edges, signs = got
+            total = 0
+            for j, e in enumerate(off):
+                one_edges, one_signs = reference_cycle(forest, int(e),
+                                                       g.tails, g.heads)
+                assert edges[cycle == j].tolist() == one_edges.tolist()
+                assert signs[cycle == j].tolist() == one_signs.tolist()
+                total += one_edges.size
+            assert cycle.size == total
 
 
 class TestLca:

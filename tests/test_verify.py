@@ -236,8 +236,8 @@ class TestCycleBasisProducts:
         forest = SpanningForest(n, graph.tails, graph.heads,
                                 rng.permutation(m))
         off_tree = np.flatnonzero(~forest.tree_edge_mask(m))
-        cycle, edges, signs = forest.fundamental_cycles(
-            off_tree, graph.tails, graph.heads)
+        cycle, edges, signs = forest.fundamental_cycle(
+            off_tree, graph.tails[off_tree], graph.heads[off_tree])
         newton = _LaplacianNewton(graph, forest, off_tree, cycle, edges,
                                   signs)
         assert newton.dense
