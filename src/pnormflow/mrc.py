@@ -323,9 +323,9 @@ class _TreeCollection:
         g = state.gradients
         if off is None:
             size = self.stacked.tree_edges.size // self.count
-            off = np.ones(state.m, dtype=bool)
-            off[self.stacked.tree_edges[i * size:(i + 1) * size]] = False
-            off = np.flatnonzero(off)
+            off_tree = np.ones(state.m, dtype=bool)
+            off_tree[self.stacked.tree_edges[i * size:(i + 1) * size]] = False
+            off = np.flatnonzero(off_tree)
         shift = i * state.n
         gsum = self.gsum[shift:shift + state.n]
         u, v = state.tails[off], state.heads[off]
