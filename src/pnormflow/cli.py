@@ -7,8 +7,8 @@ instances.
 
 Every run checks the solver's runtime invariants. Exit codes: 0 success,
 1 usage or parse error, 2 invariant or verification failure. Metrics
-records are deterministic for a fixed stream, seed and backend except for
-the wall-time field.
+records are deterministic for a fixed stream and seed except for the
+wall-time field.
 """
 
 from __future__ import annotations
@@ -96,11 +96,7 @@ def _metrics(event: int, verdict: str, objective: float, queries: int,
 
 
 def _solver_kwargs(args) -> dict:
-    kwargs = {
-        "kappa": args.kappa,
-        "backend": args.backend,
-        "seed": args.seed,
-    }
+    kwargs = {"seed": args.seed}
     if args.event_budget is not None:
         kwargs["step_budget_per_event"] = args.event_budget
     return kwargs
@@ -280,10 +276,6 @@ def build_parser() -> _Parser:
     def add_run_flags(sub):
         sub.add_argument("stream",
                          help="update stream file, or - for standard input")
-        sub.add_argument("--backend", choices=("exact", "trees"),
-                         default="exact")
-        sub.add_argument("--kappa", type=float, default=1.0,
-                         help="oracle approximation quality (trees backend)")
         sub.add_argument("--seed", type=int, default=0)
         sub.add_argument("--trace", metavar="PATH",
                          help="write per-iteration internals as JSON lines")

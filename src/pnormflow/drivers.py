@@ -19,8 +19,8 @@ r_e = sqrt(resistance_e) and a tiny p-norm padding: its optimum is
 is sound for R_eff > theta / (1 + gamma^2) and a flow of energy at most
 theta * (1 + eps_rel) certifies R_eff below that.
 
-event_calls turns a parsed stream of any kind into its solver or driver and
-one call per event.
+Both drivers run the exact min-ratio-cycle oracle. event_calls turns a
+parsed stream of any kind into its solver or driver and one call per event.
 """
 
 from __future__ import annotations
@@ -69,7 +69,6 @@ class MaxflowDriver:
     """
 
     def __init__(self, n: int, m_max: int, s: int, t: int, eps: float,
-                 kappa: float = 1.0, backend: str = "exact",
                  seed: int | None = None,
                  step_budget_per_event: int | None = DRIVER_STEP_BUDGET,
                  trace=None):
@@ -89,8 +88,6 @@ class MaxflowDriver:
         self.p = math.ceil(2.0 * math.log(2 * m_max) / eps)
         self.delta = math.exp(-eps * self.p / 2) / (2.0 * math.sqrt(m_max))
         self.F = m_max * math.exp(-eps * self.p)
-        self.kappa = kappa
-        self.backend = backend
         self.step_budget = step_budget_per_event
         self.trace = trace
         self._rng = np.random.Generator(np.random.Philox(seed))
@@ -100,25 +97,20 @@ class MaxflowDriver:
         self.phase_count = 0
         self._started = False
         self._initial_m = 0
-        self._queries_base = 0
-        self._iterations_base = 0
 
     @property
     def events(self) -> int:
-        """start() plus each insertion the graph accepted: a rejected one
-        is not counted, and a phase solver, which adds the edge before it
-        traces its verdict, already sees its event counted."""
+        """start() plus each insertion the graph accepted; a rejected one
+        is not counted."""
         return 1 + self.graph.m - self._initial_m if self._started else 0
 
     @property
     def queries(self) -> int:
-        live = self.phase.solver.queries if self.phase is not None else 0
-        return self._queries_base + live
+        return self.phase.solver.queries if self.phase is not None else 0
 
     @property
     def iterations(self) -> int:
-        live = self.phase.solver.iterations if self.phase is not None else 0
-        return self._iterations_base + live
+        return self.phase.solver.iterations if self.phase is not None else 0
 
     def _check_cap(self, cap) -> int:
         # Range first: int() fails on inf and nan, which the range rejects.
@@ -142,6 +134,8 @@ class MaxflowDriver:
 
     def start(self) -> tuple[float, np.ndarray]:
         """Published (value, flow) for the initial graph."""
+        if self._started:
+            raise ValueError("start() may be called only once")
         self._started = True
         self._initial_m = self.graph.m
         return self._event(None)
@@ -202,9 +196,6 @@ class MaxflowDriver:
                 f"trip flow congestion {congestion} exceeds {limit}")
 
     def _begin_phase(self) -> None:
-        if self.phase is not None:
-            self._queries_base += self.phase.solver.queries
-            self._iterations_base += self.phase.solver.iterations
         caps = np.asarray(self.caps, dtype=float)
         value, flow = exact_maxflow(self.graph, caps, self.s, self.t)
         demand = np.zeros(self.n)
@@ -215,22 +206,17 @@ class MaxflowDriver:
         instance.set_edge_attrs(np.zeros(len(self.caps)),
                                 self.delta / caps, 1.0 / caps)
         solver = IncrementalPNormSolver(
-            instance, m_max=self.m_max, kappa=self.kappa,
-            backend=self.backend, seed=int(self._rng.integers(2 ** 63)),
-            step_budget_per_event=self.step_budget,
-            start_flow=flow,
-            trace=None if self.trace is None else self._trace_phase)
+            instance, m_max=self.m_max,
+            seed=int(self._rng.integers(2 ** 63)),
+            step_budget_per_event=self.step_budget, start_flow=flow,
+            trace=self.trace)
+        # The solver continues the driver's counters, so its verdict
+        # records count across phases; its start() answers the current
+        # event and counts it again.
+        solver.events = self.events - 1
+        solver.queries, solver.iterations = self.queries, self.iterations
         self.phase = MaxflowPhase(value=value, flow=flow, solver=solver)
         self.phase_count += 1
-
-    def _trace_phase(self, record: dict) -> None:
-        """Passes on a phase solver's trace record; a verdict record gets
-        the driver's event count and driver-wide counters instead of the
-        phase solver's own, which restart with every phase."""
-        if record["kind"] == "verdict":
-            record = {**record, "event": self.events,
-                      "queries": self.queries, "iterations": self.iterations}
-        self.trace(record)
 
     def _publish(self) -> tuple[float, np.ndarray]:
         m = len(self.caps)
@@ -261,8 +247,7 @@ class EffResDriver:
     """Incremental effective-resistance thresholding at p = 2."""
 
     def __init__(self, n: int, m_max: int, s: int, t: int, theta: float,
-                 eps_rel: float, kappa: float = 1.0, backend: str = "exact",
-                 seed: int | None = None,
+                 eps_rel: float, seed: int | None = None,
                  step_budget_per_event: int | None = DRIVER_STEP_BUDGET,
                  trace=None):
         if not (0 <= s < n and 0 <= t < n):
@@ -283,11 +268,9 @@ class EffResDriver:
         self.instance = PNormInstance(graph, demand, 2, threshold=theta,
                                       eps=eps_rel * theta)
         self.solver = IncrementalPNormSolver(
-            self.instance, m_max=m_max, kappa=kappa, backend=backend,
-            seed=seed, step_budget_per_event=step_budget_per_event,
-            trace=trace)
+            self.instance, m_max=m_max, seed=seed,
+            step_budget_per_event=step_budget_per_event, trace=trace)
         self._below_seen = False
-        self._started = False
 
     def _attrs(self, resistance: float) -> tuple[float, float, float]:
         if not 0 < resistance < math.inf:
@@ -297,20 +280,17 @@ class EffResDriver:
         return 0.0, root, self.gamma * root
 
     def add_initial_edge(self, u: int, v: int, resistance: float) -> None:
-        if self._started:
+        if self.solver.started:
             raise ValueError("initial edges must precede start()")
         if self.instance.m >= self.solver.m_max:
             raise ValueError("edge bound m_max exceeded")
         self.instance.add_edge(u, v, *self._attrs(resistance))
 
     def start(self) -> AboveThreshold | Below:
-        self._started = True
         return self._map(self.solver.start())
 
     def insert(self, u: int, v: int,
                resistance: float) -> AboveThreshold | Below:
-        if not self._started:
-            raise ValueError("call start() before inserting events")
         return self._map(self.solver.insert_edge(u, v,
                                                  *self._attrs(resistance)))
 
@@ -330,7 +310,8 @@ def event_calls(
 ) -> tuple[IncrementalPNormSolver | MaxflowDriver | EffResDriver,
            list[Callable[[], object]]]:
     """The stream's solver or driver, built with `options`, and one call per
-    event (start first), each returning that event's answer."""
+    event (start first), each returning that event's answer. Only a p-norm
+    stream's solver takes the oracle options `backend` and `kappa`."""
     if stream.kind == "pnorm":
         instance, events = build_pnorm_instance(stream)
         solver = IncrementalPNormSolver(instance, m_max=stream.m_max,

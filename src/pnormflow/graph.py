@@ -165,7 +165,7 @@ def pnorm(values: np.ndarray, p: float) -> float:
     peak = float(values.max())
     if peak == 0.0 or not math.isfinite(peak):
         return peak
-    return peak * float(np.sum((values / peak) ** p)) ** (1.0 / p)
+    return peak * pnorm_pow(values / peak, p) ** (1.0 / p)
 
 
 def pnorm_pow(values: np.ndarray, p: float) -> float:

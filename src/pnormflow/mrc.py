@@ -25,6 +25,17 @@ from .graph import IncrementalGraph, grow_column
 from .trees import SpanningForest
 
 
+def check_oracle_options(kappa: float, backend: str) -> None:
+    """Raise ValueError unless the backend is known and kappa is finite,
+    at least 1, and exactly 1 on the exact backend."""
+    if backend not in ("exact", "trees"):
+        raise ValueError(f"unknown backend {backend!r}")
+    if not 1 <= kappa < math.inf:
+        raise ValueError(f"kappa must be finite and at least 1, got {kappa}")
+    if backend == "exact" and kappa != 1.0:
+        raise ValueError("the exact backend is exactly kappa = 1")
+
+
 @dataclass
 class CycleSolution:
     """An oriented cycle with its gradient sum, length sum, and ratio.
@@ -157,12 +168,7 @@ class MonotoneMrcState:
             raise ValueError("edge lengths must be strictly positive")
         if alpha <= 0:
             raise ValueError("target ratio alpha must be positive")
-        if kappa < 1:
-            raise ValueError("kappa must be at least 1")
-        if backend not in ("exact", "trees"):
-            raise ValueError(f"unknown backend {backend!r}")
-        if backend == "exact" and kappa != 1.0:
-            raise ValueError("the exact backend is exactly kappa = 1")
+        check_oracle_options(kappa, backend)
         self.graph = graph
         self.n, self.m = graph.n, graph.m
         self.alpha = alpha

@@ -36,6 +36,7 @@ import numpy as np
 
 from .errors import InvariantViolation
 from .graph import PNormInstance, pnorm, smoothed_value
+from .mrc import check_oracle_options
 from .mwu import (
     MIN_EDGE_BOUND,
     MwuState,
@@ -140,10 +141,11 @@ class IncrementalPNormSolver:
     """Per-event threshold certification over an append-only instance.
 
     Call start() once for the initial graph, then insert_edge() per
-    insertion; each call returns one verdict. While the demand is not
-    routable every verdict is vacuously CertifiedAbove; the first routable
-    event computes the starting flow with the static oracle and validates
-    the refinement scale lambda on sampled sandwich triples.
+    insertion; each call returns one verdict, and any other order raises
+    ValueError. While the demand is not routable every verdict is
+    vacuously CertifiedAbove; the first routable event computes the
+    starting flow with the static oracle and validates the refinement
+    scale lambda on sampled sandwich triples.
 
     The solver owns only the flow f, in a column of m_max entries that f
     views; the active inner run (`mwu`) holds the residual problem.
@@ -163,6 +165,7 @@ class IncrementalPNormSolver:
         m_max = max(instance.m, MIN_EDGE_BOUND) if m_max is None else m_max
         if m_max < instance.m:
             raise ValueError("m_max is below the current edge count")
+        check_oracle_options(kappa, backend)
         self.instance = instance
         self.m_max = m_max
         self.p = instance.p
@@ -194,6 +197,7 @@ class IncrementalPNormSolver:
         self.mwu: MwuState | None = None
         self._run_R = 0.0
         self._steps_remaining = 0
+        self.started = False
         self.queries = 0
         self.iterations = 0
         self.events = 0
@@ -218,11 +222,16 @@ class IncrementalPNormSolver:
 
     def start(self) -> Verdict:
         """Verdict for the initial graph."""
+        if self.started:
+            raise ValueError("start() may be called only once")
+        self.started = True
         return self._verdict()
 
     def insert_edge(self, u: int, v: int, g: float, r: float,
                     w: float) -> Verdict:
         """Insert an edge and return the verdict for the grown graph."""
+        if not self.started:
+            raise ValueError("call start() before inserting events")
         if self.instance.m >= self.m_max:
             raise ValueError("edge bound m_max exceeded")
         e = self.instance.add_edge(u, v, g, r, w)

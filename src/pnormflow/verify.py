@@ -1,10 +1,12 @@
-"""Reference oracles: static optimum, exact maxflow, effective resistance.
+"""Static solvers: static optimum, exact maxflow, effective resistance.
 
-Everything here is independent of the incremental solver so it can be used
-as ground truth in tests: the static optimizer runs Newton in fundamental
-cycle coordinates and solves each step through a grounded vertex Laplacian,
-maxflow is augmenting-path exact, effective resistance is a direct Laplacian
-solve.
+Nothing here depends on the incremental solver. The solver calls
+static_pnorm_opt to bootstrap and materialize, and the maxflow driver calls
+exact_maxflow to start each phase; tests use all three as ground truth, and
+the CLI's verify command the first and the last. The static optimizer
+runs Newton in fundamental cycle coordinates and solves each step through
+a grounded vertex Laplacian, maxflow is Dinic's, and effective resistance
+is a direct Laplacian solve.
 """
 
 from __future__ import annotations

@@ -3,6 +3,7 @@
 import inspect
 
 import numpy as np
+import pytest
 
 import pnormflow
 from pnormflow import cli, drivers, graph, mrc, mwu, refine, trees, verify
@@ -52,7 +53,7 @@ def test_test_tools_left_the_package():
             assert not hasattr(module, name), f"{module.__name__}.{name}"
 
 
-def test_deleted_methods_and_hooks_are_gone():
+def test_deleted_methods_and_hooks_are_gone(tmp_path, capsys):
     assert not hasattr(graph.IncrementalGraph, "copy")
     assert not hasattr(trees.SpanningForest, "lca")
     assert not hasattr(trees.SpanningForest, "path_to_ancestor")
@@ -70,6 +71,21 @@ def test_deleted_methods_and_hooks_are_gone():
                          m_max=4)
     for attr in ("log", "probe", "probe_max"):
         assert not hasattr(state, attr)
+    # The drivers run the exact oracle; only p-norm solvers take options.
+    for driver in (drivers.MaxflowDriver, drivers.EffResDriver):
+        params = inspect.signature(driver).parameters
+        assert "kappa" not in params and "backend" not in params
+    assert not hasattr(drivers.MaxflowDriver, "_trace_phase")
+    path = tmp_path / "a.stream"
+    path.write_text("problem pnorm n=2 mmax=2 p=2 F=0.6 eps=0.05\n"
+                    "demand 1 -1.0\ndemand 2 1.0\nedge 1 2\nstart\n",
+                    encoding="utf-8")
+    assert cli.main(["pnorm", str(path)]) == cli.EXIT_OK
+    for flag in ("--backend", "--kappa"):
+        with pytest.raises(SystemExit) as exit_info:
+            cli.main(["pnorm", str(path), flag, "trees"])
+        assert exit_info.value.code == cli.EXIT_USAGE
+        assert "unrecognized arguments" in capsys.readouterr().err
 
 
 def test_no_switch_turns_the_invariant_checks_off():

@@ -169,14 +169,6 @@ class TestRunCommands:
         assert code == EXIT_OK
         assert len(lines) == 3
 
-    def test_trees_backend_runs(self, tmp_path, capsys):
-        path = write(tmp_path, "a.stream", PNORM_TEXT)
-        code, lines = run_lines(
-            capsys, ["pnorm", path, "--backend", "trees", "--kappa", "4",
-                     "--seed", "2"])
-        assert code == EXIT_OK
-        assert len(lines) == 4
-
     def test_event_budget_flag(self, tmp_path, capsys):
         path = write(tmp_path, "a.stream", PNORM_TEXT)
         code, lines = run_lines(capsys, ["pnorm", path, "--event-budget", "1"])

@@ -74,6 +74,11 @@ class TestMaxflowValidation:
         driver.start()
         with pytest.raises(ValueError):
             driver.add_initial_edge(0, 1, 1)
+        with pytest.raises(ValueError, match="only once"):
+            driver.start()
+        assert driver.events == 1
+        driver.insert(0, 1, 1)
+        assert driver.events == 2
 
     def test_edge_bound_enforced(self):
         driver = maxflow_driver(m_max=1)
@@ -243,6 +248,20 @@ class TestEffResDriver:
             driver.add_initial_edge(0, 1, 0.0)
         with pytest.raises(ValueError):
             driver.insert(0, 1, 1.0)
+
+    def test_event_ordering_enforced(self):
+        records = []
+        driver = EffResDriver(2, 4, 0, 1, theta=1.0, eps_rel=0.1,
+                              trace=records.append)
+        driver.add_initial_edge(0, 1, 1.0)
+        driver.start()
+        with pytest.raises(ValueError):
+            driver.add_initial_edge(0, 1, 1.0)
+        with pytest.raises(ValueError, match="only once"):
+            driver.start()
+        driver.insert(0, 1, 1.0)
+        verdicts = [r["event"] for r in records if r["kind"] == "verdict"]
+        assert verdicts == [1, 2]
 
     def test_non_finite_inputs_rejected_where_they_enter(self):
         for theta, eps_rel in ((math.nan, 0.1), (1.0, math.nan)):

@@ -204,6 +204,23 @@ class TestEnergy:
         assert pnorm(values, 2) == pytest.approx(np.sqrt(2) * 1e200, rel=1e-12)
         assert pnorm_pow(np.array([0.0, 0.0]), 3) == 0.0
 
+    @pytest.mark.parametrize("p", [2, 3, 37, 2.5])
+    def test_pnorm_matches_its_own_power_sum_bit_for_bit(self, p):
+        # pnorm reuses pnorm_pow on the max-normalized values; the
+        # normalized peak is exactly 1.0, so the result equals the direct
+        # formula exactly.
+        rng = np.random.default_rng(int(p * 10))
+        for scale in (1e-150, 1e-3, 1.0, 1e5, 1e150):
+            values = scale * rng.normal(size=int(rng.integers(1, 40)))
+            peak = float(np.max(np.abs(values)))
+            direct = peak * float(np.sum((np.abs(values) / peak) ** p)) \
+                ** (1.0 / p)
+            assert pnorm(values, p) == direct
+        assert pnorm(np.array([]), p) == 0.0
+        assert pnorm(np.zeros(3), p) == 0.0
+        assert pnorm(np.array([1.0, -np.inf]), p) == np.inf
+        assert np.isnan(pnorm(np.array([1.0, np.nan]), p))
+
     def test_overflowing_power_sum_is_inf(self):
         # peak**p overflows a float at p = 80; callers such as the static
         # solver's line search expect inf, not an OverflowError.

@@ -264,6 +264,37 @@ class TestSolverVerdicts:
         with pytest.raises(ValueError, match="at least 1"):
             crossing_ladder(step_budget_per_event=0)
 
+    def test_event_order_enforced(self):
+        instance = fresh_instance(2, [-1.0, 1.0], p=2, threshold=10.0)
+        instance.add_edge(0, 1, 0.0, 1.0, 1.0)
+        solver = IncrementalPNormSolver(instance, m_max=4, seed=0)
+        with pytest.raises(ValueError, match="before inserting"):
+            solver.insert_edge(0, 1, 0.0, 1.0, 1.0)
+        assert (instance.m, solver.events) == (1, 0)
+        solver.start()
+        with pytest.raises(ValueError, match="only once"):
+            solver.start()
+        assert solver.events == 1
+        solver.insert_edge(0, 1, 0.0, 1.0, 1.0)
+        assert solver.events == 2
+
+    @pytest.mark.parametrize("kappa, backend, message", [
+        (0.0, "exact", "at least 1"),
+        (0.5, "trees", "at least 1"),
+        (math.inf, "trees", "finite"),
+        (math.nan, "trees", "finite"),
+        (1.0, "nope", "unknown backend"),
+        (2.0, "exact", "exactly kappa = 1"),
+    ])
+    def test_oracle_options_checked_at_construction(self, kappa, backend,
+                                                    message):
+        # The demand is never routable, so a bad option could otherwise
+        # go unnoticed for the whole stream.
+        instance = fresh_instance(3, [-1.0, 0.0, 1.0], p=2, threshold=1.0)
+        with pytest.raises(ValueError, match=message):
+            IncrementalPNormSolver(instance, m_max=4, kappa=kappa,
+                                   backend=backend)
+
     def test_unhelpful_insert_stalls_quickly(self):
         instance = fresh_instance(2, [-1.0, 1.0], p=2, threshold=0.6,
                                   eps=0.05)
