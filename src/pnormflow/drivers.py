@@ -164,14 +164,13 @@ class MaxflowDriver:
 
     def _event(self, verdict: Verdict | None):
         """Publish after an event; `verdict` is the running phase's answer
-        to an insertion, or None to start a phase's solver."""
+        to an insertion, or None while no phase runs."""
         builds = 0
         if verdict is None:
-            if self.phase is None:
-                if not self.graph.connected(self.s, self.t):
-                    return self._publish()
-                self._begin_phase()
-                builds += 1
+            if not self.graph.connected(self.s, self.t):
+                return self._publish()
+            self._begin_phase()
+            builds += 1
             verdict = self.phase.solver.start()
         while isinstance(verdict, Flow):
             self._check_trip(verdict)

@@ -196,13 +196,9 @@ def smoothed_value(
 def smoothed_gradient(
     g: np.ndarray, r: np.ndarray, w: np.ndarray, p: float, x: np.ndarray
 ) -> np.ndarray:
-    """Gradient of smoothed_value at x.
-
-    For p = 2 the factor |x|^(p-2) is taken as 1 everywhere, including at
-    x = 0, so the gradient is exactly g + 2 r^2 x + 2 w^2 x.
-    """
+    """Gradient of smoothed_value at x: g + 2 r^2 x + p w^p |x|^(p-2) x."""
     x = np.asarray(x, dtype=float)
-    return g + 2.0 * r * r * x + p * w**p * _signed_power(x, p)
+    return g + 2.0 * r * r * x + p * _curvature(w, p, x) * x
 
 
 def smoothed_hessian_diag(
@@ -210,18 +206,14 @@ def smoothed_hessian_diag(
 ) -> np.ndarray:
     """Diagonal Hessian of smoothed_value at x (the objective is separable)."""
     x = np.asarray(x, dtype=float)
-    if p == 2:
-        curve = np.ones_like(x)
-    else:
-        curve = np.abs(x) ** (p - 2)
-    return 2.0 * r * r + p * (p - 1) * w**p * curve
+    return 2.0 * r * r + p * (p - 1) * _curvature(w, p, x)
 
 
-def _signed_power(x: np.ndarray, p: float) -> np.ndarray:
-    """|x|^(p-2) * x with the p = 2 convention |x|^0 = 1."""
-    if p == 2:
-        return x
-    return np.abs(x) ** (p - 2) * x
+def _curvature(w: np.ndarray, p: float, x: np.ndarray) -> np.ndarray:
+    """w^p |x|^(p-2) as w^2 (w |x|)^(p-2): at large p, w^p alone underflows
+    to 0 and |x|^(p-2) overflows, and their product is NaN. At p = 2 the
+    power is exactly 1, also at x = 0."""
+    return w * w * (w * np.abs(x)) ** (p - 2)
 
 
 class PNormInstance:

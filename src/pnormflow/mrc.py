@@ -78,8 +78,6 @@ def _negative_cycle(n: int, tails: np.ndarray, heads: np.ndarray,
     orientation signs).
     """
     m = tails.size
-    if m == 0 or n == 0:
-        return None
     arc_tail = np.concatenate((tails, heads))
     arc_head = np.concatenate((heads, tails))
     cost = np.concatenate((forward_cost, backward_cost))
@@ -241,9 +239,7 @@ class MonotoneMrcState:
         Solves only when the input changed since the last solve."""
         self.queries += 1
         if not self._fresh:
-            if self.m < 2:
-                self._answer = None
-            elif self._trees is not None:
+            if self._trees is not None:
                 self._answer = self._trees.query(self)
             else:
                 self._answer = self._exact_query()

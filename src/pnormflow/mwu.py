@@ -137,10 +137,7 @@ class MwuState:
         self._ell = np.zeros(m_max)
         self._c = np.zeros(m_max)
         self._r[:m], self._w[:m] = r, w
-        self._a[:m] = self.K * m_max ** -0.5 / r
-        self._b[:m] = self.K * m_max ** (-1.0 / self.q) / w
-        self._ell[:m] = _edge_lengths(self.K, self.q, r, w, self._a[:m],
-                                      self._b[:m])
+        self._admit(slice(0, m))
         # The segment of the cycle the last steps applied, and whether the
         # last step's lengths still wait in it for the next push.
         self._segment: _Segment | None = None
@@ -156,6 +153,13 @@ class MwuState:
         self.mrc = MonotoneMrcState(graph, g, self._ell[:m], self.alpha,
                                     kappa=self.kappa, backend=backend,
                                     seed=seed)
+
+    def _admit(self, edges: slice) -> None:
+        """Initial a, b and length of the edges `edges`, from their r and w."""
+        r, w = self._r[edges], self._w[edges]
+        a = self._a[edges] = self.K * self.m_max ** -0.5 / r
+        b = self._b[edges] = self.K * self.m_max ** (-1.0 / self.q) / w
+        self._ell[edges] = _edge_lengths(self.K, self.q, r, w, a, b)
 
     @property
     def gradients(self) -> np.ndarray:
@@ -202,14 +206,9 @@ def mwu_insert_edge(state: MwuState, e: int, g_e: float, r_e: float,
         raise ValueError("r and w must be strictly positive")
     state._r[e] = r_e
     state._w[e] = w_e
-    state._a[e] = state.K * state.m_max ** -0.5 / r_e
-    state._b[e] = state.K * state.m_max ** (-1.0 / state.q) / w_e
+    state._admit(slice(e, e + 1))
     state.m += 1
-    length = float(_edge_lengths(state.K, state.q, state._r[e:e + 1],
-                                 state._w[e:e + 1], state._a[e:e + 1],
-                                 state._b[e:e + 1])[0])
-    state._ell[e] = length
-    state.mrc.insert(e, g_e, length)
+    state.mrc.insert(e, g_e, float(state._ell[e]))
 
 
 def _push_length_estimates(state: MwuState) -> int:

@@ -186,14 +186,19 @@ def static_pnorm_opt(
     Parameterizes feasible flows as f0 + C x where f0 routes the demand on a
     spanning forest and the columns of C are fundamental circulations, then
     runs damped Newton with backtracking until the cycle-space gradient norm
-    drops to tol * (1 + |E(f)|). Each Newton system C^T H C x = -C^T grad
-    is solved through the n-vertex Laplacian B^T H^-1 B (see
-    _LaplacianNewton), so the k x k cycle-space Hessian is never formed.
+    drops to tol * (1 + |E(f)|), checked before each of max_iterations
+    steps and once after the last. On a forest (no cycles) the gradient
+    norm is 0.0, so the tree-routed flow returns at iteration 0. Each
+    Newton system C^T H C x = -C^T grad is solved through the n-vertex
+    Laplacian B^T H^-1 B (see _LaplacianNewton), so the k x k cycle-space
+    Hessian is never formed.
     Iterates that stop improving at the energy evaluation noise floor while
     the gradient norm sits at machine-precision scale are returned as
     converged with their achieved gradient_norm; the value error at such a
     plateau is quadratic in the gradient norm and far below any comparison
-    the report feeds.
+    the report feeds. A step whose line search finds no decrease ends the
+    solve at the current iterate: converged when its gradient norm is within
+    max(tol, the stagnation scale) * (1 + |E(f)|), an OracleError otherwise.
 
     Args:
         instance: the problem; demand must be routable on the current graph.
@@ -204,7 +209,8 @@ def static_pnorm_opt(
 
     Raises:
         ValueError: demand not routable, or start_flow infeasible.
-        OracleError: tolerance not reached within the iteration cap.
+        OracleError: tolerance not reached within the iteration cap, or
+            the line search stalled short of it.
     """
     graph = instance.graph
     m = graph.m
@@ -230,11 +236,6 @@ def static_pnorm_opt(
 
     off_tree = np.flatnonzero(~forest.tree_edge_mask(m))
     g, r, w, p = instance.g, instance.r, instance.w, instance.p
-    k = off_tree.size
-    if k == 0:
-        value = smoothed_value(g, r, w, p, f)
-        return OracleReport(value=value, flow=f, iterations=0, gradient_norm=0.0)
-
     newton = _LaplacianNewton(graph, forest, off_tree,
                               *forest.fundamental_cycle(
                                   off_tree, graph.tails[off_tree],
@@ -243,13 +244,15 @@ def static_pnorm_opt(
     energy = smoothed_value(g, r, w, p, f)
     last_energy = math.inf
     stagnant = 0
-    for iteration in range(max_iterations):
+    for iteration in range(max_iterations + 1):
         edge_grad = smoothed_gradient(g, r, w, p, f)
         grad = newton.to_cycles(edge_grad)
         gnorm = float(np.linalg.norm(grad))
         if gnorm <= tol * (1.0 + abs(energy)):
             return OracleReport(value=energy, flow=f, iterations=iteration,
                                 gradient_norm=gnorm)
+        if iteration == max_iterations:
+            break
         if last_energy - energy <= 4.0 * np.finfo(float).eps * (
                 1.0 + abs(energy)):
             stagnant += 1
@@ -279,19 +282,13 @@ def static_pnorm_opt(
                 break
             t *= 0.5
         if not accepted:
-            grad = newton.to_cycles(smoothed_gradient(g, r, w, p, f))
-            gnorm = float(np.linalg.norm(grad))
+            # f did not move, so gnorm is still its gradient norm.
             if gnorm <= max(tol, _STAGNATION_GNORM) * (1.0 + abs(energy)):
                 return OracleReport(value=energy, flow=f, iterations=iteration,
                                     gradient_norm=gnorm)
             raise OracleError(
                 f"line search stalled at gradient norm {gnorm:.3e}"
             )
-    grad = newton.to_cycles(smoothed_gradient(g, r, w, p, f))
-    gnorm = float(np.linalg.norm(grad))
-    if gnorm <= tol * (1.0 + abs(energy)):
-        return OracleReport(value=energy, flow=f, iterations=max_iterations,
-                            gradient_norm=gnorm)
     raise OracleError(
         f"no convergence in {max_iterations} iterations "
         f"(gradient norm {gnorm:.3e}, target {tol * (1.0 + abs(energy)):.3e})"

@@ -333,6 +333,36 @@ class TestExitCodes:
         (line,) = lines
         assert json.loads(line)["objective"] == float(cap)
 
+    def test_overflowing_energy_is_a_failure(self, tmp_path, capsys):
+        path = write(tmp_path, "p.stream",
+                     "problem pnorm n=3 mmax=3 p=2 F=0 eps=1\n"
+                     "demand 1 -1e300\ndemand 3 1e300\n"
+                     "edge 1 2\nedge 2 3\nstart\nadd 1 3\n")
+        assert main(["pnorm", path]) == EXIT_FAILURE
+        assert "energy of the adopted flow overflows" in \
+            capsys.readouterr().err
+
+    @pytest.mark.parametrize("cap", [
+        3 * 10 ** 7,
+        # Newton stops when the gradient norm reaches tol * (1 + |E|), an
+        # absolute rule in flow units: at large capacities it stops early,
+        # and the materialized flow leaves the event unresolved.
+        pytest.param(10 ** 8, marks=pytest.mark.xfail(
+            strict=True, reason="Newton's stopping rule does not scale "
+                                "with capacity")),
+        pytest.param(10 ** 9, marks=pytest.mark.xfail(
+            strict=True, reason="Newton's stopping rule does not scale "
+                                "with capacity")),
+    ])
+    def test_large_capacities_resolve(self, tmp_path, capsys, cap):
+        path = write(tmp_path, "m.stream",
+                     "problem maxflow n=3 mmax=48 s=1 t=3 eps=0.25\n"
+                     f"edge 1 2 cap={cap}\nedge 2 3 cap={cap}\nstart\n"
+                     f"add 1 3 cap=1\nadd 1 3 cap={cap}\n")
+        code, lines = run_lines(capsys, ["maxflow", path, "--json"])
+        assert code == EXIT_OK
+        assert json.loads(lines[-1])["objective"] == 2.0 * cap + 1
+
     def test_kind_mismatch_is_usage(self, tmp_path, capsys):
         path = write(tmp_path, "m.stream", MAXFLOW_TEXT)
         assert main(["pnorm", path]) == EXIT_USAGE

@@ -9,12 +9,14 @@ from scipy.sparse.csgraph import connected_components
 from pnormflow.errors import GraphError
 from pnormflow.graph import (
     IncrementalGraph,
+    _curvature,
     PNormInstance,
     demand_routable,
     net_demand,
     pnorm,
     pnorm_pow,
     smoothed_gradient,
+    smoothed_hessian_diag,
     smoothed_value,
 )
 from pnormflow.refine import ResidualProblem
@@ -220,6 +222,30 @@ class TestEnergy:
         assert pnorm(np.zeros(3), p) == 0.0
         assert pnorm(np.array([1.0, -np.inf]), p) == np.inf
         assert np.isnan(pnorm(np.array([1.0, np.nan]), p))
+
+    def test_quadratic_gradient_and_hessian_are_closed_forms(self):
+        # At p = 2 the curvature's power is exactly 1, also at x = 0 and
+        # x = -0.0, so both equal their closed forms bit for bit.
+        rng = np.random.default_rng(7)
+        x = np.concatenate(([0.0, -0.0], rng.normal(size=6)))
+        g, r, w = rng.normal(size=8), 0.1 + rng.random(8), 0.1 + rng.random(8)
+        gradient = smoothed_gradient(g, r, w, 2, x)
+        hessian = smoothed_hessian_diag(r, w, 2, x)
+        assert gradient.tobytes() == (
+            g + 2.0 * r * r * x + 2.0 * w * w * x).tobytes()
+        assert hessian.tobytes() == (2.0 * r * r + 2.0 * w * w).tobytes()
+
+    def test_curvature_is_finite_at_large_p(self):
+        # w^p underflows to 0 and |x|^(p-2) overflows to inf here, so the
+        # product of the two is NaN; w^2 (w |x|)^(p-2) is not.
+        w, p, x = np.array([1e-13]), 359, np.array([1.1e12])
+        with np.errstate(over="ignore", invalid="ignore"):
+            assert np.isnan(w ** p * np.abs(x) ** (p - 2))
+        assert np.isfinite(_curvature(1e-13, 359, 1.1e12))
+        assert np.all(np.isfinite(smoothed_gradient(np.zeros(1), np.ones(1),
+                                                    w, p, x)))
+        assert np.all(np.isfinite(smoothed_hessian_diag(np.ones(1), w, p,
+                                                        x)))
 
     def test_overflowing_power_sum_is_inf(self):
         # peak**p overflows a float at p = 80; callers such as the static

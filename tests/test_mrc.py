@@ -265,10 +265,15 @@ class TestMonotoneMrcState:
         with pytest.raises(ValueError):
             state.increase_length(0, 0.5)
 
-    def test_insert_into_empty_state(self):
+    @pytest.mark.parametrize("backend, kappa", [("exact", 1.0),
+                                                ("trees", 2.0)])
+    def test_insert_into_empty_state(self, backend, kappa):
+        # No cycle at m = 0; at m = 1 the edge's two arcs form a cycle of
+        # weight 2 alpha len > 0, so there is none either.
         g = IncrementalGraph(4)
         inst = MrcInput(g, np.zeros(0), np.zeros(0))
-        state = MonotoneMrcState(*inst, alpha=0.5)
+        state = MonotoneMrcState(*inst, alpha=0.5, kappa=kappa,
+                                 backend=backend, seed=1)
         assert state.query() is None
         state.insert(g.add_edge(0, 1), -1.0, 1.0)
         assert state.m == 1
@@ -489,8 +494,6 @@ def assert_cache_is_fresh(state):
 
 def direct_solve(state):
     """The un-memoized answer: a backend solve on the state's current input."""
-    if state.m < 2:
-        return None
     if state.backend == "trees":
         return state._trees.query(state)
     return state._exact_query()

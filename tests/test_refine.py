@@ -6,6 +6,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from pnormflow import refine
+from pnormflow.errors import InvariantViolation, OracleError
 from pnormflow.graph import IncrementalGraph, PNormInstance, net_demand
 from pnormflow.refine import (
     CertifiedAbove,
@@ -68,6 +70,24 @@ class TestBuildResidual:
         assert res.g[0] == pytest.approx(0.7)
         assert res.r[0] == pytest.approx(1.3)
         assert res.w[0] == pytest.approx(3 * 0.9)
+
+    def test_quadratic_residual_is_closed_form(self):
+        # At p = 2, r = sqrt(r0^2 + 8 w0^2) bit for bit, whatever the flow.
+        rng = np.random.default_rng(3)
+        instance = random_instance(rng, 4, 8, 2)
+        f = np.concatenate(([0.0, -0.0], rng.normal(size=6)))
+        r0, w0 = instance.r, instance.w
+        res = build_residual(instance, f)
+        assert res.r.tobytes() == np.sqrt(r0 ** 2 + 8.0 * w0 * w0).tobytes()
+        assert res.w.tobytes() == (2 * w0).tobytes()
+
+    def test_residual_is_finite_at_large_p(self):
+        # w0^p underflows and |f|^(p-2) overflows at this p and flow.
+        instance = fresh_instance(2, [-1.1e12, 1.1e12], p=359)
+        instance.add_edge(0, 1, 0.0, 1.0, 1e-13)
+        res = build_residual(instance, np.array([1.1e12]))
+        assert np.all(np.isfinite(res.g)) and np.all(np.isfinite(res.r))
+        assert res.r[0] >= 1.0
 
     def test_shape_mismatch_rejected(self):
         instance = fresh_instance(2, [0.0, 0.0], p=2)
@@ -156,6 +176,17 @@ class TestSandwich:
         x = sigma * rng.normal(size=6)
         assert sandwich_holds(instance, f, x, lam)
 
+    def test_failure_at_default_scale_raises(self, monkeypatch):
+        # The inequalities are a lemma at 16p, so the solver checks that
+        # scale alone and does not retry a larger one.
+        rng = np.random.Generator(np.random.Philox(5))
+        instance = random_instance(rng, 4, 6, 3)
+        monkeypatch.setattr(refine, "sandwich_holds",
+                            lambda inst, f, x, lam: lam != 16.0 * 3)
+        solver = IncrementalPNormSolver(instance, seed=1)
+        with pytest.raises(InvariantViolation, match="lambda = 48"):
+            solver.start()
+
 
 class TestRefinementStep:
     """The scaled step applied after a completed inner run."""
@@ -215,6 +246,14 @@ class TestSolverVerdicts:
         solver = IncrementalPNormSolver(instance, seed=0)
         assert isinstance(solver.start(), CertifiedAbove)
         assert static_pnorm_opt(instance).value > instance.threshold
+
+    def test_overflowing_energy_is_an_oracle_error(self):
+        instance = fresh_instance(3, [-1e300, 0.0, 1e300], p=2)
+        instance.add_edge(0, 1, 0.0, 1.0, 1.0)
+        instance.add_edge(1, 2, 0.0, 1.0, 1.0)
+        solver = IncrementalPNormSolver(instance, seed=0)
+        with pytest.raises(OracleError, match="overflows"):
+            solver.start()
 
     def test_unroutable_demand_is_vacuously_above(self):
         instance = fresh_instance(3, [-1.0, 0.0, 1.0], p=2, threshold=100.0)

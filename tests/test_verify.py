@@ -7,7 +7,8 @@ import pytest
 import scipy.sparse as sp
 from hypothesis import given, settings, strategies as st
 
-from pnormflow.graph import IncrementalGraph, PNormInstance, net_demand
+from pnormflow.graph import (IncrementalGraph, PNormInstance, net_demand,
+                             smoothed_value)
 from pnormflow.refine import MATERIALIZE_MAX_ITERATIONS, MATERIALIZE_TOL
 from pnormflow.trees import SpanningForest
 from pnormflow.verify import (
@@ -114,6 +115,21 @@ class TestStaticPNormOpt:
         report = static_pnorm_opt(inst, seed=0)
         assert np.allclose(report.flow, [1.0])
         assert report.value == pytest.approx(2.0, rel=1e-9)
+
+    def test_forest_returns_the_tree_routed_flow(self):
+        # No cycles: the gradient norm is 0.0 at iteration 0.
+        inst = build_instance(5, [(0, 1), (1, 2), (1, 3)],
+                              [-2.0, 0.5, 1.0, 0.5, 0.0], 3,
+                              g=[0.3, -0.2, 0.1], w=[0.5, 2.0, 1.0])
+        report = static_pnorm_opt(inst)
+        graph = inst.graph
+        routed = SpanningForest(graph.n, graph.tails, graph.heads,
+                                range(graph.m)).route_demand(inst.d, graph.m)
+        assert report.iterations == 0
+        assert report.gradient_norm == 0.0
+        assert report.flow.tobytes() == routed.tobytes()
+        assert report.value == smoothed_value(inst.g, inst.r, inst.w, 3,
+                                              routed)
 
     def test_zero_demand_zero_gradient_gives_zero(self):
         inst = build_instance(3, [(0, 1), (1, 2), (2, 0)], [0.0, 0.0, 0.0], 2)
