@@ -6,7 +6,7 @@ reference oracles and fails on any disagreement; gen writes seeded
 instances.
 
 Every run checks the solver's runtime invariants. Exit codes: 0 success,
-1 usage or parse error, 2 invariant or verification failure. Metrics
+1 usage or parse error, 2 invariant, solver or verification failure. Metrics
 records are deterministic for a fixed stream and seed except for the
 wall-time field.
 """
@@ -319,8 +319,11 @@ def main(argv=None) -> int:
     except OSError as exc:
         print(f"pnormflow: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except (InvariantViolation, OracleError) as exc:
+    except InvariantViolation as exc:
         print(f"pnormflow: invariant failure: {exc}", file=sys.stderr)
+        return EXIT_FAILURE
+    except OracleError as exc:
+        print(f"pnormflow: solver failure: {exc}", file=sys.stderr)
         return EXIT_FAILURE
     except ValueError as exc:
         print(f"pnormflow: {exc}", file=sys.stderr)

@@ -193,20 +193,48 @@ def smoothed_value(
     return float(g @ x) + pnorm_pow(r * x, 2) + pnorm_pow(w * x, p)
 
 
-def smoothed_gradient(
+def smoothed_values(
     g: np.ndarray, r: np.ndarray, w: np.ndarray, p: float, x: np.ndarray
 ) -> np.ndarray:
-    """Gradient of smoothed_value at x: g + 2 r^2 x + p w^p |x|^(p-2) x."""
+    """smoothed_value of each row of the (k, m) stack x; g and r may be
+    (k, m) stacks too, one row per row of x."""
     x = np.asarray(x, dtype=float)
-    return g + 2.0 * r * r * x + p * _curvature(w, p, x) * x
+    return (np.sum(g * x, axis=1) + _pnorm_pow_rows(r * x, 2)
+            + _pnorm_pow_rows(w * x, p))
+
+
+def _pnorm_pow_rows(values: np.ndarray, p: float) -> np.ndarray:
+    """pnorm_pow of each row of a 2-D array."""
+    values = np.abs(values)
+    peak = values.max(axis=1, initial=0.0)
+    scaled = (peak > 0.0) & np.isfinite(peak)
+    unit = np.where(scaled, peak, 1.0)
+    with np.errstate(over="ignore"):
+        sums = unit ** p * np.sum((values / unit[:, None]) ** p, axis=1)
+    return np.where(scaled, sums, peak)
+
+
+def smoothed_gradient(
+    g: np.ndarray, r: np.ndarray, w: np.ndarray, p: float, x: np.ndarray,
+    curv: np.ndarray | None = None,
+) -> np.ndarray:
+    """Gradient of smoothed_value at x: g + 2 r^2 x + p w^p |x|^(p-2) x.
+    curv, when given, is _curvature(w, p, x), already formed by the caller."""
+    x = np.asarray(x, dtype=float)
+    if curv is None:
+        curv = _curvature(w, p, x)
+    return g + 2.0 * r * r * x + p * curv * x
 
 
 def smoothed_hessian_diag(
-    r: np.ndarray, w: np.ndarray, p: float, x: np.ndarray
+    r: np.ndarray, w: np.ndarray, p: float, x: np.ndarray,
+    curv: np.ndarray | None = None,
 ) -> np.ndarray:
-    """Diagonal Hessian of smoothed_value at x (the objective is separable)."""
-    x = np.asarray(x, dtype=float)
-    return 2.0 * r * r + p * (p - 1) * _curvature(w, p, x)
+    """Diagonal Hessian of smoothed_value at x (the objective is separable);
+    curv as for smoothed_gradient."""
+    if curv is None:
+        curv = _curvature(w, p, np.asarray(x, dtype=float))
+    return 2.0 * r * r + p * (p - 1) * curv
 
 
 def _curvature(w: np.ndarray, p: float, x: np.ndarray) -> np.ndarray:

@@ -11,18 +11,19 @@ is a direct Laplacian solve.
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
+from scipy.linalg.lapack import dgetrf, dgetrs
 
 from .errors import OracleError
 from .graph import (
     IncrementalGraph,
     PNormInstance,
+    _curvature,
     demand_routable,
     net_demand,
     smoothed_gradient,
@@ -32,17 +33,22 @@ from .graph import (
 from .trees import SpanningForest
 
 DEFAULT_ORACLE_TOL = 1e-9
+_EPS = float(np.finfo(float).eps)
 # Exit thresholds for iterates pinned at the energy evaluation noise floor.
 # The objective is strongly convex on the cycle space (curvature >= 2 r^2),
 # so repeated noise-level progress with a machine-precision-scale gradient
 # means the iterate is the numerical optimum even when `tol` is unreachable.
 _STAGNATION_ITERATIONS = 8
-_STAGNATION_GNORM = 100.0 * math.sqrt(np.finfo(float).eps)
+_STAGNATION_GNORM = 100.0 * math.sqrt(_EPS)
 
 
 # Largest number of free (non-root) vertices whose grounded Laplacian is
 # factored densely; below it scipy.sparse call overhead outweighs the work.
 _DENSE_LAPLACIAN_LIMIT = 64
+# Largest forcing term of the inexact Newton step (Eisenstat and Walker):
+# far from the optimum a rough step suffices, and the forcing term
+# min(_FORCING_MAX, ||C^T grad||) keeps convergence fast near it.
+_FORCING_MAX = 1e-2
 
 
 class _LaplacianNewton:
@@ -55,16 +61,21 @@ class _LaplacianNewton:
     matrix and phi solves L phi = -B^T (grad / h) for the Laplacian
     L = B^T diag(1/h) B grounded at every forest root. C is the identity
     on the off-tree edges, so x is Delta read off there. No k x k matrix
-    is formed; iterative refinement feeds the cycle-space residual back
-    through the same factorization until it stops shrinking.
+    is formed. Each step factors the Laplacian once; iterative refinement
+    feeds the cycle-space residual back through that factorization until
+    the residual is within the forcing term eta = min(_FORCING_MAX,
+    ||C^T grad||) of ||C^T grad|| (machine precision at the least), or it
+    stops shrinking. Newton's stopping rule reads the true gradient, so a
+    rough step only costs an iteration, never accuracy.
 
     With at most _DENSE_LAPLACIAN_LIMIT free vertices the Laplacian is
-    factored densely, and C is held as its (cycle, edge, sign) triplets,
-    sorted by cycle and then edge as scipy's compressed arrays store
-    them: np.bincount then forms C x and C^T y adding the same terms in
-    the same order as scipy's products, so they are bit-identical to
-    them without a sparse matrix per solve. Above the limit C is a
-    scipy CSC matrix and C^T its CSR copy.
+    factored densely by LAPACK getrf and solved by getrs, and C is held
+    as its (cycle, edge, sign) triplets, sorted by cycle and then edge as
+    scipy's compressed arrays store them: np.bincount then forms C x and
+    C^T y adding the same terms in the same order as scipy's products, so
+    they are bit-identical to them without a sparse matrix per solve.
+    Above the limit the Laplacian is factored by splu, C is a scipy CSC
+    matrix and C^T its CSR copy.
     """
 
     def __init__(self, graph: IncrementalGraph, forest: SpanningForest,
@@ -121,32 +132,37 @@ class _LaplacianNewton:
         phi[self.free] = solve(rhs[self.free])
         return phi
 
-    def step(self, h: np.ndarray, edge_grad: np.ndarray,
-             grad: np.ndarray) -> np.ndarray:
-        """Cycle coordinates of the Newton step; NaN when the Laplacian
-        cannot be factored."""
+    def step(self, h: np.ndarray, edge_grad: np.ndarray, grad: np.ndarray,
+             gnorm: float) -> np.ndarray:
+        """Cycle coordinates of the Newton step for the cycle-space
+        gradient grad of norm gnorm, to within the forcing term; NaN when
+        the Laplacian cannot be factored."""
         cond = 1.0 / h
         values = self.entry_sign * cond[self.entry_edge]
-        try:
-            if self.dense:
-                size = self.size
-                lap = np.bincount(self.entry_flat, values,
-                                  size * size).reshape(size, size)
-                solve = functools.partial(np.linalg.solve, lap)
-            else:
-                lap = sp.csc_matrix((values, (self.rows, self.cols)),
-                                    shape=(self.size, self.size))
+        if self.dense:
+            size = self.size
+            lap = np.bincount(self.entry_flat, values,
+                              size * size).reshape(size, size)
+            lu, piv, info = dgetrf(lap, overwrite_a=True)
+            if info != 0:
+                return np.full(self.off_tree.size, np.nan)
+
+            def solve(b):
+                return dgetrs(lu, piv, b)[0]
+        else:
+            lap = sp.csc_matrix((values, (self.rows, self.cols)),
+                                shape=(self.size, self.size))
+            try:
                 solve = spla.splu(lap).solve
-            phi = self._potentials(solve, self.tails, self.heads,
-                                   edge_grad * cond)
-        except (np.linalg.LinAlgError, RuntimeError):
-            return np.full(self.off_tree.size, np.nan)
+            except RuntimeError:
+                return np.full(self.off_tree.size, np.nan)
         off_t, off_h = self.off_tails, self.off_heads
         off_cond = cond[self.off_tree]
+        phi = self._potentials(solve, self.tails, self.heads, edge_grad * cond)
         x = -(edge_grad[self.off_tree] + phi[off_h] - phi[off_t]) * off_cond
         residual = -grad - self.to_cycles(h * self.to_edges(x))
         rnorm = float(np.linalg.norm(residual))
-        target = np.finfo(float).eps * float(np.linalg.norm(grad))
+        target = max(_EPS, min(_FORCING_MAX, gnorm)) * gnorm
         while rnorm > target:
             # Refinement: gamma = -residual on the off-tree edges, zero on
             # the tree, gives the correction C^T H C dx = residual.
@@ -191,7 +207,10 @@ def static_pnorm_opt(
     norm is 0.0, so the tree-routed flow returns at iteration 0. Each
     Newton system C^T H C x = -C^T grad is solved through the n-vertex
     Laplacian B^T H^-1 B (see _LaplacianNewton), so the k x k cycle-space
-    Hessian is never formed.
+    Hessian is never formed; the step is solved only to within a forcing
+    term, while the stopping rule reads the true gradient. Each iterate
+    forms the curvature term w^p |f|^(p-2) once, for both the gradient and
+    the Hessian diagonal.
     Iterates that stop improving at the energy evaluation noise floor while
     the gradient norm sits at machine-precision scale are returned as
     converged with their achieved gradient_norm; the value error at such a
@@ -245,7 +264,8 @@ def static_pnorm_opt(
     last_energy = math.inf
     stagnant = 0
     for iteration in range(max_iterations + 1):
-        edge_grad = smoothed_gradient(g, r, w, p, f)
+        curv = _curvature(w, p, f)
+        edge_grad = smoothed_gradient(g, r, w, p, f, curv)
         grad = newton.to_cycles(edge_grad)
         gnorm = float(np.linalg.norm(grad))
         if gnorm <= tol * (1.0 + abs(energy)):
@@ -253,8 +273,7 @@ def static_pnorm_opt(
                                 gradient_norm=gnorm)
         if iteration == max_iterations:
             break
-        if last_energy - energy <= 4.0 * np.finfo(float).eps * (
-                1.0 + abs(energy)):
+        if last_energy - energy <= 4.0 * _EPS * (1.0 + abs(energy)):
             stagnant += 1
             if (stagnant >= _STAGNATION_ITERATIONS
                     and gnorm <= _STAGNATION_GNORM * (1.0 + abs(energy))):
@@ -263,7 +282,8 @@ def static_pnorm_opt(
         else:
             stagnant = 0
         last_energy = energy
-        step = newton.step(smoothed_hessian_diag(r, w, p, f), edge_grad, grad)
+        step = newton.step(smoothed_hessian_diag(r, w, p, f, curv),
+                           edge_grad, grad, gnorm)
         direction = newton.to_edges(step)
         slope = float(grad @ step)
         if not slope < 0:

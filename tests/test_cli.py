@@ -342,6 +342,19 @@ class TestExitCodes:
         assert "energy of the adopted flow overflows" in \
             capsys.readouterr().err
 
+    def test_solver_failure_is_not_an_invariant_failure(self, tmp_path,
+                                                        capsys):
+        # The overflow is an OracleError: a solver failure, also exit 2.
+        path = write(tmp_path, "p.stream",
+                     "problem pnorm n=3 mmax=3 p=2 F=0 eps=1\n"
+                     "demand 1 -1e300\ndemand 3 1e300\n"
+                     "edge 1 2\nedge 2 3\nstart\nadd 1 3\n")
+        assert main(["pnorm", path]) == EXIT_FAILURE
+        err = capsys.readouterr().err
+        assert err.startswith("pnormflow: solver failure: energy of the "
+                              "adopted flow overflows")
+        assert "invariant" not in err
+
     @pytest.mark.parametrize("cap", [
         3 * 10 ** 7,
         # Newton stops when the gradient norm reaches tol * (1 + |E|), an

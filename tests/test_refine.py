@@ -176,6 +176,41 @@ class TestSandwich:
         x = sigma * rng.normal(size=6)
         assert sandwich_holds(instance, f, x, lam)
 
+    @staticmethod
+    def scaled_rows(rng, k, m):
+        """k random flows of length m, each at its own scale."""
+        return rng.normal(size=(k, m)) * 10.0 ** rng.uniform(-2, 0.5, (k, 1))
+
+    @pytest.mark.parametrize("p", [2, 3, 4])
+    @pytest.mark.parametrize("lam", [2.0, 4.0, 8.0])
+    def test_row_stack_holds_iff_every_row_holds(self, p, lam):
+        rng = np.random.Generator(np.random.Philox(3))
+        instance = random_instance(rng, 4, 6, p)
+        f, x = self.scaled_rows(rng, 12, 6), self.scaled_rows(rng, 12, 6)
+        rows = [sandwich_holds(instance, f[i], x[i], lam) for i in range(12)]
+        assert sandwich_holds(instance, f, x, lam) == all(rows)
+        for i in range(12):
+            assert sandwich_holds(instance, f[i:i + 1], x[i:i + 1],
+                                  lam) == rows[i]
+
+    def test_one_failing_row_fails_the_stack(self):
+        rng = np.random.Generator(np.random.Philox(3))
+        instance = random_instance(rng, 4, 6, 3)
+        f, x = self.scaled_rows(rng, 12, 6), self.scaled_rows(rng, 12, 6)
+        rows = np.array([sandwich_holds(instance, f[i], x[i], 4.0)
+                         for i in range(12)])
+        assert rows.any() and not rows.all()
+        holding = np.flatnonzero(rows)
+        assert sandwich_holds(instance, f[holding], x[holding], 4.0)
+        stack = np.append(holding, np.flatnonzero(~rows)[0])
+        assert not sandwich_holds(instance, f[stack], x[stack], 4.0)
+
+    def test_stack_shapes_must_match(self):
+        instance = fresh_instance(2, [-1.0, 1.0], p=2)
+        instance.add_edge(0, 1, 0.3, 1.0, 1.0)
+        with pytest.raises(ValueError):
+            sandwich_holds(instance, np.zeros((2, 1)), np.zeros((3, 1)), 8.0)
+
     def test_failure_at_default_scale_raises(self, monkeypatch):
         # The inequalities are a lemma at 16p, so the solver checks that
         # scale alone and does not retry a larger one.

@@ -234,10 +234,10 @@ class TestGenerate:
         assert len(stream.events) == 6
 
     @pytest.mark.parametrize("mode, kind, digest", [
-        ("random", "pnorm", "41d506d59b44c6f5"),
+        ("random", "pnorm", "35c7f13f94c0b874"),
         ("random", "maxflow", "8ff2a00e625a5519"),
         ("random", "effres", "104a07d82c2186e3"),
-        ("planted-threshold", "pnorm", "7156b6ff5ed734e9"),
+        ("planted-threshold", "pnorm", "c35cbbeb46d99b23"),
         ("planted-threshold", "effres", "e6754181add2100f"),
         ("phase-stress", "maxflow", "9cca46ca08380768"),
     ])
