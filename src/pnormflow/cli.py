@@ -24,7 +24,7 @@ import numpy as np
 import scipy.sparse as sp
 from scipy.sparse import csgraph
 
-from .drivers import Below, event_calls
+from .drivers import DRIVER_STEP_BUDGET, Below, event_calls
 from .errors import InvariantViolation, OracleError, StreamError
 from .graph import net_demand
 from .refine import Flow
@@ -283,7 +283,11 @@ def build_parser() -> _Parser:
                          help="metrics records as JSON objects")
         sub.add_argument("--event-budget", type=int, default=None,
                          dest="event_budget",
-                         help="inner steps per event before materializing")
+                         help="inner rounds per event; an event that "
+                              "exhausts them materializes (default: 2T "
+                              "for pnorm, T being an inner run's round "
+                              f"count; {DRIVER_STEP_BUDGET} for maxflow "
+                              "and effres)")
 
     for name, func in (("pnorm", cmd_run), ("maxflow", cmd_run),
                        ("effres", cmd_run), ("verify", cmd_verify)):

@@ -34,7 +34,8 @@ import numpy as np
 
 from .errors import InvariantViolation
 from .graph import IncrementalGraph, PNormInstance
-from .refine import Flow, IncrementalPNormSolver, Verdict
+from .refine import (Flow, IncrementalPNormSolver, Verdict,
+                     check_step_budget)
 from .streams import (MAX_CAPACITY, EdgeSpec, UpdateStream,
                       build_pnorm_instance)
 from .verify import exact_maxflow
@@ -42,10 +43,14 @@ from .verify import exact_maxflow
 # l2-to-lp weight ratio for the effective-resistance instance; its energy
 # distortion (1 + gamma^2) is far below any useful eps_rel.
 EFFRES_WEIGHT_RATIO = 1e-6
-# Per-event inner-step budget for the drivers. Driver events either stall
-# quickly or cross the threshold, where materialization resolves them; a
-# small budget keeps the per-event cost flat without affecting soundness.
-DRIVER_STEP_BUDGET = 200
+# Per-event inner-step budget for the drivers. The first round's step
+# makes length estimates stale; the second round pushes them, and its
+# query is the first to see them, so it can stall (CertifiedAbove) where
+# the first could not. Later rounds cannot complete a run, whose
+# T = 100*q*m_max is far out of reach, so the materialization that
+# resolves an exhausted event would throw them away. Budget 1 pushes no
+# estimate.
+DRIVER_STEP_BUDGET = 2
 _MAX_PHASE_BUILDS_PER_EVENT = 2
 
 
@@ -80,9 +85,8 @@ class MaxflowDriver:
             raise ValueError(f"eps must be in (0, 1/2], got {eps}")
         if m_max < 1:
             raise ValueError("m_max must be positive")
-        if step_budget_per_event is not None and step_budget_per_event < 1:
-            raise ValueError(f"step_budget_per_event must be at least 1, "
-                             f"got {step_budget_per_event}")
+        if step_budget_per_event is not None:
+            check_step_budget(step_budget_per_event)
         self.n, self.m_max, self.s, self.t = n, m_max, s, t
         self.eps = float(eps)
         self.p = math.ceil(2.0 * math.log(2 * m_max) / eps)

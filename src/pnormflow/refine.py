@@ -154,6 +154,16 @@ class Flow:
 Verdict = CertifiedAbove | Flow
 
 
+def check_step_budget(budget) -> int:
+    """The per-event step budget as an int; raise ValueError unless it is
+    an integer of at least 1 (a float such as 2.0 is accepted)."""
+    # The remainder is nan for inf and nan, so both fail like 2.5 does.
+    if not (budget >= 1 and budget % 1 == 0):
+        raise ValueError(f"step_budget_per_event must be an integer of at "
+                         f"least 1, got {budget}")
+    return int(budget)
+
+
 class IncrementalPNormSolver:
     """Per-event threshold certification over an append-only instance.
 
@@ -197,10 +207,7 @@ class IncrementalPNormSolver:
         self.K = 2.0 * run_K
         self.lam = float(DEFAULT_LAMBDA_FACTOR * self.p)
         self.step_budget = (2 * self.T if step_budget_per_event is None
-                            else int(step_budget_per_event))
-        if self.step_budget < 1:
-            raise ValueError(f"step_budget_per_event must be at least 1, "
-                             f"got {step_budget_per_event}")
+                            else check_step_budget(step_budget_per_event))
         self.trace = trace
         self._rng = np.random.Generator(np.random.Philox(seed))
         # The flow column holds the warm start until the first bootstrap.

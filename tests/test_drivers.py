@@ -342,13 +342,37 @@ class TestEffResDriver:
 
 
 class TestEventCalls:
-    @pytest.mark.parametrize("kind", ["maxflow", "effres"])
-    def test_budget_below_one_rejected(self, kind):
+    @pytest.mark.parametrize("budget", [0, 2.5, 1.9, math.inf, math.nan])
+    @pytest.mark.parametrize("kind", ["pnorm", "maxflow", "effres"])
+    def test_budget_below_one_rejected(self, kind, budget):
         # The maxflow driver builds its solvers later, so it checks too.
+        # A fractional budget is not rounded, and inf is no integer.
         stream = generate_stream("random", kind, n=4, initial=3, events=1,
                                  seed=1)
-        with pytest.raises(ValueError, match="at least 1"):
-            event_calls(stream, step_budget_per_event=0)
+        with pytest.raises(ValueError, match="integer of at least 1"):
+            event_calls(stream, step_budget_per_event=budget)
+
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    @pytest.mark.parametrize("mode, kind, n, initial, events", [
+        ("phase-stress", "maxflow", 12, 11, 36),
+        ("planted-threshold", "effres", 8, 7, 8),
+    ])
+    def test_default_budget_keeps_the_answers_of_budget_200(
+            self, mode, kind, n, initial, events, seed):
+        # Rounds past the default budget cannot complete a run, so the
+        # materialization that ends the event throws them away.
+        stream = generate_stream(mode, kind, n=n, initial=initial,
+                                 events=events, seed=seed)
+        answers = []
+        for options in ({}, {"step_budget_per_event": 200}):
+            _, calls = event_calls(stream, seed=0, **options)
+            answers.append([call() for call in calls])
+        default, long = answers
+        if kind == "maxflow":
+            assert [value for value, _ in default] == [
+                value for value, _ in long]
+        else:
+            assert [type(a) for a in default] == [type(a) for a in long]
 
     @pytest.mark.parametrize("mode, kind", [
         ("planted-threshold", "pnorm"), ("random", "maxflow"),
