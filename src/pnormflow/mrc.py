@@ -9,7 +9,8 @@ achievable, and a query asks for any cycle of ratio at most -alpha/kappa.
 Its input changes only through insert and increase_length, so a query
 answers from the last solve until one of them comes; both backends (one
 Bellman-Ford negative-cycle search at the threshold, or fundamental cycles
-over randomized spanning forests) are deterministic between updates, so
+over randomized spanning forests, built and searched as one stacked forest)
+are deterministic between updates, so
 the stored answer is the one a new solve would give.
 """
 
@@ -269,24 +270,40 @@ class MonotoneMrcState:
         return solution
 
 
+def _edge_orders(keys: np.ndarray) -> np.ndarray:
+    """Each row's edge ids by increasing key, ties to the lowest id.
+
+    One default-kind argsort sorts all rows; it need not keep tied keys in
+    id order, so a row that holds a tie is sorted again stably. Keys
+    drawn from a continuous distribution rarely tie."""
+    order = np.argsort(keys, axis=1)
+    ranked = np.take_along_axis(keys, order, axis=1)
+    for i in np.flatnonzero((ranked[:, 1:] == ranked[:, :-1]).any(axis=1)):
+        order[i] = np.argsort(keys[i], kind="stable")
+    return order
+
+
 class _TreeCollection:
     """Spanning-tree backend: fundamental-cycle candidates over a collection
     of randomized minimum-length trees, rebuilt when the total length doubles
     or an insertion connects components.
 
-    A rebuild stacks the forests into one (`stacked`, forest i's vertex v
-    at i * n + v) and keeps only that; every forest has the same number of
-    tree edges, so forest i's are slice i of `stacked.tree_edges`. The
-    rebuild takes the signed gradient prefix sums over it once; each query
-    takes the length prefix sums over it once, and each forest reads its
-    own slice. LCA batches run on the stacked forest's table, one forest
-    per call, and the winning cycle is walked on it too.
+    A rebuild draws all the forests' random keys at once, one row per
+    forest (the same numbers as one draw per forest), orders each row's
+    edges by key, ties to the lowest edge id, and builds the forests in one
+    stacked SpanningForest (forest i's vertex v at i * n + v). The rebuild
+    takes the signed gradient prefix sums over it once; each query takes
+    the length prefix sums over it once.
 
-    Each forest's off-tree edges, their endpoints and meeting vertices (in
-    the forest's own numbering) and their cycle gradients are cached. A
-    rebuild drops the cache and the next query recomputes it; an insertion
+    The cycle cache holds one row per forest: its off-tree edges in
+    increasing id order, with their endpoints and meeting vertices in the
+    stacked numbering and their cycle gradients. Every forest spans the
+    same components, so the rows have the same length. A rebuild drops the
+    cache and the next query computes it in one LCA batch; an insertion
     that does not rebuild appends the new edge, which is off-tree in every
-    forest, to each forest's entry.
+    forest and has the largest id, as a column. A query takes the first
+    entry of least ratio in row-major order: ties go to the earliest
+    forest, then to the earliest entry.
 
     The collection keeps no reference to its state: every method takes it,
     so a dropped state and its forests are freed without waiting for the
@@ -295,20 +312,16 @@ class _TreeCollection:
     def __init__(self, state: MonotoneMrcState, seed: int | None):
         self.rng = np.random.Generator(np.random.Philox(key=seed or 0))
         self.count = 4 * max(1, math.ceil(math.log2(max(state.n, 2))))
-        self._cycles: list[tuple[np.ndarray, ...]] | None = None
+        self._cycles: tuple[np.ndarray, ...] | None = None
         self.total = float(state.lengths.sum())
         self.checkpoint = 0.0
         self.rebuild(state)
 
     def rebuild(self, state: MonotoneMrcState) -> None:
-        m = state.m
-        tails, heads = state.tails.tolist(), state.heads.tolist()
-        forests = []
-        for _ in range(self.count):
-            keys = state.lengths * self.rng.uniform(1.0, 4.0, m)
-            order = np.argsort(keys, kind="stable")
-            forests.append(SpanningForest(state.n, tails, heads, order))
-        self.stacked = SpanningForest.disjoint_union(forests)
+        keys = self.rng.uniform(1.0, 4.0, (self.count, state.m))
+        keys *= state.lengths
+        self.stacked = SpanningForest(state.n, state.tails, state.heads,
+                                      _edge_orders(keys))
         # Tree edges keep their gradients, so these stay valid until the
         # next rebuild.
         self.gsum = self.stacked.prefix_sums(state.gradients, signed=True)
@@ -316,23 +329,30 @@ class _TreeCollection:
         self.components = state.graph.components
         self._cycles = None
 
-    def _forest_cycles(self, state: MonotoneMrcState, i: int,
-                       off: np.ndarray | None = None
-                       ) -> tuple[np.ndarray, ...]:
-        """Off-tree edges `off` of forest i (by default all of them), their
-        endpoints and meeting vertices, and their fundamental-cycle
-        gradients."""
-        g = state.gradients
-        if off is None:
-            size = self.stacked.tree_edges.size // self.count
-            off_tree = np.ones(state.m, dtype=bool)
-            off_tree[self.stacked.tree_edges[i * size:(i + 1) * size]] = False
-            off = np.flatnonzero(off_tree)
-        shift = i * state.n
-        gsum = self.gsum[shift:shift + state.n]
+    def _entries(self, state: MonotoneMrcState,
+                 off: np.ndarray) -> tuple[np.ndarray, ...]:
+        """Cache entries of the off-tree edges `off`, one row per forest:
+        the edges, their endpoints and meeting vertices in the stacked
+        numbering, and their fundamental-cycle gradients
+        g[off] + gsum[u] - gsum[v]."""
+        shift = np.arange(0, self.count * state.n, state.n)[:, None]
         u, v = state.tails[off], state.heads[off]
-        meet = self.stacked.lca_many(u + shift, v + shift) - shift
-        return off, u, v, meet, g[off] + gsum[u] - gsum[v]
+        u += shift
+        v += shift
+        grads = state.gradients[off]
+        grads += self.gsum[u]
+        grads -= self.gsum[v]
+        meet = self.stacked.lca_many(u.ravel(), v.ravel()).reshape(off.shape)
+        return off, u, v, meet, grads
+
+    def _all_entries(self, state: MonotoneMrcState) -> tuple[np.ndarray, ...]:
+        """Cache entries of every forest's off-tree edges."""
+        k, tree_edges = self.count, self.stacked.tree_edges
+        off_tree = np.ones((k, state.m), dtype=bool)
+        off_tree[np.repeat(np.arange(k), tree_edges.size // k),
+                 tree_edges] = False
+        return self._entries(state, np.broadcast_to(
+            np.arange(state.m), off_tree.shape)[off_tree].reshape(k, -1))
 
     def note_insert(self, state: MonotoneMrcState, e: int) -> None:
         self.total += float(state.lengths[e])
@@ -341,12 +361,13 @@ class _TreeCollection:
             self.rebuild(state)
         elif self._cycles is not None:
             # Forests and existing gradients are unchanged, so only the new
-            # edge's cycle is computed.
-            new = np.array([e], dtype=np.int64)
-            self._cycles = [
-                tuple(map(np.concatenate,
-                          zip(cached, self._forest_cycles(state, i, new))))
-                for i, cached in enumerate(self._cycles)]
+            # edge's cycles are computed.
+            new = self._entries(state, np.full((self.count, 1), e))
+            # One column at a time, so that at most one is held twice.
+            cycles, self._cycles = list(self._cycles), None
+            for j, added in enumerate(new):
+                cycles[j] = np.concatenate((cycles[j], added), axis=1)
+            self._cycles = tuple(cycles)
 
     def note_increase(self, state: MonotoneMrcState, delta: float) -> None:
         self.total += delta
@@ -356,29 +377,27 @@ class _TreeCollection:
     def query(self, state: MonotoneMrcState) -> CycleSolution | None:
         g, lengths = state.gradients, state.lengths
         threshold = -state.alpha / state.kappa
-        best_ratio = 0.0
-        best: tuple[int, int] | None = None
         if self._cycles is None:
-            self._cycles = [self._forest_cycles(state, i)
-                            for i in range(self.count)]
-        stacked_lsum = self.stacked.prefix_sums(lengths, signed=False)
-        n = state.n
-        for i, (off, u, v, meet, grads) in enumerate(self._cycles):
-            if off.size == 0:
-                continue
-            lsum = stacked_lsum[i * n:(i + 1) * n]
-            lens = lengths[off] + lsum[u] + lsum[v] - 2.0 * lsum[meet]
-            ratios = -np.abs(grads) / lens
-            pick = int(np.argmin(ratios))
-            if ratios[pick] < best_ratio:
-                best_ratio = float(ratios[pick])
-                best = (i, pick)
-        if best is None or best_ratio > threshold:
+            self._cycles = self._all_entries(state)
+        off, u, v, meet, grads = (col.ravel() for col in self._cycles)
+        if off.size == 0:
             return None
-        i, pick = best
-        off, u, v = (col[pick:pick + 1] for col in self._cycles[i][:3])
-        _, edges, signs = self.stacked.fundamental_cycle(off, u + i * n,
-                                                         v + i * n)
+        lsum = self.stacked.prefix_sums(lengths, signed=False)
+        # The least ratio -|grads| / lens is the first greatest
+        # |grads| / lens, formed in place in `steep`, where lens adds the
+        # terms of lengths[off] + lsum[u] + lsum[v] - 2.0 * lsum[meet] in
+        # that order.
+        steep = lengths[off]
+        steep += lsum[u]
+        steep += lsum[v]
+        steep -= 2.0 * lsum[meet]
+        np.divide(np.abs(grads), steep, out=steep)
+        pick = int(np.argmax(steep))
+        if not -steep[pick] <= threshold:
+            return None
+        at = slice(pick, pick + 1)
+        _, edges, signs = self.stacked.fundamental_cycle(off[at], u[at],
+                                                         v[at])
         solution = _solution_from_cycle(edges, signs, g, lengths)
         if solution.gradient > 0:
             solution = _solution_from_cycle(edges, -signs, g, lengths)

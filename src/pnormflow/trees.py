@@ -1,12 +1,15 @@
 """Spanning forests: construction, demand routing, fundamental cycles, LCA.
 
 Shared by the static optimizer (starting flow and cycle-space
-parameterization) and the tree-collection backend (fundamental-cycle
-candidates), which builds dozens of forests over thousands of edges per
-run. So a forest is built on plain Python lists and becomes numpy arrays
-only at the end, and the backend stacks its forests into one
-(`SpanningForest.disjoint_union`) so that path sums and LCA batches run as
-whole-array passes over all of them.
+parameterization), which builds one small forest per solve, and the
+tree-collection backend (fundamental-cycle candidates), which builds dozens
+of forests over thousands of edges per rebuild. Kruskal runs on plain Python
+ints in both. A 1-D edge order builds one forest and orients it by a Python
+depth-first search, the cheapest at the static optimizer's sizes. A (k, m)
+edge order builds k forests stacked as one, forest i's vertex v at i * n + v,
+and orients the whole stack by one scipy depth-first search, so that the
+backend's path sums and LCA batches run as whole-array passes over all of
+its forests.
 """
 
 from __future__ import annotations
@@ -14,8 +17,13 @@ from __future__ import annotations
 from typing import Sequence
 
 import numpy as np
+import scipy.sparse as sp
+from scipy.sparse.csgraph import depth_first_order
 
 from .graph import _UnionFind
+
+# Pairs per pass of lca_many.
+_LCA_BLOCK = 1 << 14
 
 
 def _python_ints(seq: Sequence[int]) -> Sequence[int]:
@@ -24,47 +32,86 @@ def _python_ints(seq: Sequence[int]) -> Sequence[int]:
     return seq.tolist() if isinstance(seq, np.ndarray) else seq
 
 
+def _kruskal(n: int, tails: Sequence[int], heads: Sequence[int],
+             edge_order: Sequence[int]) -> tuple[list[int], list[int]]:
+    """Kruskal over `edge_order`: the tree edges in the order taken, and
+    each tree's smallest vertex.
+
+    The scan stops once it holds n - 1 tree edges, where no later edge can
+    join two trees; on graphs with about ten edges per vertex that is a
+    third of the way in. So an ndarray order becomes Python ints 4n entries
+    at a time, not all at once.
+    """
+    sets = _UnionFind(n)
+    union = sets.union
+    taken: list[int] = []
+    if n > 1:
+        blocks = ((edge_order[at:at + 4 * n].tolist()
+                   for at in range(0, edge_order.size, 4 * n))
+                  if isinstance(edge_order, np.ndarray) else (edge_order,))
+        for block in blocks:
+            for e in block:
+                if union(tails[e], heads[e]):
+                    taken.append(e)
+                    if len(taken) == n - 1:
+                        return taken, [0]
+    firsts: dict[int, int] = {}
+    for v in range(n):
+        firsts.setdefault(sets.find(v), v)
+    return taken, list(firsts.values())
+
+
 class SpanningForest:
-    """Rooted spanning forest of a multigraph.
+    """Rooted spanning forest of a multigraph, or k of them stacked.
 
     parent_vertex[v] is -1 at roots; parent_edge[v] is the edge id linking v
     to its parent and parent_sign[v] is +1 when that edge is stored as
     (v, parent), i.e. traversing child -> parent follows the stored
     orientation.
 
-    Kruskal scans `edge_order` and stops once it holds n - 1 tree edges,
-    where no later edge can join two trees; `tree_edges` keeps the order in
-    which they were taken. `order` is a depth-first preorder, each tree
-    rooted at its smallest vertex and children in the order their edges
-    were taken, so every subtree is one contiguous block starting at its
-    root. prefix_sums runs one vectorized pass per depth level. lca_many
-    answers a batch by range minima over `order` (Bender and Farach-Colton,
-    "The LCA Problem Revisited"), from a sparse table built on first use.
-    fundamental_cycle walks a batch of cycles at once. disjoint_union
-    stacks forests into one, so the tree backend takes path sums and builds
-    one LCA table over all of its forests at once.
+    Kruskal scans `edge_order` and stops once it holds n - 1 tree edges;
+    `tree_edges` keeps the order in which they were taken. Each tree is
+    rooted at its smallest vertex. `order` is a depth-first preorder, so
+    every subtree is one contiguous block starting at its root; from a 1-D
+    edge order children come in the order their edges were taken.
+
+    A (k, m) ndarray `edge_order` builds one forest per row, stacked: row
+    i's vertex v becomes vertex i * n + v, so `n` is k times the vertex
+    count, edge ids are kept (`tree_edges` concatenates the rows' tree
+    edges, so an id may repeat) and each row's forest is one block of
+    `order`. The fields equal those of k one-row builds, shifted, apart
+    from the order of children in `order`. Pairs passed to lca_many must
+    come from one row, like any pair must share a component.
+
+    prefix_sums runs one vectorized pass per depth level. lca_many answers
+    a batch by range minima over `order` (Bender and Farach-Colton, "The
+    LCA Problem Revisited"), from a sparse table built on first use.
+    fundamental_cycle walks a batch of cycles at once.
     """
 
     def __init__(self, n: int, tails: Sequence[int], heads: Sequence[int],
                  edge_order: Sequence[int]):
-        self.n = n
-        tails, heads = _python_ints(tails), _python_ints(heads)
-        sets = _UnionFind(n)
-        tree_edges: list[int] = []
-        adj: list[list[tuple[int, int]]] = [[] for _ in range(n)]
-        for e in _python_ints(edge_order):
-            if len(tree_edges) == n - 1:
-                # A spanning tree; no later edge can join two sets.
-                break
-            u, v = tails[e], heads[e]
-            if sets.union(u, v):
-                tree_edges.append(e)
-                adj[u].append((e, v))
-                adj[v].append((e, u))
+        tail_ids, head_ids = _python_ints(tails), _python_ints(heads)
+        if isinstance(edge_order, np.ndarray) and edge_order.ndim == 2:
+            self._orient_stack(n, np.asarray(tails), np.asarray(heads), [
+                _kruskal(n, tail_ids, head_ids, row) for row in edge_order])
+        else:
+            tree_edges, _ = _kruskal(n, tail_ids, head_ids, edge_order)
+            self._orient(n, tail_ids, head_ids, tree_edges)
+        self._levels: list[np.ndarray] | None = None
+        self._lca: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None
 
-        # Orient each tree from its smallest vertex. A vertex joins `order`
-        # when popped and its children are pushed last to first, so `order`
-        # is a depth-first preorder: every subtree is one contiguous block.
+    def _orient(self, n: int, tails: Sequence[int], heads: Sequence[int],
+                tree_edges: list[int]) -> None:
+        """Orient one forest by a Python depth-first search from each
+        unvisited vertex in increasing order. A vertex joins `order` when
+        popped and its children are pushed last to first, so `order` is a
+        preorder with children in the order their edges were taken."""
+        adj: list[list[tuple[int, int]]] = [[] for _ in range(n)]
+        for e in tree_edges:
+            u, v = tails[e], heads[e]
+            adj[u].append((e, v))
+            adj[v].append((e, u))
         parent_vertex = [-1] * n
         parent_edge = [-1] * n
         parent_sign = [0] * n
@@ -88,41 +135,69 @@ class SpanningForest:
                         depth[y] = depth[x] + 1
                         stack.append(y)
 
+        self.n = n
         self.parent_vertex = np.array(parent_vertex, dtype=np.int64)
         self.parent_edge = np.array(parent_edge, dtype=np.int64)
         self.parent_sign = np.array(parent_sign, dtype=np.int64)
         self.depth = np.array(depth, dtype=np.int64)
         self.order = np.array(order, dtype=np.int64)
         self.tree_edges = np.array(tree_edges, dtype=np.int64)
-        self._levels: list[np.ndarray] | None = None
-        self._lca: tuple[np.ndarray, np.ndarray] | None = None
 
-    @classmethod
-    def disjoint_union(cls, forests: Sequence[SpanningForest]
-                       ) -> SpanningForest:
-        """The forests side by side as one forest over the same edge ids.
+    def _orient_stack(self, n: int, tails: np.ndarray, heads: np.ndarray,
+                      rows: list[tuple[list[int], list[int]]]) -> None:
+        """Orient the stacked forests of `rows` (each row's tree edges and
+        roots) by one scipy depth-first search.
 
-        Forest i's vertex v becomes vertex offset_i + v, where offset_i is
-        the vertex count of the forests before it (i * n when all have n
-        vertices); parent edges and signs are kept. No Kruskal pass runs.
-        `tree_edges` concatenates the forests' tree edges, so an edge id may
-        repeat. Pairs passed to lca_many must come from one forest, like any
-        pair must share a component.
+        A chain of virtual vertices, one per tree, leads to the trees' roots
+        in increasing order; the search starts at the chain's head and only
+        follows edges out of it, so it enters each tree once, at its root,
+        and finishes it before moving on. A chain rather than one virtual
+        root because scipy's search rescans a vertex's neighbours each time
+        it returns to it. The parents it finds are the trees' parents, as
+        the tree path to the root is unique; depth follows by pointer
+        jumping and each tree edge's child is the endpoint whose parent is
+        the other one.
         """
-        offsets = np.cumsum([0] + [f.n for f in forests[:-1]])
-        union = cls.__new__(cls)
-        union.n = int(sum(f.n for f in forests))
-        union.parent_vertex = np.concatenate([
-            np.where(f.parent_vertex >= 0, f.parent_vertex + shift, -1)
-            for f, shift in zip(forests, offsets)])
-        union.order = np.concatenate([f.order + shift
-                                      for f, shift in zip(forests, offsets)])
-        for name in ("parent_edge", "parent_sign", "depth", "tree_edges"):
-            setattr(union, name,
-                    np.concatenate([getattr(f, name) for f in forests]))
-        union._levels = None
-        union._lca = None
-        return union
+        size = n * len(rows)
+        tree_edges = np.array([e for taken, _ in rows for e in taken],
+                              dtype=np.int64)
+        shift = np.repeat(np.arange(0, size, n),
+                          [len(taken) for taken, _ in rows])
+        t, h = tails[tree_edges] + shift, heads[tree_edges] + shift
+        roots = np.array([i * n + r for i, (_, firsts) in enumerate(rows)
+                          for r in firsts], dtype=np.int64)
+        chain = size + np.arange(roots.size)
+        tail = np.concatenate((t, h, chain, chain[:-1]))
+        head = np.concatenate((h, t, roots, chain[1:]))
+        graph = sp.csr_matrix((np.ones(tail.size), (tail, head)),
+                              shape=(size + roots.size,) * 2)
+        # Each chain vertex's root before its successor.
+        graph.sort_indices()
+        found, pred = depth_first_order(graph, size, directed=True)
+        pred = pred[:size].astype(np.int64)
+        parent_vertex = np.where(pred < size, pred, -1)
+        child = np.where(parent_vertex[t] == h, t, h)
+        parent_edge = np.full(size, -1, dtype=np.int64)
+        parent_edge[child] = tree_edges
+        parent_sign = np.zeros(size, dtype=np.int64)
+        parent_sign[child] = np.where(child == t, 1, -1)
+        # depth[v] counts the tree edges from v up to up[v].
+        up = np.where(parent_vertex >= 0, parent_vertex, np.arange(size))
+        depth = (parent_vertex >= 0).astype(np.int64)
+        while True:
+            hop = up[up]
+            if np.array_equal(hop, up):
+                break
+            depth += depth[up]
+            up = hop
+
+        self.n = size
+        self.parent_vertex = parent_vertex
+        self.parent_edge = parent_edge
+        self.parent_sign = parent_sign
+        self.depth = depth
+        self.order = found[found < size].astype(np.int64)
+        self.tree_edges = tree_edges
 
     def tree_edge_mask(self, m: int) -> np.ndarray:
         mask = np.zeros(m, dtype=bool)
@@ -173,10 +248,11 @@ class SpanningForest:
             out[level] = out[pv[level]] + (-ps[level] * val if signed else val)
         return out
 
-    def _build_lca(self) -> tuple[np.ndarray, np.ndarray]:
-        """Each vertex's position in `order`, a depth-first preorder, and a
-        sparse table of range minima over the preorder's keys depth * n +
-        parent.
+    def _build_lca(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Each vertex's position in `order`, a depth-first preorder, a
+        sparse table of range minima over the preorder's keys
+        (depth << bits) + parent, where n < 2^bits, and floor(log2(j)) for
+        each range length j.
 
         In a preorder every subtree is contiguous, so for distinct u, v the
         positions after the earlier one up to the later one hold the child
@@ -192,31 +268,41 @@ class SpanningForest:
         starts = np.flatnonzero(pv[order] < 0)
         rows = int(np.diff(starts, append=n).max(initial=1)).bit_length()
         table = np.empty((rows, n), dtype=np.int64)
-        table[0] = (self.depth * n + pv)[order]
+        table[0] = ((self.depth << n.bit_length()) + pv)[order]
         for k in range(1, rows):
             half = 1 << (k - 1)
             table[k] = table[k - 1]
             np.minimum(table[k - 1, :-half], table[k - 1, half:],
                        out=table[k, :-half])
-        return pos, table
+        log2 = np.zeros(n + 1, dtype=np.int64)
+        log2[1:] = np.frexp(np.arange(1, n + 1))[1] - 1
+        return pos, table, log2
 
     def lca_many(self, us: np.ndarray, vs: np.ndarray) -> np.ndarray:
         """Lowest common ancestor of each pair (us[i], vs[i]); every pair
-        must share a component."""
+        must share a component. Pairs go through _LCA_BLOCK at a time,
+        which bounds the temporaries of a batch over a whole stack."""
         if self._lca is None:
             self._lca = self._build_lca()
-        pos, table = self._lca
+        pos, table, log2 = self._lca
+        flat, width = table.ravel(), self.n
+        parent_bits = (1 << self.n.bit_length()) - 1
         us = np.asarray(us, dtype=np.int64)
         vs = np.asarray(vs, dtype=np.int64)
-        at_u, at_v = pos[us], pos[vs]
-        same = at_u == at_v
-        hi = np.maximum(at_u, at_v)
-        # Positions lo + 1..hi, covered by two runs of 2^k; a pair of one
-        # vertex reads a valid dummy range.
-        lo = np.where(same, hi - 1, np.minimum(at_u, at_v))
-        k = np.frexp(hi - lo)[1] - 1
-        key = np.minimum(table[k, lo + 1], table[k, hi + 1 - (1 << k)])
-        return np.where(same, us, key % self.n)
+        out = np.empty(us.size, dtype=np.int64)
+        for at in range(0, us.size, _LCA_BLOCK):
+            block = slice(at, at + _LCA_BLOCK)
+            at_u, at_v = pos[us[block]], pos[vs[block]]
+            same = at_u == at_v
+            # Positions lo + 1..hi, covered by two runs of 2^k in row k; a
+            # pair of one vertex reads a valid dummy range.
+            hi = np.maximum(at_u, at_v)
+            lo = np.minimum(at_u, at_v) - same
+            k = log2[hi - lo]
+            row = k * width + 1
+            key = np.minimum(flat[row + lo], flat[row + hi - (1 << k)])
+            out[block] = np.where(same, us[block], key & parent_bits)
+        return out
 
     def fundamental_cycle(self, edges: np.ndarray, u: np.ndarray,
                           v: np.ndarray

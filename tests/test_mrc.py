@@ -1,6 +1,7 @@
 """Tests for min-ratio-cycle oracles, the monotone state, and the witness
 checker for update logs."""
 
+import hashlib
 from typing import NamedTuple
 
 import numpy as np
@@ -479,17 +480,96 @@ class TestTreeBackend:
         insert_within_first_component()
 
 
+class TestEdgeOrders:
+    """The trees backend orders each forest's edges by key, ties to the
+    lowest edge id."""
+
+    def test_ties_go_to_the_lowest_edge_id(self):
+        rng = np.random.Generator(np.random.Philox(3))
+        keys = rng.integers(0, 4, size=(5, 2000)).astype(float)
+        keys[2] = rng.random(2000)
+        got = mrc._edge_orders(keys)
+        assert got.dtype == np.int64
+        for row, order in zip(keys, got):
+            assert np.array_equal(order, np.argsort(row, kind="stable"))
+        # The one default-kind sort breaks these ties otherwise, so a
+        # missing stable re-sort fails the check above.
+        plain = np.argsort(keys, axis=1)
+        assert not all(np.array_equal(order, np.argsort(row, kind="stable"))
+                       for row, order in zip(keys, plain))
+
+    def test_rows_without_ties_are_sorted(self):
+        keys = np.random.Generator(np.random.Philox(4)).random((3, 500))
+        assert np.array_equal(mrc._edge_orders(keys),
+                              np.argsort(keys, axis=1, kind="stable"))
+
+
+def trees_answer_digest(seed):
+    """A digest of the trees backend's answers (edges, signs, ratio) over a
+    seeded run on a 48-vertex graph of two components: queries between
+    inserts within a component, an insert that joins them, and length
+    increases, some of which double the total length."""
+    rng = np.random.Generator(np.random.Philox(seed))
+    n, half = 48, 24
+    g = IncrementalGraph(n)
+    for lo in (0, half):
+        spine = lo + rng.permutation(half)
+        for i in range(half - 1):
+            g.add_edge(int(spine[i]), int(spine[i + 1]))
+        for _ in range(4 * half):
+            u, v = lo + rng.choice(half, size=2, replace=False)
+            g.add_edge(int(u), int(v))
+    state = MonotoneMrcState(g, 0.02 * rng.normal(size=g.m),
+                             0.2 + rng.random(g.m), alpha=1.0, kappa=4.0,
+                             backend="trees", seed=seed)
+    digest = hashlib.sha256()
+    for step in range(40):
+        answer = state.query()
+        if answer is None:
+            digest.update(b"none")
+        else:
+            digest.update(answer.edges.tobytes())
+            digest.update(answer.signs.tobytes())
+            digest.update(repr(answer.ratio).encode())
+        action = rng.random()
+        if step == 20:
+            u, v = rng.integers(half), rng.integers(half, n)
+        elif action < 0.4:
+            lo = half * int(rng.integers(2)) if step > 20 else 0
+            u, v = lo + rng.choice(half, size=2, replace=False)
+        else:
+            e = int(rng.choice(answer.edges) if answer is not None
+                    and action < 0.8 else rng.integers(state.m))
+            grow = 1.0 + (300.0 if action > 0.95 else 2.0) * rng.random()
+            state.increase_length(e, float(state.lengths[e] * grow))
+            continue
+        state.insert(g.add_edge(int(u), int(v)), float(rng.normal()),
+                     0.05 + float(rng.random()))
+    return digest.hexdigest()[:16]
+
+
+def test_trees_answers_match_the_golden_digest():
+    """Pinned answers of the trees backend over seeded runs with inserts
+    (appended cycles and a joining rebuild) and length increases (some
+    rebuilding by doubling)."""
+    got = [trees_answer_digest(seed) for seed in (1, 2, 3)]
+    assert got == GOLDEN_TREES_DIGESTS
+
+
+GOLDEN_TREES_DIGESTS = ["a78e9a3188ed1a7d", "daa7c3da48397e80",
+                        "17927d9a5ee44631"]
+
+
 def assert_cache_is_fresh(state):
-    """Each forest's cached (off, u, v, meet, grads) equals a fresh
-    computation element by element and dtype by dtype."""
+    """The cycle cache (off, u, v, meet, grads), one row per forest, equals
+    a fresh computation element by element and dtype by dtype."""
     trees = state._trees
-    assert len(trees._cycles) == trees.count
-    for i, cached in enumerate(trees._cycles):
-        fresh = trees._forest_cycles(state, i)
-        assert len(cached) == len(fresh) == 5
-        for got, want in zip(cached, fresh):
-            assert got.dtype == want.dtype
-            assert np.array_equal(got, want)
+    fresh = trees._all_entries(state)
+    assert len(trees._cycles) == len(fresh) == 5
+    for got, want in zip(trees._cycles, fresh):
+        assert got.shape[0] == trees.count
+        assert got.dtype == want.dtype
+        assert np.array_equal(got, want)
 
 
 def direct_solve(state):

@@ -4,7 +4,7 @@ import numpy as np
 from hypothesis import given, settings, strategies as st
 
 from pnormflow.graph import IncrementalGraph, net_demand
-from pnormflow.trees import SpanningForest
+from pnormflow.trees import _LCA_BLOCK, SpanningForest
 from support import is_circulation, reference_cycle, reference_forest
 
 
@@ -42,11 +42,25 @@ def assert_subtrees_contiguous(forest):
         assert set(order[at:at + len(subtree[v])]) == subtree[v], v
 
 
-def random_forests(rng, n):
-    """One to three forests of a random multigraph, which often has several
-    components."""
+def random_stack(rng, n):
+    """A random multigraph, which often has several components, a (k, m)
+    stack of random edge orders for one to four forests, their stacked
+    build and each row's own build."""
     g = random_graph(rng, n, int(rng.integers(1, 3 * n)))
-    return g, [forest_of(g, rng) for _ in range(int(rng.integers(1, 4)))]
+    orders = np.array([rng.permutation(g.m)
+                       for _ in range(int(rng.integers(1, 5)))],
+                      dtype=np.int64).reshape(-1, g.m)
+    stacked = SpanningForest(n, g.tails, g.heads, orders)
+    return g, stacked, [SpanningForest(n, g.tails, g.heads, row)
+                        for row in orders]
+
+
+def component_minima(g):
+    """The smallest vertex of each component of g, increasing."""
+    firsts = {}
+    for v in range(g.n):
+        firsts.setdefault(g.find(v), v)
+    return sorted(firsts.values())
 
 
 class TestConstruction:
@@ -84,13 +98,17 @@ class TestConstruction:
         roots = {g.find(v) for v in range(n)}
         assert forest.tree_edges.size == n - len(roots)
 
+
+class TestStackedBuild:
+    """A (k, m) edge order builds k forests stacked as one; each row's
+    slice equals that row's own build."""
+
     @given(seed=st.integers(min_value=0, max_value=2 ** 32 - 1))
-    @settings(max_examples=30, deadline=None)
-    def test_disjoint_union_shifts_vertices_and_keeps_edge_ids(self, seed):
+    @settings(max_examples=40, deadline=None)
+    def test_rows_equal_one_row_builds(self, seed):
         rng = np.random.Generator(np.random.Philox(seed))
         n = int(rng.integers(2, 12))
-        _, forests = random_forests(rng, n)
-        stacked = SpanningForest.disjoint_union(forests)
+        g, stacked, forests = random_stack(rng, n)
         assert stacked.n == n * len(forests)
         assert np.array_equal(stacked.tree_edges, np.concatenate(
             [f.tree_edges for f in forests]))
@@ -99,15 +117,54 @@ class TestConstruction:
             pv = forest.parent_vertex
             assert np.array_equal(stacked.parent_vertex[part],
                                   np.where(pv >= 0, pv + i * n, -1))
-            assert np.array_equal(stacked.order[part], forest.order + i * n)
             for name in ("parent_edge", "parent_sign", "depth"):
                 assert np.array_equal(getattr(stacked, name)[part],
                                       getattr(forest, name)), name
+            # Row i's forest is block i of the preorder.
+            assert sorted(stacked.order[part].tolist()) == list(
+                range(i * n, (i + 1) * n))
         for name in FOREST_FIELDS:
             assert getattr(stacked, name).dtype == np.int64, name
         # The range-minimum LCA relies on `order` being a preorder.
         for forest in forests + [stacked]:
             assert_subtrees_contiguous(forest)
+
+    @given(seed=st.integers(min_value=0, max_value=2 ** 32 - 1))
+    @settings(max_examples=30, deadline=None)
+    def test_each_row_keeps_one_root_per_component(self, seed):
+        """Roots are each component's smallest vertex, in every row, on
+        graphs whose Kruskal scan runs to the end of the order."""
+        rng = np.random.Generator(np.random.Philox(seed))
+        n = int(rng.integers(3, 30))
+        g, stacked, forests = random_stack(rng, n)
+        want = component_minima(g)
+        for i in range(len(forests)):
+            pv = stacked.parent_vertex[i * n:(i + 1) * n]
+            assert np.flatnonzero(pv < 0).tolist() == want
+            assert stacked.tree_edges.size == len(forests) * (n - len(want))
+
+    @given(seed=st.integers(min_value=0, max_value=2 ** 32 - 1))
+    @settings(max_examples=10, deadline=None)
+    def test_long_scans(self, seed):
+        """Connected graphs with many edges, whose Kruskal scan converts the
+        order a block at a time, and may stop within any block."""
+        rng = np.random.Generator(np.random.Philox(seed))
+        n = int(rng.integers(5, 40))
+        g = IncrementalGraph(n)
+        for v in range(1, n):
+            g.add_edge(int(rng.integers(v)), v)
+        for _ in range(int(rng.integers(n, 12 * n))):
+            u, v = rng.choice(n, size=2, replace=False)
+            g.add_edge(int(u), int(v))
+        orders = np.array([rng.permutation(g.m) for _ in range(3)])
+        stacked = SpanningForest(n, g.tails, g.heads, orders)
+        for i, row in enumerate(orders):
+            want = reference_forest(n, g.tails, g.heads, row.tolist())
+            part = slice(i * n, (i + 1) * n)
+            for name in ("parent_edge", "parent_sign", "depth"):
+                assert np.array_equal(getattr(stacked, name)[part],
+                                      getattr(want, name)), name
+        assert stacked.tree_edges.size == 3 * (n - 1)
 
 
 FOREST_FIELDS = ("parent_vertex", "parent_edge", "parent_sign", "depth",
@@ -260,11 +317,10 @@ class TestFundamentalCycles:
     @settings(max_examples=50, deadline=None)
     def test_batch_matches_single_cycles(self, seed):
         """Each cycle's triplets equal the one-step-at-a-time walk in order,
-        on a forest and on its slice of a disjoint union."""
+        on a forest and on its slice of a stacked build."""
         rng = np.random.Generator(np.random.Philox(seed))
         n = int(rng.integers(3, 12))
-        g, forests = random_forests(rng, n)
-        stacked = SpanningForest.disjoint_union(forests)
+        g, stacked, forests = random_stack(rng, n)
         i = int(rng.integers(len(forests)))
         forest = forests[i]
         off = np.flatnonzero(~forest.tree_edge_mask(g.m))
@@ -286,7 +342,7 @@ class TestFundamentalCycles:
 
 class TestLca:
     """Range-minimum LCA against the naive parent walk, on forests with
-    several components and on their disjoint union."""
+    several components and on stacked builds of them."""
 
     def naive_lca(self, forest, u, v):
         ancestors = set()
@@ -311,8 +367,8 @@ class TestLca:
     @settings(max_examples=40, deadline=None)
     def test_lca_matches_naive_walk(self, seed):
         rng = np.random.Generator(np.random.Philox(seed))
-        _, forests = random_forests(rng, int(rng.integers(2, 16)))
-        for forest in forests + [SpanningForest.disjoint_union(forests)]:
+        _, stacked, forests = random_stack(rng, int(rng.integers(2, 16)))
+        for forest in forests + [stacked]:
             for u, v in zip(*self.same_component_pairs(forest, rng, 10)):
                 assert forest.lca_many([u], [v])[0] \
                     == self.naive_lca(forest, int(u), int(v))
@@ -321,14 +377,38 @@ class TestLca:
     @settings(max_examples=30, deadline=None)
     def test_lca_many_matches_scalar(self, seed):
         rng = np.random.Generator(np.random.Philox(seed))
-        _, forests = random_forests(rng, int(rng.integers(2, 16)))
-        for forest in forests + [SpanningForest.disjoint_union(forests)]:
+        _, stacked, forests = random_stack(rng, int(rng.integers(2, 16)))
+        for forest in forests + [stacked]:
             us, vs = self.same_component_pairs(forest, rng, 8)
             batch = forest.lca_many(us, vs)
             assert batch.dtype == np.int64
             for i in range(8):
                 assert batch[i] == self.naive_lca(forest, int(us[i]),
                                                   int(vs[i]))
+
+    def test_batches_larger_than_a_block(self):
+        """A batch of more than _LCA_BLOCK pairs, which lca_many answers a
+        block at a time, equals the same pairs asked a few at a time."""
+        rng = np.random.Generator(np.random.Philox(5))
+        n = 50
+        g = IncrementalGraph(n)
+        for v in range(1, n):
+            g.add_edge(int(rng.integers(v)), v)
+        for _ in range(3 * n):
+            u, v = rng.choice(n, size=2, replace=False)
+            g.add_edge(int(u), int(v))
+        stacked = SpanningForest(n, g.tails, g.heads, np.array(
+            [rng.permutation(g.m) for _ in range(6)]))
+        size = 2 * _LCA_BLOCK + 7
+        us = rng.integers(0, stacked.n, size)
+        vs = us - us % n + rng.integers(0, n, size)
+        batch = stacked.lca_many(us, vs)
+        assert np.array_equal(batch, np.concatenate([
+            stacked.lca_many(us[at:at + 997], vs[at:at + 997])
+            for at in range(0, size, 997)]))
+        for i in range(0, size, 1009):
+            assert batch[i] == self.naive_lca(stacked, int(us[i]),
+                                              int(vs[i]))
 
     def test_lca_of_a_vertex_with_itself(self):
         g = IncrementalGraph(4)
@@ -384,12 +464,11 @@ class TestPrefixSums:
     @given(seed=st.integers(min_value=0, max_value=2 ** 32 - 1))
     @settings(max_examples=40, deadline=None)
     def test_prefix_sums_equal_the_vertex_loop(self, seed):
-        """Bit for bit, on each forest and on each forest's slice of their
-        disjoint union."""
+        """Bit for bit, on each forest and on its slice of their stacked
+        build."""
         rng = np.random.Generator(np.random.Philox(seed))
         n = int(rng.integers(2, 20))
-        g, forests = random_forests(rng, n)
-        stacked = SpanningForest.disjoint_union(forests)
+        g, stacked, forests = random_stack(rng, n)
         values = rng.normal(size=g.m) * 10.0 ** rng.uniform(-6, 6, g.m)
         for signed in (False, True):
             stacked_sums = stacked.prefix_sums(values, signed)
