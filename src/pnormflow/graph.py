@@ -41,9 +41,9 @@ def grow_column(column: np.ndarray, e: int) -> np.ndarray:
 class _UnionFind:
     """Disjoint sets over 0..n-1 with union by rank and path halving.
 
-    The graph's connectivity and Kruskal's forests both use it. It is
-    module-private, which also keeps its per-edge calls out of the spans
-    perfbench records for public functions.
+    The graph's connectivity uses it. It is module-private, which also
+    keeps its per-edge calls out of the spans perfbench records for public
+    functions.
     """
 
     __slots__ = ("parent", "rank")
@@ -61,7 +61,7 @@ class _UnionFind:
 
     def union(self, u: int, v: int) -> bool:
         """Merge the sets of u and v; False when they were already one."""
-        # find(u) then find(v), inline: Kruskal calls this per scanned edge.
+        # find(u) then find(v), inline: add_edge calls this per edge.
         parent = self.parent
         while parent[u] != u:
             parent[u] = parent[parent[u]]

@@ -7,9 +7,8 @@ of forests over thousands of edges per rebuild. Kruskal runs on plain Python
 ints in both. A 1-D edge order builds one forest and orients it by a Python
 depth-first search, the cheapest at the static optimizer's sizes. A (k, m)
 edge order builds k forests stacked as one, forest i's vertex v at i * n + v,
-and orients the whole stack by one scipy depth-first search, so that the
-backend's path sums and LCA batches run as whole-array passes over all of
-its forests.
+and orients the whole stack by two scipy searches, so that the backend's
+path sums and LCA batches run as whole-array passes over all of its forests.
 """
 
 from __future__ import annotations
@@ -18,9 +17,7 @@ from typing import Sequence
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.sparse.csgraph import depth_first_order
-
-from .graph import _UnionFind
+from scipy.sparse.csgraph import breadth_first_order, depth_first_order
 
 # Pairs per pass of lca_many.
 _LCA_BLOCK = 1 << 14
@@ -37,13 +34,15 @@ def _kruskal(n: int, tails: Sequence[int], heads: Sequence[int],
     """Kruskal over `edge_order`: the tree edges in the order taken, and
     each tree's smallest vertex.
 
-    The scan stops once it holds n - 1 tree edges, where no later edge can
-    join two trees; on graphs with about ten edges per vertex that is a
-    third of the way in. So an ndarray order becomes Python ints 4n entries
-    at a time, not all at once.
+    Each vertex holds the label of its tree and a merge relabels the
+    smaller tree's members, so testing a scanned edge takes two list reads;
+    most scanned edges close a cycle. The scan stops once it holds n - 1
+    tree edges, where no later edge can join two trees; on graphs with
+    about ten edges per vertex that is a third of the way in. So an ndarray
+    order becomes Python ints 4n entries at a time, not all at once.
     """
-    sets = _UnionFind(n)
-    union = sets.union
+    label = list(range(n))
+    members = [[v] for v in range(n)]
     taken: list[int] = []
     if n > 1:
         blocks = ((edge_order[at:at + 4 * n].tolist()
@@ -51,13 +50,20 @@ def _kruskal(n: int, tails: Sequence[int], heads: Sequence[int],
                   if isinstance(edge_order, np.ndarray) else (edge_order,))
         for block in blocks:
             for e in block:
-                if union(tails[e], heads[e]):
-                    taken.append(e)
-                    if len(taken) == n - 1:
-                        return taken, [0]
+                a, b = label[tails[e]], label[heads[e]]
+                if a == b:
+                    continue
+                if len(members[a]) < len(members[b]):
+                    a, b = b, a
+                for v in members[b]:
+                    label[v] = a
+                members[a] += members[b]
+                taken.append(e)
+                if len(taken) == n - 1:
+                    return taken, [0]
     firsts: dict[int, int] = {}
     for v in range(n):
-        firsts.setdefault(sets.find(v), v)
+        firsts.setdefault(label[v], v)
     return taken, list(firsts.values())
 
 
@@ -146,17 +152,18 @@ class SpanningForest:
     def _orient_stack(self, n: int, tails: np.ndarray, heads: np.ndarray,
                       rows: list[tuple[list[int], list[int]]]) -> None:
         """Orient the stacked forests of `rows` (each row's tree edges and
-        roots) by one scipy depth-first search.
+        roots) by two scipy searches, each linear in the stack's size.
 
-        A chain of virtual vertices, one per tree, leads to the trees' roots
-        in increasing order; the search starts at the chain's head and only
-        follows edges out of it, so it enters each tree once, at its root,
-        and finishes it before moving on. A chain rather than one virtual
-        root because scipy's search rescans a vertex's neighbours each time
-        it returns to it. The parents it finds are the trees' parents, as
-        the tree path to the root is unique; depth follows by pointer
-        jumping and each tree edge's child is the endpoint whose parent is
-        the other one.
+        A breadth-first search from one virtual vertex joined to every root
+        finds the parents, which are the trees' parents as the tree path to
+        the root is unique; depth follows by pointer jumping and each tree
+        edge's child is the endpoint whose parent is the other one. The
+        preorder comes from a depth-first search over the first-child,
+        next-sibling form of the stack: each vertex points at its first
+        child and then at its next sibling, and each root at the next root.
+        There every vertex has at most two out-edges, so scipy's search,
+        which rescans a vertex's out-edges each time it returns to it, stays
+        linear on trees of high degree.
         """
         size = n * len(rows)
         tree_edges = np.array([e for taken, _ in rows for e in taken],
@@ -166,14 +173,15 @@ class SpanningForest:
         t, h = tails[tree_edges] + shift, heads[tree_edges] + shift
         roots = np.array([i * n + r for i, (_, firsts) in enumerate(rows)
                           for r in firsts], dtype=np.int64)
-        chain = size + np.arange(roots.size)
-        tail = np.concatenate((t, h, chain, chain[:-1]))
-        head = np.concatenate((h, t, roots, chain[1:]))
-        graph = sp.csr_matrix((np.ones(tail.size), (tail, head)),
-                              shape=(size + roots.size,) * 2)
-        # Each chain vertex's root before its successor.
-        graph.sort_indices()
-        found, pred = depth_first_order(graph, size, directed=True)
+        links = np.concatenate((t, h, np.full(roots.size, size)))
+        ends = np.concatenate((h, t, roots))
+        indptr = np.zeros(size + 2, dtype=np.int64)
+        np.cumsum(np.bincount(links, minlength=size + 1), out=indptr[1:])
+        # int32 keys sort faster; scipy's searches take int32 indices.
+        by_link = np.argsort(links.astype(np.int32))
+        graph = sp.csr_matrix((np.ones(ends.size), ends[by_link], indptr),
+                              shape=(size + 1,) * 2)
+        found, pred = breadth_first_order(graph, size, directed=True)
         pred = pred[:size].astype(np.int64)
         parent_vertex = np.where(pred < size, pred, -1)
         child = np.where(parent_vertex[t] == h, t, h)
@@ -191,12 +199,34 @@ class SpanningForest:
             depth += depth[up]
             up = hop
 
+        # The search lists each vertex's children together when it reaches
+        # the vertex, so after the virtual vertex and the roots `found` holds
+        # the children grouped by parent.
+        kids = found[1 + roots.size:].astype(np.int64)
+        dad = parent_vertex[kids]
+        first = np.ones(kids.size, dtype=bool)
+        first[1:] = dad[1:] != dad[:-1]
+        later = np.flatnonzero(~first[1:])
+        # Row v: v's first child, then v's next sibling; -1 where none.
+        out = np.full((size, 2), -1, dtype=np.int64)
+        out[dad[first], 0] = kids[first]
+        out[kids[later], 1] = kids[later + 1]
+        out[roots[:-1], 1] = roots[1:]
+        held = out >= 0
+        indptr = np.zeros(size + 1, dtype=np.int64)
+        np.cumsum(held.sum(axis=1), out=indptr[1:])
+        # Unsorted: scipy's search takes a row's out-edges in stored order.
+        siblings = sp.csr_matrix((np.ones(indptr[-1]), out[held], indptr),
+                                 shape=(size, size))
+        order = depth_first_order(siblings, roots[0], directed=True,
+                                  return_predecessors=False)
+
         self.n = size
         self.parent_vertex = parent_vertex
         self.parent_edge = parent_edge
         self.parent_sign = parent_sign
         self.depth = depth
-        self.order = found[found < size].astype(np.int64)
+        self.order = order.astype(np.int64)
         self.tree_edges = tree_edges
 
     def tree_edge_mask(self, m: int) -> np.ndarray:

@@ -43,10 +43,8 @@ _STAGNATION_GNORM = 100.0 * math.sqrt(_EPS)
 
 
 # Largest number of free (non-root) vertices whose grounded Laplacian is
-# factored densely. LAPACK beats SuperLU on these Laplacians up to here at
-# about ten edges per vertex (n = 500, m = 5,000: 5.4 against 27.5 ms a
-# step); on sparser graphs (m = 2n) dense is 10-25% slower near the limit.
-_DENSE_LAPLACIAN_LIMIT = 1024
+# factored densely; below it scipy.sparse call overhead outweighs the work.
+_DENSE_LAPLACIAN_LIMIT = 64
 # Largest forcing term of the inexact Newton step (Eisenstat and Walker):
 # far from the optimum a rough step suffices, and the forcing term
 # min(_FORCING_MAX, ||C^T grad||) keeps convergence fast near it.
@@ -70,10 +68,8 @@ class _LaplacianNewton:
     stops shrinking. Newton's stopping rule reads the true gradient, so a
     rough step only costs an iteration, never accuracy.
 
-    With at most _DENSE_LAPLACIAN_LIMIT (1,024) free vertices the
-    Laplacian is factored densely by LAPACK getrf and solved by getrs,
-    which beats SuperLU up to there on graphs of about ten edges per
-    vertex, and C is held
+    With at most _DENSE_LAPLACIAN_LIMIT free vertices the Laplacian is
+    factored densely by LAPACK getrf and solved by getrs, and C is held
     as its (cycle, edge, sign) triplets, sorted by cycle and then edge as
     scipy's compressed arrays store them (one argsort of the unique keys
     cycle * m + edge): np.bincount then forms C x and C^T y adding the same

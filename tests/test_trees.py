@@ -1,5 +1,7 @@
 """Tests for spanning forests: routing, cycles, LCA, path aggregation."""
 
+import time
+
 import numpy as np
 from hypothesis import given, settings, strategies as st
 
@@ -165,6 +167,41 @@ class TestStackedBuild:
                 assert np.array_equal(getattr(stacked, name)[part],
                                       getattr(want, name)), name
         assert stacked.tree_edges.size == 3 * (n - 1)
+
+
+    def test_hub_graph(self):
+        """One vertex joined to all others: its stacked build equals the
+        one-row builds and costs about what a path's does, where a search
+        that rescans a vertex's neighbours on each return is quadratic."""
+        n = 20_000
+        hub = (np.zeros(n - 1, dtype=np.int64), np.arange(1, n))
+        path = (np.arange(n - 1), np.arange(1, n))
+        orders = np.array([np.arange(n - 1), np.arange(n - 1)[::-1]])
+
+        def build_s(tails, heads):
+            best = float("inf")
+            for _ in range(3):
+                start = time.perf_counter()
+                forest = SpanningForest(n, tails, heads, orders)
+                best = min(best, time.perf_counter() - start)
+            return forest, best
+
+        stacked, hub_s = build_s(*hub)
+        _, path_s = build_s(*path)
+        assert hub_s < 5 * path_s, (hub_s, path_s)
+        for i, row in enumerate(orders):
+            want = reference_forest(n, *hub, row.tolist())
+            part = slice(i * n, (i + 1) * n)
+            for name in ("parent_edge", "parent_sign", "depth"):
+                assert np.array_equal(getattr(stacked, name)[part],
+                                      getattr(want, name)), name
+        # Every vertex but the hub is a leaf under it: the preorder is the
+        # hub and then its children.
+        for i in range(2):
+            block = stacked.order[i * n:(i + 1) * n]
+            assert block[0] == i * n
+            assert sorted(block[1:].tolist()) == list(
+                range(i * n + 1, (i + 1) * n))
 
 
 FOREST_FIELDS = ("parent_vertex", "parent_edge", "parent_sign", "depth",
