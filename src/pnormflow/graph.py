@@ -14,6 +14,9 @@ the live [:m] view: the graph owns tails, heads and connectivity, a
 PNormInstance its g, r, w, the solver its flow, an inner run its scaled
 residual weights, and the min-ratio oracle its gradients and length
 estimates.
+
+Connectivity is one set of component labels, which Kruskal reuses, and the
+objective has one evaluation, for a flow or a (k, m) stack of flows.
 """
 
 from __future__ import annotations
@@ -38,54 +41,44 @@ def grow_column(column: np.ndarray, e: int) -> np.ndarray:
     return fresh
 
 
-class _UnionFind:
-    """Disjoint sets over 0..n-1 with union by rank and path halving.
+class _Components:
+    """Disjoint sets over 0..n-1 as labels: `label[v]` names the set of v
+    and `members[a]` lists the set named a. A merge relabels the smaller
+    set, so `label` answers a find in one list read and each vertex is
+    relabelled at most log2(n) times.
 
-    The graph's connectivity uses it. It is module-private, which also
-    keeps its per-edge calls out of the spans perfbench records for public
-    functions.
+    The graph's connectivity and Kruskal's forests both use it. It is
+    module-private, which also keeps its per-edge calls out of the spans
+    perfbench records for public functions.
     """
 
-    __slots__ = ("parent", "rank")
+    __slots__ = ("label", "members")
 
     def __init__(self, n: int):
-        self.parent = list(range(n))
-        self.rank = [0] * n
-
-    def find(self, v: int) -> int:
-        parent = self.parent
-        while parent[v] != v:
-            parent[v] = parent[parent[v]]
-            v = parent[v]
-        return v
+        self.label = list(range(n))
+        self.members = [[v] for v in range(n)]
 
     def union(self, u: int, v: int) -> bool:
         """Merge the sets of u and v; False when they were already one."""
-        # find(u) then find(v), inline: add_edge calls this per edge.
-        parent = self.parent
-        while parent[u] != u:
-            parent[u] = parent[parent[u]]
-            u = parent[u]
-        while parent[v] != v:
-            parent[v] = parent[parent[v]]
-            v = parent[v]
-        if u == v:
+        label, members = self.label, self.members
+        a, b = label[u], label[v]
+        if a == b:
             return False
-        rank = self.rank
-        if rank[u] < rank[v]:
-            u, v = v, u
-        parent[v] = u
-        if rank[u] == rank[v]:
-            rank[u] += 1
+        if len(members[a]) < len(members[b]):
+            a, b = b, a
+        for x in members[b]:
+            label[x] = a
+        members[a] += members[b]
+        members[b] = []
         return True
 
 
 class IncrementalGraph:
     """Undirected multigraph supporting edge insertion only.
 
-    Maintains a union-find over vertices so connectivity queries are
-    amortized near-constant per insertion. `components` counts the
-    connected components.
+    Keeps each vertex's component label, so `find` is one list read and an
+    insertion that merges two components relabels the smaller one.
+    `components` counts the connected components.
     """
 
     def __init__(self, n: int):
@@ -95,7 +88,7 @@ class IncrementalGraph:
         self.m = 0
         self._tails = np.zeros(0, dtype=np.int64)
         self._heads = np.zeros(0, dtype=np.int64)
-        self._sets = _UnionFind(n)
+        self._sets = _Components(n)
         self.components = n
 
     @property
@@ -127,8 +120,8 @@ class IncrementalGraph:
         return e
 
     def find(self, v: int) -> int:
-        """Union-find root of v."""
-        return self._sets.find(v)
+        """The label of v's component, one of its vertices."""
+        return self._sets.label[v]
 
     def connected(self, u: int, v: int) -> bool:
         return self.find(u) == self.find(v)
@@ -147,18 +140,18 @@ def net_demand(graph: IncrementalGraph, flow: np.ndarray) -> np.ndarray:
 
 def demand_routable(graph: IncrementalGraph, d: np.ndarray) -> bool:
     """True iff every connected component's demand entries sum to zero
-    (within DEMAND_SUM_RTOL of ||d||_1), recomputed in O(n)."""
+    (within DEMAND_SUM_RTOL of ||d||_1), recomputed in O(n) by one sum per
+    component label."""
     d = np.asarray(d, dtype=float)
     tol = DEMAND_SUM_RTOL * float(np.abs(d).sum())
-    sums: dict[int, float] = {}
-    for v in range(graph.n):
-        r = graph.find(v)
-        sums[r] = sums.get(r, 0.0) + d[v]
-    return all(abs(s) <= tol for s in sums.values())
+    sums = np.bincount(graph._sets.label, weights=d)
+    return bool((np.abs(sums) <= tol).all())
 
 
 def pnorm(values: np.ndarray, p: float) -> float:
-    """||values||_p via a max-normalized power sum, safe near overflow."""
+    """||values||_p via a power sum normalized by the peak: at p up to
+    about 200 a finite norm can have a p-th power past the float range.
+    pnorm_pow returns that power itself, so only the norm normalizes."""
     values = np.abs(np.asarray(values, dtype=float))
     if values.size == 0:
         return 0.0
@@ -169,49 +162,27 @@ def pnorm(values: np.ndarray, p: float) -> float:
 
 
 def pnorm_pow(values: np.ndarray, p: float) -> float:
-    """Sum of |values|^p, max-normalized so only truly huge results
-    overflow, and those come back as inf."""
-    values = np.abs(np.asarray(values, dtype=float))
-    if values.size == 0:
-        return 0.0
-    peak = float(values.max())
-    if peak == 0.0 or not math.isfinite(peak):
-        return peak
-    try:
-        scale = peak**p
-    except OverflowError:
-        return math.inf
-    return scale * float(np.sum((values / peak) ** p))
+    """Sum of |values|^p, inf when it overflows. It is not normalized by
+    the peak: peak^p * sum((v / peak)^p) overflows exactly when the plain
+    sum does, so normalizing never rescues a finite result."""
+    with np.errstate(over="ignore"):
+        return float((np.abs(values) ** p).sum())
 
 
 def smoothed_value(
     g: np.ndarray, r: np.ndarray, w: np.ndarray, p: float, x: np.ndarray
-) -> float:
+) -> float | np.ndarray:
     """<g, x> + ||R x||_2^2 + ||W x||_p^p, the objective both the instance
-    energy and the residual problem share."""
+    energy and the residual problem share, as a float for a flow x. For a
+    (k, m) stack x it is an array of each row's value, equal to that row's
+    own value bit for bit; g and r may be (k, m) stacks too, one row per
+    row of x. Its power sums are plain, like pnorm_pow's, and an
+    overflowing one gives inf."""
     x = np.asarray(x, dtype=float)
-    return float(g @ x) + pnorm_pow(r * x, 2) + pnorm_pow(w * x, p)
-
-
-def smoothed_values(
-    g: np.ndarray, r: np.ndarray, w: np.ndarray, p: float, x: np.ndarray
-) -> np.ndarray:
-    """smoothed_value of each row of the (k, m) stack x; g and r may be
-    (k, m) stacks too, one row per row of x."""
-    x = np.asarray(x, dtype=float)
-    return (np.sum(g * x, axis=1) + _pnorm_pow_rows(r * x, 2)
-            + _pnorm_pow_rows(w * x, p))
-
-
-def _pnorm_pow_rows(values: np.ndarray, p: float) -> np.ndarray:
-    """pnorm_pow of each row of a 2-D array."""
-    values = np.abs(values)
-    peak = values.max(axis=1, initial=0.0)
-    scaled = (peak > 0.0) & np.isfinite(peak)
-    unit = np.where(scaled, peak, 1.0)
     with np.errstate(over="ignore"):
-        sums = unit ** p * np.sum((values / unit[:, None]) ** p, axis=1)
-    return np.where(scaled, sums, peak)
+        value = ((g * x).sum(axis=-1) + ((r * x) ** 2).sum(axis=-1)
+                 + (np.abs(w * x) ** p).sum(axis=-1))
+    return value if x.ndim > 1 else float(value)
 
 
 def smoothed_gradient(

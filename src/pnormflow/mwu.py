@@ -338,29 +338,28 @@ def mwu_step(state: MwuState, limit: int = 1) -> CycleSolution | None:
         size = min(size, end - state.iteration,
                    max(1, MAX_SEGMENT_CELLS // cycle.edges.size))
         segment = state._segment = _Segment(state, cycle, size)
-        _apply_rows(state, segment, end, pushes, solved)
+        _apply_rows(state, segment, pushes, solved)
         if state.iteration == end:
             return cycle
 
 
-def _apply_rows(state: MwuState, segment: _Segment, end: int, pushes: int,
+def _apply_rows(state: MwuState, segment: _Segment, pushes: int,
                 solved: bool) -> None:
-    """Take the segment's next rows, one round each, until iteration `end`,
-    the segment's last row or a row whose length decreased, with one write
-    of a, b and c. The potentials add each row's increases in turn, and
-    each round is checked and traced as it is taken; a failed check raises
-    with the failing round written."""
+    """Take a fresh segment's rows, one round each, until its last row or
+    a row whose length decreased, with one write of a, b and c. The
+    potentials add each row's increases in turn, and each round is checked
+    and traced as it is taken; a failed check raises with the failing round
+    written."""
     K, q, T = state.K, state.q, state.T
     phi_cap = 3 * K ** 2 / T * (1 + POTENTIAL_RTOL)
     psi_cap = 4 * q * K ** q / T * (1 + POTENTIAL_RTOL)
-    first = segment.used
-    stop = min(segment.rows, first + end - state.iteration)
+    stop = segment.rows
     phi, psi = state.phi, state.psi
     trace, ratio = state.trace, segment.cycle.ratio
     dphis, dpsis = segment.dphi, segment.dpsi
     undominated, decreased = segment.undominated, segment.decreased
     failure = None
-    for i in range(first, stop):
+    for i in range(stop):
         dphi, dpsi = dphis[i], dpsis[i]
         phi += dphi
         psi += dpsi
@@ -375,16 +374,16 @@ def _apply_rows(state: MwuState, segment: _Segment, end: int, pushes: int,
             break
         if trace is not None:
             trace({"kind": "progress",
-                   "iteration": state.iteration + i - first + 1,
+                   "iteration": state.iteration + i + 1,
                    "phi": phi, "psi": psi, "ratio": ratio,
-                   "pushes": pushes if i == first else 0,
-                   "solved": solved and i == first})
+                   "pushes": pushes if i == 0 else 0,
+                   "solved": solved and i == 0})
         if decreased[i]:
             # The next round's push writes this row's lengths and raises.
             stop = i + 1
             break
     edges = segment.cycle.edges
-    if stop - first > 1:
+    if stop > 1:
         # What the pushes of the rounds after the first wrote; the last
         # row's lengths stay pending.
         state._ell[edges] = segment.ell[stop - 2]
@@ -392,7 +391,7 @@ def _apply_rows(state: MwuState, segment: _Segment, end: int, pushes: int,
     state._b[edges] = segment.b[stop - 1]
     state._c[edges] = segment.c[stop - 1]
     state.phi, state.psi = phi, psi
-    state.iteration += stop - first
+    state.iteration += stop
     segment.used = stop
     state._pending = True
     if failure is not None:

@@ -40,7 +40,6 @@ from .graph import (
     _curvature,
     pnorm,
     smoothed_value,
-    smoothed_values,
 )
 from .mrc import check_oracle_options
 from .mwu import (
@@ -127,9 +126,9 @@ def sandwich_holds(instance: PNormInstance, f: np.ndarray, x: np.ndarray,
     if not np.all(np.isfinite(points)):
         raise ValueError("flow entries must be finite")
     base, plus_x, plus_lam_x = np.split(
-        smoothed_values(instance.g, instance.r, instance.w, instance.p,
-                        points), 3)
-    rx = smoothed_values(residual.g, residual.r, residual.w, residual.p, x)
+        smoothed_value(instance.g, instance.r, instance.w, instance.p,
+                       points), 3)
+    rx = smoothed_value(residual.g, residual.r, residual.w, residual.p, x)
     upper_lhs = plus_x - base
     lower_lhs = plus_lam_x - base
     upper_slack = rtol * (abs(upper_lhs) + abs(rx) + abs(base))

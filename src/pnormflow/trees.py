@@ -4,11 +4,12 @@ Shared by the static optimizer (starting flow and cycle-space
 parameterization), which builds one small forest per solve, and the
 tree-collection backend (fundamental-cycle candidates), which builds dozens
 of forests over thousands of edges per rebuild. Kruskal runs on plain Python
-ints in both. A 1-D edge order builds one forest and orients it by a Python
-depth-first search, the cheapest at the static optimizer's sizes. A (k, m)
-edge order builds k forests stacked as one, forest i's vertex v at i * n + v,
-and orients the whole stack by two scipy searches, so that the backend's
-path sums and LCA batches run as whole-array passes over all of its forests.
+ints in both, over the graph layer's component labels. A 1-D edge order
+builds one forest and orients it by a Python depth-first search, the
+cheapest at the static optimizer's sizes. A (k, m) edge order builds k
+forests stacked as one, forest i's vertex v at i * n + v, and orients the
+whole stack by two scipy searches, so that the backend's path sums and LCA
+batches run as whole-array passes over all of its forests.
 """
 
 from __future__ import annotations
@@ -18,6 +19,8 @@ from typing import Sequence
 import numpy as np
 import scipy.sparse as sp
 from scipy.sparse.csgraph import breadth_first_order, depth_first_order
+
+from .graph import _Components
 
 # Pairs per pass of lca_many.
 _LCA_BLOCK = 1 << 14
@@ -34,15 +37,15 @@ def _kruskal(n: int, tails: Sequence[int], heads: Sequence[int],
     """Kruskal over `edge_order`: the tree edges in the order taken, and
     each tree's smallest vertex.
 
-    Each vertex holds the label of its tree and a merge relabels the
-    smaller tree's members, so testing a scanned edge takes two list reads;
-    most scanned edges close a cycle. The scan stops once it holds n - 1
-    tree edges, where no later edge can join two trees; on graphs with
-    about ten edges per vertex that is a third of the way in. So an ndarray
-    order becomes Python ints 4n entries at a time, not all at once.
+    The trees are the graph layer's component labels, so testing a scanned
+    edge takes two list reads; most scanned edges close a cycle. The scan
+    stops once it holds n - 1 tree edges, where no later edge can join two
+    trees; on graphs with about ten edges per vertex that is a third of the
+    way in. So an ndarray order becomes Python ints 4n entries at a time,
+    not all at once.
     """
-    label = list(range(n))
-    members = [[v] for v in range(n)]
+    sets = _Components(n)
+    label = sets.label
     taken: list[int] = []
     if n > 1:
         blocks = ((edge_order[at:at + 4 * n].tolist()
@@ -50,17 +53,11 @@ def _kruskal(n: int, tails: Sequence[int], heads: Sequence[int],
                   if isinstance(edge_order, np.ndarray) else (edge_order,))
         for block in blocks:
             for e in block:
-                a, b = label[tails[e]], label[heads[e]]
-                if a == b:
-                    continue
-                if len(members[a]) < len(members[b]):
-                    a, b = b, a
-                for v in members[b]:
-                    label[v] = a
-                members[a] += members[b]
-                taken.append(e)
-                if len(taken) == n - 1:
-                    return taken, [0]
+                if label[tails[e]] != label[heads[e]]:
+                    sets.union(tails[e], heads[e])
+                    taken.append(e)
+                    if len(taken) == n - 1:
+                        return taken, [0]
     firsts: dict[int, int] = {}
     for v in range(n):
         firsts.setdefault(label[v], v)

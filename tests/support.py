@@ -35,7 +35,6 @@ import pnormflow.mwu as mwu_module
 from pnormflow.errors import InvariantViolation, OracleError
 from pnormflow.graph import (
     IncrementalGraph,
-    _UnionFind,
     net_demand,
     smoothed_gradient,
     smoothed_value,
@@ -564,12 +563,15 @@ def reference_forest(n: int, tails: Sequence[int], heads: Sequence[int],
     parent_sign = np.zeros(n, dtype=np.int64)
     depth = np.zeros(n, dtype=np.int64)
 
-    sets = _UnionFind(n)
+    # An edge is a tree edge when inserting it joins two components.
+    graph = IncrementalGraph(n)
     tree_edges: list[int] = []
     adj: list[list[tuple[int, int]]] = [[] for _ in range(n)]
     for e in edge_order:
         u, v = tails[e], heads[e]
-        if sets.union(u, v):
+        components = graph.components
+        graph.add_edge(u, v)
+        if graph.components < components:
             tree_edges.append(e)
             adj[u].append((e, v))
             adj[v].append((e, u))

@@ -1,5 +1,7 @@
 """Tests for the incremental multigraph core and the smoothed objective."""
 
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -121,8 +123,9 @@ class TestDemandRoutable:
     @given(seed=st.integers(min_value=0, max_value=2 ** 32 - 1))
     @settings(max_examples=40, deadline=None)
     def test_matches_connected_component_sums(self, seed):
-        """After every insertion, routability agrees with per-component
-        demand sums taken from scipy's connected components."""
+        """After every insertion, the component count, the partition
+        `find` induces and routability agree with scipy's connected
+        components and the per-component demand sums taken from them."""
         rng = np.random.Generator(np.random.Philox(seed))
         n = int(rng.integers(3, 10))
         d = rng.normal(size=n)
@@ -134,6 +137,11 @@ class TestDemandRoutable:
             adjacency = coo_matrix((np.ones(g.m), (g.tails, g.heads)),
                                    shape=(n, n))
             k, labels = connected_components(adjacency, directed=False)
+            assert g.components == k
+            found = np.array([g.find(v) for v in range(n)])
+            # Two vertices share a find label iff they share scipy's.
+            assert np.array_equal(found[:, None] == found[None, :],
+                                  labels[:, None] == labels[None, :])
             sums = np.bincount(labels, weights=d, minlength=k)
             expected = bool(np.all(np.abs(sums) <= 1e-9 * np.abs(d).sum()))
             assert demand_routable(g, d) == expected
@@ -248,12 +256,38 @@ class TestEnergy:
                                                         x)))
 
     def test_overflowing_power_sum_is_inf(self):
-        # peak**p overflows a float at p = 80; callers such as the static
-        # solver's line search expect inf, not an OverflowError.
+        # 1e10**80 overflows a float; callers such as the static solver's
+        # line search expect inf, with no OverflowError and no warning.
         x = np.array([1e10, 1.0])
-        assert pnorm_pow(x, 80) == np.inf
-        assert smoothed_value(np.zeros(2), np.ones(2), np.ones(2), 80,
-                              x) == np.inf
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            assert pnorm_pow(x, 80) == np.inf
+            assert smoothed_value(np.zeros(2), np.ones(2), np.ones(2), 80,
+                                  x) == np.inf
+
+    @pytest.mark.parametrize("p", [2, 3, 37])
+    def test_stack_rows_evaluate_as_each_row_alone(self, p):
+        # sandwich_holds evaluates (k, m) stacks; each row must get the
+        # value the same flow gets alone, also where g and r are stacks.
+        rng = np.random.default_rng(p)
+        k, m = 5, 23
+        x = rng.normal(size=(k, m)) * rng.choice([1e-3, 1.0, 1e3], size=(k, 1))
+        x[0] = 0.0
+        x[1, 0] = 1e12
+        g, r, w = rng.normal(size=m), 1 + rng.random(m), 1 + rng.random(m)
+        gs, rs = rng.normal(size=(k, m)), 1 + rng.random((k, m))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            for gg, rr in ((g, r), (gs, rs)):
+                values = smoothed_value(gg, rr, w, p, x)
+                assert values.shape == (k,)
+                for i in range(k):
+                    alone = smoothed_value(gg if gg.ndim == 1 else gg[i],
+                                           rr if rr.ndim == 1 else rr[i],
+                                           w, p, x[i])
+                    assert type(alone) is float
+                    assert values[i].tobytes() == np.float64(alone).tobytes()
+        assert np.isinf(smoothed_value(g, r, w, 37, x)[1])
 
 
 class TestPNormInstance:

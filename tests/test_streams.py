@@ -234,10 +234,10 @@ class TestGenerate:
         assert len(stream.events) == 6
 
     @pytest.mark.parametrize("mode, kind, digest", [
-        ("random", "pnorm", "35c7f13f94c0b874"),
+        ("random", "pnorm", "d786963d636164d2"),
         ("random", "maxflow", "8ff2a00e625a5519"),
         ("random", "effres", "104a07d82c2186e3"),
-        ("planted-threshold", "pnorm", "c35cbbeb46d99b23"),
+        ("planted-threshold", "pnorm", "4d45da5e7e0906ea"),
         ("planted-threshold", "effres", "e6754181add2100f"),
         ("phase-stress", "maxflow", "9cca46ca08380768"),
     ])
