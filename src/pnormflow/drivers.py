@@ -199,6 +199,11 @@ class MaxflowDriver:
                 f"trip flow congestion {congestion} exceeds {limit}")
 
     def _begin_phase(self) -> None:
+        self.phase_count += 1
+        bound = self.phase_bound()
+        if self.phase_count > bound:
+            raise InvariantViolation(
+                f"phase {self.phase_count} exceeds the restart bound {bound}")
         caps = np.asarray(self.caps, dtype=float)
         value, flow = exact_maxflow(self.graph, caps, self.s, self.t)
         demand = np.zeros(self.n)
@@ -219,7 +224,6 @@ class MaxflowDriver:
         solver.events = self.events - 1
         solver.queries, solver.iterations = self.queries, self.iterations
         self.phase = MaxflowPhase(value=value, flow=flow, solver=solver)
-        self.phase_count += 1
 
     def _publish(self) -> tuple[float, np.ndarray]:
         m = len(self.caps)

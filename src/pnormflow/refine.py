@@ -57,9 +57,9 @@ DEFAULT_LAMBDA_FACTOR = 16
 SANDWICH_SAMPLES = 8
 CONTRACT_RTOL = 1e-9
 # Internal re-optimizations only feed verdicts whose margins are on the
-# scale of eps; the energy error is quadratic in the gradient norm, so this
-# looser target is safe and stays reachable at the large p the maxflow
-# driver uses.
+# scale of eps; Newton stops at a decrement of tol^2 (1 + |E|), an energy
+# error of about 5e-17 (1 + |E|) here, so this looser target is safe and
+# stays reachable at the large p the maxflow driver uses.
 MATERIALIZE_TOL = 1e-8
 MATERIALIZE_MAX_ITERATIONS = 2000
 

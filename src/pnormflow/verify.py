@@ -3,10 +3,10 @@
 Nothing here depends on the incremental solver. The solver calls
 static_pnorm_opt to bootstrap and materialize, and the maxflow driver calls
 exact_maxflow to start each phase; tests use all three as ground truth, and
-the CLI's verify command the first and the last. The static optimizer
-runs Newton in fundamental cycle coordinates and solves each step through
-a grounded vertex Laplacian, maxflow is Dinic's, and effective resistance
-is a direct Laplacian solve.
+the verdict checker (pnormflow.check) the first and the last. The static
+optimizer runs Newton in fundamental cycle coordinates and solves each step
+through a grounded vertex Laplacian, maxflow is Dinic's, and effective
+resistance is a direct Laplacian solve.
 """
 
 from __future__ import annotations
@@ -65,8 +65,8 @@ class _LaplacianNewton:
     feeds the cycle-space residual back through that factorization until
     the residual is within the forcing term eta = min(_FORCING_MAX,
     ||C^T grad||) of ||C^T grad|| (machine precision at the least), or it
-    stops shrinking. Newton's stopping rule reads the true gradient, so a
-    rough step only costs an iteration, never accuracy.
+    stops shrinking. Newton stops on the decrement of this step, which the
+    forcing term keeps within a factor of about 1 + eta of the exact one.
 
     With at most _DENSE_LAPLACIAN_LIMIT free vertices the Laplacian is
     factored densely by LAPACK getrf and solved by getrs, and C is held
@@ -202,16 +202,19 @@ def static_pnorm_opt(
 
     Parameterizes feasible flows as f0 + C x where f0 routes the demand on a
     spanning forest and the columns of C are fundamental circulations, then
-    runs damped Newton with backtracking until the cycle-space gradient norm
-    drops to tol * (1 + |E(f)|), checked before each of max_iterations
-    steps and once after the last. On a forest (no cycles) the gradient
-    norm is 0.0, so the tree-routed flow returns at iteration 0. Each
-    Newton system C^T H C x = -C^T grad is solved through the n-vertex
+    runs damped Newton with backtracking until the Newton decrement
+    -(grad . step) drops to tol^2 * (1 + |E(f)|), checked before each of
+    max_iterations steps and once after the last; when its upper bound
+    grad . (grad / h) over the off-tree edges already meets the target, the
+    step is not computed. The decrement is in energy units (about twice the
+    gain left), so the rule holds at any capacity scale, as a gradient norm
+    in flow units would not. On a forest (no cycles) the bound is 0.0 and
+    the tree-routed flow returns at iteration 0.
+    Each Newton system C^T H C x = -C^T grad is solved through the n-vertex
     Laplacian B^T H^-1 B (see _LaplacianNewton), so the k x k cycle-space
     Hessian is never formed; the step is solved only to within a forcing
-    term, while the stopping rule reads the true gradient. Each iterate
-    forms the curvature term w^p |f|^(p-2) once, for both the gradient and
-    the Hessian diagonal.
+    term. Each iterate forms the curvature term w^p |f|^(p-2) once, for
+    both the gradient and the Hessian diagonal.
     Iterates that stop improving at the energy evaluation noise floor while
     the gradient norm sits at machine-precision scale are returned as
     converged with their achieved gradient_norm; the value error at such a
@@ -222,7 +225,8 @@ def static_pnorm_opt(
 
     Args:
         instance: the problem; demand must be routable on the current graph.
-        tol: gradient-norm tolerance, relative to 1 + |energy|.
+        tol: square root of the decrement tolerance, relative to
+            1 + |energy|; the energy error is about tol^2 (1 + |energy|) / 2.
         start_flow: optional feasible starting flow (overrides tree routing).
         seed: randomizes the spanning forest, for self-consistency checks.
         max_iterations: Newton iteration cap before giving up.
@@ -269,7 +273,19 @@ def static_pnorm_opt(
         edge_grad = smoothed_gradient(g, r, w, p, f, curv)
         grad = newton.to_cycles(edge_grad)
         gnorm = float(np.linalg.norm(grad))
-        if gnorm <= tol * (1.0 + abs(energy)):
+        h = smoothed_hessian_diag(r, w, p, f, curv)
+        target = tol * tol * (1.0 + abs(energy))
+        # The Newton decrement -(grad . step), about twice the gain left, is
+        # at most grad . (grad / h) over the off-tree edges, where C^T H C
+        # dominates H; when that bound meets the target, no step is needed.
+        decrement = float(grad @ (grad / h[off_tree]))
+        if not decrement <= target:
+            step = newton.step(h, edge_grad, grad, gnorm)
+            if not float(grad @ step) < 0:
+                # Numerical degeneracy; fall back to steepest descent.
+                step = -grad
+            decrement = -float(grad @ step)
+        if decrement <= target:
             return OracleReport(value=energy, flow=f, iterations=iteration,
                                 gradient_norm=gnorm)
         if iteration == max_iterations:
@@ -283,26 +299,17 @@ def static_pnorm_opt(
         else:
             stagnant = 0
         last_energy = energy
-        step = newton.step(smoothed_hessian_diag(r, w, p, f, curv),
-                           edge_grad, grad, gnorm)
         direction = newton.to_edges(step)
-        slope = float(grad @ step)
-        if not slope < 0:
-            # Numerical degeneracy; fall back to steepest descent.
-            step = -grad
-            direction = newton.to_edges(step)
-            slope = float(grad @ step)
         t = 1.0
-        accepted = False
         for _ in range(80):
             candidate = f + t * direction
             cand_energy = smoothed_value(g, r, w, p, candidate)
-            if np.isfinite(cand_energy) and cand_energy <= energy + 1e-4 * t * slope:
+            if (np.isfinite(cand_energy)
+                    and cand_energy <= energy - 1e-4 * t * decrement):
                 f, energy = candidate, cand_energy
-                accepted = True
                 break
             t *= 0.5
-        if not accepted:
+        else:
             # f did not move, so gnorm is still its gradient norm.
             if gnorm <= max(tol, _STAGNATION_GNORM) * (1.0 + abs(energy)):
                 return OracleReport(value=energy, flow=f, iterations=iteration,
@@ -312,7 +319,7 @@ def static_pnorm_opt(
             )
     raise OracleError(
         f"no convergence in {max_iterations} iterations "
-        f"(gradient norm {gnorm:.3e}, target {tol * (1.0 + abs(energy)):.3e})"
+        f"(Newton decrement {decrement:.3e}, target {target:.3e})"
     )
 
 

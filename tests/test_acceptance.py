@@ -12,21 +12,17 @@ import time
 import numpy as np
 
 import pnormflow.refine as refine_mod
-from pnormflow.graph import IncrementalGraph, PNormInstance, net_demand, pnorm
+from pnormflow.check import stream_checker
+from pnormflow.graph import IncrementalGraph, PNormInstance, pnorm
 from pnormflow.mwu import MwuState, mwu_init, mwu_solution, mwu_step
 from pnormflow.refine import (
-    Flow,
     IncrementalPNormSolver,
     build_residual,
     sandwich_holds,
 )
-from pnormflow.streams import build_pnorm_instance, generate_stream
-from pnormflow.verify import (
-    effective_resistance,
-    exact_maxflow,
-    static_pnorm_opt,
-)
-from pnormflow.drivers import Below, MaxflowDriver, event_calls
+from pnormflow.streams import generate_stream
+from pnormflow.verify import static_pnorm_opt
+from pnormflow.drivers import event_calls
 from support import (
     LogDelete,
     LogInsert,
@@ -46,6 +42,13 @@ def report(num: int, name: str, ok: bool, detail: str) -> None:
     line = f"acceptance {num:02d} {name}: {status} ({detail})"
     print(line)
     assert ok, line
+
+
+def checked_records(stream, **options) -> list[dict]:
+    """The checker's record of each event of the stream run with `options`."""
+    check = stream_checker(stream)
+    _, calls = event_calls(stream, **options)
+    return [check(index, call()) for index, call in enumerate(calls)]
 
 
 def connected_instance(rng, n, m, p, threshold=0.0, eps=1e-3):
@@ -130,7 +133,6 @@ class TestAcceptance:
         begin = time.perf_counter()
         failures = 0
         events = 0
-        streams = 0
         for i in range(100):
             p = (2, 3, 4)[i % 3]
             n = 4 + (i % 9)
@@ -139,44 +141,14 @@ class TestAcceptance:
             mode = "planted-threshold" if i % 5 < 2 else "random"
             stream = generate_stream(mode, "pnorm", n=n, initial=initial,
                                      events=n_events, p=p, seed=1000 + i)
-            instance, stream_events = build_pnorm_instance(stream)
-            solver = IncrementalPNormSolver(
-                instance, m_max=stream.m_max, seed=17,
-                step_budget_per_event=150)
-            F, eps = instance.threshold, instance.eps
-            warm = None
-            calls = [solver.start] + [
-                (lambda ev=ev: solver.insert_edge(*ev))
-                for ev in stream_events]
-            for call in calls:
-                verdict = call()
-                events += 1
-                if isinstance(verdict, Flow):
-                    gap = net_demand(instance.graph, verdict.flow) - instance.d
-                    feasible = float(np.max(np.abs(gap))) <= 1e-7 * (
-                        1.0 + float(np.max(np.abs(instance.d))))
-                    energy = instance.energy(verdict.flow)
-                    ok = feasible and energy <= F + eps + 1e-7 * (abs(F) + eps)
-                else:
-                    if instance.routable():
-                        if warm is not None and warm.size < instance.m:
-                            warm = np.concatenate(
-                                [warm, np.zeros(instance.m - warm.size)])
-                        # 10x inside the 1e-7 comparison slack below.
-                        rep = static_pnorm_opt(instance, start_flow=warm,
-                                               tol=1e-8, max_iterations=2000,
-                                               seed=23)
-                        warm = rep.flow
-                        opt = rep.value
-                    else:
-                        opt = math.inf
-                    ok = opt > F - 1e-7 * (1.0 + abs(F))
-                failures += 0 if ok else 1
-            streams += 1
+            records = checked_records(stream, seed=17,
+                                      step_budget_per_event=150)
+            failures += sum(not record["ok"] for record in records)
+            events += len(records)
         wall = time.perf_counter() - begin
         report(1, "incremental-threshold-soundness",
                failures == 0 and wall <= 600.0,
-               f"{streams} streams, {events} events, {failures} failures, "
+               f"100 streams, {events} events, {failures} failures, "
                f"{wall:.1f}s")
 
     def test_02_weight_potential_lemmas(self):
@@ -366,38 +338,10 @@ class TestAcceptance:
             stream = generate_stream(mode, "maxflow", n=n, initial=n - 1,
                                      events=n_events, eps=eps,
                                      seed=2000 + i, cap_max=8)
-            graph = IncrementalGraph(stream.n)
-            caps: list[int] = []
-            specs = stream.initial_edges + stream.events
-            phase_counts = []
-            driver_holder = {}
-
-            def run():
-                driver = MaxflowDriver(stream.n, stream.m_max, stream.s,
-                                       stream.t, stream.eps, seed=31)
-                driver_holder["driver"] = driver
-                for spec in stream.initial_edges:
-                    driver.add_initial_edge(spec.u, spec.v, spec.capacity())
-                yield driver.start()
-                for spec in stream.events:
-                    yield driver.insert(spec.u, spec.v, spec.capacity())
-
-            for k, (value, flow) in enumerate(run()):
-                events += 1
-                boundary = len(stream.initial_edges) + k
-                while len(caps) < boundary:
-                    spec = specs[len(caps)]
-                    graph.add_edge(spec.u, spec.v)
-                    caps.append(spec.capacity())
-                exact, _ = exact_maxflow(graph, np.asarray(caps, float),
-                                         stream.s, stream.t)
-                driver = driver_holder["driver"]
-                ok = value >= (1.0 - eps) * exact - 1e-9
-                ok = ok and value <= exact + 1e-9
-                ok = ok and not np.any(
-                    np.abs(flow) > np.asarray(caps, float) * (1 + 1e-9))
-                ok = ok and driver.phase_count <= driver.phase_bound()
-                failures += 0 if ok else 1
+            # The driver raises once its phase count passes its bound.
+            records = checked_records(stream, seed=31)
+            failures += sum(not record["ok"] for record in records)
+            events += len(records)
         wall = time.perf_counter() - begin
         report(8, "incremental-maxflow",
                failures == 0 and wall <= 900.0,
@@ -414,38 +358,12 @@ class TestAcceptance:
             n_events = 5 + (i % 7)
             stream = generate_stream(mode, "effres", n=n, initial=n - 1,
                                      events=n_events, seed=3000 + i)
-            theta, eps_rel = stream.threshold, stream.eps
-            graph = IncrementalGraph(stream.n)
-            res: list[float] = []
-            specs = stream.initial_edges + stream.events
-            below_seen = False
-            above_seen = False
-            _, calls = event_calls(stream, seed=7)
-            for k, verdict in enumerate(call() for call in calls):
-                events += 1
-                boundary = len(stream.initial_edges) + k
-                while len(res) < boundary:
-                    spec = specs[len(res)]
-                    graph.add_edge(spec.u, spec.v)
-                    res.append(spec.resistance())
-                if graph.connected(stream.s, stream.t):
-                    true = effective_resistance(graph, np.asarray(res),
-                                                stream.s, stream.t)
-                else:
-                    true = math.inf
-                if isinstance(verdict, Below):
-                    if above_seen and not below_seen:
-                        flips += 1
-                    below_seen = True
-                    ok = (verdict.r_est >= true * (1 - 1e-6)
-                          and verdict.r_est <= theta * (1 + eps_rel)
-                          * (1 + 1e-9))
-                else:
-                    above_seen = True
-                    ok = not below_seen
-                    ok = ok and true > theta / (1 + eps_rel) * (1 - 1e-9)
-                    ok = ok and not true < theta * (1 - eps_rel)
-                failures += 0 if ok else 1
+            records = checked_records(stream, seed=7)
+            failures += sum(not record["ok"] for record in records)
+            events += len(records)
+            # The checker fails any AboveThreshold after a Below.
+            flips += (records[0]["verdict"] == "AboveThreshold"
+                      and records[-1]["verdict"] == "Below")
         report(9, "effective-resistance-thresholding",
                failures == 0 and flips >= 10,
                f"50 streams, {events} events, {flips} observed flips, "

@@ -1,0 +1,95 @@
+"""The verdict checker passes right answers and flags wrong ones. With k
+unit parallel edges the p-norm optimum is 2/k; the exact maxflows are 0, 2
+and 6; the resistances are 1.2, 0.6, 0.6 (the third edge hangs off t) and
+0.4."""
+
+import numpy as np
+import pytest
+
+from pnormflow.check import stream_checker
+from pnormflow.drivers import AboveThreshold, Below
+from pnormflow.refine import CertifiedAbove, Flow
+from pnormflow.streams import parse_stream
+
+PNORM = parse_stream("problem pnorm n=2 mmax=4 p=2 F=0.6 eps=0.05\n"
+                     "demand 1 -1.0\ndemand 2 1.0\nedge 1 2\nstart\n"
+                     "add 1 2\nadd 1 2\nadd 1 2\n")
+MAXFLOW = parse_stream("problem maxflow n=3 mmax=4 s=1 t=3 eps=0.25\n"
+                       "edge 1 2 cap=3\nstart\nadd 2 3 cap=2\n"
+                       "add 1 3 cap=4\n")
+EFFRES = parse_stream("problem effres n=3 mmax=4 s=1 t=2 theta=0.6 eps=0.1\n"
+                      "edge 1 2 r=1.2\nstart\nadd 1 2 r=1.2\nadd 2 3\n"
+                      "add 1 2 r=1.2\n")
+
+PNORM_RIGHT = [CertifiedAbove(), CertifiedAbove(), CertifiedAbove(),
+               Flow(np.full(4, 0.25), 0.5)]
+MAXFLOW_RIGHT = [(0.0, np.zeros(1)), (2.0, np.array([2.0, 2.0])),
+                 (6.0, np.array([2.0, 2.0, 4.0]))]
+EFFRES_RIGHT = [AboveThreshold(), AboveThreshold(), AboveThreshold(),
+                Below(np.zeros(4), 0.4)]
+
+
+def records(stream, answers):
+    check = stream_checker(stream)
+    return [check(index, answer) for index, answer in enumerate(answers)]
+
+
+@pytest.mark.parametrize("stream, answers", [
+    (PNORM, PNORM_RIGHT), (MAXFLOW, MAXFLOW_RIGHT), (EFFRES, EFFRES_RIGHT),
+    (EFFRES, [AboveThreshold(), Below(np.zeros(2), 0.6),
+              Below(np.zeros(3), 0.6), Below(np.zeros(4), 0.4)]),
+])
+def test_right_answers_pass(stream, answers):
+    assert all(record["ok"] is True for record in records(stream, answers))
+
+
+def test_pnorm_records_name_the_oracle():
+    got = records(PNORM, PNORM_RIGHT)
+    assert [r["verdict"] for r in got] == ["CertifiedAbove"] * 3 + ["Flow"]
+    assert [r["oracle"] for r in got] == pytest.approx([2.0, 1.0, 2 / 3, 0.5])
+
+
+@pytest.mark.parametrize("stream, right, index, wrong", [
+    # A Flow above F + eps.
+    (PNORM, PNORM_RIGHT, 2, Flow(np.full(3, 1 / 3), 2 / 3)),
+    # A Flow that routes only 3/4 of the demand.
+    (PNORM, PNORM_RIGHT, 3, Flow(np.array([0.25, 0.25, 0.25, 0.0]), 0.375)),
+    # A CertifiedAbove whose optimum, 0.5, is below F.
+    (PNORM, PNORM_RIGHT, 3, CertifiedAbove()),
+    # A value above the exact maxflow, though the flow routes it within
+    # the routing slack, so only the value bound can catch it.
+    (MAXFLOW, MAXFLOW_RIGHT, 2, (6.0 + 5e-7, np.array([2.0, 2.0, 4.0]))),
+    # A value below (1 - eps) times the exact maxflow.
+    (MAXFLOW, MAXFLOW_RIGHT, 2, (4.0, np.array([2.0, 2.0, 2.0]))),
+    # A flow that routes 5, not its value 6.
+    (MAXFLOW, MAXFLOW_RIGHT, 2, (6.0, np.array([2.0, 2.0, 3.0]))),
+    # A flow of 3 over the capacity 2 of the second edge.
+    (MAXFLOW, MAXFLOW_RIGHT, 2, (6.0, np.array([3.0, 3.0, 3.0]))),
+    # A Below under the true resistance 0.6.
+    (EFFRES, EFFRES_RIGHT, 1, Below(np.zeros(2), 0.59)),
+    # A Below above theta (1 + eps).
+    (EFFRES, EFFRES_RIGHT, 0, Below(np.zeros(1), 1.2)),
+    # An AboveThreshold while the resistance is below theta / (1 + eps).
+    (EFFRES, EFFRES_RIGHT, 3, AboveThreshold()),
+])
+def test_wrong_answer_is_flagged(stream, right, index, wrong):
+    answers = right[:index] + [wrong]
+    got = records(stream, answers)
+    assert all(record["ok"] for record in got[:index])
+    assert got[index]["ok"] is False
+
+
+def test_above_threshold_after_below_is_flagged():
+    # At 0.6 the resistance sits inside (theta / (1 + eps), theta (1 + eps)],
+    # so either verdict alone is right; only the order is wrong.
+    got = records(EFFRES, [AboveThreshold(), Below(np.zeros(2), 0.6),
+                           AboveThreshold()])
+    assert [r["ok"] for r in got] == [True, True, False]
+    assert got[2]["oracle"] == pytest.approx(0.6)
+
+
+def test_events_must_come_in_order():
+    check = stream_checker(EFFRES)
+    check(2, AboveThreshold())
+    with pytest.raises(ValueError, match="out of order"):
+        check(1, AboveThreshold())

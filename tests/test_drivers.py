@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from pnormflow.check import stream_checker
 from pnormflow.drivers import (
     AboveThreshold,
     Below,
@@ -13,9 +14,9 @@ from pnormflow.drivers import (
     event_calls,
 )
 from pnormflow.errors import GraphError, InvariantViolation
-from pnormflow.graph import IncrementalGraph, net_demand
-from pnormflow.streams import generate_stream, parse_stream
-from pnormflow.verify import effective_resistance, exact_maxflow
+from pnormflow.graph import net_demand
+from pnormflow.streams import generate_stream
+from pnormflow.verify import exact_maxflow
 
 
 def maxflow_driver(n=2, m_max=4, s=0, t=1, eps=0.25, **kwargs):
@@ -177,41 +178,26 @@ class TestMaxflowPublishing:
     def test_random_streams_track_the_exact_maxflow(self, seed, eps):
         stream = generate_stream("random", "maxflow", n=5, initial=4,
                                  events=5, seed=seed, eps=eps, cap_max=6)
-        graph = IncrementalGraph(stream.n)
-        caps: list[int] = []
-        specs = stream.initial_edges + stream.events
+        check = stream_checker(stream)
         _, calls = event_calls(stream, seed=1)
-        published = [call() for call in calls]
-        for k, (value, flow) in enumerate(published):
-            boundary = len(stream.initial_edges) + k
-            while len(caps) < boundary:
-                spec = specs[len(caps)]
-                graph.add_edge(spec.u, spec.v)
-                caps.append(spec.capacity())
-            true, _ = exact_maxflow(graph, np.asarray(caps, dtype=float),
-                                    stream.s, stream.t)
-            assert value <= true + 1e-9
-            assert value >= (1 - eps) * true - 1e-9
-            assert value == int(value)
-            assert np.all(np.abs(flow) <= np.asarray(caps) + 1e-9)
+        for index, call in enumerate(calls):
+            record = check(index, call())
+            assert record["ok"]
+            assert record["value"] == int(record["value"])
 
-    def test_phase_stress_respects_phase_bound(self):
-        stream = generate_stream("phase-stress", "maxflow", n=4, initial=3,
-                                 events=10, seed=2, eps=0.5, cap_max=4)
-        driver = MaxflowDriver(stream.n, stream.m_max, stream.s, stream.t,
-                               stream.eps, seed=3)
-        for spec in stream.initial_edges:
-            driver.add_initial_edge(spec.u, spec.v, spec.capacity())
-        driver.start()
-        for spec in stream.events:
-            driver.insert(spec.u, spec.v, spec.capacity())
-        assert driver.phase_count >= 2
-        assert driver.phase_count <= driver.phase_bound()
+    def test_phase_beyond_the_bound_is_an_invariant_violation(
+            self, monkeypatch):
+        monkeypatch.setattr(MaxflowDriver, "phase_bound", lambda self: 0)
+        driver = maxflow_driver()
+        driver.add_initial_edge(0, 1, 5)
+        with pytest.raises(InvariantViolation, match="restart bound 0"):
+            driver.start()
 
     def test_step_counts_match_trace_records(self):
         """Across phase restarts, the driver's queries equal the traced
         inner steps (progress plus stall records) and its iterations the
-        progress records, after every event."""
+        progress records, after every event. The driver itself fails a
+        phase count past its bound."""
         stream = generate_stream("phase-stress", "maxflow", n=4, initial=3,
                                  events=10, seed=2, eps=0.5, cap_max=4)
         records = []
@@ -315,30 +301,10 @@ class TestEffResDriver:
     def test_random_streams_certify_soundly(self, seed):
         stream = generate_stream("planted-threshold", "effres", n=5,
                                  initial=4, events=5, seed=seed)
-        theta, eps_rel = stream.threshold, stream.eps
-        graph = IncrementalGraph(stream.n)
-        res: list[float] = []
-        specs = stream.initial_edges + stream.events
-        below_seen = False
+        check = stream_checker(stream)
         _, calls = event_calls(stream, seed=1)
-        for k, verdict in enumerate(call() for call in calls):
-            boundary = len(stream.initial_edges) + k
-            while len(res) < boundary:
-                spec = specs[len(res)]
-                graph.add_edge(spec.u, spec.v)
-                res.append(spec.resistance())
-            if graph.connected(stream.s, stream.t):
-                true = effective_resistance(graph, np.asarray(res),
-                                            stream.s, stream.t)
-            else:
-                true = math.inf
-            if isinstance(verdict, Below):
-                below_seen = True
-                assert verdict.r_est >= true * (1 - 1e-6)
-                assert verdict.r_est <= theta * (1 + eps_rel) + 1e-9
-            else:
-                assert not below_seen
-                assert true > theta / (1 + eps_rel) * (1 - 1e-9)
+        for index, call in enumerate(calls):
+            assert check(index, call())["ok"]
 
 
 class TestEventCalls:

@@ -180,6 +180,21 @@ class TestStaticPNormOpt:
                     1.0 + abs(report.value))
         assert abs(second.value - first.value) <= 1e-10 * abs(first.value)
 
+    def test_converged_solve_computes_no_step_past_its_last(self,
+                                                            monkeypatch):
+        # At the optimum the decrement's bound grad . (grad / h) meets the
+        # target, so the solve ends without computing a step.
+        steps = []
+        step = _LaplacianNewton.step
+        monkeypatch.setattr(_LaplacianNewton, "step", lambda self, *args: (
+            steps.append(1), step(self, *args))[1])
+        for seed in range(30):
+            inst = random_instance(np.random.Generator(np.random.Philox(
+                seed)), p_choices=(2, 3, 37))
+            before = len(steps)
+            report = static_pnorm_opt(inst)
+            assert len(steps) - before == report.iterations
+
     @given(seed=st.integers(min_value=0, max_value=2 ** 32 - 1))
     @settings(max_examples=25, deadline=None)
     def test_optimum_invariant_under_restart(self, seed):
@@ -366,6 +381,10 @@ class TestNewtonStep:
         # Far from the optimum the step only has to meet the forcing term.
         assert np.linalg.norm(hessian @ step + grad) <= min(
             1e-2, gnorm) * gnorm
+        # The decrement is at most its bound over the off-tree edges, where
+        # C^T H C dominates H.
+        assert -(grad @ reference) <= (grad @ (grad / h[newton.off_tree])
+                                       * (1 + 1e-12))
 
     def test_singular_laplacian_gives_a_nan_step(self):
         newton, h, edge_grad, grad, _ = dense_newton_system(0, 2)
