@@ -1,7 +1,8 @@
 """Verdict checker: each published answer against an independent oracle
 (the static optimum, scipy's maximum_flow or the Laplacian effective
-resistance), built from the stream alone. The README lists the
-comparisons; the CLI's verify command and the acceptance suite use it.
+resistance), or an effres Below against its own flow as a witness, built
+from the stream alone. The README lists the comparisons; the CLI's verify
+command and the acceptance suite use it.
 """
 
 from __future__ import annotations
@@ -132,19 +133,25 @@ def _effres_checker(stream: UpdateStream) -> Callable[[int, object], dict]:
     resistances = np.asarray([spec.resistance() for spec in specs])
     theta, eps, s, t = stream.threshold, stream.eps, stream.s, stream.t
     graph = IncrementalGraph(stream.n)
+    unit = np.zeros(stream.n)
+    unit[s], unit[t] = -1.0, 1.0
     below_seen = False
 
     def check(index: int, verdict) -> dict:
         nonlocal below_seen
         for spec in specs[graph.m:_prefix(stream, index, graph.m)]:
             graph.add_edge(spec.u, spec.v)
-        oracle = (effective_resistance(graph, resistances[:graph.m], s, t)
-                  if graph.connected(s, t) else math.inf)
         if isinstance(verdict, Below):
-            ok = (oracle <= verdict.r_est * (1.0 + RTOL) and verdict.r_est
+            # Thomson: a unit s-t flow's energy bounds R_eff from above.
+            imbalance = net_demand(graph, verdict.flow) - unit
+            oracle = float(resistances[:graph.m] @ verdict.flow ** 2)
+            ok = (float(np.max(np.abs(imbalance))) <= RTOL
+                  and oracle <= verdict.r_est * (1.0 + RTOL) and verdict.r_est
                   <= theta * (1.0 + eps) * (1.0 + EXACT_TOL))
             below_seen = True
         else:
+            oracle = (effective_resistance(graph, resistances[:graph.m], s, t)
+                      if graph.connected(s, t) else math.inf)
             ok = (isinstance(verdict, AboveThreshold) and not below_seen
                   and oracle > theta / (1.0 + eps) * (1.0 - EXACT_TOL))
         return {"verdict": type(verdict).__name__, "oracle": float(oracle),

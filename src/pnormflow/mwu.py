@@ -20,26 +20,22 @@ unchanged. Per-step increases are the same padded or not.
 
 Lengths only grow, so the oracle answers from its memo, with the same
 CycleSolution object, until an estimate is pushed or an edge inserted; most
-rounds apply the previous round's cycle again. Each cycle the oracle
-returns gets a segment: one vectorized pass that precomputes, for the next
-J repetitions (16 at first, doubled while the same cycle outlives its
-segment, capped by the rounds the call has left and a memory bound), the
-cycle edges' a, b and c, the potential increases, the lengths, and the
-flags of every check. The rows come from np.add.accumulate over
-[start; inc; inc; ...], which adds in the order of J in-place `+=` steps,
-and each row's potential increase sums the same per-edge terms in the
-same order as a single step would, so every row is bit-identical to the
-round it stands for. The rows stop at the first round after which some
-cycle edge outgrows its estimate: that push changes the oracle's input
-and ends the memo. The call then takes every row of the segment in one
-pass: the potentials add each row's increases in turn, each round's
-bounds and domination flag are checked (and its trace record written) in
-turn, and a, b, c and the lengths are written once, for the last row. The
-last row's lengths stay pending until the next round begins, which writes
-them and pushes the stale edges in edge order, so between calls the
-lengths trail a and b by one round, as they would after single rounds.
-Segments end where the call does, so only a failed check leaves one
-half-used.
+rounds apply the previous round's cycle again. So each cycle is taken a
+segment at a time: one vectorized pass builds the next J repetitions of
+its step (16 at first, doubled while the oracle returns the same cycle,
+capped by the rounds the call has left and a memory bound) and takes
+them. The rows come from np.add.accumulate over [start; inc; inc; ...],
+which adds in the order of J in-place `+=` steps, and each row's potential
+increase sums the same per-edge terms in the same order as a single step
+would, so every row is bit-identical to the round it stands for. The rows
+stop at the first round after which some cycle edge outgrows its
+estimate, since that push ends the memo. The potentials add each row's
+increases, and each round is checked and traced, in turn; a, b and c are
+written once, for the last row. Its lengths and stale edges wait for the
+next round, which writes and pushes them in edge order, so between calls
+the lengths trail a and b by one round, as after single rounds. Between
+calls the run keeps only that pending round and the last cycle with its
+segment's row count.
 
 Only mwu_step and mwu_insert_edge write the weight columns, and an inserted
 edge is never on the current cycle. So a round changes a, b, c and the
@@ -138,10 +134,13 @@ class MwuState:
         self._c = np.zeros(m_max)
         self._r[:m], self._w[:m] = r, w
         self._admit(slice(0, m))
-        # The segment of the cycle the last steps applied, and whether the
-        # last step's lengths still wait in it for the next push.
-        self._segment: _Segment | None = None
-        self._pending = False
+        # The last cycle with its segment's row count; the last round's
+        # lengths, decrease flag and stale edges wait for the next push.
+        self._cycle: CycleSolution | None = None
+        self._rows = 0
+        self._pending_ell: np.ndarray | None = None
+        self._pending_decreased = False
+        self._pending_push = np.empty(0, dtype=np.int64)
 
         pad = (m_max - m) / m_max
         self.phi = float(np.sum((r * self._a[:m]) ** 2)) + pad * self.K ** 2
@@ -215,75 +214,23 @@ def _push_length_estimates(state: MwuState) -> int:
     """Write the pending lengths of the last round's cycle edges and push
     doubled estimates, in edge order, for those that outgrew their
     estimate; returns the number of pushed edges."""
-    if not state._pending:
+    ell = state._pending_ell
+    if ell is None:
         return 0
-    state._pending = False
-    segment = state._segment
-    i = segment.used - 1
-    edges = segment.cycle.edges
-    state._ell[edges] = segment.ell[i]
-    if segment.decreased[i]:
+    state._pending_ell = None
+    edges = state._cycle.edges
+    state._ell[edges] = ell
+    if state._pending_decreased:
         raise InvariantViolation("edge length decreased between iterations")
-    if i < segment.rows - 1 or segment.stale.size == 0:
+    if state._pending_push.size == 0:
         return 0
-    for e in segment.stale.tolist():
+    for e in state._pending_push.tolist():
         state.mrc.increase_length(e, 2.0 * float(state._ell[e]))
-    ell = state._ell[edges]
     tilde = state.length_estimates[edges]
     if not (np.all(tilde >= ell * (1 - 1e-12)) and
             np.all(tilde <= 2 * ell * (1 + 1e-12))):
         raise InvariantViolation("length estimate left the [l, 2l] window")
-    return int(segment.stale.size)
-
-
-class _Segment:
-    """The next `rows` repetitions of one cycle's step, precomputed.
-
-    Row i holds the cycle edges' a, b and c after the (i+1)-th repetition,
-    the step's potential increases, the edges' lengths after it and
-    whether any length decreased or any weight fails to dominate |c|.
-    The rows stop at the first one where a length outgrows its estimate;
-    that step's pushes (`stale`, in edge order) end the oracle's memo.
-    """
-
-    def __init__(self, state: MwuState, cycle: CycleSolution, size: int):
-        edges = cycle.edges
-        if np.unique(edges).size != edges.size:
-            raise InvariantViolation("oracle returned a cycle that repeats "
-                                     "an edge")
-        q, T = state.q, state.T
-        signed = cycle.signs.astype(float) * (-1.0 / cycle.gradient)
-        step = np.abs(signed) / T
-        r_e, w_e = state._r[edges], state._w[edges]
-        a = _repeat_add(state._a[edges], step, size)
-        b = _repeat_add(state._b[edges], step, size)
-        c = _repeat_add(state._c[edges], signed / T, size)
-        a2, bq = a ** 2, b ** q
-        dphi = np.sum(r_e ** 2 * (a2[1:] - a2[:-1]), axis=1)
-        dpsi = np.sum(w_e ** q * (bq[1:] - bq[:-1]), axis=1)
-        a, b, c = a[1:], b[1:], c[1:]
-        ell = np.empty((size + 1, edges.size))
-        ell[0] = state._ell[edges]
-        ell[1:] = _edge_lengths(state.K, q, r_e, w_e, a, b)
-        decreased = np.any(ell[1:] < ell[:-1] * (1 - 1e-12), axis=1)
-        ell = ell[1:]
-        stale = ell > state.length_estimates[edges]
-        stale_rows = np.flatnonzero(np.any(stale, axis=1))
-        rows = int(stale_rows[0]) + 1 if stale_rows.size else size
-        abs_c = np.abs(c[:rows])
-        floor = abs_c - 1e-12 * (1.0 + abs_c)
-        undominated = np.any((a[:rows] < floor) | (b[:rows] < floor), axis=1)
-
-        self.cycle = cycle
-        self.size = size
-        self.rows = rows
-        self.used = 0
-        self.a, self.b, self.c, self.ell = a, b, c, ell
-        self.dphi = dphi[:rows].tolist()
-        self.dpsi = dpsi[:rows].tolist()
-        self.decreased = decreased[:rows].tolist()
-        self.undominated = undominated.tolist()
-        self.stale = np.sort(edges[stale[rows - 1]])
+    return int(state._pending_push.size)
 
 
 def _repeat_add(start: np.ndarray, inc: np.ndarray, n: int) -> np.ndarray:
@@ -329,37 +276,61 @@ def mwu_step(state: MwuState, limit: int = 1) -> CycleSolution | None:
         if cycle.length / -cycle.gradient > bound * (1 + POTENTIAL_RTOL):
             raise InvariantViolation(
                 "scaled cycle exceeds the l1-length bound kappa/alpha")
+        if np.unique(cycle.edges).size != cycle.edges.size:
+            raise InvariantViolation("oracle returned a cycle that repeats "
+                                     "an edge")
 
-        # The last segment was used up: calls end with a segment's last
-        # row, and rounds stop inside one only at a failed check.
-        segment = state._segment
-        size = (FIRST_SEGMENT_ROWS if segment is None
-                or segment.cycle is not cycle else 2 * segment.size)
-        size = min(size, end - state.iteration,
+        # The last cycle's rows were all taken: calls end with a cycle's
+        # last row, and rounds stop before it only at a failed check.
+        rows = (2 * state._rows if cycle is state._cycle
+                else FIRST_SEGMENT_ROWS)
+        rows = min(rows, end - state.iteration,
                    max(1, MAX_SEGMENT_CELLS // cycle.edges.size))
-        segment = state._segment = _Segment(state, cycle, size)
-        _apply_rows(state, segment, pushes, solved)
+        state._cycle, state._rows = cycle, rows
+        _take_rows(state, cycle, rows, pushes, solved)
         if state.iteration == end:
             return cycle
 
 
-def _apply_rows(state: MwuState, segment: _Segment, pushes: int,
-                solved: bool) -> None:
-    """Take a fresh segment's rows, one round each, until its last row or
-    a row whose length decreased, with one write of a, b and c. The
-    potentials add each row's increases in turn, and each round is checked
-    and traced as it is taken; a failed check raises with the failing round
-    written."""
+def _take_rows(state: MwuState, cycle: CycleSolution, rows: int,
+               pushes: int, solved: bool) -> None:
+    """Build the next `rows` repetitions of the cycle's step in one
+    vectorized pass, cut after the first that outgrows an estimate, and
+    take them, one round each, with one write of a, b and c. The
+    potentials add each round's increases in turn, and each round is
+    checked and traced as it is taken; a failed check raises with the
+    failing round written, and a decreased length stops the rounds for
+    the next push to raise."""
     K, q, T = state.K, state.q, state.T
+    edges = cycle.edges
+    signed = cycle.signs.astype(float) * (-1.0 / cycle.gradient)
+    step = np.abs(signed) / T
+    r_e, w_e = state._r[edges], state._w[edges]
+    # Row 0 of a, b, c and ell is the state before the first round.
+    a = _repeat_add(state._a[edges], step, rows)
+    b = _repeat_add(state._b[edges], step, rows)
+    c = _repeat_add(state._c[edges], signed / T, rows)
+    a2, bq = a ** 2, b ** q
+    dphis = np.sum(r_e ** 2 * (a2[1:] - a2[:-1]), axis=1).tolist()
+    dpsis = np.sum(w_e ** q * (bq[1:] - bq[:-1]), axis=1).tolist()
+    ell = np.empty((rows + 1, edges.size))
+    ell[0] = state._ell[edges]
+    ell[1:] = _edge_lengths(K, q, r_e, w_e, a[1:], b[1:])
+    decreased = np.any(ell[1:] < ell[:-1] * (1 - 1e-12), axis=1).tolist()
+    stale = ell[1:] > state.length_estimates[edges]
+    stale_rows = np.flatnonzero(np.any(stale, axis=1))
+    cut = int(stale_rows[0]) + 1 if stale_rows.size else rows
+    abs_c = np.abs(c[1:cut + 1])
+    floor = abs_c - 1e-12 * (1.0 + abs_c)
+    undominated = np.any((a[1:cut + 1] < floor) | (b[1:cut + 1] < floor),
+                         axis=1).tolist()
+
     phi_cap = 3 * K ** 2 / T * (1 + POTENTIAL_RTOL)
     psi_cap = 4 * q * K ** q / T * (1 + POTENTIAL_RTOL)
-    stop = segment.rows
     phi, psi = state.phi, state.psi
-    trace, ratio = state.trace, segment.cycle.ratio
-    dphis, dpsis = segment.dphi, segment.dpsi
-    undominated, decreased = segment.undominated, segment.decreased
+    trace, ratio = state.trace, cycle.ratio
     failure = None
-    for i in range(stop):
+    for i in range(cut):
         dphi, dpsi = dphis[i], dpsis[i]
         phi += dphi
         psi += dpsi
@@ -370,7 +341,6 @@ def _apply_rows(state: MwuState, segment: _Segment, pushes: int,
         elif undominated[i]:
             failure = "weights no longer dominate |c|"
         if failure is not None:
-            stop = i + 1
             break
         if trace is not None:
             trace({"kind": "progress",
@@ -379,21 +349,20 @@ def _apply_rows(state: MwuState, segment: _Segment, pushes: int,
                    "pushes": pushes if i == 0 else 0,
                    "solved": solved and i == 0})
         if decreased[i]:
-            # The next round's push writes this row's lengths and raises.
-            stop = i + 1
             break
-    edges = segment.cycle.edges
-    if stop > 1:
-        # What the pushes of the rounds after the first wrote; the last
-        # row's lengths stay pending.
-        state._ell[edges] = segment.ell[stop - 2]
-    state._a[edges] = segment.a[stop - 1]
-    state._b[edges] = segment.b[stop - 1]
-    state._c[edges] = segment.c[stop - 1]
+    stop = i + 1
+    # The lengths the pushes of the rounds after the first wrote; the
+    # last round's stay pending, with the edges it makes stale (none
+    # unless it is the cut row).
+    state._ell[edges] = ell[stop - 1]
+    state._a[edges] = a[stop]
+    state._b[edges] = b[stop]
+    state._c[edges] = c[stop]
     state.phi, state.psi = phi, psi
     state.iteration += stop
-    segment.used = stop
-    state._pending = True
+    state._pending_ell = ell[stop]
+    state._pending_decreased = decreased[stop - 1]
+    state._pending_push = np.sort(edges[stale[stop - 1]])
     if failure is not None:
         raise InvariantViolation(failure)
 

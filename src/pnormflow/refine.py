@@ -19,11 +19,12 @@ and an insertion or a refinement step rebuilds the residual from f.
 
 Inner runs are capped by a per-event step budget, and the solver hands
 each inner call the rounds left to it (the budget's rest, capped by the
-run's T), so a run of memo hits costs one call. A crossing of the
-threshold can require more inner work than any desk-scale budget allows, so
-on exhaustion the event is resolved by recomputing an optimal flow from the
-current point (a materialization) and restarting refinement there; above
-verdicts still come only from genuine stalls.
+run's T), so one call takes a run to its end or the budget to its last
+round, unless it stalls. A crossing of the threshold can require more
+inner work than any desk-scale budget allows, so on exhaustion the event
+is resolved by recomputing an optimal flow from the current point (a
+materialization) and restarting refinement there; above verdicts still
+come only from genuine stalls.
 """
 
 from __future__ import annotations
@@ -171,7 +172,9 @@ class IncrementalPNormSolver:
     ValueError. While the demand is not routable every verdict is
     vacuously CertifiedAbove; the first routable event computes the
     starting flow with the static oracle and validates the refinement
-    scale lambda on sampled sandwich triples.
+    scale lambda on sampled sandwich triples. An event that runs out of
+    its budget of inner rounds materializes and refines again on a fresh
+    budget; running out twice raises InvariantViolation.
 
     The solver owns only the flow f, in a column of m_max entries that f
     views; the active inner run (`mwu`) holds the residual problem.
@@ -232,17 +235,6 @@ class IncrementalPNormSolver:
         """The current flow; None until the first routable event."""
         return self._flow[:self.instance.m] if self._has_flow else None
 
-    def _adopt_flow(self, flow: np.ndarray) -> None:
-        # Zero past the current edges, so every later edge joins with zero
-        # flow without writing its slot.
-        self._flow[:flow.size] = flow
-        self._flow[flow.size:] = 0.0
-        self._has_flow = True
-        self._energy = self.instance.energy(self.f)
-        if not math.isfinite(self._energy):
-            raise OracleError(
-                f"energy of the adopted flow overflows ({self._energy})")
-
     def _next_seed(self) -> int:
         return int(self._rng.integers(0, 2 ** 63))
 
@@ -279,57 +271,74 @@ class IncrementalPNormSolver:
         return verdict
 
     def _compute_verdict(self) -> Verdict:
-        instance = self.instance
-        if not instance.routable():
+        if not self.instance.routable():
             return CertifiedAbove()
         if not self._has_flow:
-            self._bootstrap()
+            self._reoptimize(self._flow[:self.instance.m] if self._warm
+                             else None)
+            self._validate_lambda()
+        verdict = self._refine()
+        if verdict is None:
+            # Materialize: refine again from the optimum, on a fresh budget.
+            self._reoptimize(self.f)
+            self.materializations += 1
+            verdict = self._refine()
+            if verdict is None:
+                raise InvariantViolation(
+                    "event failed to resolve after a materialization")
+        return verdict
 
+    def _refine(self) -> Verdict | None:
+        """The verdict refined from the current flow on one event budget,
+        or None if it runs out. After a refinement step the next run
+        starts, drawing its seed, before the budget is checked."""
         used = 0
-        materialized = False
         while True:
-            self._energy = instance.energy(self.f)
+            self._energy = self.instance.energy(self.f)
             if self._energy <= self.F + self.eps:
                 self.mwu = None
                 return Flow(flow=self.f.copy(), energy=self._energy)
             if self.mwu is None:
                 self._start_run()
-            while self.mwu.iteration < self.T and used < self.step_budget:
-                begin = self.mwu.iteration
-                cycle = mwu_step(self.mwu, min(self.step_budget - used,
-                                               self.T - begin))
-                rounds = self.mwu.iteration - begin
-                used += rounds
-                self.iterations += rounds
-                self.queries += rounds
-                if cycle is None:
-                    self.queries += 1
-                    return CertifiedAbove()
-            if self.mwu.iteration >= self.T:
-                self._flow[:instance.m] = refinement_step(
-                    self, mwu_solution(self.mwu))
-                self.mwu = None
-                continue
-            if materialized:
-                raise InvariantViolation(
-                    "event failed to resolve after a materialization")
-            self._materialize()
-            materialized = True
-            used = 0
+            if used == self.step_budget:
+                return None
+            begin = self.mwu.iteration
+            cycle = mwu_step(self.mwu, min(self.step_budget - used,
+                                           self.T - begin))
+            rounds = self.mwu.iteration - begin
+            used += rounds
+            self.iterations += rounds
+            self.queries += rounds
+            if cycle is None:
+                self.queries += 1
+                return CertifiedAbove()
+            if self.mwu.iteration < self.T:
+                return None
+            self._flow[:self.instance.m] = refinement_step(
+                self, mwu_solution(self.mwu))
+            self.mwu = None
 
     def _reoptimize(self, start_flow: np.ndarray | None) -> None:
-        """Adopt an optimal flow computed by the static oracle from
-        start_flow (tree routing when None)."""
-        report = static_pnorm_opt(self.instance, start_flow=start_flow,
-                                  tol=MATERIALIZE_TOL,
-                                  max_iterations=MATERIALIZE_MAX_ITERATIONS,
-                                  seed=self._next_seed())
-        self._adopt_flow(report.flow)
-
-    def _bootstrap(self) -> None:
-        self._reoptimize(self._flow[:self.instance.m] if self._warm else None)
-        self._validate_lambda()
-        self._rebaseline_budget()
+        """End the active run and adopt an optimal flow computed by the
+        static oracle from start_flow (tree routing when None); the
+        refinement-step count restarts from the adopted flow's gap."""
+        self.mwu = None
+        flow = static_pnorm_opt(self.instance, start_flow=start_flow,
+                                tol=MATERIALIZE_TOL,
+                                max_iterations=MATERIALIZE_MAX_ITERATIONS,
+                                seed=self._next_seed()).flow
+        # Zero past the current edges, so every later edge joins with zero
+        # flow without writing its slot.
+        self._flow[:flow.size] = flow
+        self._flow[flow.size:] = 0.0
+        self._has_flow = True
+        self._energy = self.instance.energy(self.f)
+        if not math.isfinite(self._energy):
+            raise OracleError(
+                f"energy of the adopted flow overflows ({self._energy})")
+        gap = self._energy - self.F
+        self._steps_remaining = 1 if gap <= self.eps else math.ceil(
+            6.0 * self.K ** 2 * self.lam * math.log(gap / self.eps)) + 1
 
     def _validate_lambda(self) -> None:
         """Check the sandwich inequalities on SANDWICH_SAMPLES sampled
@@ -350,14 +359,6 @@ class IncrementalPNormSolver:
             raise InvariantViolation(
                 f"the sandwich inequalities fail at lambda = {self.lam}")
 
-    def _rebaseline_budget(self) -> None:
-        gap = self._energy - self.F
-        if gap > self.eps:
-            self._steps_remaining = math.ceil(
-                6.0 * self.K ** 2 * self.lam * math.log(gap / self.eps)) + 1
-        else:
-            self._steps_remaining = 1
-
     def _start_run(self) -> None:
         residual = build_residual(self.instance, self.f)
         self._run_R = (self._energy - self.F) / self.lam
@@ -366,14 +367,6 @@ class IncrementalPNormSolver:
                             self.p, kappa=self.kappa, m_max=self._slots,
                             seed=self._next_seed(), backend=self.backend,
                             trace=self.trace)
-
-    def _materialize(self) -> None:
-        """Resolve a budget-exhausted event by re-optimizing from the
-        current flow and restarting refinement at the optimum."""
-        self.mwu = None
-        self._reoptimize(self.f)
-        self.materializations += 1
-        self._rebaseline_budget()
 
 
 def refinement_step(solver: IncrementalPNormSolver,

@@ -1,13 +1,14 @@
 """The verdict checker passes right answers and flags wrong ones. With k
 unit parallel edges the p-norm optimum is 2/k; the exact maxflows are 0, 2
 and 6; the resistances are 1.2, 0.6, 0.6 (the third edge hangs off t) and
-0.4."""
+0.4, and a Below carries the unit s-t flow that splits evenly over the
+parallel edges."""
 
 import numpy as np
 import pytest
 
 from pnormflow.check import stream_checker
-from pnormflow.drivers import AboveThreshold, Below
+from pnormflow.drivers import AboveThreshold, Below, event_calls
 from pnormflow.refine import CertifiedAbove, Flow
 from pnormflow.streams import parse_stream
 
@@ -25,8 +26,18 @@ PNORM_RIGHT = [CertifiedAbove(), CertifiedAbove(), CertifiedAbove(),
                Flow(np.full(4, 0.25), 0.5)]
 MAXFLOW_RIGHT = [(0.0, np.zeros(1)), (2.0, np.array([2.0, 2.0])),
                  (6.0, np.array([2.0, 2.0, 4.0]))]
+HALVES, THIRDS = np.array([0.5, 0.5]), np.array([1.0, 1.0, 0.0, 1.0]) / 3
 EFFRES_RIGHT = [AboveThreshold(), AboveThreshold(), AboveThreshold(),
-                Below(np.zeros(4), 0.4)]
+                Below(THIRDS, 0.4)]
+# Vertex 2 hangs off one edge, so R_eff is its resistance 4467.6401480998875
+# at every event, where a dense Laplacian solve reads 1.9e-7 relative too
+# high; the driver's Below flows prove r_est.
+HANGING = parse_stream(
+    "problem effres n=6 mmax=8 s=1 t=2 theta=355885.76063979947 eps=0.1\n"
+    "edge 6 1 r=7.489022596504872e-06\nedge 3 5 r=172.4275691434067\n"
+    "edge 2 1 r=4467.6401480998875\nedge 5 1 r=0.0002090902247265589\n"
+    "edge 4 3 r=3.045059297736134e-06\nedge 5 1 r=2.2414865236696406\n"
+    "start\nadd 3 6 r=5.3082678361011555e-06\nadd 2 6 r=0.0466182944806196\n")
 
 
 def records(stream, answers):
@@ -36,8 +47,8 @@ def records(stream, answers):
 
 @pytest.mark.parametrize("stream, answers", [
     (PNORM, PNORM_RIGHT), (MAXFLOW, MAXFLOW_RIGHT), (EFFRES, EFFRES_RIGHT),
-    (EFFRES, [AboveThreshold(), Below(np.zeros(2), 0.6),
-              Below(np.zeros(3), 0.6), Below(np.zeros(4), 0.4)]),
+    (EFFRES, [AboveThreshold(), Below(HALVES, 0.6),
+              Below(np.append(HALVES, 0.0), 0.6), Below(THIRDS, 0.4)]),
 ])
 def test_right_answers_pass(stream, answers):
     assert all(record["ok"] is True for record in records(stream, answers))
@@ -65,12 +76,17 @@ def test_pnorm_records_name_the_oracle():
     (MAXFLOW, MAXFLOW_RIGHT, 2, (6.0, np.array([2.0, 2.0, 3.0]))),
     # A flow of 3 over the capacity 2 of the second edge.
     (MAXFLOW, MAXFLOW_RIGHT, 2, (6.0, np.array([3.0, 3.0, 3.0]))),
-    # A Below under the true resistance 0.6.
-    (EFFRES, EFFRES_RIGHT, 1, Below(np.zeros(2), 0.59)),
+    # A Below under the true resistance 0.6, so under its flow's energy.
+    (EFFRES, EFFRES_RIGHT, 1, Below(HALVES, 0.59)),
     # A Below above theta (1 + eps).
-    (EFFRES, EFFRES_RIGHT, 0, Below(np.zeros(1), 1.2)),
+    (EFFRES, EFFRES_RIGHT, 0, Below(np.ones(1), 1.2)),
     # An AboveThreshold while the resistance is below theta / (1 + eps).
     (EFFRES, EFFRES_RIGHT, 3, AboveThreshold()),
+    # A Below whose flow routes only 3/4 of the unit, though r_est is the
+    # true resistance and bounds the flow's energy.
+    (EFFRES, EFFRES_RIGHT, 3, Below(THIRDS * 0.75, 0.4)),
+    # A right Below whose flow does not prove it: its energy is 0.6.
+    (EFFRES, EFFRES_RIGHT, 3, Below(np.append(HALVES, [0.0, 0.0]), 0.4)),
 ])
 def test_wrong_answer_is_flagged(stream, right, index, wrong):
     answers = right[:index] + [wrong]
@@ -82,10 +98,18 @@ def test_wrong_answer_is_flagged(stream, right, index, wrong):
 def test_above_threshold_after_below_is_flagged():
     # At 0.6 the resistance sits inside (theta / (1 + eps), theta (1 + eps)],
     # so either verdict alone is right; only the order is wrong.
-    got = records(EFFRES, [AboveThreshold(), Below(np.zeros(2), 0.6),
+    got = records(EFFRES, [AboveThreshold(), Below(HALVES, 0.6),
                            AboveThreshold()])
     assert [r["ok"] for r in got] == [True, True, False]
     assert got[2]["oracle"] == pytest.approx(0.6)
+
+
+def test_below_is_checked_by_its_flow():
+    _, calls = event_calls(HANGING, seed=0)
+    got = records(HANGING, [call() for call in calls])
+    assert [r["verdict"] for r in got] == ["Below"] * 3
+    assert all(record["ok"] is True for record in got)
+    assert got[0]["oracle"] == pytest.approx(4467.6401480998875, rel=1e-12)
 
 
 def test_events_must_come_in_order():

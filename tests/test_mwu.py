@@ -470,7 +470,7 @@ def _run_lockstep(kind, p, m_max, backend, calls):
     call, else 1..300) and its twin with as many reference_step rounds,
     admitting the same random edge into both at every stall and every
     third call, and compare them after every call; returns the mwu_step
-    run and a tally: its largest segment, its stalls, the calls that
+    run and a tally: the most rows built for one cycle, its stalls, the calls that
     stalled after progress rounds, and the insertions that followed a
     call its limit ended while the oracle still held its cycle."""
     seed = 7 * p + m_max
@@ -491,16 +491,14 @@ def _run_lockstep(kind, p, m_max, backend, calls):
         assert _same_cycle(got, want)
         _assert_same_state(fast, ref)
         assert fast_trace == ref_trace
-        segment = fast._segment
-        if segment is not None:
-            tally["largest"] = max(tally["largest"], segment.size)
+        tally["largest"] = max(tally["largest"], fast._rows)
         tally["stalls"] += got is None
         tally["mid_call_stalls"] += got is None and fast.iteration > begin
         if (got is None or call % 3 == 0) and fast.m < fast.m_max:
             # The limit, not a push, ended the call: the oracle still
             # holds the call's last cycle.
             tally["cut_segment_inserts"] += (
-                got is not None and segment.stale.size == 0)
+                got is not None and fast._pending_push.size == 0)
             u, v = (int(x) for x in rng.choice(n, size=2, replace=False))
             attrs = (float(rng.normal()), 0.5 + float(rng.random()),
                      0.5 + float(rng.random()))

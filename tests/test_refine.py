@@ -9,6 +9,7 @@ from hypothesis import given, settings, strategies as st
 from pnormflow import refine
 from pnormflow.errors import InvariantViolation, OracleError
 from pnormflow.graph import IncrementalGraph, PNormInstance, net_demand
+from pnormflow.mwu import mwu_init
 from pnormflow.refine import (
     CertifiedAbove,
     Flow,
@@ -333,6 +334,33 @@ class TestSolverVerdicts:
         assert isinstance(verdict, Flow)
         assert solver.materializations == before + 1
         assert solver.refinement_steps == 0
+
+    def test_budget_ending_with_a_run_starts_the_next_run(self,
+                                                          monkeypatch):
+        """A budget of T rounds runs out on the round that completes the
+        event's inner run: the refinement step is taken, the next run
+        starts (drawing its seed) before the budget is checked, and the
+        event materializes, after which one more run stalls at the
+        optimum."""
+        seeds = []
+
+        def recording_init(*args, **kwargs):
+            seeds.append(kwargs["seed"])
+            return mwu_init(*args, **kwargs)
+
+        monkeypatch.setattr(refine, "mwu_init", recording_init)
+        T = crossing_ladder()[1].T
+        _, solver = crossing_ladder(step_budget_per_event=T)
+        assert isinstance(solver.start(), CertifiedAbove)
+        assert isinstance(solver.insert_edge(0, 1, 0.0, 1.0, 1.0),
+                          CertifiedAbove)
+        assert solver.iterations == T
+        assert (solver.refinement_steps, solver.materializations) == (1, 1)
+        # Draws: start's static solve, lambda check and run, then the run
+        # after the refinement step, the materialization and its run.
+        rng = np.random.Generator(np.random.Philox(7))
+        draws = [int(rng.integers(0, 2 ** 63)) for _ in range(6)]
+        assert seeds == [draws[2], draws[3], draws[5]]
 
     def test_budget_below_one_rejected(self):
         with pytest.raises(ValueError, match="at least 1"):
