@@ -1,17 +1,20 @@
 """End-user reductions built on the thresholded p-norm solver.
 
-Incremental (1-eps)-approximate maxflow: work in phases. A phase starts by
-computing an exact maxflow of value nu (desk-scale stand-in for a static
-solver) and publishes it. The p-norm instance with per-edge weight 1/u_e, a
-small quadratic padding delta/u_e, and demand nu*(chi_t - chi_s) is then
-watched with threshold F = m_max * e^(-eps*p): as long as every routing of
-nu units costs more than F, no flow routes nu at congestion near e^(-eps),
-so nu is still (1-eps)-accurate. When the solver instead produces a flow of
-energy at most 2F, that flow routes nu at congestion at most e^(-eps/2),
-meaning the true maxflow grew by at least e^(eps/2); the phase restarts
-with a fresh exact maxflow. The published value therefore multiplies by at
-least e^(eps/2) per restart, bounding the number of phases by the log of
-the total capacity.
+Incremental (1-eps)-approximate maxflow: work in phases. A phase publishes
+an exact maxflow of value nu (desk-scale stand-in for a static solver). The
+p-norm instance with per-edge weight 1/u_e, a small quadratic padding
+delta/u_e, and demand nu*(chi_t - chi_s) is then watched with threshold
+F = m_max * e^(-eps*p): as long as every routing of nu units costs more
+than F, no flow routes nu at congestion near e^(-eps), so nu is still
+(1-eps)-accurate. When the solver instead produces a flow of energy at most
+2F, that flow routes nu at congestion at most e^(-eps/2), meaning the true
+maxflow grew by at least e^(eps/2); the phase restarts with a fresh exact
+maxflow. The published value therefore multiplies by at least e^(eps/2) per
+restart, bounding the number of phases by the log of the total capacity.
+The new phase's solver starts Newton from the exact maxflow, or from the
+tripped flow scaled to the new value when that has less energy, and every
+phase's solver shares the driver's one Newton set-up, since all of them
+view the driver's graph.
 
 Incremental effective-resistance thresholding is the p = 2 instance with
 r_e = sqrt(resistance_e) and a tiny p-norm padding: its optimum is
@@ -38,7 +41,7 @@ from .refine import (Flow, IncrementalPNormSolver, Verdict,
                      check_step_budget)
 from .streams import (MAX_CAPACITY, EdgeSpec, UpdateStream,
                       build_pnorm_instance)
-from .verify import exact_maxflow
+from .verify import NewtonSetup, exact_maxflow
 
 # l2-to-lp weight ratio for the effective-resistance instance; its energy
 # distortion (1 + gamma^2) is far below any useful eps_rel.
@@ -96,6 +99,9 @@ class MaxflowDriver:
         self.trace = trace
         self._rng = np.random.Generator(np.random.Philox(seed))
         self.graph = IncrementalGraph(n)
+        # Every phase's instance views self.graph, so one set-up serves
+        # every phase's static solves.
+        self._setup = NewtonSetup(self.graph)
         self.caps: list[int] = []
         self.phase: MaxflowPhase | None = None
         self.phase_count = 0
@@ -181,7 +187,7 @@ class MaxflowDriver:
             if builds >= _MAX_PHASE_BUILDS_PER_EVENT:
                 raise InvariantViolation(
                     "phase restarted repeatedly within one event")
-            self._begin_phase()
+            self._begin_phase(verdict)
             builds += 1
             verdict = self.phase.solver.start()
         return self._publish()
@@ -198,7 +204,13 @@ class MaxflowDriver:
             raise InvariantViolation(
                 f"trip flow congestion {congestion} exceeds {limit}")
 
-    def _begin_phase(self) -> None:
+    def _begin_phase(self, trip: Flow | None = None) -> None:
+        """Publish an exact maxflow and watch it with a fresh solver. After
+        a trip, the solver's Newton starts from the lower-energy of Dinic's
+        flow and the tripped flow scaled to the new value: the latter sits
+        near the new optimum unless the value grew so much that its
+        congestion passes 1, where its energy grows with the p-th power of
+        the scale."""
         self.phase_count += 1
         bound = self.phase_bound()
         if self.phase_count > bound:
@@ -213,11 +225,16 @@ class MaxflowDriver:
                                  threshold=self.F, eps=self.F)
         instance.set_edge_attrs(np.zeros(len(self.caps)),
                                 self.delta / caps, 1.0 / caps)
+        start = flow
+        if trip is not None:
+            scaled = trip.flow * (value / self.phase.value)
+            if instance.energy(scaled) < instance.energy(flow):
+                start = scaled
         solver = IncrementalPNormSolver(
             instance, m_max=self.m_max,
             seed=int(self._rng.integers(2 ** 63)),
-            step_budget_per_event=self.step_budget, start_flow=flow,
-            trace=self.trace)
+            step_budget_per_event=self.step_budget, start_flow=start,
+            trace=self.trace, setup=self._setup)
         # The solver continues the driver's counters, so its verdict
         # records count across phases; its start() answers the current
         # event and counts it again.

@@ -319,9 +319,6 @@ class PNormInstance:
             raise ValueError("flow entries must be finite")
         return smoothed_value(self.g, self.r, self.w, self.p, f)
 
-    def energy_gradient(self, f: np.ndarray) -> np.ndarray:
-        return smoothed_gradient(self.g, self.r, self.w, self.p, f)
-
     def routable(self) -> bool:
         return demand_routable(self.graph, self.d)
 

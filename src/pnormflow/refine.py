@@ -24,7 +24,9 @@ round, unless it stalls. A crossing of the threshold can require more
 inner work than any desk-scale budget allows, so on exhaustion the event
 is resolved by recomputing an optimal flow from the current point (a
 materialization) and restarting refinement there; above verdicts still
-come only from genuine stalls.
+come only from genuine stalls. The solver's static solves carry one Newton
+set-up (verify.NewtonSetup), which each solve extends by the edges
+inserted since the last one instead of building it afresh.
 """
 
 from __future__ import annotations
@@ -40,6 +42,7 @@ from .graph import (
     PNormInstance,
     _curvature,
     pnorm,
+    smoothed_gradient,
     smoothed_value,
 )
 from .mrc import check_oracle_options
@@ -52,7 +55,7 @@ from .mwu import (
     mwu_solution,
     mwu_step,
 )
-from .verify import static_pnorm_opt
+from .verify import NewtonSetup, static_pnorm_opt
 
 DEFAULT_LAMBDA_FACTOR = 16
 SANDWICH_SAMPLES = 8
@@ -82,16 +85,21 @@ class ResidualProblem:
         return smoothed_value(self.g, self.r, self.w, self.p, x)
 
 
-def build_residual(instance: PNormInstance, f: np.ndarray) -> ResidualProblem:
-    """The residual problem of the instance's energy around the flow f.
-    A (k, m) stack f gives g and r as (k, m) stacks, one row per flow."""
+def build_residual(instance: PNormInstance, f: np.ndarray,
+                   edges: slice = slice(None)) -> ResidualProblem:
+    """The residual problem of the instance's energy around the flow f,
+    on the edges `edges` (all by default). A (k, m) stack f gives g and r
+    as (k, m) stacks, one row per flow. The formulas are elementwise, so
+    an edge's entries do not depend on which other edges are built."""
     f = np.asarray(f, dtype=float)
     if f.ndim > 2 or f.shape[-1:] != (instance.m,):
         raise ValueError(f"flow length {f.shape} does not match m={instance.m}")
-    p, w0 = instance.p, instance.w
+    p, r0, w0 = instance.p, instance.r[edges], instance.w[edges]
+    f = f[..., edges]
+    curv = _curvature(w0, p, f)
     return ResidualProblem(
-        g=instance.energy_gradient(f),
-        r=np.sqrt(instance.r ** 2 + 2.0 * p ** 2 * _curvature(w0, p, f)),
+        g=smoothed_gradient(instance.g[edges], r0, w0, p, f, curv),
+        r=np.sqrt(r0 ** 2 + 2.0 * p ** 2 * curv),
         w=p * w0,
         p=p,
     )
@@ -178,6 +186,8 @@ class IncrementalPNormSolver:
 
     The solver owns only the flow f, in a column of m_max entries that f
     views; the active inner run (`mwu`) holds the residual problem.
+    `setup` carries Newton's set-up across its static solves; pass one to
+    share it with other solvers on the same graph.
     `queries` counts inner rounds (oracle queries, however many one
     mwu_step call takes) and `iterations` the progress rounds among them,
     over all runs. An edge bound below 4 runs the same loop: its inner
@@ -190,7 +200,8 @@ class IncrementalPNormSolver:
                  seed: int | None = None,
                  step_budget_per_event: int | None = None,
                  start_flow: np.ndarray | None = None,
-                 trace: Callable[[dict], None] | None = None):
+                 trace: Callable[[dict], None] | None = None,
+                 setup: NewtonSetup | None = None):
         m_max = max(instance.m, MIN_EDGE_BOUND) if m_max is None else m_max
         if m_max < instance.m:
             raise ValueError("m_max is below the current edge count")
@@ -211,6 +222,7 @@ class IncrementalPNormSolver:
         self.step_budget = (2 * self.T if step_budget_per_event is None
                             else check_step_budget(step_budget_per_event))
         self.trace = trace
+        self.setup = NewtonSetup(instance.graph) if setup is None else setup
         self._rng = np.random.Generator(np.random.Philox(seed))
         # The flow column holds the warm start until the first bootstrap.
         self._flow = np.zeros(m_max)
@@ -255,9 +267,9 @@ class IncrementalPNormSolver:
         e = self.instance.add_edge(u, v, g, r, w)
         if self.mwu is not None:
             # The edge joins the run's residual problem with zero flow.
-            residual = build_residual(self.instance, self.f)
+            residual = build_residual(self.instance, self.f, slice(e, e + 1))
             r_s, w_s = residual_scaled_weights(residual, self._run_R)
-            mwu_insert_edge(self.mwu, e, residual.g[e], r_s[e], w_s[e])
+            mwu_insert_edge(self.mwu, e, residual.g[0], r_s[0], w_s[0])
         return self._verdict()
 
     def _verdict(self) -> Verdict:
@@ -323,16 +335,20 @@ class IncrementalPNormSolver:
         static oracle from start_flow (tree routing when None); the
         refinement-step count restarts from the adopted flow's gap."""
         self.mwu = None
-        flow = static_pnorm_opt(self.instance, start_flow=start_flow,
-                                tol=MATERIALIZE_TOL,
-                                max_iterations=MATERIALIZE_MAX_ITERATIONS,
-                                seed=self._next_seed()).flow
+        # The carried set-up fixes the forest, so this draw seeds nothing;
+        # it stays so that every later seed keeps its place in the sequence.
+        self._next_seed()
+        report = static_pnorm_opt(self.instance, start_flow=start_flow,
+                                  tol=MATERIALIZE_TOL,
+                                  max_iterations=MATERIALIZE_MAX_ITERATIONS,
+                                  setup=self.setup)
         # Zero past the current edges, so every later edge joins with zero
         # flow without writing its slot.
-        self._flow[:flow.size] = flow
-        self._flow[flow.size:] = 0.0
+        self._flow[:report.flow.size] = report.flow
+        self._flow[report.flow.size:] = 0.0
         self._has_flow = True
-        self._energy = self.instance.energy(self.f)
+        # The report's value is the instance energy of its flow.
+        self._energy = report.value
         if not math.isfinite(self._energy):
             raise OracleError(
                 f"energy of the adopted flow overflows ({self._energy})")

@@ -7,6 +7,11 @@ the verdict checker (pnormflow.check) the first and the last. The static
 optimizer runs Newton in fundamental cycle coordinates and solves each step
 through a grounded vertex Laplacian, maxflow is Dinic's, and effective
 resistance is a direct Laplacian solve.
+
+A solve builds its spanning forest, cycle basis and Laplacian pattern for
+itself, unless the caller carries them in a NewtonSetup: the solver keeps
+one and the maxflow driver shares one across its phases, so a solve after
+insertions inside components only appends their cycles.
 """
 
 from __future__ import annotations
@@ -69,30 +74,32 @@ class _LaplacianNewton:
     forcing term keeps within a factor of about 1 + eta of the exact one.
 
     With at most _DENSE_LAPLACIAN_LIMIT free vertices the Laplacian is
-    factored densely by LAPACK getrf and solved by getrs, and C is held
-    as its (cycle, edge, sign) triplets, sorted by cycle and then edge as
+    factored densely by LAPACK getrf and solved by getrs, and C is held as
+    its (cycle, edge, sign) triplets, sorted by cycle and then edge as
     scipy's compressed arrays store them (one argsort of the unique keys
     cycle * m + edge): np.bincount then forms C x and C^T y adding the same
     terms in the same order as scipy's products, so they are bit-identical
     to them without a sparse matrix per solve.
     Above the limit the Laplacian is factored by splu, C is a scipy CSC
-    matrix and C^T its CSR copy.
+    matrix and C^T its CSR view, sharing its arrays.
+
+    The forest and the grounded vertices are fixed at construction;
+    extend appends edges that close cycles in it (see NewtonSetup).
     """
 
-    def __init__(self, graph: IncrementalGraph, forest: SpanningForest,
-                 off_tree: np.ndarray, cycle: np.ndarray, edges: np.ndarray,
-                 signs: np.ndarray):
+    def __init__(self, graph: IncrementalGraph, forest: SpanningForest):
         n, m = graph.n, graph.m
         self.n, self.m = n, m
+        self.forest = forest
         self.tails, self.heads = graph.tails, graph.heads
-        self.off_tree = off_tree
-        self.off_tails = self.tails[off_tree]
-        self.off_heads = self.heads[off_tree]
+        self.off_tree = np.flatnonzero(~forest.tree_edge_mask(m))
+        self.off_tails = self.tails[self.off_tree]
+        self.off_heads = self.heads[self.off_tree]
         self.free = np.flatnonzero(forest.parent_vertex >= 0)
         size = self.free.size
-        local = np.full(n, -1, dtype=np.int64)
-        local[self.free] = np.arange(size)
-        lt, lh = local[self.tails], local[self.heads]
+        self._local = np.full(n, -1, dtype=np.int64)
+        self._local[self.free] = np.arange(size)
+        lt, lh = self._local[self.tails], self._local[self.heads]
         # Per edge: +1/h at (tail, tail) and (head, head), -1/h at
         # (tail, head) and (head, tail); entries at grounded vertices drop.
         rows = np.concatenate((lt, lh, lt, lh))
@@ -102,17 +109,85 @@ class _LaplacianNewton:
         self.entry_sign = np.repeat([1.0, 1.0, -1.0, -1.0], m)[keep]
         self.size = size
         self.dense = size <= _DENSE_LAPLACIAN_LIMIT
+        # The dense path adds entries into the flat size x size array, the
+        # sparse path hands (row, col) pairs to scipy.
+        self.entry_index = ((rows[keep] * size + cols[keep],) if self.dense
+                            else (rows[keep], cols[keep]))
+        cycle, edges, signs = forest.fundamental_cycle(
+            self.off_tree, self.off_tails, self.off_heads)
         signs = signs.astype(float)
         if self.dense:
-            self.entry_flat = rows[keep] * size + cols[keep]
             order = np.argsort(cycle * m + edges)
             self.cycle, self.edge = cycle[order], edges[order]
             self.sign = signs[order]
         else:
-            self.rows, self.cols = rows[keep], cols[keep]
-            self.basis = sp.csc_matrix((signs, (edges, cycle)),
-                                       shape=(m, off_tree.size))
-            self.basis_t = self.basis.T.tocsr()
+            self._set_basis(sp.csc_matrix((signs, (edges, cycle)),
+                                          shape=(m, self.off_tree.size)))
+        self._tree: tuple[list[int], ...] | None = None
+
+    def _set_basis(self, basis: sp.csc_matrix) -> None:
+        self.basis, self.basis_t = basis, basis.T.tocsr()
+
+    def extend(self, graph: IncrementalGraph) -> None:
+        """Append the graph's edges from self.m on, each of which closes a
+        cycle in the forest: per edge one cycle, found by the walk of
+        SpanningForest.fundamental_cycle on Python ints, and up to four
+        Laplacian entries, after the held ones."""
+        if self._tree is None:
+            forest = self.forest
+            self._tree = tuple(a.tolist() for a in (
+                forest.depth, forest.parent_vertex, forest.parent_edge,
+                forest.parent_sign))
+        depth, pv, pe, ps = self._tree
+        local, size = self._local, self.size
+        off, cycle, edge, sign, ends = [], [], [], [], []
+        entries: list[tuple[int, int, int, float]] = []
+        for e in range(self.m, graph.m):
+            u = tail = int(graph.tails[e])
+            v = head = int(graph.heads[e])
+            steps = [(e, 1)]
+            while u != v:
+                up_u, up_v = depth[u] >= depth[v], depth[v] >= depth[u]
+                if up_v:
+                    steps.append((pe[v], ps[v]))
+                    v = pv[v]
+                if up_u:
+                    steps.append((pe[u], -ps[u]))
+                    u = pv[u]
+            steps.sort()
+            cycle += [self.off_tree.size + len(off)] * len(steps)
+            edge += [s[0] for s in steps]
+            sign += [float(s[1]) for s in steps]
+            off.append(e)
+            ends.append(len(edge))
+            lt, lh = local[tail], local[head]
+            entries += [(e, row, col, value) for row, col, value in (
+                (lt, lt, 1.0), (lh, lh, 1.0), (lt, lh, -1.0), (lh, lt, -1.0))
+                if row >= 0 and col >= 0]
+        self.m = graph.m
+        self.tails, self.heads = graph.tails, graph.heads
+        self.off_tree = np.append(self.off_tree, off)
+        self.off_tails = self.tails[self.off_tree]
+        self.off_heads = self.heads[self.off_tree]
+        if self.dense:
+            self.cycle = np.append(self.cycle, cycle)
+            self.edge = np.append(self.edge, edge)
+            self.sign = np.append(self.sign, sign)
+        else:
+            # New columns after the held ones, rows sorted like scipy's.
+            basis = self.basis
+            self._set_basis(sp.csc_matrix((
+                np.append(basis.data, sign),
+                np.append(basis.indices, edge),
+                np.append(basis.indptr, basis.nnz + np.array(ends))),
+                shape=(self.m, self.off_tree.size)))
+        if entries:
+            e, rows, cols, values = (np.array(a) for a in zip(*entries))
+            self.entry_edge = np.append(self.entry_edge, e)
+            self.entry_sign = np.append(self.entry_sign, values)
+            index = (rows * size + cols,) if self.dense else (rows, cols)
+            self.entry_index = tuple(np.append(held, new) for held, new
+                                     in zip(self.entry_index, index))
 
     def to_edges(self, x: np.ndarray) -> np.ndarray:
         """C x: the circulation with cycle coordinates x."""
@@ -142,7 +217,7 @@ class _LaplacianNewton:
         values = self.entry_sign * cond[self.entry_edge]
         if self.dense:
             size = self.size
-            lap = np.bincount(self.entry_flat, values,
+            lap = np.bincount(*self.entry_index, values,
                               size * size).reshape(size, size)
             lu, piv, info = dgetrf(lap, overwrite_a=True)
             if info != 0:
@@ -151,7 +226,7 @@ class _LaplacianNewton:
             def solve(b):
                 return dgetrs(lu, piv, b)[0]
         else:
-            lap = sp.csc_matrix((values, (self.rows, self.cols)),
+            lap = sp.csc_matrix((values, self.entry_index),
                                 shape=(self.size, self.size))
             try:
                 solve = spla.splu(lap).solve
@@ -181,6 +256,36 @@ class _LaplacianNewton:
         return x
 
 
+class NewtonSetup:
+    """Newton's set-up for static_pnorm_opt, carried across solves on one
+    growing graph: the spanning forest Kruskal takes over the edge order
+    0..m-1, its off-tree edges and fundamental-cycle basis, and the
+    grounded Laplacian's entry pattern.
+
+    Before each solve it catches up with the graph. An edge inside a
+    component leaves that forest as it is, so it appends its cycle and up
+    to four Laplacian entries; an edge that merges two components changes
+    the forest, so the set-up is built afresh. Apart from the order of the
+    Laplacian entries, an extended set-up equals a fresh one, so a solve
+    through it agrees with a solve without it to rounding.
+    """
+
+    def __init__(self, graph: IncrementalGraph):
+        self.graph = graph
+        self._newton: _LaplacianNewton | None = None
+        self._components = 0
+
+    def _caught_up(self) -> _LaplacianNewton:
+        graph, newton = self.graph, self._newton
+        if newton is None or self._components != graph.components:
+            self._newton = _LaplacianNewton(graph, SpanningForest(
+                graph.n, graph.tails, graph.heads, range(graph.m)))
+            self._components = graph.components
+        elif newton.m < graph.m:
+            newton.extend(graph)
+        return self._newton
+
+
 @dataclass
 class OracleReport:
     """Result of a static optimization: value, optimizer, and how it ended."""
@@ -197,6 +302,7 @@ def static_pnorm_opt(
     start_flow: np.ndarray | None = None,
     seed: int | None = None,
     max_iterations: int = 500,
+    setup: NewtonSetup | None = None,
 ) -> OracleReport:
     """Minimize the smoothed objective over flows routing the demand.
 
@@ -230,9 +336,13 @@ def static_pnorm_opt(
         start_flow: optional feasible starting flow (overrides tree routing).
         seed: randomizes the spanning forest, for self-consistency checks.
         max_iterations: Newton iteration cap before giving up.
+        setup: a NewtonSetup on the instance's graph, caught up and used
+            in place of a set-up built for this solve alone; its forest is
+            Kruskal's over the edge order, so it takes no seed.
 
     Raises:
-        ValueError: demand not routable, or start_flow infeasible.
+        ValueError: demand not routable, start_flow infeasible, or a
+            setup on another graph or together with a seed.
         OracleError: tolerance not reached within the iteration cap, or
             the line search stalled short of it.
     """
@@ -241,12 +351,19 @@ def static_pnorm_opt(
     if not demand_routable(graph, instance.d):
         raise ValueError("demand is not routable on the current graph")
 
-    edge_order: np.ndarray | list[int]
-    if seed is None:
-        edge_order = range(m)
+    if setup is None:
+        edge_order: np.ndarray | range = range(m)
+        if seed is not None:
+            edge_order = np.random.Generator(
+                np.random.Philox(key=seed)).permutation(m)
+        newton = _LaplacianNewton(graph, SpanningForest(
+            graph.n, graph.tails, graph.heads, edge_order))
+    elif setup.graph is not graph or seed is not None:
+        raise ValueError("a carried set-up must be on the instance's graph "
+                         "and fixes the forest, so it takes no seed")
     else:
-        edge_order = np.random.Generator(np.random.Philox(key=seed)).permutation(m)
-    forest = SpanningForest(graph.n, graph.tails, graph.heads, edge_order)
+        newton = setup._caught_up()
+    forest = newton.forest
 
     if start_flow is not None:
         f = np.array(start_flow, dtype=float)
@@ -258,12 +375,8 @@ def static_pnorm_opt(
     else:
         f = forest.route_demand(instance.d, m)
 
-    off_tree = np.flatnonzero(~forest.tree_edge_mask(m))
+    off_tree = newton.off_tree
     g, r, w, p = instance.g, instance.r, instance.w, instance.p
-    newton = _LaplacianNewton(graph, forest, off_tree,
-                              *forest.fundamental_cycle(
-                                  off_tree, graph.tails[off_tree],
-                                  graph.heads[off_tree]))
 
     energy = smoothed_value(g, r, w, p, f)
     last_energy = math.inf

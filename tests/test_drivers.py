@@ -221,6 +221,69 @@ class TestMaxflowPublishing:
         assert driver.queries > 0
 
 
+class TestPhaseStart:
+    """A phase after a trip starts Newton from the lower-energy of Dinic's
+    flow and the tripped flow scaled to the new value; either way the
+    driver publishes Dinic's value and flow."""
+
+    @staticmethod
+    def record_starts(monkeypatch):
+        """Per phase: Dinic's flow, the solver's starting flow, and after a
+        trip the tripped flow scaled to the new value and the energies of
+        both candidates, taken before later edges arrive."""
+        starts = []
+        begin = MaxflowDriver._begin_phase
+
+        def recording_begin(self, trip=None):
+            old = None if self.phase is None else self.phase.value
+            begin(self, trip)
+            phase = self.phase
+            start = phase.solver._flow[:self.graph.m].copy()
+            if trip is None:
+                starts.append((phase.flow, start, None, None))
+                return
+            scaled = trip.flow * (phase.value / old)
+            energy = phase.solver.instance.energy
+            starts.append((phase.flow, start, scaled,
+                           energy(scaled) < energy(phase.flow)))
+
+        monkeypatch.setattr(MaxflowDriver, "_begin_phase", recording_begin)
+        return starts
+
+    def test_phase_starts_from_the_lower_energy_candidate(self, monkeypatch):
+        starts = self.record_starts(monkeypatch)
+        stream = generate_stream("phase-stress", "maxflow", n=12, initial=11,
+                                 events=36, seed=2, eps=0.25)
+        _, calls = event_calls(stream, seed=1)
+        published = [int(call()[0]) for call in calls]
+        # The values published when every phase started from Dinic's flow.
+        assert published == [
+            1, 7, 13, 19, 19, 24, 24, 30, 30, 30, 41, 41, 41, 51, 51, 51, 51,
+            51, 65, 65, 65, 65, 65, 65, 65, 85, 85, 85, 85, 85, 85, 106, 106,
+            106, 106, 106, 106]
+        assert len(starts) == 11
+        assert starts[0][2] is None
+        for flow, start, scaled, scaled_lower in starts:
+            assert np.array_equal(start, scaled if scaled_lower else flow)
+        assert sum(bool(lower) for *_, lower in starts) >= 5
+
+    def test_value_jump_starts_from_dinics_flow(self, monkeypatch):
+        """Doubling the value takes the scaled tripped flow past capacity
+        on the new edge, where its energy is far above that of Dinic's."""
+        starts = self.record_starts(monkeypatch)
+        driver = maxflow_driver(n=3, m_max=48, s=0, t=2)
+        driver.add_initial_edge(0, 1, 10 ** 8)
+        driver.add_initial_edge(1, 2, 10 ** 8)
+        assert driver.start()[0] == 10 ** 8
+        assert driver.insert(0, 2, 1)[0] == 10 ** 8
+        assert driver.insert(0, 2, 10 ** 8)[0] == 2 * 10 ** 8 + 1
+        assert len(starts) == 2
+        dinic, start, scaled, scaled_lower = starts[1]
+        assert scaled is not None and not scaled_lower
+        assert np.max(np.abs(scaled) / [1e8, 1e8, 1, 1e8]) > 1.0
+        assert np.array_equal(start, dinic)
+
+
 class TestEffResDriver:
     def test_validation(self):
         with pytest.raises(ValueError):

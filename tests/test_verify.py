@@ -18,6 +18,7 @@ from pnormflow.verify import (
     _DENSE_LAPLACIAN_LIMIT,
     _STAGNATION_GNORM,
     DEFAULT_ORACLE_TOL,
+    NewtonSetup,
     _LaplacianNewton,
     effective_resistance,
     exact_maxflow,
@@ -294,8 +295,7 @@ class TestCycleBasisProducts:
         off_tree = np.flatnonzero(~forest.tree_edge_mask(m))
         cycle, edges, signs = forest.fundamental_cycle(
             off_tree, graph.tails[off_tree], graph.heads[off_tree])
-        newton = _LaplacianNewton(graph, forest, off_tree, cycle, edges,
-                                  signs)
+        newton = _LaplacianNewton(graph, forest)
         assert newton.dense
         if seed % 2 == 0:
             assert newton.size == n - 1
@@ -308,6 +308,115 @@ class TestCycleBasisProducts:
         y = rng.normal(size=m) * 10.0 ** rng.uniform(-6, 6, m)
         assert np.array_equal(newton.to_edges(x), basis @ x)
         assert np.array_equal(newton.to_cycles(y), basis.T.tocsr() @ y)
+
+
+def two_component_graph(n, rng):
+    """A multigraph on n vertices with two components, vertices below
+    2n/3 and the rest, each a random tree plus random extra edges."""
+    graph = IncrementalGraph(n)
+    cut = 2 * n // 3
+    for lo, hi in ((0, cut), (cut, n)):
+        for v in range(lo + 1, hi):
+            graph.add_edge(int(rng.integers(lo, v)), v)
+        for _ in range(hi - lo):
+            u, v = rng.choice(np.arange(lo, hi), size=2, replace=False)
+            graph.add_edge(int(u), int(v))
+    return graph, cut
+
+
+def add_inside(graph, rng, lo, hi, count):
+    for _ in range(count):
+        u, v = rng.choice(np.arange(lo, hi), size=2, replace=False)
+        graph.add_edge(int(u), int(v))
+
+
+class TestNewtonSetup:
+    """A set-up carried across solves on a growing graph: extended by each
+    edge inside a component, built afresh after a merge, and equal to a
+    fresh build either way."""
+
+    @staticmethod
+    def assert_matches_fresh(newton, graph):
+        fresh = _LaplacianNewton(graph, SpanningForest(
+            graph.n, graph.tails, graph.heads, range(graph.m)))
+        for field in ("parent_vertex", "parent_edge", "parent_sign",
+                      "depth", "order", "tree_edges"):
+            assert np.array_equal(getattr(newton.forest, field),
+                                  getattr(fresh.forest, field)), field
+        assert (newton.m, newton.dense) == (fresh.m, fresh.dense)
+        basis = (("cycle", "edge", "sign") if newton.dense else
+                 ("basis.indptr", "basis.indices", "basis.data",
+                  "basis_t.indptr", "basis_t.indices", "basis_t.data"))
+        for field in ("off_tree", "off_tails", "off_heads", "free") + basis:
+            ours, theirs = newton, fresh
+            for name in field.split("."):
+                ours, theirs = getattr(ours, name), getattr(theirs, name)
+            assert np.array_equal(ours, theirs), field
+        if not newton.dense:
+            assert newton.basis.shape == fresh.basis.shape
+        # The Laplacian entries are the same, appended in another order.
+        def entries(nt):
+            return sorted(zip(nt.entry_edge.tolist(), nt.entry_sign.tolist(),
+                              *(i.tolist() for i in nt.entry_index)))
+        assert entries(newton) == entries(fresh)
+
+    @pytest.mark.parametrize("n, dense", [(12, True), (80, False)])
+    @pytest.mark.parametrize("seed", range(3))
+    def test_extended_and_rebuilt_set_up_match_a_fresh_build(
+            self, n, dense, seed):
+        rng = np.random.Generator(np.random.Philox(seed))
+        graph, cut = two_component_graph(n, rng)
+        setup = NewtonSetup(graph)
+        newton = setup._caught_up()
+        assert newton.dense == dense
+        for count in (1, 3):
+            add_inside(graph, rng, 0, cut, count)
+            add_inside(graph, rng, cut, n, 1)
+            # Extended in place.
+            assert setup._caught_up() is newton
+            self.assert_matches_fresh(newton, graph)
+        graph.add_edge(0, n - 1)
+        add_inside(graph, rng, 0, n, 2)
+        rebuilt = setup._caught_up()
+        assert rebuilt is not newton
+        self.assert_matches_fresh(rebuilt, graph)
+        # Caught up already: nothing to do.
+        m = rebuilt.m
+        assert setup._caught_up() is rebuilt and rebuilt.m == m
+
+    @pytest.mark.parametrize("p", [2, 3, 4])
+    @pytest.mark.parametrize("seed", range(4))
+    def test_solves_with_and_without_the_set_up_agree(self, p, seed):
+        rng = np.random.Generator(np.random.Philox(seed))
+        n = 12
+        graph = IncrementalGraph(n)
+        d = rng.normal(size=n)
+        d -= d.mean()
+        inst = PNormInstance(graph, d, p, threshold=0.0, eps=1e-6)
+        for v in range(1, n):
+            inst.add_edge(int(rng.integers(0, v)), v, *rng.normal(size=1),
+                          0.2 + rng.random(), 0.2 + rng.random())
+        setup = NewtonSetup(graph)
+        newton = None
+        for _ in range(6):
+            carried = static_pnorm_opt(inst, setup=setup)
+            # The graph stays connected, so each solve extends the set-up.
+            newton = newton or setup._newton
+            assert setup._newton is newton and newton.m == inst.m
+            fresh = static_pnorm_opt(inst)
+            assert carried.value == pytest.approx(fresh.value, rel=1e-12,
+                                                  abs=0.0)
+            u, v = rng.choice(n, size=2, replace=False)
+            inst.add_edge(int(u), int(v), *rng.normal(size=1),
+                          0.2 + rng.random(), 0.2 + rng.random())
+
+    def test_set_up_must_match_the_graph_and_take_no_seed(self):
+        inst = build_instance(2, [(0, 1)], [-1.0, 1.0], 2)
+        other = NewtonSetup(IncrementalGraph(2))
+        with pytest.raises(ValueError, match="carried set-up"):
+            static_pnorm_opt(inst, setup=other)
+        with pytest.raises(ValueError, match="carried set-up"):
+            static_pnorm_opt(inst, setup=NewtonSetup(inst.graph), seed=0)
 
 
 def dense_newton_system(seed, p):
@@ -325,10 +434,8 @@ def dense_newton_system(seed, p):
         graph.add_edge(int(u), int(v))
     m = graph.m
     forest = SpanningForest(n, graph.tails, graph.heads, rng.permutation(m))
-    off_tree = np.flatnonzero(~forest.tree_edge_mask(m))
-    cycle, edges, signs = forest.fundamental_cycle(
-        off_tree, graph.tails[off_tree], graph.heads[off_tree])
-    newton = _LaplacianNewton(graph, forest, off_tree, cycle, edges, signs)
+    newton = _LaplacianNewton(graph, forest)
+    off_tree = newton.off_tree
     g, r, w = rng.normal(size=m), 0.2 + rng.random(m), 0.2 + rng.random(m)
     # w |f| stays near 1, so at p = 37 h spans a few orders of magnitude
     # and the explicit reference solve stays accurate.
@@ -336,7 +443,7 @@ def dense_newton_system(seed, p):
     edge_grad = smoothed_gradient(g, r, w, p, f)
     h = smoothed_hessian_diag(r, w, p, f)
     basis = np.zeros((m, off_tree.size))
-    np.add.at(basis, (edges, cycle), signs)
+    np.add.at(basis, (newton.edge, newton.cycle), newton.sign)
     return (newton, h, edge_grad, newton.to_cycles(edge_grad),
             basis.T @ (h[:, None] * basis))
 
