@@ -46,14 +46,16 @@ from .verify import NewtonSetup, exact_maxflow
 # l2-to-lp weight ratio for the effective-resistance instance; its energy
 # distortion (1 + gamma^2) is far below any useful eps_rel.
 EFFRES_WEIGHT_RATIO = 1e-6
-# Per-event inner-step budget for the drivers. The first round's step
-# makes length estimates stale; the second round pushes them, and its
-# query is the first to see them, so it can stall (CertifiedAbove) where
-# the first could not. Later rounds cannot complete a run, whose
-# T = 100*q*m_max is far out of reach, so the materialization that
-# resolves an exhausted event would throw them away. Budget 1 pushes no
-# estimate.
-DRIVER_STEP_BUDGET = 2
+# Per-event inner-step budget for the drivers: one oracle query, which
+# either stalls (CertifiedAbove) or finds a cycle, after which the event
+# materializes and the new run's first query, at Newton's optimum, is
+# usually a stall its seeded potential proves. No round can complete a
+# run, whose T = 100*q*m_max is far out of reach. At budget 2 the second
+# round pushed the stale length estimates and queried again; it decided
+# only 6 of the 1,065 events that opened a cycle in the 64 drivers-desk
+# benchmark streams of seed 1 (perfbench/workloads.py), with the same
+# verdicts as budget 1.
+DRIVER_STEP_BUDGET = 1
 _MAX_PHASE_BUILDS_PER_EVENT = 2
 
 

@@ -250,7 +250,8 @@ def mwu_step(state: MwuState, limit: int = 1) -> CycleSolution | None:
     Each progress round asserts the potential increase bounds and the
     domination of the running circulation by a and b. With a trace, every
     round writes its `progress` or `stall` record, which says in `solved`
-    whether the oracle solved or answered from its memo.
+    whether the oracle solved or answered from its memo; a stall record
+    says in `certified` whether the oracle's potential proved it.
     """
     if state.iteration >= state.T:
         raise ValueError("the run is complete; no steps remain")
@@ -259,14 +260,15 @@ def mwu_step(state: MwuState, limit: int = 1) -> CycleSolution | None:
     end = min(state.T, state.iteration + limit)
     while True:
         pushes = _push_length_estimates(state)
-        solves = state.mrc.solves
+        solves, certified = state.mrc.solves, state.mrc.certified
         cycle = state.mrc.query()
         solved = state.mrc.solves > solves
         if cycle is None:
             if state.trace is not None:
                 state.trace({"kind": "stall", "iteration": state.iteration,
                              "phi": state.phi, "psi": state.psi,
-                             "pushes": pushes, "solved": solved})
+                             "pushes": pushes, "solved": solved,
+                             "certified": state.mrc.certified > certified})
             return None
 
         if cycle.gradient >= 0:

@@ -302,18 +302,22 @@ class IncrementalPNormSolver:
 
     def _refine(self) -> Verdict | None:
         """The verdict refined from the current flow on one event budget,
-        or None if it runs out. After a refinement step the next run
-        starts, drawing its seed, before the budget is checked."""
+        or None if it runs out. A refinement step that takes the budget's
+        last round still draws the next run's seed, so that later seeds
+        keep their places, but the materialization would discard that
+        run, so it is not built."""
         used = 0
         while True:
             self._energy = self.instance.energy(self.f)
             if self._energy <= self.F + self.eps:
                 self.mwu = None
                 return Flow(flow=self.f.copy(), energy=self._energy)
+            if used == self.step_budget:
+                # The seed of the run the materialization would discard.
+                self._next_seed()
+                return None
             if self.mwu is None:
                 self._start_run()
-            if used == self.step_budget:
-                return None
             begin = self.mwu.iteration
             cycle = mwu_step(self.mwu, min(self.step_budget - used,
                                            self.T - begin))
@@ -376,6 +380,12 @@ class IncrementalPNormSolver:
                 f"the sandwich inequalities fail at lambda = {self.lam}")
 
     def _start_run(self) -> None:
+        """Start an inner run on the residual problem at f. On the exact
+        backend, when the carried Newton set-up holds every edge, its
+        forest's tree potentials of the gradient seed the oracle's
+        potential: tree edges then have reduced costs alpha l, and an
+        off-tree edge alpha l plus or minus its fundamental cycle's
+        gradient sum, which is about zero at a Newton optimum."""
         residual = build_residual(self.instance, self.f)
         self._run_R = (self._energy - self.F) / self.lam
         r_s, w_s = residual_scaled_weights(residual, self._run_R)
@@ -383,6 +393,11 @@ class IncrementalPNormSolver:
                             self.p, kappa=self.kappa, m_max=self._slots,
                             seed=self._next_seed(), backend=self.backend,
                             trace=self.trace)
+        forest = (self.setup.current_forest() if self.backend == "exact"
+                  else None)
+        if forest is not None:
+            self.mwu.mrc.potential = forest.prefix_sums(residual.g,
+                                                        signed=True)
 
 
 def refinement_step(solver: IncrementalPNormSolver,

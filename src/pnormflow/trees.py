@@ -1,10 +1,12 @@
 """Spanning forests: construction, demand routing, fundamental cycles, LCA.
 
 Shared by the static optimizer (starting flow and cycle-space
-parameterization), which builds one small forest per solve, and the
-tree-collection backend (fundamental-cycle candidates), which builds dozens
-of forests over thousands of edges per rebuild. Kruskal runs on plain Python
-ints in both, over the graph layer's component labels. A 1-D edge order
+parameterization), which builds one small forest per solve or carries one
+across solves, the solver, which seeds the exact oracle with prefix sums
+over that forest, and the tree-collection backend (fundamental-cycle
+candidates), which builds dozens of forests over thousands of edges per
+rebuild. Kruskal runs on plain Python ints in both, over the graph
+layer's component labels. A 1-D edge order
 builds one forest and orients it by a Python depth-first search, the
 cheapest at the static optimizer's sizes. A (k, m) edge order builds k
 forests stacked as one, forest i's vertex v at i * n + v, and orients the

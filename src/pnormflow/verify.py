@@ -267,13 +267,23 @@ class NewtonSetup:
     to four Laplacian entries; an edge that merges two components changes
     the forest, so the set-up is built afresh. Apart from the order of the
     Laplacian entries, an extended set-up equals a fresh one, so a solve
-    through it agrees with a solve without it to rounding.
+    through it agrees with a solve without it to rounding. Between solves
+    the solver reads the forest (current_forest) for its oracle's tree
+    potentials.
     """
 
     def __init__(self, graph: IncrementalGraph):
         self.graph = graph
         self._newton: _LaplacianNewton | None = None
         self._components = 0
+
+    def current_forest(self) -> SpanningForest | None:
+        """The carried forest when the set-up holds every edge of the
+        graph, as right after a solve through it; otherwise None."""
+        newton = self._newton
+        if newton is None or newton.m != self.graph.m:
+            return None
+        return newton.forest
 
     def _caught_up(self) -> _LaplacianNewton:
         graph, newton = self.graph, self._newton

@@ -500,14 +500,15 @@ def reference_step(state: MwuState) -> CycleSolution | None:
         raise ValueError("the run is complete; no steps remain")
     rtol = mwu_module.POTENTIAL_RTOL
     pushes = _reference_push(state)
-    solves = state.mrc.solves
+    solves, certified = state.mrc.solves, state.mrc.certified
     cycle = state.mrc.query()
     solved = state.mrc.solves > solves
     if cycle is None:
         if state.trace is not None:
             state.trace({"kind": "stall", "iteration": state.iteration,
                          "phi": state.phi, "psi": state.psi,
-                         "pushes": pushes, "solved": solved})
+                         "pushes": pushes, "solved": solved,
+                         "certified": state.mrc.certified > certified})
         return None
 
     if cycle.gradient >= 0:

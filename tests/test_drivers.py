@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+import pnormflow.refine as refine
 from pnormflow.check import stream_checker
 from pnormflow.drivers import (
     AboveThreshold,
@@ -282,6 +283,53 @@ class TestPhaseStart:
         assert scaled is not None and not scaled_lower
         assert np.max(np.abs(scaled) / [1e8, 1e8, 1, 1e8]) > 1.0
         assert np.array_equal(start, dinic)
+
+
+class TestOraclePotential:
+    def test_runs_after_a_static_solve_prove_their_first_stall(
+            self, monkeypatch):
+        """A run started right after a static solve begins at Newton's
+        optimum, where the tree potentials over the carried forest prove
+        its first query a stall without a Bellman-Ford search."""
+        solved, firsts = [False], []
+        static, init = refine.static_pnorm_opt, refine.mwu_init
+
+        def recording_static(*args, **kwargs):
+            solved[0] = True
+            return static(*args, **kwargs)
+
+        def recording_init(*args, **kwargs):
+            run = init(*args, **kwargs)
+            oracle, first = run.mrc, []
+            query = oracle.query
+
+            def recording_query():
+                certified = oracle.certified
+                answer = query()
+                if not first:
+                    first.append((answer, oracle.certified > certified))
+                return answer
+
+            oracle.query = recording_query
+            if solved[0]:
+                firsts.append(first)
+            solved[0] = False
+            return run
+
+        monkeypatch.setattr(refine, "static_pnorm_opt", recording_static)
+        monkeypatch.setattr(refine, "mwu_init", recording_init)
+        stream = generate_stream("phase-stress", "maxflow", n=12, initial=11,
+                                 events=36, seed=2, eps=0.25)
+        records = []
+        _, calls = event_calls(stream, seed=1, trace=records.append)
+        for call in calls:
+            call()
+        assert len(firsts) >= 10
+        assert all(first == [(None, True)] for first in firsts)
+        proved = [r for r in records if r["kind"] == "stall" and
+                  r["certified"]]
+        assert len(proved) >= len(firsts)
+        assert all(r["solved"] for r in proved)
 
 
 class TestEffResDriver:

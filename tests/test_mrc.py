@@ -11,7 +11,8 @@ from hypothesis import given, settings, strategies as st
 import pnormflow.mrc as mrc
 from pnormflow.errors import OracleError
 from pnormflow.graph import IncrementalGraph
-from pnormflow.mrc import MonotoneMrcState
+from pnormflow.mrc import CERTIFY_RTOL, MonotoneMrcState
+from pnormflow.trees import SpanningForest
 from support import (
     LogDelete,
     LogInsert,
@@ -658,6 +659,123 @@ class TestQueryMemo:
                      answer.signs):
             with pytest.raises(ValueError):
                 view[0] = 7
+
+
+def tree_potential(graph, gradients):
+    """Signed gradient prefix sums over the forest Kruskal takes in edge
+    order: both arcs of a tree edge get reduced cost alpha l, and an
+    off-tree edge's arcs alpha l plus or minus its cycle's gradient sum."""
+    forest = SpanningForest(graph.n, graph.tails, graph.heads,
+                            range(graph.m))
+    return forest.prefix_sums(gradients, signed=True)
+
+
+def assert_same_answer(got, want):
+    assert (got is None) == (want is None)
+    if got is not None:
+        assert np.array_equal(got.edges, want.edges)
+        assert np.array_equal(got.signs, want.signs)
+        assert got.ratio == want.ratio
+
+
+@st.composite
+def potential_cases(draw):
+    """A small random graph with gradients, lengths and alpha, and a
+    candidate potential: the gradients' tree potential, unperturbed or
+    perturbed by 1e-14 (at the margin's scale), 1e-9 or 1. The gradients
+    are free, or differences of vertex values plus noise of 1e-16 to 1e-3,
+    so that every cycle's gradient sum is about zero, as at a Newton
+    optimum. The smallest alphas put the tree edges' reduced costs,
+    alpha l, below the margin."""
+    rng = np.random.Generator(np.random.Philox(
+        draw(st.integers(0, 2 ** 32 - 1))))
+    inst = random_mrc(rng, n_max=8)
+    graph, m = inst.graph, inst.graph.m
+    gradients = inst.gradients
+    if draw(st.booleans()):
+        values = rng.normal(size=graph.n)
+        noise = 10.0 ** draw(st.sampled_from([-16, -12, -8, -3]))
+        gradients = (values[graph.heads[:m]] - values[graph.tails[:m]]
+                     + noise * rng.normal(size=m))
+    alpha = draw(st.sampled_from([1e-15, 1e-13, 1e-10, 0.05, 0.5]))
+    potential = tree_potential(graph, gradients)
+    shift = draw(st.sampled_from([0.0, 1e-14, 1e-9, 1.0]))
+    potential += shift * rng.normal(size=graph.n)
+    return MrcInput(graph, gradients, inst.lengths), alpha, potential
+
+
+class TestCarriedPotential:
+    """The exact backend's candidate potential proves stalls without a
+    search and never changes an answer."""
+
+    @given(potential_cases())
+    @settings(max_examples=200, deadline=None)
+    def test_certificate_is_sound_and_changes_no_answer(self, case):
+        inst, alpha, potential = case
+        m = inst.graph.m
+        scaled = alpha * inst.lengths
+        costs = (inst.graph.tails[:m], inst.graph.heads[:m],
+                 inst.gradients + scaled, -inst.gradients + scaled)
+        accepted = mrc._certifies(potential, *costs)
+        if accepted:
+            assert mrc._negative_cycle(inst.graph.n, *costs) is None
+        seeded = MonotoneMrcState(*inst, alpha=alpha)
+        seeded.potential = potential
+        plain = MonotoneMrcState(*inst, alpha=alpha)
+        assert_same_answer(seeded.query(), plain.query())
+        assert (seeded.certified, plain.certified) == (int(accepted), 0)
+
+    @pytest.mark.parametrize("alpha, proved", [
+        (1e-14, False), (0.5 * CERTIFY_RTOL, False), (1e-10, True)])
+    def test_margin_declines_reduced_costs_at_rounding_scale(self, alpha,
+                                                             proved):
+        """On a path every cycle is one edge's two arcs, so the tree
+        potential is feasible at any alpha. Its reduced costs are alpha l,
+        which the margin declines below CERTIFY_RTOL times the costs and
+        potential, and accepts well above it."""
+        graph = IncrementalGraph(4)
+        for v in range(3):
+            graph.add_edge(v, v + 1)
+        gradients = np.array([1.0, -2.0, 0.5])
+        state = MonotoneMrcState(graph, gradients, np.ones(3), alpha=alpha)
+        state.potential = tree_potential(graph, gradients)
+        assert state.query() is None
+        assert (state.solves, state.certified) == (1, int(proved))
+
+    def test_stall_distances_certify_until_an_insertion_breaks_them(self):
+        inst = triangle_instance()
+        # The least ratio is -1/3, so at alpha 0.5 the search stalls; the
+        # arc 0 -> 1 costs -2.5, so its distances are not all zero.
+        state = MonotoneMrcState(*inst, alpha=0.5)
+        assert state.query() is None
+        assert (state.solves, state.certified) == (1, 0)
+        dist = state.potential.copy()
+        assert np.array_equal(dist, [0.0, -2.5, -1.0])
+        # Its shortest-path arcs are tight, which the margin declines;
+        # length increases only raise the reduced costs.
+        scaled = 0.5 * state.lengths
+        assert not mrc._certifies(dist, state.tails, state.heads,
+                                  state.gradients + scaled,
+                                  -state.gradients + scaled)
+        for e in range(state.m):
+            state.increase_length(e, 1.5 * state.lengths[e])
+        assert state.query() is None
+        assert (state.solves, state.certified) == (2, 1)
+        assert np.array_equal(state.potential, dist)
+        # Both arcs of this edge have reduced cost alpha l = 0.5.
+        e = inst.graph.add_edge(0, 1)
+        state.insert(e, dist[1] - dist[0], 1.0)
+        assert state.query() is None
+        assert (state.solves, state.certified) == (3, 2)
+        # This one's forward arc has reduced cost -1.5.
+        e = inst.graph.add_edge(0, 1)
+        state.insert(e, dist[1] - dist[0] - 2.0, 1.0)
+        got = state.query()
+        assert got is not None
+        assert (state.solves, state.certified) == (4, 2)
+        fresh = MonotoneMrcState(inst.graph, state.gradients.copy(),
+                                 state.lengths.copy(), alpha=0.5)
+        assert_same_answer(got, fresh.query())
 
 
 def _graph_of(state):
