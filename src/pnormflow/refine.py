@@ -270,6 +270,10 @@ class IncrementalPNormSolver:
             residual = build_residual(self.instance, self.f, slice(e, e + 1))
             r_s, w_s = residual_scaled_weights(residual, self._run_R)
             mwu_insert_edge(self.mwu, e, residual.g[0], r_s[0], w_s[0])
+        if self._has_flow:
+            # The new edge's zero flow adds no energy, but the longer sum
+            # can round differently.
+            self._energy = self.instance.energy(self.f)
         return self._verdict()
 
     def _verdict(self) -> Verdict:
@@ -305,10 +309,10 @@ class IncrementalPNormSolver:
         or None if it runs out. A refinement step that takes the budget's
         last round still draws the next run's seed, so that later seeds
         keep their places, but the materialization would discard that
-        run, so it is not built."""
+        run, so it is not built. self._energy holds E(f) throughout: a
+        static solve, a refinement step and insert_edge each set it."""
         used = 0
         while True:
-            self._energy = self.instance.energy(self.f)
             if self._energy <= self.F + self.eps:
                 self.mwu = None
                 return Flow(flow=self.f.copy(), energy=self._energy)

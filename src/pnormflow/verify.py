@@ -6,7 +6,10 @@ exact_maxflow to start each phase; tests use all three as ground truth, and
 the verdict checker (pnormflow.check) the first and the last. The static
 optimizer runs Newton in fundamental cycle coordinates and solves each step
 through a grounded vertex Laplacian, maxflow is Dinic's, and effective
-resistance is a direct Laplacian solve.
+resistance is a direct Laplacian solve. Newton holds its cycle basis as
+sorted triplets and its Laplacian pattern as flat positions at any size;
+the size chooses only how the Laplacian is factored (dense LAPACK or
+sparse splu).
 
 A solve builds its spanning forest, cycle basis and Laplacian pattern for
 itself, unless the caller carries them in a NewtonSetup: the solver keeps
@@ -73,15 +76,17 @@ class _LaplacianNewton:
     stops shrinking. Newton stops on the decrement of this step, which the
     forcing term keeps within a factor of about 1 + eta of the exact one.
 
-    With at most _DENSE_LAPLACIAN_LIMIT free vertices the Laplacian is
-    factored densely by LAPACK getrf and solved by getrs, and C is held as
-    its (cycle, edge, sign) triplets, sorted by cycle and then edge as
-    scipy's compressed arrays store them (one argsort of the unique keys
-    cycle * m + edge): np.bincount then forms C x and C^T y adding the same
-    terms in the same order as scipy's products, so they are bit-identical
-    to them without a sparse matrix per solve.
-    Above the limit the Laplacian is factored by splu, C is a scipy CSC
-    matrix and C^T its CSR view, sharing its arrays.
+    C is held in one form at any size: its (cycle, edge, sign) triplets,
+    sorted by cycle and then edge as scipy's compressed arrays store them
+    (one argsort of the unique keys cycle * m + edge). np.bincount forms
+    C x and C^T y adding the same terms in the same order as scipy's CSC
+    and CSR products, and each sign is +-1, so every term is exact and the
+    results are bit-identical to scipy's. The Laplacian's entry pattern is
+    held as flat positions row * size + col. Only the factorization
+    depends on the size: with at most _DENSE_LAPLACIAN_LIMIT free vertices
+    the entries are added into a dense array that LAPACK getrf factors and
+    getrs solves; above it, the positions are split into (row, col) for a
+    CSC matrix that splu factors.
 
     The forest and the grounded vertices are fixed at construction;
     extend appends edges that close cycles in it (see NewtonSetup).
@@ -107,26 +112,15 @@ class _LaplacianNewton:
         keep = (rows >= 0) & (cols >= 0)
         self.entry_edge = np.tile(np.arange(m), 4)[keep]
         self.entry_sign = np.repeat([1.0, 1.0, -1.0, -1.0], m)[keep]
+        self.entry_index = rows[keep] * size + cols[keep]
         self.size = size
         self.dense = size <= _DENSE_LAPLACIAN_LIMIT
-        # The dense path adds entries into the flat size x size array, the
-        # sparse path hands (row, col) pairs to scipy.
-        self.entry_index = ((rows[keep] * size + cols[keep],) if self.dense
-                            else (rows[keep], cols[keep]))
         cycle, edges, signs = forest.fundamental_cycle(
             self.off_tree, self.off_tails, self.off_heads)
-        signs = signs.astype(float)
-        if self.dense:
-            order = np.argsort(cycle * m + edges)
-            self.cycle, self.edge = cycle[order], edges[order]
-            self.sign = signs[order]
-        else:
-            self._set_basis(sp.csc_matrix((signs, (edges, cycle)),
-                                          shape=(m, self.off_tree.size)))
+        order = np.argsort(cycle * m + edges)
+        self.cycle, self.edge = cycle[order], edges[order]
+        self.sign = signs[order].astype(float)
         self._tree: tuple[list[int], ...] | None = None
-
-    def _set_basis(self, basis: sp.csc_matrix) -> None:
-        self.basis, self.basis_t = basis, basis.T.tocsr()
 
     def extend(self, graph: IncrementalGraph) -> None:
         """Append the graph's edges from self.m on, each of which closes a
@@ -140,7 +134,7 @@ class _LaplacianNewton:
                 forest.parent_sign))
         depth, pv, pe, ps = self._tree
         local, size = self._local, self.size
-        off, cycle, edge, sign, ends = [], [], [], [], []
+        off, cycle, edge, sign = [], [], [], []
         entries: list[tuple[int, int, int, float]] = []
         for e in range(self.m, graph.m):
             u = tail = int(graph.tails[e])
@@ -159,7 +153,6 @@ class _LaplacianNewton:
             edge += [s[0] for s in steps]
             sign += [float(s[1]) for s in steps]
             off.append(e)
-            ends.append(len(edge))
             lt, lh = local[tail], local[head]
             entries += [(e, row, col, value) for row, col, value in (
                 (lt, lt, 1.0), (lh, lh, 1.0), (lt, lh, -1.0), (lh, lt, -1.0))
@@ -169,38 +162,23 @@ class _LaplacianNewton:
         self.off_tree = np.append(self.off_tree, off)
         self.off_tails = self.tails[self.off_tree]
         self.off_heads = self.heads[self.off_tree]
-        if self.dense:
-            self.cycle = np.append(self.cycle, cycle)
-            self.edge = np.append(self.edge, edge)
-            self.sign = np.append(self.sign, sign)
-        else:
-            # New columns after the held ones, rows sorted like scipy's.
-            basis = self.basis
-            self._set_basis(sp.csc_matrix((
-                np.append(basis.data, sign),
-                np.append(basis.indices, edge),
-                np.append(basis.indptr, basis.nnz + np.array(ends))),
-                shape=(self.m, self.off_tree.size)))
+        self.cycle = np.append(self.cycle, cycle)
+        self.edge = np.append(self.edge, edge)
+        self.sign = np.append(self.sign, sign)
         if entries:
             e, rows, cols, values = (np.array(a) for a in zip(*entries))
             self.entry_edge = np.append(self.entry_edge, e)
             self.entry_sign = np.append(self.entry_sign, values)
-            index = (rows * size + cols,) if self.dense else (rows, cols)
-            self.entry_index = tuple(np.append(held, new) for held, new
-                                     in zip(self.entry_index, index))
+            self.entry_index = np.append(self.entry_index, rows * size + cols)
 
     def to_edges(self, x: np.ndarray) -> np.ndarray:
         """C x: the circulation with cycle coordinates x."""
-        if self.dense:
-            return np.bincount(self.edge, self.sign * x[self.cycle], self.m)
-        return self.basis @ x
+        return np.bincount(self.edge, self.sign * x[self.cycle], self.m)
 
     def to_cycles(self, y: np.ndarray) -> np.ndarray:
         """C^T y: the edge vector y summed around each cycle."""
-        if self.dense:
-            return np.bincount(self.cycle, self.sign * y[self.edge],
-                               self.off_tree.size)
-        return self.basis_t @ y
+        return np.bincount(self.cycle, self.sign * y[self.edge],
+                           self.off_tree.size)
 
     def _potentials(self, solve, tails, heads, y):
         rhs = np.bincount(tails, y, self.n) - np.bincount(heads, y, self.n)
@@ -215,9 +193,9 @@ class _LaplacianNewton:
         the Laplacian cannot be factored."""
         cond = 1.0 / h
         values = self.entry_sign * cond[self.entry_edge]
+        size = self.size
         if self.dense:
-            size = self.size
-            lap = np.bincount(*self.entry_index, values,
+            lap = np.bincount(self.entry_index, values,
                               size * size).reshape(size, size)
             lu, piv, info = dgetrf(lap, overwrite_a=True)
             if info != 0:
@@ -226,8 +204,9 @@ class _LaplacianNewton:
             def solve(b):
                 return dgetrs(lu, piv, b)[0]
         else:
-            lap = sp.csc_matrix((values, self.entry_index),
-                                shape=(self.size, self.size))
+            lap = sp.csc_matrix(
+                (values, np.divmod(self.entry_index, size)),
+                shape=(size, size))
             try:
                 solve = spla.splu(lap).solve
             except RuntimeError:

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from pnormflow import refine
+from pnormflow.drivers import event_calls
 from pnormflow.errors import InvariantViolation, OracleError
 from pnormflow.graph import IncrementalGraph, PNormInstance, net_demand
 from pnormflow.mwu import mwu_init
@@ -363,6 +364,35 @@ class TestSolverVerdicts:
         draws = [int(rng.integers(0, 2 ** 63)) for _ in range(7)]
         assert seeds == [draws[2], draws[5]]
         assert solver._next_seed() == draws[6]
+
+    def test_adopted_flow_is_not_evaluated_again(self, monkeypatch):
+        """A static solve's value is the energy of the flow it returns, so
+        no energy call from the solve to the end of its event evaluates
+        that flow again."""
+        adopted, repeats = [], []
+        static, energy = refine.static_pnorm_opt, PNormInstance.energy
+
+        def recording_static(*args, **kwargs):
+            report = static(*args, **kwargs)
+            adopted.append(report.flow.copy())
+            return report
+
+        def recording_energy(instance, f):
+            repeats.extend(1 for flow in adopted if np.array_equal(f, flow))
+            return energy(instance, f)
+
+        monkeypatch.setattr(refine, "static_pnorm_opt", recording_static)
+        monkeypatch.setattr(PNormInstance, "energy", recording_energy)
+        stream = generate_stream("phase-stress", "maxflow", n=12, initial=11,
+                                 events=36, seed=2, eps=0.25)
+        _, calls = event_calls(stream, seed=1)
+        solves = 0
+        for call in calls:
+            call()
+            solves += len(adopted)
+            adopted.clear()
+        assert solves >= 10
+        assert repeats == []
 
     def test_budget_below_one_rejected(self):
         with pytest.raises(ValueError, match="at least 1"):
