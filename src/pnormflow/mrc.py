@@ -18,13 +18,14 @@ under which both arcs of every edge keep a non-negative reduced cost shows
 that no cycle of ratio at most -alpha exists, and a length increase only
 raises arc costs, so such a potential stays valid until an insertion,
 whose two arcs the next check covers. The state carries a candidate
-potential: its caller may seed one (the solver takes tree potentials of
-the gradient over Newton's forest), and a Bellman-Ford stall leaves its
-final distances there. Each exact solve first checks the candidate in one
-vectorized pass, which answers None on success; the check demands a
-margin over the rounding of the potential and the arc costs, so a proved
-stall is one Bellman-Ford finds too ("Negative-cycle detection
-algorithms", Cherkassky-Goldberg).
+potential, which only its caller sets (the solver takes tree potentials
+of the gradient over Newton's forest). Each exact solve first checks the
+candidate in one vectorized pass, which answers None on success; the
+check demands a margin over the rounding of the potential and the arc
+costs, so a proved stall is one Bellman-Ford finds too ("Negative-cycle
+detection algorithms", Cherkassky-Goldberg). Bellman-Ford's final
+distances are not kept: they are tight on their shortest-path arcs,
+which the margin declines.
 """
 
 from __future__ import annotations
@@ -80,10 +81,10 @@ def _solution_from_cycle(edges: np.ndarray, signs: np.ndarray, g: np.ndarray,
 
 # Relative margin by which a potential's reduced arc costs must clear zero
 # for it to prove a stall. It is far above the rounding of the reduced
-# costs and of Bellman-Ford's distances, which stay within twice the
-# potential's largest magnitude of zero, and far below what the solver's
-# potentials clear: on the drivers-desk benchmark streams of seeds 1 and
-# 2, every proved stall cleared 1e-9.
+# costs, which stays within twice the potential's largest magnitude of
+# zero, and far below what the solver's potentials clear: on the
+# drivers-desk benchmark streams of seeds 1 and 2, every proved stall
+# cleared 1e-9.
 CERTIFY_RTOL = 1e-12
 
 
@@ -105,8 +106,7 @@ def _certifies(potential: np.ndarray, tails: np.ndarray, heads: np.ndarray,
 
 
 def _negative_cycle(n: int, tails: np.ndarray, heads: np.ndarray,
-                    forward_cost: np.ndarray, backward_cost: np.ndarray,
-                    stall_dist: np.ndarray | None = None
+                    forward_cost: np.ndarray, backward_cost: np.ndarray
                     ) -> tuple[np.ndarray, np.ndarray] | None:
     """A strictly negative cycle in the bidirected arc graph, or None.
 
@@ -116,9 +116,7 @@ def _negative_cycle(n: int, tails: np.ndarray, heads: np.ndarray,
     search looks for one and returns the first it finds ("Negative-cycle
     detection algorithms", Cherkassky-Goldberg); a negative cycle shows up
     there within n rounds, and often within a few. Returns (edge ids,
-    orientation signs). On a stall, the final distances, under which no
-    arc's reduced cost is negative, are copied into `stall_dist` when one
-    is given.
+    orientation signs).
     """
     m = tails.size
     arc_tail = np.concatenate((tails, heads))
@@ -136,8 +134,6 @@ def _negative_cycle(n: int, tails: np.ndarray, heads: np.ndarray,
         new = dist.copy()
         np.minimum.at(new, arc_head, cand)
         if not np.any(new < dist):
-            if stall_dist is not None:
-                stall_dist[:] = dist
             return None
         winners = np.flatnonzero((cand == new[arc_head]) &
                                  (new[arc_head] < dist[arc_head]))
@@ -198,12 +194,12 @@ class MonotoneMrcState:
     that solved, so `queries - solves` is the number of memo hits.
 
     On the exact backend `potential` holds a candidate vertex potential
-    (None at first; a caller may set one). An exact solve answers None
-    without a search when the candidate proves the stall, counted in
-    `certified` (and in `solves`), so `solves - certified` is the number
-    of Bellman-Ford runs; a Bellman-Ford stall makes its final distances
-    the candidate. The candidate only saves searches: every answer is the
-    one a state without it gives.
+    (None at first; only a caller sets one, and the state never replaces
+    it). An exact solve answers None without a search when the candidate
+    proves the stall, counted in `certified` (and in `solves`), so
+    `solves - certified` is the number of Bellman-Ford runs. The
+    candidate only saves searches: every answer is the one a state
+    without it gives.
     """
 
     def __init__(self, graph: IncrementalGraph, gradients: np.ndarray,
@@ -313,10 +309,8 @@ class MonotoneMrcState:
         if self.potential is not None and _certifies(self.potential, *costs):
             self.certified += 1
             return None
-        dist = np.empty(self.n)
-        found = _negative_cycle(self.n, *costs, dist)
+        found = _negative_cycle(self.n, *costs)
         if found is None:
-            self.potential = dist
             return None
         edges, signs = found
         if np.unique(edges).size != edges.size:

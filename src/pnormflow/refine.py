@@ -307,18 +307,15 @@ class IncrementalPNormSolver:
     def _refine(self) -> Verdict | None:
         """The verdict refined from the current flow on one event budget,
         or None if it runs out. A refinement step that takes the budget's
-        last round still draws the next run's seed, so that later seeds
-        keep their places, but the materialization would discard that
-        run, so it is not built. self._energy holds E(f) throughout: a
-        static solve, a refinement step and insert_edge each set it."""
+        last round starts no next run, since the materialization would
+        discard it. self._energy holds E(f) throughout: a static solve, a
+        refinement step and insert_edge each set it."""
         used = 0
         while True:
             if self._energy <= self.F + self.eps:
                 self.mwu = None
                 return Flow(flow=self.f.copy(), energy=self._energy)
             if used == self.step_budget:
-                # The seed of the run the materialization would discard.
-                self._next_seed()
                 return None
             if self.mwu is None:
                 self._start_run()
@@ -343,9 +340,6 @@ class IncrementalPNormSolver:
         static oracle from start_flow (tree routing when None); the
         refinement-step count restarts from the adopted flow's gap."""
         self.mwu = None
-        # The carried set-up fixes the forest, so this draw seeds nothing;
-        # it stays so that every later seed keeps its place in the sequence.
-        self._next_seed()
         report = static_pnorm_opt(self.instance, start_flow=start_flow,
                                   tol=MATERIALIZE_TOL,
                                   max_iterations=MATERIALIZE_MAX_ITERATIONS,

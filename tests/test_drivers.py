@@ -16,13 +16,34 @@ from pnormflow.drivers import (
 )
 from pnormflow.errors import GraphError, InvariantViolation
 from pnormflow.graph import net_demand
-from pnormflow.streams import generate_stream
+from pnormflow.streams import generate_stream, parse_stream
 from pnormflow.verify import exact_maxflow
 
 
 def maxflow_driver(n=2, m_max=4, s=0, t=1, eps=0.25, **kwargs):
     kwargs.setdefault("seed", 0)
     return MaxflowDriver(n, m_max, s, t, eps, **kwargs)
+
+
+WIDE_SPREAD_STREAM = """\
+problem maxflow n=6 mmax=15 s=1 t=2 eps=0.1
+edge 5 6 cap=61318676
+edge 2 5 cap=3
+edge 4 6 cap=1655
+edge 4 2 cap=1508
+edge 2 5 cap=10
+edge 1 5 cap=42807
+edge 5 3 cap=1
+edge 6 4 cap=976
+edge 3 6 cap=3
+start
+add 3 2 cap=3880
+add 6 2 cap=1492687
+add 1 3 cap=9
+add 4 3 cap=450877
+add 5 4 cap=26
+add 1 4 cap=142
+"""
 
 
 class TestMaxflowValidation:
@@ -185,6 +206,19 @@ class TestMaxflowPublishing:
             record = check(index, call())
             assert record["ok"]
             assert record["value"] == int(record["value"])
+
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_capacities_spanning_eight_orders_track_the_exact_maxflow(
+            self, seed):
+        """Capacities from 1 to 61,318,676, across two phases: Newton's
+        decrement once mixed them past its stopping target, and the
+        stream ended in "no convergence in 2000 iterations"."""
+        stream = parse_stream(WIDE_SPREAD_STREAM)
+        check = stream_checker(stream)
+        driver, calls = event_calls(stream, seed=seed)
+        for index, call in enumerate(calls):
+            assert check(index, call())["ok"]
+        assert driver.phase_count >= 2
 
     def test_phase_beyond_the_bound_is_an_invariant_violation(
             self, monkeypatch):

@@ -742,40 +742,39 @@ class TestCarriedPotential:
         assert state.query() is None
         assert (state.solves, state.certified) == (1, int(proved))
 
-    def test_stall_distances_certify_until_an_insertion_breaks_them(self):
+    def test_candidate_survives_a_search_stall_and_proves_a_later_one(self):
         inst = triangle_instance()
-        # The least ratio is -1/3, so at alpha 0.5 the search stalls; the
-        # arc 0 -> 1 costs -2.5, so its distances are not all zero.
+        # The least ratio is -1/3, so at alpha 0.5 every query before the
+        # insertion stalls. The tree potential over edges 0 and 1 leaves
+        # the forward arc of off-tree edge 2 at reduced cost -0.5, so it
+        # proves nothing until that edge's length grows past 2.
+        candidate = tree_potential(inst.graph, inst.gradients)
         state = MonotoneMrcState(*inst, alpha=0.5)
-        assert state.query() is None
+        state.potential = candidate
+        plain = MonotoneMrcState(*inst, alpha=0.5)
+
+        def step(update, *args):
+            for s in (state, plain):
+                getattr(s, update)(*args)
+            got = state.query()
+            assert_same_answer(got, plain.query())
+            return got
+
+        assert state.query() is None and plain.query() is None
         assert (state.solves, state.certified) == (1, 0)
-        dist = state.potential.copy()
-        assert np.array_equal(dist, [0.0, -2.5, -1.0])
-        # Its shortest-path arcs are tight, which the margin declines;
-        # length increases only raise the reduced costs.
-        scaled = 0.5 * state.lengths
-        assert not mrc._certifies(dist, state.tails, state.heads,
-                                  state.gradients + scaled,
-                                  -state.gradients + scaled)
-        for e in range(state.m):
-            state.increase_length(e, 1.5 * state.lengths[e])
-        assert state.query() is None
-        assert (state.solves, state.certified) == (2, 1)
-        assert np.array_equal(state.potential, dist)
-        # Both arcs of this edge have reduced cost alpha l = 0.5.
+        assert state.potential is candidate
+        # A tree edge's increase leaves the failing arc as it was.
+        assert step("increase_length", 0, 2.0) is None
+        assert (state.solves, state.certified) == (2, 0)
+        # Edge 2's arc now has reduced cost 0.5.
+        assert step("increase_length", 2, 3.0) is None
+        assert (state.solves, state.certified) == (3, 1)
+        # With edge 0 taken backwards it closes a cycle of ratio -3 / 3.
         e = inst.graph.add_edge(0, 1)
-        state.insert(e, dist[1] - dist[0], 1.0)
-        assert state.query() is None
-        assert (state.solves, state.certified) == (3, 2)
-        # This one's forward arc has reduced cost -1.5.
-        e = inst.graph.add_edge(0, 1)
-        state.insert(e, dist[1] - dist[0] - 2.0, 1.0)
-        got = state.query()
-        assert got is not None
-        assert (state.solves, state.certified) == (4, 2)
-        fresh = MonotoneMrcState(inst.graph, state.gradients.copy(),
-                                 state.lengths.copy(), alpha=0.5)
-        assert_same_answer(got, fresh.query())
+        assert step("insert", e, -6.0, 1.0) is not None
+        assert (state.solves, state.certified) == (4, 1)
+        assert state.potential is candidate
+        assert plain.potential is None
 
 
 def _graph_of(state):

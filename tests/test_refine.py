@@ -336,13 +336,11 @@ class TestSolverVerdicts:
         assert solver.materializations == before + 1
         assert solver.refinement_steps == 0
 
-    def test_budget_ending_with_a_run_draws_the_next_seed_only(
-            self, monkeypatch):
+    def test_budget_ending_with_a_run_draws_no_seed(self, monkeypatch):
         """A budget of T rounds runs out on the round that completes the
-        event's inner run: the refinement step is taken, the next run's
-        seed is drawn but no run is built, since the materialization would
-        discard it, and after the materialization one more run stalls at
-        the optimum."""
+        event's inner run: the refinement step is taken, no next run is
+        built or seeded, since the materialization would discard it, and
+        after the materialization one more run stalls at the optimum."""
         seeds = []
 
         def recording_init(*args, **kwargs):
@@ -357,13 +355,12 @@ class TestSolverVerdicts:
                           CertifiedAbove)
         assert solver.iterations == T
         assert (solver.refinement_steps, solver.materializations) == (1, 1)
-        # Draws: start's static solve, lambda check and run, then the
-        # unbuilt run after the refinement step, the materialization and
-        # its run.
+        # Draws: start's lambda check and run, then the run after the
+        # materialization; static solves draw nothing.
         rng = np.random.Generator(np.random.Philox(7))
-        draws = [int(rng.integers(0, 2 ** 63)) for _ in range(7)]
-        assert seeds == [draws[2], draws[5]]
-        assert solver._next_seed() == draws[6]
+        draws = [int(rng.integers(0, 2 ** 63)) for _ in range(4)]
+        assert seeds == [draws[1], draws[2]]
+        assert solver._next_seed() == draws[3]
 
     def test_adopted_flow_is_not_evaluated_again(self, monkeypatch):
         """A static solve's value is the energy of the flow it returns, so
