@@ -11,10 +11,10 @@ than F, no flow routes nu at congestion near e^(-eps), so nu is still
 maxflow grew by at least e^(eps/2); the phase restarts with a fresh exact
 maxflow. The published value therefore multiplies by at least e^(eps/2) per
 restart, bounding the number of phases by the log of the total capacity.
-The new phase's solver starts Newton from the exact maxflow, or from the
-tripped flow scaled to the new value when that has less energy, and every
-phase's solver shares the driver's one Newton set-up, since all of them
-view the driver's graph.
+Phases differ only in nu, so the driver keeps one instance and one solver,
+built at the first phase, and a phase changes the solver's demand. Its
+static solve starts Newton from the exact maxflow, or from the tripped
+flow scaled to the new value when that has less energy.
 
 Incremental effective-resistance thresholding is the p = 2 instance with
 r_e = sqrt(resistance_e) and a tiny p-norm padding: its optimum is
@@ -41,7 +41,7 @@ from .refine import (Flow, IncrementalPNormSolver, Verdict,
                      check_step_budget)
 from .streams import (MAX_CAPACITY, EdgeSpec, UpdateStream,
                       build_pnorm_instance)
-from .verify import NewtonSetup, exact_maxflow
+from .verify import exact_maxflow
 
 # l2-to-lp weight ratio for the effective-resistance instance; its energy
 # distortion (1 + gamma^2) is far below any useful eps_rel.
@@ -56,17 +56,7 @@ EFFRES_WEIGHT_RATIO = 1e-6
 # benchmark streams of seed 1 (perfbench/workloads.py), with the same
 # verdicts as budget 1.
 DRIVER_STEP_BUDGET = 1
-_MAX_PHASE_BUILDS_PER_EVENT = 2
-
-
-@dataclass
-class MaxflowPhase:
-    """One maxflow phase: the published exact flow and its watching solver,
-    whose instance views the driver's graph with this phase's demand."""
-
-    value: int
-    flow: np.ndarray
-    solver: IncrementalPNormSolver
+_MAX_PHASES_PER_EVENT = 2
 
 
 class MaxflowDriver:
@@ -75,7 +65,8 @@ class MaxflowDriver:
     Feed the initial edges with add_initial_edge, call start() once, then
     insert() per event; each of the latter two returns the published
     (value, flow) pair. The flow is capacity-feasible and its value is the
-    published value.
+    published value: the current phase's exact maxflow, or 0 with a zero
+    flow before the first phase.
     """
 
     def __init__(self, n: int, m_max: int, s: int, t: int, eps: float,
@@ -99,13 +90,12 @@ class MaxflowDriver:
         self.F = m_max * math.exp(-eps * self.p)
         self.step_budget = step_budget_per_event
         self.trace = trace
-        self._rng = np.random.Generator(np.random.Philox(seed))
+        self._seed = seed
         self.graph = IncrementalGraph(n)
-        # Every phase's instance views self.graph, so one set-up serves
-        # every phase's static solves.
-        self._setup = NewtonSetup(self.graph)
         self.caps: list[int] = []
-        self.phase: MaxflowPhase | None = None
+        self.value, self.flow = 0, np.zeros(0)
+        # The phases' one solver; None until the first phase.
+        self._solver: IncrementalPNormSolver | None = None
         self.phase_count = 0
         self._started = False
         self._initial_m = 0
@@ -118,11 +108,11 @@ class MaxflowDriver:
 
     @property
     def queries(self) -> int:
-        return self.phase.solver.queries if self.phase is not None else 0
+        return self._solver.queries if self._solver is not None else 0
 
     @property
     def iterations(self) -> int:
-        return self.phase.solver.iterations if self.phase is not None else 0
+        return self._solver.iterations if self._solver is not None else 0
 
     def _check_cap(self, cap) -> int:
         # Range first: int() fails on inf and nan, which the range rejects.
@@ -159,13 +149,13 @@ class MaxflowDriver:
         if len(self.caps) >= self.m_max:
             raise ValueError("edge bound m_max exceeded")
         cap = self._check_cap(cap)
-        if self.phase is None:
+        verdict = None
+        if self._solver is None:
             self.graph.add_edge(u, v)
-            self.caps.append(cap)
-            return self._event(None)
-        # The phase instance views self.graph: the solver adds the edge.
-        verdict = self.phase.solver.insert_edge(
-            u, v, 0.0, self.delta / cap, 1.0 / cap)
+        else:
+            # The instance views self.graph: the solver adds the edge.
+            verdict = self._solver.insert_edge(
+                u, v, 0.0, self.delta / cap, 1.0 / cap)
         self.caps.append(cap)
         return self._event(verdict)
 
@@ -177,21 +167,17 @@ class MaxflowDriver:
     def _event(self, verdict: Verdict | None):
         """Publish after an event; `verdict` is the running phase's answer
         to an insertion, or None while no phase runs."""
-        builds = 0
+        before = self.phase_count
         if verdict is None:
             if not self.graph.connected(self.s, self.t):
                 return self._publish()
-            self._begin_phase()
-            builds += 1
-            verdict = self.phase.solver.start()
+            verdict = self._begin_phase()
         while isinstance(verdict, Flow):
             self._check_trip(verdict)
-            if builds >= _MAX_PHASE_BUILDS_PER_EVENT:
+            if self.phase_count - before >= _MAX_PHASES_PER_EVENT:
                 raise InvariantViolation(
                     "phase restarted repeatedly within one event")
-            self._begin_phase(verdict)
-            builds += 1
-            verdict = self.phase.solver.start()
+            verdict = self._begin_phase(verdict)
         return self._publish()
 
     def _check_trip(self, verdict: Flow) -> None:
@@ -206,13 +192,13 @@ class MaxflowDriver:
             raise InvariantViolation(
                 f"trip flow congestion {congestion} exceeds {limit}")
 
-    def _begin_phase(self, trip: Flow | None = None) -> None:
-        """Publish an exact maxflow and watch it with a fresh solver. After
-        a trip, the solver's Newton starts from the lower-energy of Dinic's
-        flow and the tripped flow scaled to the new value: the latter sits
-        near the new optimum unless the value grew so much that its
-        congestion passes 1, where its energy grows with the p-th power of
-        the scale."""
+    def _begin_phase(self, trip: Flow | None = None) -> Verdict:
+        """Publish an exact maxflow and return the solver's verdict on its
+        demand; the first phase builds the instance and the solver. After a
+        trip, Newton starts from the lower-energy of Dinic's flow and the
+        tripped flow scaled to the new value: the latter sits near the new
+        optimum unless the value grew so much that its congestion passes 1,
+        where its energy grows with the p-th power of the scale."""
         self.phase_count += 1
         bound = self.phase_bound()
         if self.phase_count > bound:
@@ -223,37 +209,32 @@ class MaxflowDriver:
         demand = np.zeros(self.n)
         demand[self.s] = -float(value)
         demand[self.t] = float(value)
-        instance = PNormInstance(self.graph, demand, self.p,
-                                 threshold=self.F, eps=self.F)
-        instance.set_edge_attrs(np.zeros(len(self.caps)),
-                                self.delta / caps, 1.0 / caps)
+        if self._solver is None:
+            instance = PNormInstance(self.graph, demand, self.p,
+                                     threshold=self.F, eps=self.F)
+            instance.set_edge_attrs(np.zeros(len(self.caps)),
+                                    self.delta / caps, 1.0 / caps)
+            self._solver = IncrementalPNormSolver(
+                instance, m_max=self.m_max, seed=self._seed,
+                step_budget_per_event=self.step_budget, trace=self.trace)
+            # It joins the stream at this event, which set_demand answers.
+            self._solver.started, self._solver.events = True, self.events
         start = flow
         if trip is not None:
-            scaled = trip.flow * (value / self.phase.value)
-            if instance.energy(scaled) < instance.energy(flow):
+            scaled = trip.flow * (value / self.value)
+            energy = self._solver.instance.energy
+            if energy(scaled) < energy(flow):
                 start = scaled
-        solver = IncrementalPNormSolver(
-            instance, m_max=self.m_max,
-            seed=int(self._rng.integers(2 ** 63)),
-            step_budget_per_event=self.step_budget, start_flow=start,
-            trace=self.trace, setup=self._setup)
-        # The solver continues the driver's counters, so its verdict
-        # records count across phases; its start() answers the current
-        # event and counts it again.
-        solver.events = self.events - 1
-        solver.queries, solver.iterations = self.queries, self.iterations
-        self.phase = MaxflowPhase(value=value, flow=flow, solver=solver)
+        self.value, self.flow = value, flow
+        return self._solver.set_demand(demand, start)
 
     def _publish(self) -> tuple[float, np.ndarray]:
-        m = len(self.caps)
-        if self.phase is None:
-            return 0.0, np.zeros(m)
-        flow = np.zeros(m)
-        flow[:self.phase.flow.size] = self.phase.flow
+        flow = np.zeros(len(self.caps))
+        flow[:self.flow.size] = self.flow
         caps = np.asarray(self.caps, dtype=float)
         if np.any(np.abs(flow) > caps * (1 + 1e-9)):
             raise InvariantViolation("published flow exceeds capacities")
-        return float(self.phase.value), flow
+        return float(self.value), flow
 
 
 @dataclass

@@ -219,12 +219,12 @@ class PNormInstance:
     """A smoothed l_p-norm flow problem over an incremental graph.
 
     Minimizes  E(f) = <g, f> + ||R f||_2^2 + ||W f||_p^p  over flows f with
-    net_demand(f) = d.  The instance owns the edge attributes g, r, w; its
-    graph, which several instances may view in turn, owns the topology.
+    net_demand(f) = d.  The instance owns the edge attributes g, r, w and
+    the demand; its graph owns the topology.
 
     Attributes:
         graph: the underlying multigraph.
-        d: demand vector, fixed for the life of the instance.
+        d: demand vector; set_demand replaces it.
         p: integer exponent >= 2.
         threshold: the certification threshold F.
         eps: absolute energy accuracy for flow outputs.
@@ -240,17 +240,12 @@ class PNormInstance:
     ):
         if p < 2 or int(p) != p:
             raise ValueError(f"exponent must be an integer >= 2, got {p}")
-        d = np.asarray(d, dtype=float)
-        if d.shape != (graph.n,):
-            raise ValueError(f"demand length {d.shape} does not match n={graph.n}")
-        if abs(float(d.sum())) > DEMAND_SUM_RTOL * (1.0 + float(np.abs(d).sum())):
-            raise ValueError("demand entries must sum to zero")
+        self.graph = graph
+        self.set_demand(d)
         if not eps > 0:
             raise ValueError(f"accuracy must be positive, got {eps}")
         if math.isnan(threshold):
             raise ValueError("threshold must be a number, got nan")
-        self.graph = graph
-        self.d = d
         self.p = int(p)
         self.threshold = float(threshold)
         self.eps = float(eps)
@@ -273,6 +268,16 @@ class PNormInstance:
     @property
     def w(self) -> np.ndarray:
         return self._w[:self.graph.m]
+
+    def set_demand(self, d: np.ndarray) -> None:
+        """Replace the demand: n entries that sum to zero."""
+        d = np.asarray(d, dtype=float)
+        if d.shape != (self.graph.n,):
+            raise ValueError(f"demand length {d.shape} does not match "
+                             f"n={self.graph.n}")
+        if abs(float(d.sum())) > DEMAND_SUM_RTOL * (1.0 + float(np.abs(d).sum())):
+            raise ValueError("demand entries must sum to zero")
+        self.d = d
 
     def set_edge_attrs(self, g: np.ndarray, r: np.ndarray, w: np.ndarray) -> None:
         """Set attributes for all current edges at once (initial build)."""

@@ -10,7 +10,7 @@ at all, which certifies that every feasible flow has energy above F.
 Edge insertions are absorbed mid-run: the new edge joins the flow with zero
 flow and joins the active inner run with residual attributes evaluated at
 zero. Each event (the initial graph, then every insertion) produces exactly
-one verdict: CertifiedAbove or Flow.
+one verdict: CertifiedAbove or Flow; a demand change answers it again.
 
 The solver owns only the flow f. The residual problem is a pure function of
 (instance, f), and f does not change during an inner run, so the solver
@@ -176,18 +176,18 @@ class IncrementalPNormSolver:
     """Per-event threshold certification over an append-only instance.
 
     Call start() once for the initial graph, then insert_edge() per
-    insertion; each call returns one verdict, and any other order raises
+    insertion, or set_demand() to answer the current event again under a
+    new demand; each call returns one verdict, and any other order raises
     ValueError. While the demand is not routable every verdict is
     vacuously CertifiedAbove; the first routable event computes the
-    starting flow with the static oracle and validates the refinement
-    scale lambda on sampled sandwich triples. An event that runs out of
-    its budget of inner rounds materializes and refines again on a fresh
-    budget; running out twice raises InvariantViolation.
+    starting flow with the static oracle. The first adopted flow validates
+    the refinement scale lambda on sampled sandwich triples. An event that
+    runs out of its budget of inner rounds materializes and refines again
+    on a fresh budget; running out twice raises InvariantViolation.
 
     The solver owns only the flow f, in a column of m_max entries that f
     views; the active inner run (`mwu`) holds the residual problem.
-    `setup` carries Newton's set-up across its static solves; pass one to
-    share it with other solvers on the same graph.
+    `setup` carries Newton's set-up across all its static solves.
     `queries` counts inner rounds (oracle queries, however many one
     mwu_step call takes) and `iterations` the progress rounds among them,
     over all runs. An edge bound below 4 runs the same loop: its inner
@@ -199,9 +199,7 @@ class IncrementalPNormSolver:
                  kappa: float = 1.0, backend: str = "exact",
                  seed: int | None = None,
                  step_budget_per_event: int | None = None,
-                 start_flow: np.ndarray | None = None,
-                 trace: Callable[[dict], None] | None = None,
-                 setup: NewtonSetup | None = None):
+                 trace: Callable[[dict], None] | None = None):
         m_max = max(instance.m, MIN_EDGE_BOUND) if m_max is None else m_max
         if m_max < instance.m:
             raise ValueError("m_max is below the current edge count")
@@ -222,14 +220,9 @@ class IncrementalPNormSolver:
         self.step_budget = (2 * self.T if step_budget_per_event is None
                             else check_step_budget(step_budget_per_event))
         self.trace = trace
-        self.setup = NewtonSetup(instance.graph) if setup is None else setup
+        self.setup = NewtonSetup(instance.graph)
         self._rng = np.random.Generator(np.random.Philox(seed))
-        # The flow column holds the warm start until the first bootstrap.
         self._flow = np.zeros(m_max)
-        self._warm = start_flow is not None
-        if self._warm:
-            warm = np.asarray(start_flow, dtype=float)
-            self._flow[:warm.size] = warm
         self._has_flow = False
         self._energy = math.inf
         self.mwu: MwuState | None = None
@@ -255,6 +248,7 @@ class IncrementalPNormSolver:
         if self.started:
             raise ValueError("start() may be called only once")
         self.started = True
+        self.events += 1
         return self._verdict()
 
     def insert_edge(self, u: int, v: int, g: float, r: float,
@@ -274,10 +268,25 @@ class IncrementalPNormSolver:
             # The new edge's zero flow adds no energy, but the longer sum
             # can round differently.
             self._energy = self.instance.energy(self.f)
+        self.events += 1
+        return self._verdict()
+
+    def set_demand(self, d: np.ndarray, start_flow: np.ndarray) -> Verdict:
+        """Replace the demand with d, materialize from start_flow, which
+        must route d, and answer the current event again. A failed check
+        raises ValueError and keeps the old demand."""
+        if not self.started:
+            raise ValueError("call start() before changing the demand")
+        old = self.instance.d
+        self.instance.set_demand(d)
+        try:
+            self._reoptimize(start_flow)
+        except ValueError:
+            self.instance.set_demand(old)
+            raise
         return self._verdict()
 
     def _verdict(self) -> Verdict:
-        self.events += 1
         verdict = self._compute_verdict()
         if self.trace is not None:
             kind = type(verdict).__name__
@@ -290,9 +299,7 @@ class IncrementalPNormSolver:
         if not self.instance.routable():
             return CertifiedAbove()
         if not self._has_flow:
-            self._reoptimize(self._flow[:self.instance.m] if self._warm
-                             else None)
-            self._validate_lambda()
+            self._reoptimize(None)
         verdict = self._refine()
         if verdict is None:
             # Materialize: refine again from the optimum, on a fresh budget.
@@ -338,7 +345,8 @@ class IncrementalPNormSolver:
     def _reoptimize(self, start_flow: np.ndarray | None) -> None:
         """End the active run and adopt an optimal flow computed by the
         static oracle from start_flow (tree routing when None); the
-        refinement-step count restarts from the adopted flow's gap."""
+        refinement-step count restarts from the adopted flow's gap. The
+        first adoption validates lambda, which no demand change affects."""
         self.mwu = None
         report = static_pnorm_opt(self.instance, start_flow=start_flow,
                                   tol=MATERIALIZE_TOL,
@@ -348,7 +356,7 @@ class IncrementalPNormSolver:
         # flow without writing its slot.
         self._flow[:report.flow.size] = report.flow
         self._flow[report.flow.size:] = 0.0
-        self._has_flow = True
+        first, self._has_flow = not self._has_flow, True
         # The report's value is the instance energy of its flow.
         self._energy = report.value
         if not math.isfinite(self._energy):
@@ -357,6 +365,8 @@ class IncrementalPNormSolver:
         gap = self._energy - self.F
         self._steps_remaining = 1 if gap <= self.eps else math.ceil(
             6.0 * self.K ** 2 * self.lam * math.log(gap / self.eps)) + 1
+        if first:
+            self._validate_lambda()
 
     def _validate_lambda(self) -> None:
         """Check the sandwich inequalities on SANDWICH_SAMPLES sampled

@@ -263,26 +263,32 @@ class TestPhaseStart:
 
     @staticmethod
     def record_starts(monkeypatch):
-        """Per phase: Dinic's flow, the solver's starting flow, and after a
-        trip the tripped flow scaled to the new value and the energies of
-        both candidates, taken before later edges arrive."""
-        starts = []
+        """Per phase: Dinic's flow, the flow set_demand starts Newton from,
+        and after a trip the tripped flow scaled to the new value and
+        whether it has less energy than Dinic's, taken before later edges
+        arrive."""
+        starts, pending = [], []
         begin = MaxflowDriver._begin_phase
+        set_demand = refine.IncrementalPNormSolver.set_demand
 
         def recording_begin(self, trip=None):
-            old = None if self.phase is None else self.phase.value
-            begin(self, trip)
-            phase = self.phase
-            start = phase.solver._flow[:self.graph.m].copy()
+            pending.append((self, trip, self.value))
+            return begin(self, trip)
+
+        def recording_set_demand(solver, d, start_flow):
+            driver, trip, old = pending.pop()
             if trip is None:
-                starts.append((phase.flow, start, None, None))
-                return
-            scaled = trip.flow * (phase.value / old)
-            energy = phase.solver.instance.energy
-            starts.append((phase.flow, start, scaled,
-                           energy(scaled) < energy(phase.flow)))
+                starts.append((driver.flow, start_flow, None, None))
+            else:
+                scaled = trip.flow * (driver.value / old)
+                energy = solver.instance.energy
+                starts.append((driver.flow, start_flow, scaled,
+                               energy(scaled) < energy(driver.flow)))
+            return set_demand(solver, d, start_flow)
 
         monkeypatch.setattr(MaxflowDriver, "_begin_phase", recording_begin)
+        monkeypatch.setattr(refine.IncrementalPNormSolver, "set_demand",
+                            recording_set_demand)
         return starts
 
     def test_phase_starts_from_the_lower_energy_candidate(self, monkeypatch):
@@ -317,6 +323,62 @@ class TestPhaseStart:
         assert scaled is not None and not scaled_lower
         assert np.max(np.abs(scaled) / [1e8, 1e8, 1, 1e8]) > 1.0
         assert np.array_equal(start, dinic)
+
+
+class TestOneSolver:
+    """A phase changes the demand of the driver's one solver."""
+
+    STREAM = dict(mode="phase-stress", kind="maxflow", n=12, initial=11,
+                  events=36, seed=2, eps=0.25)
+
+    def test_every_phase_keeps_the_first_phases_solver(self):
+        driver, calls = event_calls(generate_stream(**self.STREAM), seed=1)
+        solvers = set()
+        for call in calls:
+            call()
+            solvers.add(id(driver._solver))
+        assert driver.phase_count == 11
+        assert len(solvers) == 1
+        assert driver._solver.instance.graph is driver.graph
+
+    def test_lambda_is_checked_once_per_driver(self, monkeypatch):
+        calls_made = []
+        sandwich = refine.sandwich_holds
+
+        def counting_sandwich(*args, **kwargs):
+            calls_made.append(1)
+            return sandwich(*args, **kwargs)
+
+        monkeypatch.setattr(refine, "sandwich_holds", counting_sandwich)
+        driver, calls = event_calls(generate_stream(**self.STREAM), seed=1)
+        for call in calls:
+            call()
+        assert driver.phase_count == 11
+        assert len(calls_made) == 1
+
+    def test_late_connection_builds_the_solver_at_its_event(self):
+        """s and t join at event 1 (start is event 0), where the solver is
+        built, and phases trip at events 3, 4 and 6. Every verdict record
+        carries the driver's 1-based event count, and a trip adds a
+        record for its event, as the per-phase solvers' records did."""
+        records = []
+        driver = maxflow_driver(n=4, m_max=8, s=0, t=3,
+                                trace=records.append)
+        driver.add_initial_edge(0, 1, 1)
+        driver.add_initial_edge(2, 3, 1)
+        published = [driver.start()[0]]
+        assert driver._solver is None
+        for u, v, cap in ((1, 2, 2), (0, 1, 8), (2, 3, 8), (1, 2, 8),
+                          (0, 2, 16), (1, 3, 16)):
+            published.append(driver.insert(u, v, cap)[0])
+        assert published == [0, 1, 1, 2, 9, 9, 25]
+        verdicts = [(r["event"], r["verdict"]) for r in records
+                    if r["kind"] == "verdict"]
+        above, flow = "CertifiedAbove", "Flow"
+        assert verdicts == [(2, above), (3, above), (4, flow), (4, above),
+                            (5, flow), (5, above), (6, above), (7, flow),
+                            (7, above)]
+        assert driver.phase_count == 4
 
 
 class TestOraclePotential:

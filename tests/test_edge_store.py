@@ -86,15 +86,15 @@ def test_views_track_insertions_across_doublings(seed, p):
 
 
 def test_maxflow_phases_view_the_driver_graph():
-    """Phase restarts build no graph: every phase's instance views the
+    """Phase restarts build no graph: the phases' one instance views the
     driver's one graph, which holds each inserted edge once."""
     driver = MaxflowDriver(2, 8, 0, 1, 0.25, seed=0)
     driver.add_initial_edge(0, 1, 1)
     driver.start()
     for cap in (2, 4, 8, 16, 32, 64):
         driver.insert(0, 1, cap)
-        assert driver.phase.solver.instance.graph is driver.graph
-        assert driver.phase.solver.f.shape == (driver.graph.m,)
+        assert driver._solver.instance.graph is driver.graph
+        assert driver._solver.f.shape == (driver.graph.m,)
     assert driver.phase_count >= 4
     assert driver.graph.m == 7
 

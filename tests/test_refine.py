@@ -488,14 +488,56 @@ class TestSolverVerdicts:
         assert len(verdicts) == 4
         assert isinstance(verdicts[-1], Flow)
 
-    def test_warm_start_flow_is_used(self):
+    def test_set_demand_answers_from_the_given_flow(self):
         instance = fresh_instance(2, [-1.0, 1.0], p=2, threshold=10.0)
         instance.add_edge(0, 1, 0.0, 1.0, 1.0)
-        solver = IncrementalPNormSolver(instance, seed=0,
-                                        start_flow=np.array([1.0]))
-        verdict = solver.start()
+        solver = IncrementalPNormSolver(instance, seed=0)
+        solver.start()
+        verdict = solver.set_demand(np.array([-1.0, 1.0]), np.array([1.0]))
         assert isinstance(verdict, Flow)
         assert verdict.energy == pytest.approx(2.0)
+
+    def test_set_demand_adopts_the_static_optimum_from_its_start(self):
+        """The adopted flow is the static oracle's from the same start,
+        byte for byte, and the event is answered again under its number."""
+        rng = np.random.default_rng(5)
+        instance = random_instance(rng, 6, 10, 3)
+        instance.threshold = 1e6
+        records = []
+        solver = IncrementalPNormSolver(instance, m_max=12, seed=0,
+                                        trace=records.append)
+        solver.start()
+        solver.insert_edge(0, 5, 0.5, 1.0, 1.0)
+        start = rng.normal(size=instance.m)
+        demand = net_demand(instance.graph, start)
+        verdict = solver.set_demand(demand, start)
+        assert np.array_equal(instance.d, demand)
+        expected = static_pnorm_opt(
+            instance, start_flow=start, tol=refine.MATERIALIZE_TOL,
+            max_iterations=refine.MATERIALIZE_MAX_ITERATIONS)
+        assert isinstance(verdict, Flow)
+        assert verdict.flow.tobytes() == expected.flow.tobytes()
+        assert verdict.energy == expected.value
+        assert [r["event"] for r in records if r["kind"] == "verdict"] \
+            == [1, 2, 2]
+
+    def test_set_demand_checks_keep_the_old_demand(self):
+        instance = fresh_instance(3, [-1.0, 0.0, 1.0], p=2, threshold=10.0)
+        instance.add_edge(0, 1, 0.0, 1.0, 1.0)
+        instance.add_edge(1, 2, 0.0, 1.0, 1.0)
+        solver = IncrementalPNormSolver(instance, m_max=4, seed=0)
+        with pytest.raises(ValueError, match="call start"):
+            solver.set_demand(np.array([-2.0, 0.0, 2.0]), np.full(2, 2.0))
+        solver.start()
+        old = instance.d
+        for demand, start, message in (
+                ([-1.0, 1.0], np.ones(2), "length"),
+                ([-1.0, 0.0, 2.0], np.ones(2), "sum to zero"),
+                ([-2.0, 0.0, 2.0], np.ones(2), "does not route")):
+            with pytest.raises(ValueError, match=message):
+                solver.set_demand(np.array(demand), start)
+            assert instance.d is old
+        assert isinstance(solver.insert_edge(0, 2, 0.0, 1.0, 1.0), Flow)
 
     def test_trace_records_one_record_per_event(self):
         records = []
