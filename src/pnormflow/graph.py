@@ -180,9 +180,17 @@ def smoothed_value(
     overflowing one gives inf."""
     x = np.asarray(x, dtype=float)
     with np.errstate(over="ignore"):
-        value = ((g * x).sum(axis=-1) + ((r * x) ** 2).sum(axis=-1)
-                 + (np.abs(w * x) ** p).sum(axis=-1))
+        value = _smoothed_sum(g, r, w, p, x)
     return value if x.ndim > 1 else float(value)
+
+
+def _smoothed_sum(g: np.ndarray, r: np.ndarray, w: np.ndarray, p: float,
+                  x: np.ndarray) -> np.floating | np.ndarray:
+    """smoothed_value's sums for a float array x, as numpy values, without
+    its conversions or np.errstate: a caller that evaluates many flows
+    holds np.errstate(over="ignore") once."""
+    return ((g * x).sum(axis=-1) + ((r * x) ** 2).sum(axis=-1)
+            + (np.abs(w * x) ** p).sum(axis=-1))
 
 
 def smoothed_gradient(

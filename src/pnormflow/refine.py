@@ -37,7 +37,7 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import InvariantViolation, OracleError
+from .errors import InvariantViolation
 from .graph import (
     PNormInstance,
     _curvature,
@@ -357,11 +357,8 @@ class IncrementalPNormSolver:
         self._flow[:report.flow.size] = report.flow
         self._flow[report.flow.size:] = 0.0
         first, self._has_flow = not self._has_flow, True
-        # The report's value is the instance energy of its flow.
+        # The report's value is the instance energy of its flow, finite.
         self._energy = report.value
-        if not math.isfinite(self._energy):
-            raise OracleError(
-                f"energy of the adopted flow overflows ({self._energy})")
         gap = self._energy - self.F
         self._steps_remaining = 1 if gap <= self.eps else math.ceil(
             6.0 * self.K ** 2 * self.lam * math.log(gap / self.eps)) + 1

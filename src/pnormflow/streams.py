@@ -422,14 +422,17 @@ def _pnorm_threshold(stream: UpdateStream, planted: bool,
                      seed: int) -> tuple[float, float]:
     """Threshold F and default eps for a pnorm stream. Planted: midway
     through the largest drop between consecutive prefix optima, so the
-    verdict flips there; random: anywhere around the optima's range."""
+    verdict flips there; random: anywhere around the optima's range. F is
+    rounded to 12 significant digits, so the last bits of the optima do
+    not reach the stream text."""
     optima = _prefix_optima(stream, seed)
     finite = [x for x in optima if math.isfinite(x)]
     final = finite[-1]
     span = max(abs(x) for x in finite) + 1.0
     if not planted:
         beta = float(rng_pick.uniform(-0.5, 1.5))
-        threshold = final + beta * max(finite[0] - final, 0.2 * span)
+        threshold = _significant(
+            final + beta * max(finite[0] - final, 0.2 * span))
         return threshold, 1e-3 * (1.0 + abs(threshold))
     best_j, best_drop = None, 0.0
     for j in range(1, len(optima)):
@@ -439,12 +442,17 @@ def _pnorm_threshold(stream: UpdateStream, planted: bool,
         if drop > best_drop:
             best_j, best_drop = j, drop
     if best_j is None or best_drop <= 1e-6:
-        threshold = final + 0.1 * span
+        threshold = _significant(final + 0.1 * span)
         return threshold, 1e-3 * (1.0 + abs(threshold))
     high, low = optima[best_j - 1], optima[best_j]
-    threshold = 0.5 * (high + low)
+    threshold = _significant(0.5 * (high + low))
     return threshold, min(0.25 * (high - threshold),
                           1e-3 * (1.0 + abs(threshold)))
+
+
+def _significant(x: float) -> float:
+    """x rounded to 12 significant digits."""
+    return float(f"{x:.12g}")
 
 
 def generate_stream(mode: str, kind: str, n: int, initial: int, events: int,

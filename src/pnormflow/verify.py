@@ -4,12 +4,11 @@ Nothing here depends on the incremental solver. The solver calls
 static_pnorm_opt to bootstrap and materialize, and the maxflow driver calls
 exact_maxflow to start each phase; tests use all three as ground truth, and
 the verdict checker (pnormflow.check) the first and the last. The static
-optimizer runs Newton in fundamental cycle coordinates and solves each step
-through a grounded vertex Laplacian, maxflow is Dinic's, and effective
-resistance is a direct Laplacian solve. Newton holds its cycle basis as
-sorted triplets and its Laplacian pattern as flat positions at any size;
-the size chooses only how the Laplacian is factored (dense LAPACK or
-sparse splu).
+optimizer runs Newton in fundamental cycle coordinates, maxflow is Dinic's,
+and effective resistance is a direct Laplacian solve. The cycle count k
+chooses how a Newton step is solved: up to _DENSE_CYCLE_LIMIT cycles by
+one dense Cholesky factorization of the k x k cycle-space Hessian, above
+it through a sparse (splu) grounded vertex Laplacian.
 
 A solve builds its spanning forest, cycle basis and Laplacian pattern for
 itself, unless the caller carries them in a NewtonSetup: the solver keeps
@@ -25,18 +24,18 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
-from scipy.linalg.lapack import dgetrf, dgetrs
+from scipy.linalg.lapack import dpotrf, dpotrs
 
 from .errors import OracleError
 from .graph import (
     IncrementalGraph,
     PNormInstance,
     _curvature,
+    _smoothed_sum,
     demand_routable,
     net_demand,
     smoothed_gradient,
     smoothed_hessian_diag,
-    smoothed_value,
 )
 from .trees import SpanningForest
 
@@ -50,46 +49,54 @@ _STAGNATION_ITERATIONS = 8
 _STAGNATION_GNORM = 100.0 * math.sqrt(_EPS)
 
 
-# Largest number of free (non-root) vertices whose grounded Laplacian is
-# factored densely; below it scipy.sparse call overhead outweighs the work.
-_DENSE_LAPLACIAN_LIMIT = 64
-# Largest forcing term of the inexact Newton step (Eisenstat and Walker):
-# far from the optimum a rough step suffices, and the forcing term
+# Largest cycle count k whose Newton steps are solved in the cycle space
+# with a dense Cholesky factorization; above it each step is a sparse
+# vertex-space solve. Both cost about linear in m, and with one BLAS
+# thread the dense step takes 0.6-1.5 times the sparse one's time at
+# k = 128 for n from 12 to 5,000 (0.2-0.3 times at k = 50, 1.4-4 times
+# at k = 200). The dense basis holds k * m cells, at most 1 KiB per edge.
+_DENSE_CYCLE_LIMIT = 128
+# Largest forcing term of the inexact sparse Newton step (Eisenstat and
+# Walker): far from the optimum a rough step suffices, and the forcing term
 # min(_FORCING_MAX, ||C^T grad||) keeps convergence fast near it.
 _FORCING_MAX = 1e-2
 
 
-class _LaplacianNewton:
-    """Newton steps in cycle coordinates through vertex-space solves.
+class _CycleNewton:
+    """Newton steps in fundamental cycle coordinates.
 
     The step x solves C^T H C x = -C^T grad, where the columns of C are the
-    fundamental cycles and H = diag(h) is the Hessian. Delta = C x is the
-    circulation minimizing Delta^T H Delta / 2 + grad^T Delta, so
-    Delta = -(grad + B phi) / h, where B is the edge-vertex incidence
-    matrix and phi solves L phi = -B^T (grad / h) for the Laplacian
-    L = B^T diag(1/h) B grounded at every forest root. C is the identity
-    on the off-tree edges, so x is Delta read off there. No k x k matrix
-    is formed. Each step factors the Laplacian once; iterative refinement
-    feeds the cycle-space residual back through that factorization until
-    the residual is within the forcing term eta = min(_FORCING_MAX,
-    ||C^T grad||) of ||C^T grad|| (machine precision at the least), or it
-    stops shrinking. Newton stops on the decrement of this step, which the
-    forcing term keeps within a factor of about 1 + eta of the exact one.
+    fundamental cycles and H = diag(h) is the Hessian. The cycle count k
+    alone chooses how:
 
-    C is held in one form at any size: its (cycle, edge, sign) triplets,
-    sorted by cycle and then edge as scipy's compressed arrays store them
-    (one argsort of the unique keys cycle * m + edge). np.bincount forms
-    C x and C^T y adding the same terms in the same order as scipy's CSC
-    and CSR products, and each sign is +-1, so every term is exact and the
-    results are bit-identical to scipy's. The Laplacian's entry pattern is
-    held as flat positions row * size + col. Only the factorization
-    depends on the size: with at most _DENSE_LAPLACIAN_LIMIT free vertices
-    the entries are added into a dense array that LAPACK getrf factors and
-    getrs solves; above it, the positions are split into (row, col) for a
-    CSC matrix that splu factors.
+    - k <= _DENSE_CYCLE_LIMIT: C^T is held as a dense k x m array, so C x
+      and C^T y are matrix products, and each step factors C^T H C once by
+      Cholesky (LAPACK potrf, potrs). A vanishing curvature h_e is a
+      vanishing term there, where the vertex Laplacian below holds the
+      huge conductance 1/h_e (at large p the maxflow reduction's h spans
+      15 orders of magnitude).
+    - Above it, Delta = C x is the circulation minimizing
+      Delta^T H Delta / 2 + grad^T Delta, so Delta = -(grad + B phi) / h,
+      where B is the edge-vertex incidence matrix and phi solves
+      L phi = -B^T (grad / h) for the Laplacian L = B^T diag(1/h) B
+      grounded at every forest root. C is the identity on the off-tree
+      edges, so x is Delta read off there. Each step factors L once with
+      splu; iterative refinement feeds the cycle-space residual back
+      through that factorization until the residual is within the forcing
+      term eta = min(_FORCING_MAX, ||C^T grad||) of ||C^T grad|| (machine
+      precision at the least), or it stops shrinking. Newton stops on the
+      decrement of this step, which the forcing term keeps within a factor
+      of about 1 + eta of the exact one. np.bincount forms C x and C^T y
+      from the (cycle, edge, sign) triplets, sorted by cycle and then edge
+      as scipy's compressed arrays store them; it adds the same terms in
+      the same order as scipy's CSC and CSR products, and each sign is
+      +-1, so the results are bit-identical to scipy's. L's entry pattern
+      is held as flat positions row * size + col.
 
-    The forest and the grounded vertices are fixed at construction;
-    extend appends edges that close cycles in it (see NewtonSetup).
+    The triplets and the Laplacian pattern are kept at every k, so a set-up
+    that grows past the limit changes path. The forest and the grounded
+    vertices are fixed at construction; extend appends edges that close
+    cycles in it (see NewtonSetup).
     """
 
     def __init__(self, graph: IncrementalGraph, forest: SpanningForest):
@@ -114,13 +121,23 @@ class _LaplacianNewton:
         self.entry_sign = np.repeat([1.0, 1.0, -1.0, -1.0], m)[keep]
         self.entry_index = rows[keep] * size + cols[keep]
         self.size = size
-        self.dense = size <= _DENSE_LAPLACIAN_LIMIT
         cycle, edges, signs = forest.fundamental_cycle(
             self.off_tree, self.off_tails, self.off_heads)
         order = np.argsort(cycle * m + edges)
         self.cycle, self.edge = cycle[order], edges[order]
         self.sign = signs[order].astype(float)
         self._tree: tuple[list[int], ...] | None = None
+        self._set_basis()
+
+    def _set_basis(self) -> None:
+        """Choose the path by the cycle count, and on the dense one build
+        C^T from the triplets."""
+        k = self.off_tree.size
+        self.dense = k <= _DENSE_CYCLE_LIMIT
+        self.basis = None
+        if self.dense:
+            self.basis = np.zeros((k, self.m))
+            self.basis[self.cycle, self.edge] = self.sign
 
     def extend(self, graph: IncrementalGraph) -> None:
         """Append the graph's edges from self.m on, each of which closes a
@@ -170,13 +187,18 @@ class _LaplacianNewton:
             self.entry_edge = np.append(self.entry_edge, e)
             self.entry_sign = np.append(self.entry_sign, values)
             self.entry_index = np.append(self.entry_index, rows * size + cols)
+        self._set_basis()
 
     def to_edges(self, x: np.ndarray) -> np.ndarray:
         """C x: the circulation with cycle coordinates x."""
+        if self.dense:
+            return x @ self.basis
         return np.bincount(self.edge, self.sign * x[self.cycle], self.m)
 
     def to_cycles(self, y: np.ndarray) -> np.ndarray:
         """C^T y: the edge vector y summed around each cycle."""
+        if self.dense:
+            return self.basis @ y
         return np.bincount(self.cycle, self.sign * y[self.edge],
                            self.off_tree.size)
 
@@ -189,28 +211,23 @@ class _LaplacianNewton:
     def step(self, h: np.ndarray, edge_grad: np.ndarray, grad: np.ndarray,
              gnorm: float) -> np.ndarray:
         """Cycle coordinates of the Newton step for the cycle-space
-        gradient grad of norm gnorm, to within the forcing term; NaN when
-        the Laplacian cannot be factored."""
-        cond = 1.0 / h
-        values = self.entry_sign * cond[self.entry_edge]
-        size = self.size
+        gradient grad of norm gnorm: exact on the dense path, to within the
+        forcing term on the sparse one; NaN when the factorization fails."""
         if self.dense:
-            lap = np.bincount(self.entry_index, values,
-                              size * size).reshape(size, size)
-            lu, piv, info = dgetrf(lap, overwrite_a=True)
+            basis = self.basis
+            chol, info = dpotrf((basis * h) @ basis.T, overwrite_a=True)
             if info != 0:
                 return np.full(self.off_tree.size, np.nan)
-
-            def solve(b):
-                return dgetrs(lu, piv, b)[0]
-        else:
-            lap = sp.csc_matrix(
-                (values, np.divmod(self.entry_index, size)),
-                shape=(size, size))
-            try:
-                solve = spla.splu(lap).solve
-            except RuntimeError:
-                return np.full(self.off_tree.size, np.nan)
+            return dpotrs(chol, -grad)[0]
+        cond = 1.0 / h
+        size = self.size
+        lap = sp.csc_matrix(
+            (self.entry_sign * cond[self.entry_edge],
+             np.divmod(self.entry_index, size)), shape=(size, size))
+        try:
+            solve = spla.splu(lap).solve
+        except RuntimeError:
+            return np.full(self.off_tree.size, np.nan)
         off_t, off_h = self.off_tails, self.off_heads
         off_cond = cond[self.off_tree]
         phi = self._potentials(solve, self.tails, self.heads, edge_grad * cond)
@@ -238,8 +255,8 @@ class _LaplacianNewton:
 class NewtonSetup:
     """Newton's set-up for static_pnorm_opt, carried across solves on one
     growing graph: the spanning forest Kruskal takes over the edge order
-    0..m-1, its off-tree edges and fundamental-cycle basis, and the
-    grounded Laplacian's entry pattern.
+    0..m-1, its off-tree edges and fundamental-cycle basis (also dense at
+    small cycle counts), and the grounded Laplacian's entry pattern.
 
     Before each solve it catches up with the graph. An edge inside a
     component leaves that forest as it is, so it appends its cycle and up
@@ -253,7 +270,7 @@ class NewtonSetup:
 
     def __init__(self, graph: IncrementalGraph):
         self.graph = graph
-        self._newton: _LaplacianNewton | None = None
+        self._newton: _CycleNewton | None = None
         self._components = 0
 
     def current_forest(self) -> SpanningForest | None:
@@ -264,10 +281,10 @@ class NewtonSetup:
             return None
         return newton.forest
 
-    def _caught_up(self) -> _LaplacianNewton:
+    def _caught_up(self) -> _CycleNewton:
         graph, newton = self.graph, self._newton
         if newton is None or self._components != graph.components:
-            self._newton = _LaplacianNewton(graph, SpanningForest(
+            self._newton = _CycleNewton(graph, SpanningForest(
                 graph.n, graph.tails, graph.heads, range(graph.m)))
             self._components = graph.components
         elif newton.m < graph.m:
@@ -305,11 +322,17 @@ def static_pnorm_opt(
     gain left), so the rule holds at any capacity scale, as a gradient norm
     in flow units would not. On a forest (no cycles) the bound is 0.0 and
     the tree-routed flow returns at iteration 0.
-    Each Newton system C^T H C x = -C^T grad is solved through the n-vertex
-    Laplacian B^T H^-1 B (see _LaplacianNewton), so the k x k cycle-space
-    Hessian is never formed; the step is solved only to within a forcing
-    term. Each iterate forms the curvature term w^p |f|^(p-2) once, for
-    both the gradient and the Hessian diagonal.
+    Each Newton system C^T H C x = -C^T grad is solved densely in the cycle
+    space while the cycle count is small, and through the grounded vertex
+    Laplacian B^T H^-1 B to within a forcing term above it (see
+    _CycleNewton). Each iterate forms the curvature term w^p |f|^(p-2)
+    once, for both the gradient and the Hessian diagonal, and every energy
+    is smoothed_value's sum, so the report's value is the instance energy
+    of its flow bit for bit.
+    A start flow whose energy overflows is replaced by the demand routed
+    over the forest Kruskal takes in ascending order of w, which keeps
+    large flows off heavy edges; the solve then runs in the set-up's cycle
+    basis as before. The value returned is always finite.
     Iterates that stop improving at the energy evaluation noise floor while
     the gradient norm sits at machine-precision scale are returned as
     converged with their achieved gradient_norm; the value error at such a
@@ -332,8 +355,9 @@ def static_pnorm_opt(
     Raises:
         ValueError: demand not routable, start_flow infeasible, or a
             setup on another graph or together with a seed.
-        OracleError: tolerance not reached within the iteration cap, or
-            the line search stalled short of it.
+        OracleError: the lightest forest's start overflows too, the
+            tolerance is not reached within the iteration cap, or the line
+            search stalled short of it.
     """
     graph = instance.graph
     m = graph.m
@@ -345,7 +369,7 @@ def static_pnorm_opt(
         if seed is not None:
             edge_order = np.random.Generator(
                 np.random.Philox(key=seed)).permutation(m)
-        newton = _LaplacianNewton(graph, SpanningForest(
+        newton = _CycleNewton(graph, SpanningForest(
             graph.n, graph.tails, graph.heads, edge_order))
     elif setup.graph is not graph or seed is not None:
         raise ValueError("a carried set-up must be on the instance's graph "
@@ -366,59 +390,70 @@ def static_pnorm_opt(
 
     off_tree = newton.off_tree
     g, r, w, p = instance.g, instance.r, instance.w, instance.p
-
-    energy = smoothed_value(g, r, w, p, f)
-    last_energy = math.inf
-    stagnant = 0
-    for iteration in range(max_iterations + 1):
-        curv = _curvature(w, p, f)
-        edge_grad = smoothed_gradient(g, r, w, p, f, curv)
-        grad = newton.to_cycles(edge_grad)
-        gnorm = float(np.linalg.norm(grad))
-        h = smoothed_hessian_diag(r, w, p, f, curv)
-        target = tol * tol * (1.0 + abs(energy))
-        # The Newton decrement -(grad . step), about twice the gain left, is
-        # at most grad . (grad / h) over the off-tree edges, where C^T H C
-        # dominates H; when that bound meets the target, no step is needed.
-        decrement = float(grad @ (grad / h[off_tree]))
-        if not decrement <= target:
-            step = newton.step(h, edge_grad, grad, gnorm)
-            if not float(grad @ step) < 0:
-                # Numerical degeneracy; fall back to steepest descent.
-                step = -grad
-            decrement = -float(grad @ step)
-        if decrement <= target:
-            return OracleReport(value=energy, flow=f, iterations=iteration,
-                                gradient_norm=gnorm)
-        if iteration == max_iterations:
-            break
-        if last_energy - energy <= 4.0 * _EPS * (1.0 + abs(energy)):
-            stagnant += 1
-            if (stagnant >= _STAGNATION_ITERATIONS
-                    and gnorm <= _STAGNATION_GNORM * (1.0 + abs(energy))):
+    with np.errstate(over="ignore"):
+        energy = float(_smoothed_sum(g, r, w, p, f))
+        if not math.isfinite(energy):
+            # Route over the forest of the lightest weights instead; any
+            # feasible start works in the set-up's cycle basis.
+            f = SpanningForest(graph.n, graph.tails, graph.heads, np.argsort(
+                w, kind="stable")).route_demand(instance.d, m)
+            energy = float(_smoothed_sum(g, r, w, p, f))
+        if not math.isfinite(energy):
+            raise OracleError(f"energy of the start flow overflows ({energy})")
+        last_energy = math.inf
+        stagnant = 0
+        for iteration in range(max_iterations + 1):
+            curv = _curvature(w, p, f)
+            edge_grad = smoothed_gradient(g, r, w, p, f, curv)
+            grad = newton.to_cycles(edge_grad)
+            gnorm = math.sqrt(float(grad @ grad))
+            h = smoothed_hessian_diag(r, w, p, f, curv)
+            target = tol * tol * (1.0 + abs(energy))
+            # The Newton decrement -(grad . step), about twice the gain
+            # left, is at most grad . (grad / h) over the off-tree edges,
+            # where C^T H C dominates H; when that bound meets the target,
+            # no step is needed.
+            decrement = float(grad @ (grad / h[off_tree]))
+            if not decrement <= target:
+                step = newton.step(h, edge_grad, grad, gnorm)
+                if not float(grad @ step) < 0:
+                    # Numerical degeneracy; fall back to steepest descent.
+                    step = -grad
+                decrement = -float(grad @ step)
+            if decrement <= target:
                 return OracleReport(value=energy, flow=f,
                                     iterations=iteration, gradient_norm=gnorm)
-        else:
-            stagnant = 0
-        last_energy = energy
-        direction = newton.to_edges(step)
-        t = 1.0
-        for _ in range(80):
-            candidate = f + t * direction
-            cand_energy = smoothed_value(g, r, w, p, candidate)
-            if (np.isfinite(cand_energy)
-                    and cand_energy <= energy - 1e-4 * t * decrement):
-                f, energy = candidate, cand_energy
+            if iteration == max_iterations:
                 break
-            t *= 0.5
-        else:
-            # f did not move, so gnorm is still its gradient norm.
-            if gnorm <= max(tol, _STAGNATION_GNORM) * (1.0 + abs(energy)):
-                return OracleReport(value=energy, flow=f, iterations=iteration,
-                                    gradient_norm=gnorm)
-            raise OracleError(
-                f"line search stalled at gradient norm {gnorm:.3e}"
-            )
+            if last_energy - energy <= 4.0 * _EPS * (1.0 + abs(energy)):
+                stagnant += 1
+                if (stagnant >= _STAGNATION_ITERATIONS
+                        and gnorm <= _STAGNATION_GNORM * (1.0 + abs(energy))):
+                    return OracleReport(value=energy, flow=f,
+                                        iterations=iteration,
+                                        gradient_norm=gnorm)
+            else:
+                stagnant = 0
+            last_energy = energy
+            direction = newton.to_edges(step)
+            t = 1.0
+            for _ in range(80):
+                candidate = f + t * direction
+                cand_energy = float(_smoothed_sum(g, r, w, p, candidate))
+                if (math.isfinite(cand_energy)
+                        and cand_energy <= energy - 1e-4 * t * decrement):
+                    f, energy = candidate, cand_energy
+                    break
+                t *= 0.5
+            else:
+                # f did not move, so gnorm is still its gradient norm.
+                if gnorm <= max(tol, _STAGNATION_GNORM) * (1.0 + abs(energy)):
+                    return OracleReport(value=energy, flow=f,
+                                        iterations=iteration,
+                                        gradient_norm=gnorm)
+                raise OracleError(
+                    f"line search stalled at gradient norm {gnorm:.3e}"
+                )
     raise OracleError(
         f"no convergence in {max_iterations} iterations "
         f"(Newton decrement {decrement:.3e}, target {target:.3e})"

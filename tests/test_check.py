@@ -11,7 +11,6 @@ import pytest
 
 from pnormflow.check import stream_checker
 from pnormflow.drivers import AboveThreshold, Below, event_calls
-from pnormflow.errors import OracleError
 from pnormflow.refine import CertifiedAbove, Flow
 from pnormflow.streams import parse_stream
 
@@ -135,18 +134,30 @@ def test_events_must_come_in_order():
 
 @pytest.mark.parametrize("text", OVERFLOW_STREAMS)
 def test_above_against_an_overflowing_reference_is_flagged(text):
-    """A routable demand whose reference energy is not finite does not
-    prove a CertifiedAbove; the right verdict is a Flow."""
+    """The reference solve starts again from the lightest forest when its
+    first start overflows, so it reads the optimum, 2.0e-4, below F: a
+    CertifiedAbove is wrong, and the right verdict is a Flow."""
     record = records(parse_stream(text), [CertifiedAbove()])[0]
     assert record["ok"] is False
 
 
-@pytest.mark.xfail(strict=True, raises=OracleError, reason=(
-    "Newton reports an overflowing tree-routed start as converged, and the "
-    "solver raises on its infinite energy (ROADMAP item 2)"))
 def test_solver_finds_the_flow_under_an_overflowing_start():
     for text in OVERFLOW_STREAMS:
         _, calls = event_calls(parse_stream(text), seed=0)
         verdict = calls[0]()
         assert isinstance(verdict, Flow), text
         assert verdict.energy == pytest.approx(2.0e-4, rel=1e-6)
+
+
+def test_solver_and_checker_agree_above_an_overflowing_start():
+    # F below the optimum 2.0e-4: the right verdict is a CertifiedAbove,
+    # which the checker proves by its own solve from an overflowing start.
+    for text in OVERFLOW_STREAMS:
+        stream = parse_stream(text.replace("F=1.0 eps=0.001",
+                                           "F=0.00001 eps=0.0000001"))
+        _, calls = event_calls(stream, seed=0)
+        verdict = calls[0]()
+        assert isinstance(verdict, CertifiedAbove), text
+        record = records(stream, [verdict])[0]
+        assert record["ok"] is True, text
+        assert record["oracle"] == pytest.approx(2.0e-4, rel=1e-6)

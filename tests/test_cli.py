@@ -323,7 +323,7 @@ class TestExitCodes:
         assert main(["pnorm", path]) == EXIT_FAILURE
         err = capsys.readouterr().err
         assert err.startswith("pnormflow: solver failure: energy of the "
-                              "adopted flow overflows")
+                              "start flow overflows")
         assert "invariant" not in err
 
     # Newton stops on its decrement, in energy units, so materializations

@@ -45,6 +45,45 @@ add 5 4 cap=26
 add 1 4 cap=142
 """
 
+# At p = 24 an edge of large capacity that carries almost no flow has
+# curvature near 2 (delta / u)^2, and h spans 3.8e-16 to 1.87; as
+# conductances 1 / h in a grounded vertex Laplacian factored densely
+# (LAPACK getrf), Newton's steps lost their accuracy and stalled.
+VANISHING_CURVATURE_STREAM = """\
+problem maxflow n=7 mmax=9 s=1 t=2 eps=0.25
+edge 5 4 cap=22583
+edge 4 6 cap=605563
+edge 2 3 cap=457375
+edge 7 1 cap=1
+edge 7 3 cap=15062
+start
+add 4 3 cap=102
+add 4 1 cap=20641
+add 2 5 cap=464
+add 6 3 cap=426
+"""
+
+# Capacities from 1 to 86,701,949: here the vertex-space steps stall
+# whether the Laplacian is factored densely or by splu, and only the dense
+# cycle-space step verifies every event.
+CYCLE_SPACE_STREAM = """\
+problem maxflow n=5 mmax=13 s=1 t=2 eps=0.1
+edge 5 2 cap=2
+edge 2 4 cap=1
+edge 3 1 cap=2
+edge 2 3 cap=40
+edge 4 3 cap=4793
+edge 2 5 cap=401
+start
+add 1 4 cap=1631
+add 3 1 cap=86701949
+add 5 4 cap=141
+add 4 3 cap=12107798
+add 2 5 cap=11870092
+add 4 1 cap=42256
+add 4 5 cap=1
+"""
+
 
 class TestMaxflowValidation:
     def test_bad_terminals_rejected(self):
@@ -219,6 +258,19 @@ class TestMaxflowPublishing:
         for index, call in enumerate(calls):
             assert check(index, call())["ok"]
         assert driver.phase_count >= 2
+
+    @pytest.mark.parametrize("seed", [0, 1, 5])
+    @pytest.mark.parametrize("text", [VANISHING_CURVATURE_STREAM,
+                                      CYCLE_SPACE_STREAM],
+                             ids=["vanishing", "cycle-space"])
+    def test_vanishing_curvature_tracks_the_exact_maxflow(self, text, seed):
+        """Solved through a dense vertex Laplacian, a materialization on
+        either stream ended in "no convergence in 2000 iterations"."""
+        stream = parse_stream(text)
+        check = stream_checker(stream)
+        _, calls = event_calls(stream, seed=seed)
+        for index, call in enumerate(calls):
+            assert check(index, call())["ok"]
 
     def test_phase_beyond_the_bound_is_an_invariant_violation(
             self, monkeypatch):

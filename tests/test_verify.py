@@ -1,30 +1,42 @@
 """Tests for the reference oracles: convex optimum, maxflow, resistance."""
 
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 import scipy.sparse as sp
 from hypothesis import given, settings, strategies as st
-from scipy.linalg.lapack import dgetrf, dgetrs
+from scipy.linalg.lapack import dpotrf, dpotrs
 
 import pnormflow.verify as verify_module
 from pnormflow.graph import (IncrementalGraph, PNormInstance, net_demand,
                              smoothed_gradient, smoothed_hessian_diag,
                              smoothed_value)
+from pnormflow.errors import OracleError
 from pnormflow.refine import MATERIALIZE_MAX_ITERATIONS, MATERIALIZE_TOL
 from pnormflow.trees import SpanningForest
 from pnormflow.verify import (
-    _DENSE_LAPLACIAN_LIMIT,
+    _DENSE_CYCLE_LIMIT,
+    _EPS,
     _STAGNATION_GNORM,
     DEFAULT_ORACLE_TOL,
     NewtonSetup,
-    _LaplacianNewton,
+    _CycleNewton,
     effective_resistance,
     exact_maxflow,
     static_pnorm_opt,
 )
 from support import finite_diff_check
+
+
+@pytest.fixture(params=[True, False], ids=["dense", "sparse"])
+def dense(request, monkeypatch):
+    """Whether Newton steps take the dense path: for False the cycle limit
+    is set below every cycle count."""
+    if not request.param:
+        monkeypatch.setattr(verify_module, "_DENSE_CYCLE_LIMIT", -1)
+    return request.param
 
 
 def build_instance(n, edges, d, p, g=None, r=None, w=None):
@@ -107,7 +119,8 @@ def maxflow_instance(seed, eps):
 
 class TestStaticPNormOpt:
     """The Newton oracle for the smoothed objective: steps in cycle
-    coordinates, each solved through a grounded vertex Laplacian."""
+    coordinates, solved densely in the cycle space at small cycle counts
+    and through a grounded vertex Laplacian above them."""
 
     def test_parallel_edges_split_evenly(self):
         inst = build_instance(2, [(0, 1), (0, 1)], [-1.0, 1.0], 2,
@@ -186,8 +199,8 @@ class TestStaticPNormOpt:
         # At the optimum the decrement's bound grad . (grad / h) meets the
         # target, so the solve ends without computing a step.
         steps = []
-        step = _LaplacianNewton.step
-        monkeypatch.setattr(_LaplacianNewton, "step", lambda self, *args: (
+        step = _CycleNewton.step
+        monkeypatch.setattr(_CycleNewton, "step", lambda self, *args: (
             steps.append(1), step(self, *args))[1])
         for seed in range(30):
             inst = random_instance(np.random.Generator(np.random.Philox(
@@ -238,7 +251,7 @@ class TestStaticPNormOpt:
     def test_sparse_laplacian_matches_closed_form(self):
         rng = np.random.Generator(np.random.Philox(17))
         n, m = 100, 1000
-        assert n - 1 > _DENSE_LAPLACIAN_LIMIT
+        assert m - (n - 1) > _DENSE_CYCLE_LIMIT
         graph = IncrementalGraph(n)
         for i in range(n - 1):
             graph.add_edge(i, i + 1)
@@ -269,16 +282,44 @@ class TestStaticPNormOpt:
         assert float(np.max(np.abs(imbalance))) <= 1e-9 * float(
             np.max(np.abs(inst.d)))
 
+    @pytest.mark.parametrize("p", [2, 3, 37])
+    def test_value_is_the_energy_of_the_flow(self, dense, p):
+        # The solver adopts report.value as the energy of report.flow.
+        for seed in range(10):
+            inst = random_instance(np.random.Generator(np.random.Philox(
+                seed)), p_choices=(p,))
+            setup = NewtonSetup(inst.graph)
+            report = static_pnorm_opt(inst, setup=setup)
+            assert setup._newton.dense == dense
+            assert report.value == inst.energy(report.flow)
+
+    def test_overflowing_start_restarts_on_the_lightest_forest(self):
+        # Routing 10 over the heavy edge costs (1e6 * 10)^60, past the
+        # float range; the forest of the two light edges starts finite.
+        inst = build_instance(3, [(0, 2), (0, 1), (1, 2)], [-10.0, 0.0, 10.0],
+                              60, r=[1e-3] * 3, w=[1e6, 1e-2, 1e-2])
+        report = static_pnorm_opt(inst, start_flow=[10.0, 0.0, 0.0])
+        assert report.value == inst.energy(report.flow)
+        assert report.value == pytest.approx(2.0e-4, rel=1e-6)
+
+    def test_start_overflowing_on_every_forest_raises(self):
+        inst = build_instance(3, [(0, 1), (1, 2), (0, 2)],
+                              [-1e300, 0.0, 1e300], 2)
+        with pytest.raises(OracleError, match="start flow overflows"):
+            static_pnorm_opt(inst)
+
 
 class TestCycleBasisProducts:
-    """At every size the Newton solver forms C x and C^T y with
-    np.bincount over sorted triplets; they must equal scipy's CSC and CSR
-    products bit for bit, since the static optimizer's iterates depend on
-    them. n = 80 has more free vertices than the dense limit."""
+    """The Newton solver forms C x and C^T y by dense matrix products up to
+    _DENSE_CYCLE_LIMIT cycles, which must agree with scipy's CSC and CSR
+    products to rounding, and by np.bincount over sorted triplets above
+    it, which must equal them bit for bit: the sparse path's iterates
+    depend on them."""
 
-    @pytest.mark.parametrize("n", [12, _DENSE_LAPLACIAN_LIMIT + 1, 80])
+    @pytest.mark.parametrize("n, dense", [(12, True), (80, True),
+                                          (80, False)])
     @pytest.mark.parametrize("seed", range(10))
-    def test_bincount_products_match_scipy(self, n, seed):
+    def test_products_match_scipy(self, n, dense, seed):
         rng = np.random.Generator(np.random.Philox(seed))
         graph = IncrementalGraph(n)
         # A random forest (odd seeds leave some vertices unattached), then
@@ -286,7 +327,9 @@ class TestCycleBasisProducts:
         for v in range(1, n):
             if seed % 2 == 0 or rng.random() < 0.8:
                 graph.add_edge(int(rng.integers(0, v)), v)
-        for _ in range(int(rng.integers(1, 3 * n))):
+        want = int(rng.integers(1, min(2 * n, _DENSE_CYCLE_LIMIT))) if dense \
+            else _DENSE_CYCLE_LIMIT + int(rng.integers(1, 2 * n))
+        while graph.m - (n - graph.components) < want:
             u, v = rng.choice(n, size=2, replace=False)
             for _ in range(int(rng.integers(1, 3))):
                 graph.add_edge(int(u), int(v))
@@ -296,8 +339,8 @@ class TestCycleBasisProducts:
         off_tree = np.flatnonzero(~forest.tree_edge_mask(m))
         cycle, edges, signs = forest.fundamental_cycle(
             off_tree, graph.tails[off_tree], graph.heads[off_tree])
-        newton = _LaplacianNewton(graph, forest)
-        assert newton.dense == (n <= _DENSE_LAPLACIAN_LIMIT + 1)
+        newton = _CycleNewton(graph, forest)
+        assert newton.dense == dense
         if seed % 2 == 0:
             assert newton.size == n - 1
         basis = sp.csc_matrix((signs.astype(float), (edges, cycle)),
@@ -307,8 +350,17 @@ class TestCycleBasisProducts:
         x = rng.normal(size=off_tree.size) * 10.0 ** rng.uniform(
             -6, 6, off_tree.size)
         y = rng.normal(size=m) * 10.0 ** rng.uniform(-6, 6, m)
-        assert np.array_equal(newton.to_edges(x), basis @ x)
-        assert np.array_equal(newton.to_cycles(y), basis.T.tocsr() @ y)
+        ours = (newton.to_edges(x), newton.to_cycles(y))
+        theirs = (basis @ x, basis.T.tocsr() @ y)
+        if dense:
+            # A sum of at most m signed terms rounds by at most m * eps
+            # times the sum of their magnitudes.
+            bounds = (abs(basis) @ abs(x), abs(basis).T @ abs(y))
+            for a, b, bound in zip(ours, theirs, bounds):
+                assert np.all(np.abs(a - b) <= m * _EPS * bound)
+        else:
+            for a, b in zip(ours, theirs):
+                assert np.array_equal(a, b)
 
 
 def two_component_graph(n, rng):
@@ -338,13 +390,15 @@ class TestNewtonSetup:
 
     @staticmethod
     def assert_matches_fresh(newton, graph):
-        fresh = _LaplacianNewton(graph, SpanningForest(
+        fresh = _CycleNewton(graph, SpanningForest(
             graph.n, graph.tails, graph.heads, range(graph.m)))
         for field in ("parent_vertex", "parent_edge", "parent_sign",
                       "depth", "order", "tree_edges"):
             assert np.array_equal(getattr(newton.forest, field),
                                   getattr(fresh.forest, field)), field
         assert (newton.m, newton.dense) == (fresh.m, fresh.dense)
+        if fresh.dense:
+            assert np.array_equal(newton.basis, fresh.basis)
         for field in ("off_tree", "off_tails", "off_heads", "free", "cycle",
                       "edge", "sign"):
             ours, theirs = getattr(newton, field), getattr(fresh, field)
@@ -356,15 +410,18 @@ class TestNewtonSetup:
                               nt.entry_index.tolist()))
         assert entries(newton) == entries(fresh)
 
-    @pytest.mark.parametrize("n, dense", [(12, True), (80, False)])
+    # Each component holds as many extra edges as vertices, so the set-up
+    # starts with n cycles: at n = _DENSE_CYCLE_LIMIT the first extension
+    # leaves the dense path.
+    @pytest.mark.parametrize("n", [12, _DENSE_CYCLE_LIMIT, 240])
     @pytest.mark.parametrize("seed", range(3))
-    def test_extended_and_rebuilt_set_up_match_a_fresh_build(
-            self, n, dense, seed):
+    def test_extended_and_rebuilt_set_up_match_a_fresh_build(self, n, seed):
         rng = np.random.Generator(np.random.Philox(seed))
         graph, cut = two_component_graph(n, rng)
         setup = NewtonSetup(graph)
         newton = setup._caught_up()
-        assert newton.dense == dense
+        assert newton.off_tree.size == n
+        assert newton.dense == (n <= _DENSE_CYCLE_LIMIT)
         for count in (1, 3):
             add_inside(graph, rng, 0, cut, count)
             add_inside(graph, rng, cut, n, 1)
@@ -415,11 +472,12 @@ class TestNewtonSetup:
             static_pnorm_opt(inst, setup=NewtonSetup(inst.graph), seed=0)
 
 
-def dense_newton_system(seed, p):
-    """A dense-path _LaplacianNewton on a random 12-vertex multigraph, the
+def newton_system(seed, p):
+    """A _CycleNewton on a random 12-vertex multigraph (24 cycles), the
     edge gradient, Hessian diagonal and cycle-space gradient of a random
     smoothed objective at a random flow, and the cycle-space Hessian
-    C^T H C formed explicitly."""
+    C^T H C formed explicitly. Under the dense fixture's sparse param it
+    takes the sparse path."""
     rng = np.random.Generator(np.random.Philox(seed))
     n = 12
     graph = IncrementalGraph(n)
@@ -430,7 +488,7 @@ def dense_newton_system(seed, p):
         graph.add_edge(int(u), int(v))
     m = graph.m
     forest = SpanningForest(n, graph.tails, graph.heads, rng.permutation(m))
-    newton = _LaplacianNewton(graph, forest)
+    newton = _CycleNewton(graph, forest)
     off_tree = newton.off_tree
     g, r, w = rng.normal(size=m), 0.2 + rng.random(m), 0.2 + rng.random(m)
     # w |f| stays near 1, so at p = 37 h spans a few orders of magnitude
@@ -445,24 +503,36 @@ def dense_newton_system(seed, p):
 
 
 class TestNewtonStep:
-    """One Newton step: one LU factorization, reused by every refinement
-    pass, and a step accurate to the forcing term."""
+    """One Newton step: one factorization on either path (the sparse path
+    reuses it for every refinement pass), and a step accurate to the
+    forcing term."""
 
-    def test_factors_once_per_step(self, monkeypatch):
+    def test_factors_once_per_step(self, monkeypatch, dense):
         factored, solved = [], []
 
-        def counting_getrf(*args, **kwargs):
-            factored.append(1)
-            return dgetrf(*args, **kwargs)
+        def counting(calls, fn):
+            def counted(*args, **kwargs):
+                calls.append(1)
+                return fn(*args, **kwargs)
+            return counted
 
-        def counting_getrs(*args, **kwargs):
-            solved.append(1)
-            return dgetrs(*args, **kwargs)
+        if dense:
+            monkeypatch.setattr(verify_module, "dpotrf",
+                                counting(factored, dpotrf))
+            monkeypatch.setattr(verify_module, "dpotrs",
+                                counting(solved, dpotrs))
+        else:
+            splu = verify_module.spla.splu
 
-        monkeypatch.setattr(verify_module, "dgetrf", counting_getrf)
-        monkeypatch.setattr(verify_module, "dgetrs", counting_getrs)
+            def counting_splu(*args, **kwargs):
+                factored.append(1)
+                lu = splu(*args, **kwargs)
+                return SimpleNamespace(solve=counting(solved, lu.solve))
+
+            monkeypatch.setattr(verify_module.spla, "splu", counting_splu)
         for seed in range(5):
-            newton, h, edge_grad, grad, _ = dense_newton_system(seed, 37)
+            newton, h, edge_grad, grad, _ = newton_system(seed, 37)
+            assert newton.dense == dense
             # A gradient norm of 1e-20 makes the forcing term machine
             # precision, so refinement runs as far as it can.
             scale = 1e-20 / float(np.linalg.norm(grad))
@@ -470,12 +540,16 @@ class TestNewtonStep:
             newton.step(h, scale * edge_grad, scale * grad, 1e-20)
             assert len(factored) == seed + 1
             assert len(solved) - before >= 1
-        assert len(solved) > len(factored)
+        if dense:
+            assert len(solved) == len(factored)
+        else:
+            assert len(solved) > len(factored)
 
-    @pytest.mark.parametrize("p", [2, 37])
+    @pytest.mark.parametrize("p", [2, 3, 37])
     @pytest.mark.parametrize("seed", range(10))
-    def test_step_matches_dense_solve(self, p, seed):
-        newton, h, edge_grad, grad, hessian = dense_newton_system(seed, p)
+    def test_step_matches_dense_solve(self, dense, p, seed):
+        newton, h, edge_grad, grad, hessian = newton_system(seed, p)
+        assert newton.dense == dense
         gnorm = float(np.linalg.norm(grad))
         reference = np.linalg.solve(hessian, -grad)
         step = newton.step(h, edge_grad, grad, gnorm)
@@ -489,9 +563,25 @@ class TestNewtonStep:
         assert -(grad @ reference) <= (grad @ (grad / h[newton.off_tree])
                                        * (1 + 1e-12))
 
-    def test_singular_laplacian_gives_a_nan_step(self):
-        newton, h, edge_grad, grad, _ = dense_newton_system(0, 2)
-        h = np.full_like(h, np.inf)
+    @pytest.mark.parametrize("p", [2, 3, 37])
+    @pytest.mark.parametrize("seed", range(10))
+    def test_paths_agree_to_rounding(self, monkeypatch, p, seed):
+        newton, h, edge_grad, grad, _ = newton_system(seed, p)
+        # The forcing term at a gradient norm of 1e-20 is machine precision.
+        scale = 1e-20 / float(np.linalg.norm(grad))
+        steps = [newton.step(h, scale * edge_grad, scale * grad, 1e-20)]
+        monkeypatch.setattr(verify_module, "_DENSE_CYCLE_LIMIT", -1)
+        sparse, *_ = newton_system(seed, p)
+        assert (newton.dense, sparse.dense) == (True, False)
+        steps.append(sparse.step(h, scale * edge_grad, scale * grad, 1e-20))
+        assert np.linalg.norm(steps[1] - steps[0]) <= 1e-12 * np.linalg.norm(
+            steps[0])
+
+    def test_failed_factorization_gives_a_nan_step(self, dense):
+        newton, h, edge_grad, grad, _ = newton_system(0, 2)
+        # h = 0 zeroes C^T H C, which potrf rejects at its first pivot;
+        # h = inf zeroes the conductances 1/h, a singular Laplacian.
+        h = np.full_like(h, 0.0 if dense else np.inf)
         step = newton.step(h, edge_grad, grad, float(np.linalg.norm(grad)))
         assert step.shape == grad.shape
         assert np.all(np.isnan(step))
