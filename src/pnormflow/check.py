@@ -26,9 +26,8 @@ RTOL = 1e-7
 # Slack for a bound an answer meets exactly up to rounding: absolute on the
 # integral maxflow value, relative elsewhere.
 EXACT_TOL = 1e-9
-# static_pnorm_opt's tolerance (an energy error near 5e-17 (1 + |E|)),
-# iteration cap and forest seed.
-OPT_TOL, OPT_MAX_ITERATIONS, OPT_SEED = 1e-8, 2000, 23
+# static_pnorm_opt's forest seed.
+OPT_SEED = 23
 # scipy's maximum_flow works in int32, and at scipy 1.17.1 it returns 0 for
 # larger int64 capacities too, so maxflow streams are checked only while
 # int32 holds their total capacity.
@@ -78,9 +77,8 @@ def _pnorm_checker(stream: UpdateStream) -> Callable[[int, object], dict]:
                 if warm is not None:
                     warm = np.concatenate(
                         [warm, np.zeros(instance.m - warm.size)])
-                report = static_pnorm_opt(
-                    instance, tol=OPT_TOL, start_flow=warm, seed=OPT_SEED,
-                    max_iterations=OPT_MAX_ITERATIONS)
+                report = static_pnorm_opt(instance, start_flow=warm,
+                                          seed=OPT_SEED)
                 warm, oracle = report.flow, report.value
             ok = (isinstance(verdict, CertifiedAbove)
                   and oracle > F - RTOL * (1.0 + abs(F))

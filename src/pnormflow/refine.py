@@ -24,9 +24,11 @@ round, unless it stalls. A crossing of the threshold can require more
 inner work than any desk-scale budget allows, so on exhaustion the event
 is resolved by recomputing an optimal flow from the current point (a
 materialization) and restarting refinement there; above verdicts still
-come only from genuine stalls. The solver's static solves carry one Newton
-set-up (verify.NewtonSetup), which each solve extends by the edges
-inserted since the last one instead of building it afresh.
+come only from genuine stalls. The solver's static solves run to Newton's
+one tolerance (verify.NEWTON_TOL), far below the eps-scale margins of the
+verdicts, and carry one Newton set-up (verify.NewtonSetup), which each
+solve extends by the edges inserted since the last one instead of building
+it afresh.
 """
 
 from __future__ import annotations
@@ -60,12 +62,6 @@ from .verify import NewtonSetup, static_pnorm_opt
 DEFAULT_LAMBDA_FACTOR = 16
 SANDWICH_SAMPLES = 8
 CONTRACT_RTOL = 1e-9
-# Internal re-optimizations only feed verdicts whose margins are on the
-# scale of eps; Newton stops at a decrement of tol^2 (1 + |E|), an energy
-# error of about 5e-17 (1 + |E|) here, so this looser target is safe and
-# stays reachable at the large p the maxflow driver uses.
-MATERIALIZE_TOL = 1e-8
-MATERIALIZE_MAX_ITERATIONS = 2000
 
 
 @dataclass
@@ -119,12 +115,13 @@ def residual_scaled_weights(residual: ResidualProblem,
 
 
 def sandwich_holds(instance: PNormInstance, f: np.ndarray, x: np.ndarray,
-                   lam: float, rtol: float = CONTRACT_RTOL) -> bool:
+                   lam: float) -> bool:
     """Check both refinement inequalities at (f, x) for the scale lam:
     E(f+x) - E(f) <= R_f(x) and E(f + lam x) - E(f) >= lam R_f(x).
 
     f and x are flows or (k, m) stacks of them, checked row by row in one
-    vectorized pass; True only if every row holds, each with its own slack.
+    vectorized pass; True only if every row holds, each with its own slack
+    of CONTRACT_RTOL relative to its terms.
     """
     f = np.atleast_2d(np.asarray(f, dtype=float))
     x = np.atleast_2d(np.asarray(x, dtype=float))
@@ -140,8 +137,8 @@ def sandwich_holds(instance: PNormInstance, f: np.ndarray, x: np.ndarray,
     rx = smoothed_value(residual.g, residual.r, residual.w, residual.p, x)
     upper_lhs = plus_x - base
     lower_lhs = plus_lam_x - base
-    upper_slack = rtol * (abs(upper_lhs) + abs(rx) + abs(base))
-    lower_slack = rtol * (abs(lower_lhs) + lam * abs(rx) + abs(base))
+    upper_slack = CONTRACT_RTOL * (abs(upper_lhs) + abs(rx) + abs(base))
+    lower_slack = CONTRACT_RTOL * (abs(lower_lhs) + lam * abs(rx) + abs(base))
     return bool(np.all((upper_lhs <= rx + upper_slack)
                        & (lower_lhs >= lam * rx - lower_slack)))
 
@@ -349,8 +346,6 @@ class IncrementalPNormSolver:
         first adoption validates lambda, which no demand change affects."""
         self.mwu = None
         report = static_pnorm_opt(self.instance, start_flow=start_flow,
-                                  tol=MATERIALIZE_TOL,
-                                  max_iterations=MATERIALIZE_MAX_ITERATIONS,
                                   setup=self.setup)
         # Zero past the current edges, so every later edge joins with zero
         # flow without writing its slot.

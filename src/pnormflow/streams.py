@@ -403,10 +403,7 @@ def _prefix_optima(stream: UpdateStream,
             return math.inf
         if flow is not None and flow.size < instance.m:
             flow = np.concatenate([flow, np.zeros(instance.m - flow.size)])
-        # Threshold placement only needs macro-scale accuracy; the loose
-        # target keeps Newton from grinding on ill-conditioned prefixes.
-        report = static_pnorm_opt(instance, start_flow=flow, tol=1e-7,
-                                  max_iterations=2000, seed=seed)
+        report = static_pnorm_opt(instance, start_flow=flow, seed=seed)
         flow = report.flow
         return report.value
 

@@ -10,10 +10,11 @@ chooses how a Newton step is solved: up to _DENSE_CYCLE_LIMIT cycles by
 one dense Cholesky factorization of the k x k cycle-space Hessian, above
 it through a sparse (splu) grounded vertex Laplacian.
 
-A solve builds its spanning forest, cycle basis and Laplacian pattern for
-itself, unless the caller carries them in a NewtonSetup: the solver keeps
-one and the maxflow driver shares one across its phases, so a solve after
-insertions inside components only appends their cycles.
+A solve builds its spanning forest and cycle basis for itself, unless the
+caller carries them in a NewtonSetup: the solver keeps one and the maxflow
+driver shares one across its phases, so a solve after insertions inside
+components only appends their cycles. Every solve runs to one tolerance,
+NEWTON_TOL, within one iteration cap, NEWTON_MAX_ITERATIONS.
 """
 
 from __future__ import annotations
@@ -39,12 +40,18 @@ from .graph import (
 )
 from .trees import SpanningForest
 
-DEFAULT_ORACLE_TOL = 1e-9
+# Newton stops at a decrement of NEWTON_TOL^2 (1 + |E|), an energy error of
+# about 5e-17 (1 + |E|): far below the eps-scale margins of the verdicts
+# its optima feed, and still reachable at the large p the maxflow driver
+# uses.
+NEWTON_TOL = 1e-8
+NEWTON_MAX_ITERATIONS = 2000
 _EPS = float(np.finfo(float).eps)
 # Exit thresholds for iterates pinned at the energy evaluation noise floor.
 # The objective is strongly convex on the cycle space (curvature >= 2 r^2),
 # so repeated noise-level progress with a machine-precision-scale gradient
-# means the iterate is the numerical optimum even when `tol` is unreachable.
+# means the iterate is the numerical optimum even when NEWTON_TOL is
+# unreachable.
 _STAGNATION_ITERATIONS = 8
 _STAGNATION_GNORM = 100.0 * math.sqrt(_EPS)
 
@@ -90,13 +97,14 @@ class _CycleNewton:
       from the (cycle, edge, sign) triplets, sorted by cycle and then edge
       as scipy's compressed arrays store them; it adds the same terms in
       the same order as scipy's CSC and CSR products, and each sign is
-      +-1, so the results are bit-identical to scipy's. L's entry pattern
-      is held as flat positions row * size + col.
+      +-1, so the results are bit-identical to scipy's. Each step
+      assembles L from the edge endpoints in edge order, so an extended
+      set-up sums its entries as a fresh one does.
 
-    The triplets and the Laplacian pattern are kept at every k, so a set-up
-    that grows past the limit changes path. The forest and the grounded
-    vertices are fixed at construction; extend appends edges that close
-    cycles in it (see NewtonSetup).
+    The triplets are kept at every k, so a set-up that grows past the
+    limit changes path. The forest and the grounded vertices are fixed at
+    construction; extend appends edges that close cycles in it (see
+    NewtonSetup).
     """
 
     def __init__(self, graph: IncrementalGraph, forest: SpanningForest):
@@ -108,19 +116,8 @@ class _CycleNewton:
         self.off_tails = self.tails[self.off_tree]
         self.off_heads = self.heads[self.off_tree]
         self.free = np.flatnonzero(forest.parent_vertex >= 0)
-        size = self.free.size
         self._local = np.full(n, -1, dtype=np.int64)
-        self._local[self.free] = np.arange(size)
-        lt, lh = self._local[self.tails], self._local[self.heads]
-        # Per edge: +1/h at (tail, tail) and (head, head), -1/h at
-        # (tail, head) and (head, tail); entries at grounded vertices drop.
-        rows = np.concatenate((lt, lh, lt, lh))
-        cols = np.concatenate((lt, lh, lh, lt))
-        keep = (rows >= 0) & (cols >= 0)
-        self.entry_edge = np.tile(np.arange(m), 4)[keep]
-        self.entry_sign = np.repeat([1.0, 1.0, -1.0, -1.0], m)[keep]
-        self.entry_index = rows[keep] * size + cols[keep]
-        self.size = size
+        self._local[self.free] = np.arange(self.free.size)
         cycle, edges, signs = forest.fundamental_cycle(
             self.off_tree, self.off_tails, self.off_heads)
         order = np.argsort(cycle * m + edges)
@@ -142,20 +139,17 @@ class _CycleNewton:
     def extend(self, graph: IncrementalGraph) -> None:
         """Append the graph's edges from self.m on, each of which closes a
         cycle in the forest: per edge one cycle, found by the walk of
-        SpanningForest.fundamental_cycle on Python ints, and up to four
-        Laplacian entries, after the held ones."""
+        SpanningForest.fundamental_cycle on Python ints, after the held
+        ones."""
         if self._tree is None:
             forest = self.forest
             self._tree = tuple(a.tolist() for a in (
                 forest.depth, forest.parent_vertex, forest.parent_edge,
                 forest.parent_sign))
         depth, pv, pe, ps = self._tree
-        local, size = self._local, self.size
         off, cycle, edge, sign = [], [], [], []
-        entries: list[tuple[int, int, int, float]] = []
         for e in range(self.m, graph.m):
-            u = tail = int(graph.tails[e])
-            v = head = int(graph.heads[e])
+            u, v = int(graph.tails[e]), int(graph.heads[e])
             steps = [(e, 1)]
             while u != v:
                 up_u, up_v = depth[u] >= depth[v], depth[v] >= depth[u]
@@ -170,10 +164,6 @@ class _CycleNewton:
             edge += [s[0] for s in steps]
             sign += [float(s[1]) for s in steps]
             off.append(e)
-            lt, lh = local[tail], local[head]
-            entries += [(e, row, col, value) for row, col, value in (
-                (lt, lt, 1.0), (lh, lh, 1.0), (lt, lh, -1.0), (lh, lt, -1.0))
-                if row >= 0 and col >= 0]
         self.m = graph.m
         self.tails, self.heads = graph.tails, graph.heads
         self.off_tree = np.append(self.off_tree, off)
@@ -182,11 +172,6 @@ class _CycleNewton:
         self.cycle = np.append(self.cycle, cycle)
         self.edge = np.append(self.edge, edge)
         self.sign = np.append(self.sign, sign)
-        if entries:
-            e, rows, cols, values = (np.array(a) for a in zip(*entries))
-            self.entry_edge = np.append(self.entry_edge, e)
-            self.entry_sign = np.append(self.entry_sign, values)
-            self.entry_index = np.append(self.entry_index, rows * size + cols)
         self._set_basis()
 
     def to_edges(self, x: np.ndarray) -> np.ndarray:
@@ -220,10 +205,16 @@ class _CycleNewton:
                 return np.full(self.off_tree.size, np.nan)
             return dpotrs(chol, -grad)[0]
         cond = 1.0 / h
-        size = self.size
+        # Per edge: +1/h at (tail, tail) and (head, head), -1/h at
+        # (tail, head) and (head, tail); entries at grounded vertices drop.
+        lt, lh = self._local[self.tails], self._local[self.heads]
+        rows = np.concatenate((lt, lh, lt, lh))
+        cols = np.concatenate((lt, lh, lh, lt))
+        keep = (rows >= 0) & (cols >= 0)
+        size = self.free.size
         lap = sp.csc_matrix(
-            (self.entry_sign * cond[self.entry_edge],
-             np.divmod(self.entry_index, size)), shape=(size, size))
+            (np.concatenate((cond, cond, -cond, -cond))[keep],
+             (rows[keep], cols[keep])), shape=(size, size))
         try:
             solve = spla.splu(lap).solve
         except RuntimeError:
@@ -256,14 +247,13 @@ class NewtonSetup:
     """Newton's set-up for static_pnorm_opt, carried across solves on one
     growing graph: the spanning forest Kruskal takes over the edge order
     0..m-1, its off-tree edges and fundamental-cycle basis (also dense at
-    small cycle counts), and the grounded Laplacian's entry pattern.
+    small cycle counts).
 
     Before each solve it catches up with the graph. An edge inside a
-    component leaves that forest as it is, so it appends its cycle and up
-    to four Laplacian entries; an edge that merges two components changes
-    the forest, so the set-up is built afresh. Apart from the order of the
-    Laplacian entries, an extended set-up equals a fresh one, so a solve
-    through it agrees with a solve without it to rounding. Between solves
+    component leaves that forest as it is, so it appends its cycle; an
+    edge that merges two components changes the forest, so the set-up is
+    built afresh. An extended set-up equals a fresh one in every field, so
+    a solve through it equals a solve without it bit for bit. Between solves
     the solver reads the forest (current_forest) for its oracle's tree
     potentials.
     """
@@ -304,10 +294,8 @@ class OracleReport:
 
 def static_pnorm_opt(
     instance: PNormInstance,
-    tol: float = DEFAULT_ORACLE_TOL,
     start_flow: np.ndarray | None = None,
     seed: int | None = None,
-    max_iterations: int = 500,
     setup: NewtonSetup | None = None,
 ) -> OracleReport:
     """Minimize the smoothed objective over flows routing the demand.
@@ -315,13 +303,13 @@ def static_pnorm_opt(
     Parameterizes feasible flows as f0 + C x where f0 routes the demand on a
     spanning forest and the columns of C are fundamental circulations, then
     runs damped Newton with backtracking until the Newton decrement
-    -(grad . step) drops to tol^2 * (1 + |E(f)|), checked before each of
-    max_iterations steps and once after the last; when its upper bound
-    grad . (grad / h) over the off-tree edges already meets the target, the
-    step is not computed. The decrement is in energy units (about twice the
-    gain left), so the rule holds at any capacity scale, as a gradient norm
-    in flow units would not. On a forest (no cycles) the bound is 0.0 and
-    the tree-routed flow returns at iteration 0.
+    -(grad . step) drops to NEWTON_TOL^2 * (1 + |E(f)|), checked before
+    each of NEWTON_MAX_ITERATIONS steps and once after the last; when its
+    upper bound grad . (grad / h) over the off-tree edges already meets the
+    target, the step is not computed. The decrement is in energy units
+    (about twice the gain left), so the rule holds at any capacity scale,
+    as a gradient norm in flow units would not. On a forest (no cycles)
+    the bound is 0.0 and the tree-routed flow returns at iteration 0.
     Each Newton system C^T H C x = -C^T grad is solved densely in the cycle
     space while the cycle count is small, and through the grounded vertex
     Laplacian B^T H^-1 B to within a forcing term above it (see
@@ -339,15 +327,12 @@ def static_pnorm_opt(
     plateau is quadratic in the gradient norm and far below any comparison
     the report feeds. A step whose line search finds no decrease ends the
     solve at the current iterate: converged when its gradient norm is within
-    max(tol, the stagnation scale) * (1 + |E(f)|), an OracleError otherwise.
+    the stagnation scale times 1 + |E(f)|, an OracleError otherwise.
 
     Args:
         instance: the problem; demand must be routable on the current graph.
-        tol: square root of the decrement tolerance, relative to
-            1 + |energy|; the energy error is about tol^2 (1 + |energy|) / 2.
         start_flow: optional feasible starting flow (overrides tree routing).
         seed: randomizes the spanning forest, for self-consistency checks.
-        max_iterations: Newton iteration cap before giving up.
         setup: a NewtonSetup on the instance's graph, caught up and used
             in place of a set-up built for this solve alone; its forest is
             Kruskal's over the edge order, so it takes no seed.
@@ -402,13 +387,13 @@ def static_pnorm_opt(
             raise OracleError(f"energy of the start flow overflows ({energy})")
         last_energy = math.inf
         stagnant = 0
-        for iteration in range(max_iterations + 1):
+        for iteration in range(NEWTON_MAX_ITERATIONS + 1):
             curv = _curvature(w, p, f)
             edge_grad = smoothed_gradient(g, r, w, p, f, curv)
             grad = newton.to_cycles(edge_grad)
             gnorm = math.sqrt(float(grad @ grad))
             h = smoothed_hessian_diag(r, w, p, f, curv)
-            target = tol * tol * (1.0 + abs(energy))
+            target = NEWTON_TOL * NEWTON_TOL * (1.0 + abs(energy))
             # The Newton decrement -(grad . step), about twice the gain
             # left, is at most grad . (grad / h) over the off-tree edges,
             # where C^T H C dominates H; when that bound meets the target,
@@ -423,7 +408,7 @@ def static_pnorm_opt(
             if decrement <= target:
                 return OracleReport(value=energy, flow=f,
                                     iterations=iteration, gradient_norm=gnorm)
-            if iteration == max_iterations:
+            if iteration == NEWTON_MAX_ITERATIONS:
                 break
             if last_energy - energy <= 4.0 * _EPS * (1.0 + abs(energy)):
                 stagnant += 1
@@ -447,7 +432,7 @@ def static_pnorm_opt(
                 t *= 0.5
             else:
                 # f did not move, so gnorm is still its gradient norm.
-                if gnorm <= max(tol, _STAGNATION_GNORM) * (1.0 + abs(energy)):
+                if gnorm <= _STAGNATION_GNORM * (1.0 + abs(energy)):
                     return OracleReport(value=energy, flow=f,
                                         iterations=iteration,
                                         gradient_norm=gnorm)
@@ -455,7 +440,7 @@ def static_pnorm_opt(
                     f"line search stalled at gradient norm {gnorm:.3e}"
                 )
     raise OracleError(
-        f"no convergence in {max_iterations} iterations "
+        f"no convergence in {NEWTON_MAX_ITERATIONS} iterations "
         f"(Newton decrement {decrement:.3e}, target {target:.3e})"
     )
 

@@ -448,8 +448,7 @@ class TestAcceptance:
         probe = self._scale_instance(1.0, 0.1)
         for ev in events:
             probe.add_edge(*ev)
-        final_opt = static_pnorm_opt(probe, tol=1e-7,
-                                     max_iterations=2000, seed=1).value
+        final_opt = static_pnorm_opt(probe, seed=1).value
         threshold, eps = 0.5 * final_opt, 0.05 * final_opt
         instance = self._scale_instance(threshold, eps)
 

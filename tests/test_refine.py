@@ -512,9 +512,7 @@ class TestSolverVerdicts:
         demand = net_demand(instance.graph, start)
         verdict = solver.set_demand(demand, start)
         assert np.array_equal(instance.d, demand)
-        expected = static_pnorm_opt(
-            instance, start_flow=start, tol=refine.MATERIALIZE_TOL,
-            max_iterations=refine.MATERIALIZE_MAX_ITERATIONS)
+        expected = static_pnorm_opt(instance, start_flow=start)
         assert isinstance(verdict, Flow)
         assert verdict.flow.tobytes() == expected.flow.tobytes()
         assert verdict.energy == expected.value

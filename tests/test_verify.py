@@ -10,17 +10,19 @@ from hypothesis import given, settings, strategies as st
 from scipy.linalg.lapack import dpotrf, dpotrs
 
 import pnormflow.verify as verify_module
+from pnormflow.drivers import event_calls
 from pnormflow.graph import (IncrementalGraph, PNormInstance, net_demand,
                              smoothed_gradient, smoothed_hessian_diag,
                              smoothed_value)
 from pnormflow.errors import OracleError
-from pnormflow.refine import MATERIALIZE_MAX_ITERATIONS, MATERIALIZE_TOL
+from pnormflow.refine import CertifiedAbove, Flow
+from pnormflow.streams import parse_stream
 from pnormflow.trees import SpanningForest
 from pnormflow.verify import (
     _DENSE_CYCLE_LIMIT,
     _EPS,
     _STAGNATION_GNORM,
-    DEFAULT_ORACLE_TOL,
+    NEWTON_TOL,
     NewtonSetup,
     _CycleNewton,
     effective_resistance,
@@ -180,18 +182,18 @@ class TestStaticPNormOpt:
         # Newton steps are solved only to the forcing term, but the solve
         # ends on the true gradient norm, and another forest (another
         # cycle basis, other iterates) reaches the same value. The bound
-        # admits the documented noise-floor exit: at tol = 1e-9 an energy
-        # near 1 cannot resolve the last decrease, and one of these 60
-        # solves (p = 37, seed 4, forest 2) ends there at a gradient norm
-        # between tol and the stagnation scale.
+        # is the stagnation scale, which also admits the documented
+        # noise-floor exit: the decrement rule bounds the gradient only
+        # through the curvature, and two of these 60 solves (p = 3 and
+        # p = 37, seed 2, forest 1) end at a gradient norm between
+        # NEWTON_TOL and that scale.
         rng = np.random.Generator(np.random.Philox(seed))
         inst = random_instance(rng, p_choices=(p,))
         first = static_pnorm_opt(inst, seed=1)
         second = static_pnorm_opt(inst, seed=2)
         for report in (first, second):
-            assert report.gradient_norm <= max(
-                DEFAULT_ORACLE_TOL, _STAGNATION_GNORM) * (
-                    1.0 + abs(report.value))
+            assert report.gradient_norm <= _STAGNATION_GNORM * (
+                1.0 + abs(report.value))
         assert abs(second.value - first.value) <= 1e-10 * abs(first.value)
 
     def test_converged_solve_computes_no_step_past_its_last(self,
@@ -271,12 +273,10 @@ class TestStaticPNormOpt:
     @pytest.mark.parametrize("seed", [5, 6, 10])
     def test_large_p_maxflow_reduction_converges(self, seed):
         # p = 78 here; the Newton steps need refined Laplacian solves to
-        # reach the materialization tolerance.
+        # reach Newton's tolerance.
         inst, flow = maxflow_instance(seed, eps=0.1)
-        report = static_pnorm_opt(inst, start_flow=flow, tol=MATERIALIZE_TOL,
-                                  max_iterations=MATERIALIZE_MAX_ITERATIONS,
-                                  seed=0)
-        assert report.gradient_norm <= MATERIALIZE_TOL * (
+        report = static_pnorm_opt(inst, start_flow=flow, seed=0)
+        assert report.gradient_norm <= NEWTON_TOL * (
             1.0 + abs(report.value))
         imbalance = net_demand(inst.graph, report.flow) - inst.d
         assert float(np.max(np.abs(imbalance))) <= 1e-9 * float(
@@ -342,7 +342,7 @@ class TestCycleBasisProducts:
         newton = _CycleNewton(graph, forest)
         assert newton.dense == dense
         if seed % 2 == 0:
-            assert newton.size == n - 1
+            assert newton.free.size == n - 1
         basis = sp.csc_matrix((signs.astype(float), (edges, cycle)),
                               shape=(m, off_tree.size))
         # Entries over many magnitudes, so that any other summation order
@@ -396,19 +396,18 @@ class TestNewtonSetup:
                       "depth", "order", "tree_edges"):
             assert np.array_equal(getattr(newton.forest, field),
                                   getattr(fresh.forest, field)), field
-        assert (newton.m, newton.dense) == (fresh.m, fresh.dense)
-        if fresh.dense:
-            assert np.array_equal(newton.basis, fresh.basis)
-        for field in ("off_tree", "off_tails", "off_heads", "free", "cycle",
-                      "edge", "sign"):
-            ours, theirs = getattr(newton, field), getattr(fresh, field)
-            assert ours.dtype == theirs.dtype, field
-            assert np.array_equal(ours, theirs), field
-        # The Laplacian entries are the same, appended in another order.
-        def entries(nt):
-            return sorted(zip(nt.entry_edge.tolist(), nt.entry_sign.tolist(),
-                              nt.entry_index.tolist()))
-        assert entries(newton) == entries(fresh)
+        # Every other field, bar the forest (compared above) and _tree, the
+        # walk's copy of the forest, which only extend makes.
+        assert vars(newton).keys() == vars(fresh).keys()
+        for field, theirs in vars(fresh).items():
+            ours = getattr(newton, field)
+            if field in ("forest", "_tree"):
+                continue
+            if isinstance(theirs, np.ndarray):
+                assert ours.dtype == theirs.dtype, field
+                assert np.array_equal(ours, theirs), field
+            else:
+                assert ours == theirs, field
 
     # Each component holds as many extra edges as vertices, so the set-up
     # starts with n cycles: at n = _DENSE_CYCLE_LIMIT the first extension
@@ -437,18 +436,28 @@ class TestNewtonSetup:
         m = rebuilt.m
         assert setup._caught_up() is rebuilt and rebuilt.m == m
 
+    # A tree on 12 vertices (dense steps), and a tree on 60 vertices plus
+    # _DENSE_CYCLE_LIMIT + 1 cycles (sparse steps).
+    @pytest.mark.parametrize("n, cycles", [(12, 0),
+                                           (60, _DENSE_CYCLE_LIMIT + 1)])
     @pytest.mark.parametrize("p", [2, 3, 4])
     @pytest.mark.parametrize("seed", range(4))
-    def test_solves_with_and_without_the_set_up_agree(self, p, seed):
+    def test_solves_with_and_without_the_set_up_agree(self, n, cycles, p,
+                                                      seed):
         rng = np.random.Generator(np.random.Philox(seed))
-        n = 12
         graph = IncrementalGraph(n)
         d = rng.normal(size=n)
         d -= d.mean()
         inst = PNormInstance(graph, d, p, threshold=0.0, eps=1e-6)
+
+        def add(u, v):
+            inst.add_edge(u, v, *rng.normal(size=1), 0.2 + rng.random(),
+                          0.2 + rng.random())
+
         for v in range(1, n):
-            inst.add_edge(int(rng.integers(0, v)), v, *rng.normal(size=1),
-                          0.2 + rng.random(), 0.2 + rng.random())
+            add(int(rng.integers(0, v)), v)
+        for _ in range(cycles):
+            add(*(int(u) for u in rng.choice(n, size=2, replace=False)))
         setup = NewtonSetup(graph)
         newton = None
         for _ in range(6):
@@ -456,12 +465,12 @@ class TestNewtonSetup:
             # The graph stays connected, so each solve extends the set-up.
             newton = newton or setup._newton
             assert setup._newton is newton and newton.m == inst.m
+            assert newton.dense == (cycles == 0)
             fresh = static_pnorm_opt(inst)
-            assert carried.value == pytest.approx(fresh.value, rel=1e-12,
-                                                  abs=0.0)
-            u, v = rng.choice(n, size=2, replace=False)
-            inst.add_edge(int(u), int(v), *rng.normal(size=1),
-                          0.2 + rng.random(), 0.2 + rng.random())
+            assert carried.value == fresh.value
+            assert carried.flow.tobytes() == fresh.flow.tobytes()
+            assert carried.iterations == fresh.iterations
+            add(*(int(u) for u in rng.choice(n, size=2, replace=False)))
 
     def test_set_up_must_match_the_graph_and_take_no_seed(self):
         inst = build_instance(2, [(0, 1)], [-1.0, 1.0], 2)
@@ -470,6 +479,27 @@ class TestNewtonSetup:
             static_pnorm_opt(inst, setup=other)
         with pytest.raises(ValueError, match="carried set-up"):
             static_pnorm_opt(inst, setup=NewtonSetup(inst.graph), seed=0)
+
+
+# p = 2 and k = 5 cycles at event 2, where h spans 4.8e-11 to 6.6e10: the
+# dense Cholesky factor of C^T H C exists but its steps are too inaccurate
+# for Newton to converge; sparse steps answer C, C, F, F, F, F.
+WIDE_CURVATURE = parse_stream("""\
+problem pnorm n=3 mmax=10 p=2 F=0.002222564938627855 eps=2.222564938627855e-06
+demand 3 -72.27264166306318
+demand 2 72.27264166306318
+edge 2 1 g=-1.5088382793575124 r=0.9827100919642952 w=113725.58709447771
+edge 2 3 g=-0.09911279960030983 r=0.7266616507057861 w=227.8963964781598
+edge 3 1 g=0.0011128436998968487 r=1243.179044197371 w=0.029656870969632956
+edge 2 1 g=-0.05860441820447424 r=181831.98167282745 w=4.6625426321627255e-06
+edge 1 2 g=0.00352244512813323 r=3.1508457997617153e-06 w=2.0788675900500816e-05
+start
+add 1 3 g=0.023069567459551743 r=86007.93959023143 w=0.00537763992093637
+add 1 2 g=-73.11489632607973 r=1.3078387517512533e-06 w=4.711173308063378e-06
+add 3 2 g=-0.04370505450520541 r=14.181789329013403 w=0.8456460354106067
+add 1 3 g=-2.4284760176759703 r=9.891855076841525 w=0.0010576963616390307
+add 1 2 g=-22.46629254239485 r=1.154349698491713e-05 w=0.0001866457069197257
+""")
 
 
 def newton_system(seed, p):
@@ -576,6 +606,20 @@ class TestNewtonStep:
         steps.append(sparse.step(h, scale * edge_grad, scale * grad, 1e-20))
         assert np.linalg.norm(steps[1] - steps[0]) <= 1e-12 * np.linalg.norm(
             steps[0])
+
+    @pytest.mark.xfail(strict=True, raises=OracleError,
+                       reason="inaccurate dense steps at widely spread h")
+    def test_dense_steps_converge_at_widely_spread_curvature(self):
+        # Energies are checked directly: stream_checker's flow-balance
+        # bound ignores the flow's magnitude and rejects these flows.
+        solver, calls = event_calls(WIDE_CURVATURE, seed=0)
+        inst, kinds = solver.instance, []
+        for call in calls:
+            answer = call()
+            kinds.append(type(answer))
+            if isinstance(answer, Flow):
+                assert inst.energy(answer.flow) <= inst.threshold + inst.eps
+        assert kinds == [CertifiedAbove] * 2 + [Flow] * 4
 
     def test_failed_factorization_gives_a_nan_step(self, dense):
         newton, h, edge_grad, grad, _ = newton_system(0, 2)
