@@ -93,13 +93,14 @@ def cmd_run(args) -> int:
     with _trace_sink(args.trace) as trace:
         runner, calls = event_calls(stream, trace=trace,
                                     **_solver_kwargs(args))
-        # The effres driver keeps its counters on its solver.
-        counters = getattr(runner, "solver", runner)
         for index, call in enumerate(calls):
             begin = time.perf_counter()
             verdict = call()
             wall = (time.perf_counter() - begin) * 1e3
             name, objective = _verdict_record(verdict)
+            # A driver keeps its counters on its solver, which the maxflow
+            # driver builds at start.
+            counters = getattr(runner, "solver", runner)
             _emit({"event": index, "verdict": name,
                    "objective": float(objective), "queries": counters.queries,
                    "iterations": counters.iterations,

@@ -12,9 +12,10 @@ maxflow grew by at least e^(eps/2); the phase restarts with a fresh exact
 maxflow. The published value therefore multiplies by at least e^(eps/2) per
 restart, bounding the number of phases by the log of the total capacity.
 Phases differ only in nu, so the driver keeps one instance and one solver,
-built at the first phase, and a phase changes the solver's demand. Its
-static solve starts Newton from the exact maxflow, or from the tripped
-flow scaled to the new value when that has less energy.
+built by start() at nu = 0, whose answer before the first phase is the
+zero flow; every event is the solver's event, and a phase changes the
+solver's demand. Its static solve starts Newton from the exact maxflow, or
+from the tripped flow scaled to the new value when that has less energy.
 
 Incremental effective-resistance thresholding is the p = 2 instance with
 r_e = sqrt(resistance_e) and a tiny p-norm padding: its optimum is
@@ -66,7 +67,9 @@ class MaxflowDriver:
     insert() per event; each of the latter two returns the published
     (value, flow) pair. The flow is capacity-feasible and its value is the
     published value: the current phase's exact maxflow, or 0 with a zero
-    flow before the first phase.
+    flow before the first phase. start() builds `solver`, the one p-norm
+    solver, which takes every event and keeps the event, query and
+    iteration counts.
     """
 
     def __init__(self, n: int, m_max: int, s: int, t: int, eps: float,
@@ -88,31 +91,14 @@ class MaxflowDriver:
         self.p = math.ceil(2.0 * math.log(2 * m_max) / eps)
         self.delta = math.exp(-eps * self.p / 2) / (2.0 * math.sqrt(m_max))
         self.F = m_max * math.exp(-eps * self.p)
-        self.step_budget = step_budget_per_event
-        self.trace = trace
-        self._seed = seed
+        # The one solver's options, until start() builds it.
+        self._solver_options = {"seed": seed, "trace": trace,
+                                "step_budget_per_event": step_budget_per_event}
         self.graph = IncrementalGraph(n)
         self.caps: list[int] = []
         self.value, self.flow = 0, np.zeros(0)
-        # The phases' one solver; None until the first phase.
-        self._solver: IncrementalPNormSolver | None = None
+        self.solver: IncrementalPNormSolver | None = None
         self.phase_count = 0
-        self._started = False
-        self._initial_m = 0
-
-    @property
-    def events(self) -> int:
-        """start() plus each insertion the graph accepted; a rejected one
-        is not counted."""
-        return 1 + self.graph.m - self._initial_m if self._started else 0
-
-    @property
-    def queries(self) -> int:
-        return self._solver.queries if self._solver is not None else 0
-
-    @property
-    def iterations(self) -> int:
-        return self._solver.iterations if self._solver is not None else 0
 
     def _check_cap(self, cap) -> int:
         # Range first: int() fails on inf and nan, which the range rejects.
@@ -126,7 +112,7 @@ class MaxflowDriver:
         return int(cap)
 
     def add_initial_edge(self, u: int, v: int, cap: int) -> None:
-        if self._started:
+        if self.solver is not None:
             raise ValueError("initial edges must precede start()")
         if len(self.caps) >= self.m_max:
             raise ValueError("edge bound m_max exceeded")
@@ -135,27 +121,28 @@ class MaxflowDriver:
         self.caps.append(cap)
 
     def start(self) -> tuple[float, np.ndarray]:
-        """Published (value, flow) for the initial graph."""
-        if self._started:
+        """Build the instance at zero demand and its solver, and publish
+        (value, flow) for the initial graph."""
+        if self.solver is not None:
             raise ValueError("start() may be called only once")
-        self._started = True
-        self._initial_m = self.graph.m
-        return self._event(None)
+        caps = np.asarray(self.caps, dtype=float)
+        instance = PNormInstance(self.graph, np.zeros(self.n), self.p,
+                                 threshold=self.F, eps=self.F)
+        instance.set_edge_attrs(np.zeros(caps.size), self.delta / caps,
+                                1.0 / caps)
+        self.solver = IncrementalPNormSolver(instance, m_max=self.m_max,
+                                             **self._solver_options)
+        return self._event(self.solver.start())
 
     def insert(self, u: int, v: int, cap: int) -> tuple[float, np.ndarray]:
         """Insert an edge and return the published (value, flow)."""
-        if not self._started:
+        if self.solver is None:
             raise ValueError("call start() before inserting events")
-        if len(self.caps) >= self.m_max:
-            raise ValueError("edge bound m_max exceeded")
         cap = self._check_cap(cap)
-        verdict = None
-        if self._solver is None:
-            self.graph.add_edge(u, v)
-        else:
-            # The instance views self.graph: the solver adds the edge.
-            verdict = self._solver.insert_edge(
-                u, v, 0.0, self.delta / cap, 1.0 / cap)
+        # The instance views self.graph: the solver adds the edge and
+        # enforces m_max.
+        verdict = self.solver.insert_edge(u, v, 0.0, self.delta / cap,
+                                          1.0 / cap)
         self.caps.append(cap)
         return self._event(verdict)
 
@@ -164,11 +151,11 @@ class MaxflowDriver:
         total = max(sum(self.caps), 1)
         return math.ceil(math.log(total) / (self.eps / 2.0)) + 1
 
-    def _event(self, verdict: Verdict | None):
-        """Publish after an event; `verdict` is the running phase's answer
-        to an insertion, or None while no phase runs."""
+    def _event(self, verdict: Verdict):
+        """Publish after an event, given the solver's answer to it. Before
+        the first phase that answer is the zero flow of the zero demand."""
         before = self.phase_count
-        if verdict is None:
+        if before == 0:
             if not self.graph.connected(self.s, self.t):
                 return self._publish()
             verdict = self._begin_phase()
@@ -194,11 +181,11 @@ class MaxflowDriver:
 
     def _begin_phase(self, trip: Flow | None = None) -> Verdict:
         """Publish an exact maxflow and return the solver's verdict on its
-        demand; the first phase builds the instance and the solver. After a
-        trip, Newton starts from the lower-energy of Dinic's flow and the
-        tripped flow scaled to the new value: the latter sits near the new
-        optimum unless the value grew so much that its congestion passes 1,
-        where its energy grows with the p-th power of the scale."""
+        demand. After a trip, Newton starts from the lower-energy of Dinic's
+        flow and the tripped flow scaled to the new value: the latter sits
+        near the new optimum unless the value grew so much that its
+        congestion passes 1, where its energy grows with the p-th power of
+        the scale."""
         self.phase_count += 1
         bound = self.phase_bound()
         if self.phase_count > bound:
@@ -209,24 +196,14 @@ class MaxflowDriver:
         demand = np.zeros(self.n)
         demand[self.s] = -float(value)
         demand[self.t] = float(value)
-        if self._solver is None:
-            instance = PNormInstance(self.graph, demand, self.p,
-                                     threshold=self.F, eps=self.F)
-            instance.set_edge_attrs(np.zeros(len(self.caps)),
-                                    self.delta / caps, 1.0 / caps)
-            self._solver = IncrementalPNormSolver(
-                instance, m_max=self.m_max, seed=self._seed,
-                step_budget_per_event=self.step_budget, trace=self.trace)
-            # It joins the stream at this event, which set_demand answers.
-            self._solver.started, self._solver.events = True, self.events
         start = flow
         if trip is not None:
             scaled = trip.flow * (value / self.value)
-            energy = self._solver.instance.energy
+            energy = self.solver.instance.energy
             if energy(scaled) < energy(flow):
                 start = scaled
         self.value, self.flow = value, flow
-        return self._solver.set_demand(demand, start)
+        return self.solver.set_demand(demand, start)
 
     def _publish(self) -> tuple[float, np.ndarray]:
         flow = np.zeros(len(self.caps))

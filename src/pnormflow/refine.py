@@ -177,10 +177,11 @@ class IncrementalPNormSolver:
     new demand; each call returns one verdict, and any other order raises
     ValueError. While the demand is not routable every verdict is
     vacuously CertifiedAbove; the first routable event computes the
-    starting flow with the static oracle. The first adopted flow validates
-    the refinement scale lambda on sampled sandwich triples. An event that
-    runs out of its budget of inner rounds materializes and refines again
-    on a fresh budget; running out twice raises InvariantViolation.
+    starting flow with the static oracle. The first adopted flow on at
+    least one edge validates the refinement scale lambda on sampled
+    sandwich triples. An event that runs out of its budget of inner rounds
+    materializes and refines again on a fresh budget; running out twice
+    raises InvariantViolation.
 
     The solver owns only the flow f, in a column of m_max entries that f
     views; the active inner run (`mwu`) holds the residual problem.
@@ -221,6 +222,7 @@ class IncrementalPNormSolver:
         self._rng = np.random.Generator(np.random.Philox(seed))
         self._flow = np.zeros(m_max)
         self._has_flow = False
+        self._lambda_checked = False
         self._energy = math.inf
         self.mwu: MwuState | None = None
         self._run_R = 0.0
@@ -343,7 +345,8 @@ class IncrementalPNormSolver:
         """End the active run and adopt an optimal flow computed by the
         static oracle from start_flow (tree routing when None); the
         refinement-step count restarts from the adopted flow's gap. The
-        first adoption validates lambda, which no demand change affects."""
+        first adoption on at least one edge validates lambda, which no
+        demand change affects."""
         self.mwu = None
         report = static_pnorm_opt(self.instance, start_flow=start_flow,
                                   setup=self.setup)
@@ -351,19 +354,20 @@ class IncrementalPNormSolver:
         # flow without writing its slot.
         self._flow[:report.flow.size] = report.flow
         self._flow[report.flow.size:] = 0.0
-        first, self._has_flow = not self._has_flow, True
+        self._has_flow = True
         # The report's value is the instance energy of its flow, finite.
         self._energy = report.value
         gap = self._energy - self.F
         self._steps_remaining = 1 if gap <= self.eps else math.ceil(
             6.0 * self.K ** 2 * self.lam * math.log(gap / self.eps)) + 1
-        if first:
+        if not self._lambda_checked:
             self._validate_lambda()
 
     def _validate_lambda(self) -> None:
         """Check the sandwich inequalities on SANDWICH_SAMPLES sampled
         pairs (f, x) at lambda = 16p, where a lemma says they hold, in one
-        batched sandwich_holds call; a failure raises."""
+        batched sandwich_holds call; a failure raises. On no edges there is
+        nothing to sample, and the check waits for the next adoption."""
         m = self.instance.m
         if m == 0:
             return
@@ -378,6 +382,7 @@ class IncrementalPNormSolver:
                               self.lam):
             raise InvariantViolation(
                 f"the sandwich inequalities fail at lambda = {self.lam}")
+        self._lambda_checked = True
 
     def _start_run(self) -> None:
         """Start an inner run on the residual problem at f. On the exact

@@ -37,6 +37,20 @@ add 1 2
 add 1 2
 """
 
+# s and t join at event 1 (start is event 0).
+LATE_MAXFLOW_TEXT = """\
+problem maxflow n=4 mmax=8 s=1 t=4 eps=0.25
+edge 1 2 cap=1
+edge 3 4 cap=1
+start
+add 2 3 cap=2
+add 1 2 cap=8
+add 3 4 cap=8
+add 2 3 cap=8
+add 1 3 cap=16
+add 2 4 cap=16
+"""
+
 METRIC_KEYS = ["event", "verdict", "objective", "queries", "iterations",
                "wall_ms"]
 
@@ -135,13 +149,13 @@ class TestRunCommands:
         kinds = {r["kind"] for r in records}
         assert "verdict" in kinds
 
-    def test_maxflow_trace_joins_stream_events(self, tmp_path, capsys):
-        """Verdict records of every phase carry the driver's event count
-        and driver-wide counters, so they run in step with the metrics
-        lines across phase restarts."""
-        stream = generate_stream("phase-stress", "maxflow", 12, 11, 36,
-                                 seed=2)
-        path = write(tmp_path, "m.stream", print_stream(stream))
+    @staticmethod
+    def joined_maxflow_trace(tmp_path, capsys, text):
+        """Run `maxflow --json --trace` on the stream text and check that
+        each metrics line joins the last verdict record of its event: the
+        record's `event` is the line's plus one, and it carries the
+        counters the line shows. Returns (metrics, verdict records)."""
+        path = write(tmp_path, "m.stream", text)
         trace = tmp_path / "trace.jsonl"
         code, lines = run_lines(
             capsys, ["maxflow", path, "--json", "--trace", str(trace)])
@@ -149,18 +163,36 @@ class TestRunCommands:
         metrics = [json.loads(line) for line in lines]
         verdicts = [r for r in map(json.loads, trace.read_text().splitlines())
                     if r["kind"] == "verdict"]
-        # Phase restarts within an event add records for that event.
-        assert len(verdicts) > len(metrics)
-        for key in ("event", "queries", "iterations"):
-            values = [r[key] for r in verdicts]
-            assert values == sorted(values), key
-        # An event's last record carries the counters its metrics line shows.
         last = {r["event"]: r for r in verdicts}
         assert sorted(last) == [m["event"] + 1 for m in metrics]
         for m in metrics:
             record = last[m["event"] + 1]
             assert (record["queries"], record["iterations"]) == (
                 m["queries"], m["iterations"])
+        return metrics, verdicts
+
+    def test_maxflow_trace_joins_stream_events(self, tmp_path, capsys):
+        """Verdict records of every phase carry the driver's event count
+        and driver-wide counters, so they run in step with the metrics
+        lines across phase restarts."""
+        stream = generate_stream("phase-stress", "maxflow", 12, 11, 36,
+                                 seed=2)
+        metrics, verdicts = self.joined_maxflow_trace(
+            tmp_path, capsys, print_stream(stream))
+        # Phase restarts within an event add records for that event.
+        assert len(verdicts) > len(metrics)
+        for key in ("event", "queries", "iterations"):
+            values = [r[key] for r in verdicts]
+            assert values == sorted(values), key
+
+    def test_maxflow_trace_has_a_verdict_record_per_event(self, tmp_path,
+                                                          capsys):
+        """s and t join at event 1: the events before the first phase have
+        their solver's zero-demand verdict records too, so every metrics
+        line joins the last record of its event."""
+        metrics, _ = self.joined_maxflow_trace(tmp_path, capsys,
+                                               LATE_MAXFLOW_TEXT)
+        assert len(metrics) == 7
 
     def test_stdin_stream(self, capsys, monkeypatch):
         monkeypatch.setattr("sys.stdin", io.StringIO(EFFRES_TEXT))

@@ -138,9 +138,9 @@ class TestMaxflowValidation:
             driver.add_initial_edge(0, 1, 1)
         with pytest.raises(ValueError, match="only once"):
             driver.start()
-        assert driver.events == 1
+        assert driver.solver.events == 1
         driver.insert(0, 1, 1)
-        assert driver.events == 2
+        assert driver.solver.events == 2
 
     def test_edge_bound_enforced(self):
         driver = maxflow_driver(m_max=1)
@@ -165,10 +165,10 @@ class TestMaxflowValidation:
         for u, v in ((1, 1), (0, 5)):
             with pytest.raises(GraphError):
                 driver.insert(u, v, 1)
-            assert driver.events == 1
+            assert driver.solver.events == 1
             assert len(driver.caps) == driver.graph.m == len(initial)
         driver.insert(0, 2, 1)
-        assert driver.events == 2
+        assert driver.solver.events == 2
         events = [r["event"] for r in records if r["kind"] == "verdict"]
         assert events and set(events) <= {1, 2} and events[-1] == 2
 
@@ -281,7 +281,7 @@ class TestMaxflowPublishing:
             driver.start()
 
     def test_step_counts_match_trace_records(self):
-        """Across phase restarts, the driver's queries equal the traced
+        """Across phase restarts, the solver's queries equal the traced
         inner steps (progress plus stall records) and its iterations the
         progress records, after every event. The driver itself fails a
         phase count past its bound."""
@@ -294,8 +294,8 @@ class TestMaxflowPublishing:
         def check():
             kinds = [r["kind"] for r in records]
             progress = kinds.count("progress")
-            assert driver.queries == progress + kinds.count("stall")
-            assert driver.iterations == progress
+            assert driver.solver.queries == progress + kinds.count("stall")
+            assert driver.solver.iterations == progress
 
         for spec in stream.initial_edges:
             driver.add_initial_edge(spec.u, spec.v, spec.capacity())
@@ -305,7 +305,7 @@ class TestMaxflowPublishing:
             driver.insert(spec.u, spec.v, spec.capacity())
             check()
         assert driver.phase_count >= 2
-        assert driver.queries > 0
+        assert driver.solver.queries > 0
 
 
 class TestPhaseStart:
@@ -388,12 +388,14 @@ class TestOneSolver:
         solvers = set()
         for call in calls:
             call()
-            solvers.add(id(driver._solver))
+            solvers.add(id(driver.solver))
         assert driver.phase_count == 11
         assert len(solvers) == 1
-        assert driver._solver.instance.graph is driver.graph
+        assert driver.solver.instance.graph is driver.graph
 
-    def test_lambda_is_checked_once_per_driver(self, monkeypatch):
+    @staticmethod
+    def count_sandwich_calls(monkeypatch) -> list:
+        """A list that gains an entry per sandwich_holds call."""
         calls_made = []
         sandwich = refine.sandwich_holds
 
@@ -402,24 +404,29 @@ class TestOneSolver:
             return sandwich(*args, **kwargs)
 
         monkeypatch.setattr(refine, "sandwich_holds", counting_sandwich)
+        return calls_made
+
+    def test_lambda_is_checked_once_per_driver(self, monkeypatch):
+        calls_made = self.count_sandwich_calls(monkeypatch)
         driver, calls = event_calls(generate_stream(**self.STREAM), seed=1)
         for call in calls:
             call()
         assert driver.phase_count == 11
         assert len(calls_made) == 1
 
-    def test_late_connection_builds_the_solver_at_its_event(self):
-        """s and t join at event 1 (start is event 0), where the solver is
-        built, and phases trip at events 3, 4 and 6. Every verdict record
-        carries the driver's 1-based event count, and a trip adds a
-        record for its event, as the per-phase solvers' records did."""
+    def test_late_connection_keeps_one_verdict_record_per_event(self):
+        """start (event 1) builds the solver at zero demand, whose answer
+        is the zero flow until s and t join at event 2; phases then trip
+        at events 4, 5 and 7. Every event has a verdict record carrying
+        the solver's event count, and a phase adds one for its event."""
         records = []
         driver = maxflow_driver(n=4, m_max=8, s=0, t=3,
                                 trace=records.append)
         driver.add_initial_edge(0, 1, 1)
         driver.add_initial_edge(2, 3, 1)
+        assert driver.solver is None
         published = [driver.start()[0]]
-        assert driver._solver is None
+        assert driver.solver is not None and driver.phase_count == 0
         for u, v, cap in ((1, 2, 2), (0, 1, 8), (2, 3, 8), (1, 2, 8),
                           (0, 2, 16), (1, 3, 16)):
             published.append(driver.insert(u, v, cap)[0])
@@ -427,10 +434,21 @@ class TestOneSolver:
         verdicts = [(r["event"], r["verdict"]) for r in records
                     if r["kind"] == "verdict"]
         above, flow = "CertifiedAbove", "Flow"
-        assert verdicts == [(2, above), (3, above), (4, flow), (4, above),
-                            (5, flow), (5, above), (6, above), (7, flow),
-                            (7, above)]
+        assert verdicts == [(1, flow), (2, flow), (2, above), (3, above),
+                            (4, flow), (4, above), (5, flow), (5, above),
+                            (6, above), (7, flow), (7, above)]
         assert driver.phase_count == 4
+
+    def test_lambda_is_checked_without_initial_edges(self, monkeypatch):
+        """The zero-demand start on no edges has nothing to sample, so the
+        first phase checks lambda."""
+        calls_made = self.count_sandwich_calls(monkeypatch)
+        driver = maxflow_driver(n=3, m_max=6, s=0, t=2)
+        driver.start()
+        for u, v, cap in ((0, 1, 2), (1, 2, 2), (0, 2, 4)):
+            driver.insert(u, v, cap)
+        assert driver.phase_count >= 1
+        assert len(calls_made) == 1
 
 
 class TestOraclePotential:

@@ -93,8 +93,8 @@ def test_maxflow_phases_view_the_driver_graph():
     driver.start()
     for cap in (2, 4, 8, 16, 32, 64):
         driver.insert(0, 1, cap)
-        assert driver._solver.instance.graph is driver.graph
-        assert driver._solver.f.shape == (driver.graph.m,)
+        assert driver.solver.instance.graph is driver.graph
+        assert driver.solver.f.shape == (driver.graph.m,)
     assert driver.phase_count >= 4
     assert driver.graph.m == 7
 

@@ -224,6 +224,23 @@ class TestSandwich:
         with pytest.raises(InvariantViolation, match="lambda = 48"):
             solver.start()
 
+    def test_empty_first_adoption_leaves_the_check_to_the_next(
+            self, monkeypatch):
+        """The zero-demand start on no edges adopts the empty flow, where
+        there is nothing to sample; the adoption after set_demand checks
+        lambda, once."""
+        calls_made = []
+        monkeypatch.setattr(refine, "sandwich_holds",
+                            lambda *args: calls_made.append(1) or True)
+        solver = IncrementalPNormSolver(fresh_instance(2, [0.0, 0.0]),
+                                        m_max=4, seed=1)
+        solver.start()
+        assert solver.f is not None and calls_made == []
+        solver.insert_edge(0, 1, 0.0, 1.0, 1.0)
+        solver.insert_edge(0, 1, 0.0, 1.0, 1.0)
+        solver.set_demand(np.array([-1.0, 1.0]), np.array([1.0, 0.0]))
+        assert len(calls_made) == 1
+
 
 class TestRefinementStep:
     """The scaled step applied after a completed inner run."""
