@@ -195,24 +195,18 @@ def _smoothed_sum(g: np.ndarray, r: np.ndarray, w: np.ndarray, p: float,
 
 def smoothed_gradient(
     g: np.ndarray, r: np.ndarray, w: np.ndarray, p: float, x: np.ndarray,
-    curv: np.ndarray | None = None,
+    curv: np.ndarray,
 ) -> np.ndarray:
-    """Gradient of smoothed_value at x: g + 2 r^2 x + p w^p |x|^(p-2) x.
-    curv, when given, is _curvature(w, p, x), already formed by the caller."""
+    """Gradient of smoothed_value at x: g + 2 r^2 x + p w^p |x|^(p-2) x,
+    where curv is _curvature(w, p, x), already formed by the caller."""
     x = np.asarray(x, dtype=float)
-    if curv is None:
-        curv = _curvature(w, p, x)
     return g + 2.0 * r * r * x + p * curv * x
 
 
-def smoothed_hessian_diag(
-    r: np.ndarray, w: np.ndarray, p: float, x: np.ndarray,
-    curv: np.ndarray | None = None,
-) -> np.ndarray:
-    """Diagonal Hessian of smoothed_value at x (the objective is separable);
-    curv as for smoothed_gradient."""
-    if curv is None:
-        curv = _curvature(w, p, np.asarray(x, dtype=float))
+def smoothed_hessian_diag(r: np.ndarray, p: float,
+                          curv: np.ndarray) -> np.ndarray:
+    """Diagonal Hessian of smoothed_value (the objective is separable) at
+    the x of curv = _curvature(w, p, x)."""
     return 2.0 * r * r + p * (p - 1) * curv
 
 

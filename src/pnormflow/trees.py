@@ -5,13 +5,12 @@ parameterization), which builds one small forest per solve or carries one
 across solves, the solver, which seeds the exact oracle with prefix sums
 over that forest, and the tree-collection backend (fundamental-cycle
 candidates), which builds dozens of forests over thousands of edges per
-rebuild. Kruskal runs on plain Python ints in both, over the graph
-layer's component labels. A 1-D edge order
-builds one forest and orients it by a Python depth-first search, the
-cheapest at the static optimizer's sizes. A (k, m) edge order builds k
-forests stacked as one, forest i's vertex v at i * n + v, and orients the
-whole stack by two scipy searches, so that the backend's path sums and LCA
-batches run as whole-array passes over all of its forests.
+rebuild. Every edge order is a stack of rows, one forest per row, and a
+single order is a one-row stack. Kruskal runs on plain Python ints over
+the graph layer's component labels, one row at a time; the forests are
+stacked as one, forest i's vertex v at i * n + v, and oriented by two
+scipy searches over the whole stack, so that the backend's path sums and
+LCA batches run as whole-array passes over all of its forests.
 """
 
 from __future__ import annotations
@@ -35,26 +34,23 @@ def _python_ints(seq: Sequence[int]) -> Sequence[int]:
 
 
 def _kruskal(n: int, tails: Sequence[int], heads: Sequence[int],
-             edge_order: Sequence[int]) -> tuple[list[int], list[int]]:
-    """Kruskal over `edge_order`: the tree edges in the order taken, and
-    each tree's smallest vertex.
+             row: np.ndarray) -> tuple[list[int], list[int]]:
+    """Kruskal over the edge order `row`: the tree edges in the order
+    taken, and each tree's smallest vertex.
 
     The trees are the graph layer's component labels, so testing a scanned
     edge takes two list reads; most scanned edges close a cycle. The scan
     stops once it holds n - 1 tree edges, where no later edge can join two
     trees; on graphs with about ten edges per vertex that is a third of the
-    way in. So an ndarray order becomes Python ints 4n entries at a time,
-    not all at once.
+    way in. So the row becomes Python ints 4n entries at a time, not all
+    at once.
     """
     sets = _Components(n)
     label = sets.label
     taken: list[int] = []
     if n > 1:
-        blocks = ((edge_order[at:at + 4 * n].tolist()
-                   for at in range(0, edge_order.size, 4 * n))
-                  if isinstance(edge_order, np.ndarray) else (edge_order,))
-        for block in blocks:
-            for e in block:
+        for at in range(0, row.size, 4 * n):
+            for e in row[at:at + 4 * n].tolist():
                 if label[tails[e]] != label[heads[e]]:
                     sets.union(tails[e], heads[e])
                     taken.append(e)
@@ -67,25 +63,25 @@ def _kruskal(n: int, tails: Sequence[int], heads: Sequence[int],
 
 
 class SpanningForest:
-    """Rooted spanning forest of a multigraph, or k of them stacked.
+    """Rooted spanning forests of a multigraph, one per row of an edge
+    order, stacked as one.
 
     parent_vertex[v] is -1 at roots; parent_edge[v] is the edge id linking v
     to its parent and parent_sign[v] is +1 when that edge is stored as
     (v, parent), i.e. traversing child -> parent follows the stored
     orientation.
 
-    Kruskal scans `edge_order` and stops once it holds n - 1 tree edges;
-    `tree_edges` keeps the order in which they were taken. Each tree is
-    rooted at its smallest vertex. `order` is a depth-first preorder, so
-    every subtree is one contiguous block starting at its root; from a 1-D
-    edge order children come in the order their edges were taken.
-
-    A (k, m) ndarray `edge_order` builds one forest per row, stacked: row
-    i's vertex v becomes vertex i * n + v, so `n` is k times the vertex
-    count, edge ids are kept (`tree_edges` concatenates the rows' tree
-    edges, so an id may repeat) and each row's forest is one block of
-    `order`. The fields equal those of k one-row builds, shifted, apart
-    from the order of children in `order`. Pairs passed to lca_many must
+    `edge_order` is a (k, m) array of k edge orders, or a single order
+    (a range, list or 1-D array), which is a one-row stack. Row i's forest
+    has its vertex v at i * n + v, so `n` is k times the vertex count, and
+    edge ids are kept: `tree_edges` concatenates the rows' tree edges, so
+    an id may repeat. Kruskal scans each row and stops once it holds n - 1
+    tree edges; `tree_edges` keeps the order in which they were taken. Each
+    tree is rooted at its smallest vertex. `order` is a depth-first
+    preorder, each row's forest one block of it and every subtree one
+    contiguous block starting at its root; children come in the order
+    their edges were taken. So each row's slice of every field equals that
+    row's one-row build, shifted by i * n. Pairs passed to lca_many must
     come from one row, like any pair must share a component.
 
     prefix_sums runs one vectorized pass per depth level. lca_many answers
@@ -97,67 +93,25 @@ class SpanningForest:
     def __init__(self, n: int, tails: Sequence[int], heads: Sequence[int],
                  edge_order: Sequence[int]):
         tail_ids, head_ids = _python_ints(tails), _python_ints(heads)
-        if isinstance(edge_order, np.ndarray) and edge_order.ndim == 2:
-            self._orient_stack(n, np.asarray(tails), np.asarray(heads), [
-                _kruskal(n, tail_ids, head_ids, row) for row in edge_order])
-        else:
-            tree_edges, _ = _kruskal(n, tail_ids, head_ids, edge_order)
-            self._orient(n, tail_ids, head_ids, tree_edges)
+        rows = np.atleast_2d(np.asarray(edge_order, dtype=np.int64))
+        self._orient_stack(n, np.asarray(tails), np.asarray(heads), [
+            _kruskal(n, tail_ids, head_ids, row) for row in rows])
         self._levels: list[np.ndarray] | None = None
         self._lca: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None
-
-    def _orient(self, n: int, tails: Sequence[int], heads: Sequence[int],
-                tree_edges: list[int]) -> None:
-        """Orient one forest by a Python depth-first search from each
-        unvisited vertex in increasing order. A vertex joins `order` when
-        popped and its children are pushed last to first, so `order` is a
-        preorder with children in the order their edges were taken."""
-        adj: list[list[tuple[int, int]]] = [[] for _ in range(n)]
-        for e in tree_edges:
-            u, v = tails[e], heads[e]
-            adj[u].append((e, v))
-            adj[v].append((e, u))
-        parent_vertex = [-1] * n
-        parent_edge = [-1] * n
-        parent_sign = [0] * n
-        depth = [0] * n
-        seen = [False] * n
-        order: list[int] = []
-        for root in range(n):
-            if seen[root]:
-                continue
-            seen[root] = True
-            stack = [root]
-            while stack:
-                x = stack.pop()
-                order.append(x)
-                for e, y in reversed(adj[x]):
-                    if not seen[y]:
-                        seen[y] = True
-                        parent_vertex[y] = x
-                        parent_edge[y] = e
-                        parent_sign[y] = 1 if tails[e] == y else -1
-                        depth[y] = depth[x] + 1
-                        stack.append(y)
-
-        self.n = n
-        self.parent_vertex = np.array(parent_vertex, dtype=np.int64)
-        self.parent_edge = np.array(parent_edge, dtype=np.int64)
-        self.parent_sign = np.array(parent_sign, dtype=np.int64)
-        self.depth = np.array(depth, dtype=np.int64)
-        self.order = np.array(order, dtype=np.int64)
-        self.tree_edges = np.array(tree_edges, dtype=np.int64)
 
     def _orient_stack(self, n: int, tails: np.ndarray, heads: np.ndarray,
                       rows: list[tuple[list[int], list[int]]]) -> None:
         """Orient the stacked forests of `rows` (each row's tree edges and
         roots) by two scipy searches, each linear in the stack's size.
 
-        A breadth-first search from one virtual vertex joined to every root
-        finds the parents, which are the trees' parents as the tree path to
-        the root is unique; depth follows by pointer jumping and each tree
-        edge's child is the endpoint whose parent is the other one. The
-        preorder comes from a depth-first search over the first-child,
+        Each tree edge gives two links, tail -> head and head -> tail, side
+        by side, and a virtual vertex links to every root; sorted by link
+        and then position, each vertex's links keep the order Kruskal took
+        their edges, and the roots increase. A breadth-first search from the
+        virtual vertex finds the parents, which are the trees' parents as the
+        tree path to the root is unique; depth follows by pointer jumping and
+        each tree edge's child is the endpoint whose parent is the other one.
+        The preorder comes from a depth-first search over the first-child,
         next-sibling form of the stack: each vertex points at its first
         child and then at its next sibling, and each root at the next root.
         There every vertex has at most two out-edges, so scipy's search,
@@ -172,12 +126,15 @@ class SpanningForest:
         t, h = tails[tree_edges] + shift, heads[tree_edges] + shift
         roots = np.array([i * n + r for i, (_, firsts) in enumerate(rows)
                           for r in firsts], dtype=np.int64)
-        links = np.concatenate((t, h, np.full(roots.size, size)))
-        ends = np.concatenate((h, t, roots))
+        links = np.concatenate((np.stack((t, h), axis=1).ravel(),
+                                np.full(roots.size, size)))
+        ends = np.concatenate((np.stack((h, t), axis=1).ravel(), roots))
         indptr = np.zeros(size + 2, dtype=np.int64)
         np.cumsum(np.bincount(links, minlength=size + 1), out=indptr[1:])
-        # int32 keys sort faster; scipy's searches take int32 indices.
-        by_link = np.argsort(links.astype(np.int32))
+        # Unique keys: numpy's unstable sort of them is about three times
+        # as fast as its stable sort of the links. scipy's searches take a
+        # row's out-edges in stored order.
+        by_link = np.argsort(links * links.size + np.arange(links.size))
         graph = sp.csr_matrix((np.ones(ends.size), ends[by_link], indptr),
                               shape=(size + 1,) * 2)
         found, pred = breadth_first_order(graph, size, directed=True)
@@ -198,9 +155,9 @@ class SpanningForest:
             depth += depth[up]
             up = hop
 
-        # The search lists each vertex's children together when it reaches
-        # the vertex, so after the virtual vertex and the roots `found` holds
-        # the children grouped by parent.
+        # The search lists each vertex's children together, in link order,
+        # when it reaches the vertex, so after the virtual vertex and the
+        # roots `found` holds the children grouped by parent.
         kids = found[1 + roots.size:].astype(np.int64)
         dad = parent_vertex[kids]
         first = np.ones(kids.size, dtype=bool)
@@ -214,7 +171,6 @@ class SpanningForest:
         held = out >= 0
         indptr = np.zeros(size + 1, dtype=np.int64)
         np.cumsum(held.sum(axis=1), out=indptr[1:])
-        # Unsorted: scipy's search takes a row's out-edges in stored order.
         siblings = sp.csr_matrix((np.ones(indptr[-1]), out[held], indptr),
                                  shape=(size, size))
         order = depth_first_order(siblings, roots[0], directed=True,

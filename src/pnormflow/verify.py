@@ -392,7 +392,7 @@ def static_pnorm_opt(
             edge_grad = smoothed_gradient(g, r, w, p, f, curv)
             grad = newton.to_cycles(edge_grad)
             gnorm = math.sqrt(float(grad @ grad))
-            h = smoothed_hessian_diag(r, w, p, f, curv)
+            h = smoothed_hessian_diag(r, p, curv)
             target = NEWTON_TOL * NEWTON_TOL * (1.0 + abs(energy))
             # The Newton decrement -(grad . step), about twice the gain
             # left, is at most grad . (grad / h) over the off-tree edges,

@@ -35,6 +35,7 @@ import pnormflow.mwu as mwu_module
 from pnormflow.errors import InvariantViolation, OracleError
 from pnormflow.graph import (
     IncrementalGraph,
+    _curvature,
     net_demand,
     smoothed_gradient,
     smoothed_value,
@@ -453,7 +454,7 @@ def finite_diff_check(problem, f: np.ndarray, h: float = 1e-6) -> float:
     """
     f = np.asarray(f, dtype=float)
     g, r, w, p = problem.g, problem.r, problem.w, problem.p
-    analytic = smoothed_gradient(g, r, w, p, f)
+    analytic = smoothed_gradient(g, r, w, p, f, _curvature(w, p, f))
     worst = 0.0
     for e in range(f.size):
         term = slice(e, e + 1)

@@ -261,6 +261,37 @@ class TestVerify:
         assert code == EXIT_FAILURE
 
 
+class TestReadmeExample:
+    """README's command-line example prints what README shows."""
+
+    def test_gen_pnorm_verify(self, tmp_path, capsys):
+        path = str(tmp_path / "stream.txt")
+        assert main(["gen", "--mode", "planted-threshold", "--kind", "pnorm",
+                     "--n", "6", "--initial", "7", "--events", "5", "--p",
+                     "2", "--seed", "3", "--out", path]) == EXIT_OK
+        with open(path, encoding="utf-8") as f:
+            assert f.readline().rstrip("\n") == (
+                "problem pnorm n=6 mmax=12 p=2 F=11.7972486154 "
+                "eps=0.012797248615399999")
+        code, lines = run_lines(capsys, ["pnorm", path, "--json"])
+        assert code == EXIT_OK
+        runs = [json.loads(line) for line in lines]
+        assert [(r["verdict"], r["queries"], r["iterations"])
+                for r in runs[3:5]] == [("CertifiedAbove", 14404, 14400),
+                                        ("Flow", 19204, 19200)]
+        assert runs[3]["objective"] == math.inf
+        assert math.isclose(runs[4]["objective"], 10.1766462354932,
+                            rel_tol=1e-12)
+        code, lines = run_lines(capsys, ["verify", path, "--json"])
+        assert code == EXIT_OK
+        checks = [json.loads(line) for line in lines]
+        assert [(c["verdict"], c["ok"]) for c in checks[3:5]] == [
+            ("CertifiedAbove", True), ("Flow", True)]
+        for check, oracle in zip(checks[3:5],
+                                 (13.417850995280263, 10.1766462354932)):
+            assert math.isclose(check["oracle"], oracle, rel_tol=1e-12)
+
+
 class TestGen:
     def test_gen_writes_parseable_stream(self, tmp_path, capsys):
         out = tmp_path / "gen.stream"

@@ -237,8 +237,9 @@ class TestEnergy:
         rng = np.random.default_rng(7)
         x = np.concatenate(([0.0, -0.0], rng.normal(size=6)))
         g, r, w = rng.normal(size=8), 0.1 + rng.random(8), 0.1 + rng.random(8)
-        gradient = smoothed_gradient(g, r, w, 2, x)
-        hessian = smoothed_hessian_diag(r, w, 2, x)
+        curv = _curvature(w, 2, x)
+        gradient = smoothed_gradient(g, r, w, 2, x, curv)
+        hessian = smoothed_hessian_diag(r, 2, curv)
         assert gradient.tobytes() == (
             g + 2.0 * r * r * x + 2.0 * w * w * x).tobytes()
         assert hessian.tobytes() == (2.0 * r * r + 2.0 * w * w).tobytes()
@@ -250,10 +251,11 @@ class TestEnergy:
         with np.errstate(over="ignore", invalid="ignore"):
             assert np.isnan(w ** p * np.abs(x) ** (p - 2))
         assert np.isfinite(_curvature(1e-13, 359, 1.1e12))
+        curv = _curvature(w, p, x)
         assert np.all(np.isfinite(smoothed_gradient(np.zeros(1), np.ones(1),
-                                                    w, p, x)))
-        assert np.all(np.isfinite(smoothed_hessian_diag(np.ones(1), w, p,
-                                                        x)))
+                                                    w, p, x, curv)))
+        assert np.all(np.isfinite(smoothed_hessian_diag(np.ones(1), p,
+                                                        curv)))
 
     def test_overflowing_power_sum_is_inf(self):
         # 1e10**80 overflows a float; callers such as the static solver's

@@ -11,9 +11,9 @@ from scipy.linalg.lapack import dpotrf, dpotrs
 
 import pnormflow.verify as verify_module
 from pnormflow.drivers import event_calls
-from pnormflow.graph import (IncrementalGraph, PNormInstance, net_demand,
-                             smoothed_gradient, smoothed_hessian_diag,
-                             smoothed_value)
+from pnormflow.graph import (IncrementalGraph, PNormInstance, _curvature,
+                             net_demand, smoothed_gradient,
+                             smoothed_hessian_diag, smoothed_value)
 from pnormflow.errors import OracleError
 from pnormflow.refine import CertifiedAbove, Flow
 from pnormflow.streams import parse_stream
@@ -524,8 +524,9 @@ def newton_system(seed, p):
     # w |f| stays near 1, so at p = 37 h spans a few orders of magnitude
     # and the explicit reference solve stays accurate.
     f = 0.4 * rng.normal(size=m)
-    edge_grad = smoothed_gradient(g, r, w, p, f)
-    h = smoothed_hessian_diag(r, w, p, f)
+    curv = _curvature(w, p, f)
+    edge_grad = smoothed_gradient(g, r, w, p, f, curv)
+    h = smoothed_hessian_diag(r, p, curv)
     basis = np.zeros((m, off_tree.size))
     np.add.at(basis, (newton.edge, newton.cycle), newton.sign)
     return (newton, h, edge_grad, newton.to_cycles(edge_grad),
