@@ -7,7 +7,8 @@ from the stream alone, and fails on any disagreement; gen writes seeded
 instances.
 
 Every run checks the solver's runtime invariants. Exit codes: 0 success,
-1 usage or parse error, 2 invariant, solver or verification failure. Metrics
+1 usage or parse error, 2 invariant, solver or verification failure, 141
+(128 + SIGPIPE) when the reader closes standard output early. Metrics
 records are deterministic for a fixed stream and seed except for the
 wall-time field.
 """
@@ -18,6 +19,7 @@ import argparse
 import contextlib
 import json
 import math
+import os
 import sys
 import time
 
@@ -31,6 +33,9 @@ from .streams import (GENERATOR_MODES, generate_stream, parse_stream,
 EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_FAILURE = 2
+# 128 + SIGPIPE: the status a shell shows for a writer killed by a closed
+# pipe.
+EXIT_BROKEN_PIPE = 141
 
 
 class _Parser(argparse.ArgumentParser):
@@ -186,7 +191,16 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        code = args.func(args)
+        # Flushed here, so that a closed pipe raises below, not at exit.
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # The reader closed standard output (`| head`), which is no input
+        # error. Python flushes stdout again at exit, so point it at
+        # devnull first.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_BROKEN_PIPE
     except StreamError as exc:
         print(f"pnormflow: {exc}", file=sys.stderr)
         return EXIT_USAGE

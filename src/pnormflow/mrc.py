@@ -115,12 +115,17 @@ def _negative_cycle(n: int, tails: np.ndarray, heads: np.ndarray,
     negative weight, so after each round that improved a distance the
     search looks for one and returns the first it finds ("Negative-cycle
     detection algorithms", Cherkassky-Goldberg); a negative cycle shows up
-    there within n rounds, and often within a few. Returns (edge ids,
-    orientation signs).
+    there within n rounds, and often within a few. An arc is not relaxed
+    back along its tail's parent arc: in exact arithmetic that never
+    improves, as an edge's two arcs cost 2 alpha l > 0 together, but where
+    alpha l is below half an ulp of the gradient the float costs cancel,
+    and rounding would close the two arcs into a parent cycle. Returns
+    (edge ids, orientation signs).
     """
     m = tails.size
     arc_tail = np.concatenate((tails, heads))
     arc_head = np.concatenate((heads, tails))
+    reverse = np.concatenate((np.arange(m, 2 * m), np.arange(m)))
     cost = np.concatenate((forward_cost, backward_cost))
     dist = np.zeros(n)
     parent = np.full(n, -1, dtype=np.int64)
@@ -131,6 +136,7 @@ def _negative_cycle(n: int, tails: np.ndarray, heads: np.ndarray,
     doublings = max(1, math.ceil(math.log2(n + 1)))
     for _ in range(n):
         cand = dist[arc_tail] + cost
+        cand[parent[arc_tail] == reverse] = np.inf
         new = dist.copy()
         np.minimum.at(new, arc_head, cand)
         if not np.any(new < dist):

@@ -8,7 +8,9 @@ optimizer runs Newton in fundamental cycle coordinates, maxflow is Dinic's,
 and effective resistance is a direct Laplacian solve. The cycle count k
 chooses how a Newton step is solved: up to _DENSE_CYCLE_LIMIT cycles by
 one dense Cholesky factorization of the k x k cycle-space Hessian, above
-it through a sparse (splu) grounded vertex Laplacian.
+it through a grounded vertex Laplacian, factored by dense Cholesky when
+there are at least as many cycles as free vertices and by sparse splu
+otherwise.
 
 A solve builds its spanning forest and cycle basis for itself, unless the
 caller carries them in a NewtonSetup: the solver keeps one and the maxflow
@@ -62,6 +64,11 @@ _STAGNATION_GNORM = 100.0 * math.sqrt(_EPS)
 # thread the dense step takes 0.6-1.5 times the sparse one's time at
 # k = 128 for n from 12 to 5,000 (0.2-0.3 times at k = 50, 1.4-4 times
 # at k = 200). The dense basis holds k * m cells, at most 1 KiB per edge.
+# Above it the grounded vertex Laplacian is factored densely when k is at
+# least the free-vertex count, where its sparse factor fills in anyway. On
+# random graphs with n = 500 and one BLAS thread, splu takes 11.5 ms and
+# potrf 1.6 ms at k = 4,501 (213,618 of 249,001 factor cells filled),
+# 2.5 ms and 1.4 ms at k = 501, and 0.8 ms and 1.4 ms at k = 130.
 _DENSE_CYCLE_LIMIT = 128
 # Largest forcing term of the inexact sparse Newton step (Eisenstat and
 # Walker): far from the optimum a rough step suffices, and the forcing term
@@ -74,7 +81,7 @@ class _CycleNewton:
 
     The step x solves C^T H C x = -C^T grad, where the columns of C are the
     fundamental cycles and H = diag(h) is the Hessian. The cycle count k
-    alone chooses how:
+    chooses how:
 
     - k <= _DENSE_CYCLE_LIMIT: C^T is held as a dense k x m array, so C x
       and C^T y are matrix products, and each step factors C^T H C once by
@@ -82,13 +89,16 @@ class _CycleNewton:
       vanishing term there, where the vertex Laplacian below holds the
       huge conductance 1/h_e (at large p the maxflow reduction's h spans
       15 orders of magnitude).
-    - Above it, Delta = C x is the circulation minimizing
-      Delta^T H Delta / 2 + grad^T Delta, so Delta = -(grad + B phi) / h,
-      where B is the edge-vertex incidence matrix and phi solves
-      L phi = -B^T (grad / h) for the Laplacian L = B^T diag(1/h) B
-      grounded at every forest root. C is the identity on the off-tree
-      edges, so x is Delta read off there. Each step factors L once with
-      splu; iterative refinement feeds the cycle-space residual back
+    - Above it, in the vertex space, Delta = C x is the circulation
+      minimizing Delta^T H Delta / 2 + grad^T Delta, so Delta =
+      -(grad + B phi) / h, where B is the edge-vertex incidence matrix
+      and phi solves L phi = -B^T (grad / h) for the Laplacian
+      L = B^T diag(1/h) B grounded at every forest root. C is the
+      identity on the off-tree edges, so x is Delta read off there. Each
+      step factors L once: by dense Cholesky (potrf, potrs) when k is at
+      least the number of free vertices, about two edges per non-root
+      vertex, where a sparse factor fills in anyway, and by splu
+      otherwise. Iterative refinement feeds the cycle-space residual back
       through that factorization until the residual is within the forcing
       term eta = min(_FORCING_MAX, ||C^T grad||) of ||C^T grad|| (machine
       precision at the least), or it stops shrinking. Newton stops on the
@@ -98,13 +108,14 @@ class _CycleNewton:
       as scipy's compressed arrays store them; it adds the same terms in
       the same order as scipy's CSC and CSR products, and each sign is
       +-1, so the results are bit-identical to scipy's. Each step
-      assembles L from the edge endpoints in edge order, so an extended
-      set-up sums its entries as a fresh one does.
+      assembles L from the edge endpoints in edge order, on either
+      factorization, so an extended set-up sums its entries as a fresh
+      one does.
 
     The triplets are kept at every k, so a set-up that grows past the
-    limit changes path. The forest and the grounded vertices are fixed at
-    construction; extend appends edges that close cycles in it (see
-    NewtonSetup).
+    limit, or to the free-vertex count, changes path or factorization. The
+    forest and the grounded vertices are fixed at construction; extend
+    appends edges that close cycles in it (see NewtonSetup).
     """
 
     def __init__(self, graph: IncrementalGraph, forest: SpanningForest):
@@ -127,10 +138,12 @@ class _CycleNewton:
         self._set_basis()
 
     def _set_basis(self) -> None:
-        """Choose the path by the cycle count, and on the dense one build
-        C^T from the triplets."""
+        """Choose the path by the cycle count, on the dense one build C^T
+        from the triplets, and on the vertex-space one choose how L is
+        factored."""
         k = self.off_tree.size
         self.dense = k <= _DENSE_CYCLE_LIMIT
+        self.dense_laplacian = not self.dense and k >= self.free.size
         self.basis = None
         if self.dense:
             self.basis = np.zeros((k, self.m))
@@ -196,8 +209,9 @@ class _CycleNewton:
     def step(self, h: np.ndarray, edge_grad: np.ndarray, grad: np.ndarray,
              gnorm: float) -> np.ndarray:
         """Cycle coordinates of the Newton step for the cycle-space
-        gradient grad of norm gnorm: exact on the dense path, to within the
-        forcing term on the sparse one; NaN when the factorization fails."""
+        gradient grad of norm gnorm: exact in the cycle space, to within the
+        forcing term in the vertex space; NaN when the factorization
+        fails."""
         if self.dense:
             basis = self.basis
             chol, info = dpotrf((basis * h) @ basis.T, overwrite_a=True)
@@ -211,14 +225,25 @@ class _CycleNewton:
         rows = np.concatenate((lt, lh, lt, lh))
         cols = np.concatenate((lt, lh, lh, lt))
         keep = (rows >= 0) & (cols >= 0)
+        rows, cols = rows[keep], cols[keep]
+        values = np.concatenate((cond, cond, -cond, -cond))[keep]
         size = self.free.size
-        lap = sp.csc_matrix(
-            (np.concatenate((cond, cond, -cond, -cond))[keep],
-             (rows[keep], cols[keep])), shape=(size, size))
-        try:
-            solve = spla.splu(lap).solve
-        except RuntimeError:
-            return np.full(self.off_tree.size, np.nan)
+        if self.dense_laplacian:
+            lap = np.bincount(rows * size + cols, values, size * size)
+            # L is symmetric, so its transpose is the F-ordered array that
+            # potrf factors in place.
+            chol, info = dpotrf(lap.reshape(size, size).T, overwrite_a=True)
+            if info != 0:
+                return np.full(self.off_tree.size, np.nan)
+
+            def solve(b):
+                return dpotrs(chol, b)[0]
+        else:
+            lap = sp.csc_matrix((values, (rows, cols)), shape=(size, size))
+            try:
+                solve = spla.splu(lap).solve
+            except RuntimeError:
+                return np.full(self.off_tree.size, np.nan)
         off_t, off_h = self.off_tails, self.off_heads
         off_cond = cond[self.off_tree]
         phi = self._potentials(solve, self.tails, self.heads, edge_grad * cond)

@@ -3,10 +3,16 @@
 import io
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
-from pnormflow.cli import EXIT_FAILURE, EXIT_OK, EXIT_USAGE, main
+import pnormflow
+from pnormflow.cli import (EXIT_BROKEN_PIPE, EXIT_FAILURE, EXIT_OK,
+                           EXIT_USAGE, main)
 from pnormflow.streams import generate_stream, parse_stream, print_stream
 from pnormflow.verify import OracleReport
 
@@ -346,6 +352,26 @@ class TestExitCodes:
         argv = [arg.format(dir=tmp_path, stream=stream) for arg in argv]
         assert main(argv) == EXIT_USAGE
         assert capsys.readouterr().err.startswith("pnormflow: ")
+
+    @pytest.mark.parametrize("command", ["maxflow", "verify"])
+    def test_closed_stdout_is_not_an_input_error(self, tmp_path, command):
+        # The pipe's read end is closed before the run starts, as after
+        # `| head -1` has read its line, so the first write fails.
+        path = write(tmp_path, "s.stream", MAXFLOW_TEXT)
+        src = str(Path(pnormflow.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+            filter(None, (src, os.environ.get("PYTHONPATH"))))}
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        try:
+            done = subprocess.run(
+                [sys.executable, "-m", "pnormflow.cli", command, path,
+                 "--json"], stdout=write_end, stderr=subprocess.PIPE,
+                env=env, timeout=120)
+        finally:
+            os.close(write_end)
+        assert done.returncode == EXIT_BROKEN_PIPE == 141
+        assert done.stderr == b""
 
     def test_parse_error_is_usage(self, tmp_path, capsys):
         path = write(tmp_path, "bad.stream", "problem pnorm nope\n")

@@ -725,6 +725,29 @@ class TestCarriedPotential:
         assert_same_answer(seeded.query(), plain.query())
         assert (seeded.certified, plain.certified) == (int(accepted), 0)
 
+    def test_cancelling_arc_costs_close_no_parent_cycle(self):
+        """On edges 1 and 2 alpha l is below half an ulp of g, so each edge's
+        two float arc costs sum to exactly 0; relaxing back along a parent
+        arc then rounds to an improvement. No cycle has ratio below -alpha
+        (the least is -1.7e-16), so the answer is None."""
+        graph = IncrementalGraph(7)
+        for u, v in zip([0, 5, 3, 2, 1, 6, 2, 3, 1],
+                        [5, 3, 2, 1, 6, 4, 4, 0, 2]):
+            graph.add_edge(u, v)
+        g = np.array([1.0501038474074518, -4.042774874494788,
+                      4.334980418931396, 0.060526266512171786,
+                      -1.1560897553812113, 0.06162080854247002,
+                      -1.0339426803265697, 2.9926710270873365,
+                      -0.060526266512171994])
+        lengths = np.array([0.5200521198882477, 0.31219987552726086,
+                            0.28493858140129785, 1.0201114465961336,
+                            1.0926534373229737, 0.3891860613042059,
+                            0.946312656105722, 0.5500822398238523,
+                            0.3770286417023451])
+        alpha = 1e-15
+        assert brute_force_min_ratio_cycle(graph, g, lengths).ratio > -alpha
+        assert MonotoneMrcState(graph, g, lengths, alpha=alpha).query() is None
+
     @pytest.mark.parametrize("alpha, proved", [
         (1e-14, False), (0.5 * CERTIFY_RTOL, False), (1e-10, True)])
     def test_margin_declines_reduced_costs_at_rounding_scale(self, alpha,

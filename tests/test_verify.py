@@ -32,13 +32,24 @@ from pnormflow.verify import (
 from support import finite_diff_check
 
 
-@pytest.fixture(params=[True, False], ids=["dense", "sparse"])
-def dense(request, monkeypatch):
-    """Whether Newton steps take the dense path: for False the cycle limit
-    is set below every cycle count."""
-    if not request.param:
+FACTORIZATIONS = ("cycle-cholesky", "vertex-cholesky", "vertex-splu")
+
+
+@pytest.fixture(params=FACTORIZATIONS)
+def factorization(request, monkeypatch):
+    """How Newton steps are factored: the cycle-space Hessian by Cholesky,
+    or the grounded vertex Laplacian by Cholesky or by splu. For the
+    vertex-space cases the cycle limit is set below every cycle count; the
+    graph's cycle and free-vertex counts then choose between them."""
+    if request.param != "cycle-cholesky":
         monkeypatch.setattr(verify_module, "_DENSE_CYCLE_LIMIT", -1)
     return request.param
+
+
+def factorization_of(newton):
+    if newton.dense:
+        return "cycle-cholesky"
+    return "vertex-cholesky" if newton.dense_laplacian else "vertex-splu"
 
 
 def build_instance(n, edges, d, p, g=None, r=None, w=None):
@@ -250,9 +261,12 @@ class TestStaticPNormOpt:
         expected = effective_resistance(graph, resistances, s, t) * scale ** 2
         assert report.value == pytest.approx(expected, rel=1e-6)
 
-    def test_sparse_laplacian_matches_closed_form(self):
+    # 901 cycles on 99 free vertices (vertex Cholesky), and 201 cycles on
+    # 399 (splu).
+    @pytest.mark.parametrize("n, m, factored", [
+        (100, 1000, "vertex-cholesky"), (400, 600, "vertex-splu")])
+    def test_vertex_laplacian_matches_closed_form(self, n, m, factored):
         rng = np.random.Generator(np.random.Philox(17))
-        n, m = 100, 1000
         assert m - (n - 1) > _DENSE_CYCLE_LIMIT
         graph = IncrementalGraph(n)
         for i in range(n - 1):
@@ -265,7 +279,9 @@ class TestStaticPNormOpt:
         inst = PNormInstance(graph, d, 2, threshold=0.0, eps=1e-6)
         inst.set_edge_attrs(rng.normal(size=m), 0.2 + rng.random(m),
                             0.2 + rng.random(m))
-        report = static_pnorm_opt(inst, seed=0)
+        setup = NewtonSetup(graph)
+        report = static_pnorm_opt(inst, setup=setup)
+        assert factorization_of(setup._newton) == factored
         value, flow = quadratic_optimum(inst)
         assert report.value == pytest.approx(value, rel=1e-9)
         assert np.allclose(report.flow, flow, rtol=1e-7, atol=1e-9)
@@ -283,15 +299,20 @@ class TestStaticPNormOpt:
             np.max(np.abs(inst.d)))
 
     @pytest.mark.parametrize("p", [2, 3, 37])
-    def test_value_is_the_energy_of_the_flow(self, dense, p):
-        # The solver adopts report.value as the energy of report.flow.
-        for seed in range(10):
+    def test_value_is_the_energy_of_the_flow(self, factorization, p):
+        # The solver adopts report.value as the energy of report.flow. The
+        # random graphs take either vertex-space factorization; each case
+        # checks the ones that take its own.
+        checked = 0
+        for seed in range(40):
             inst = random_instance(np.random.Generator(np.random.Philox(
                 seed)), p_choices=(p,))
             setup = NewtonSetup(inst.graph)
             report = static_pnorm_opt(inst, setup=setup)
-            assert setup._newton.dense == dense
-            assert report.value == inst.energy(report.flow)
+            if factorization_of(setup._newton) == factorization:
+                assert report.value == inst.energy(report.flow)
+                checked += 1
+        assert checked >= 10
 
     def test_overflowing_start_restarts_on_the_lightest_forest(self):
         # Routing 10 over the heavy edge costs (1e6 * 10)^60, past the
@@ -313,7 +334,7 @@ class TestCycleBasisProducts:
     """The Newton solver forms C x and C^T y by dense matrix products up to
     _DENSE_CYCLE_LIMIT cycles, which must agree with scipy's CSC and CSR
     products to rounding, and by np.bincount over sorted triplets above
-    it, which must equal them bit for bit: the sparse path's iterates
+    it, which must equal them bit for bit: the vertex-space path's iterates
     depend on them."""
 
     @pytest.mark.parametrize("n, dense", [(12, True), (80, True),
@@ -410,8 +431,8 @@ class TestNewtonSetup:
                 assert ours == theirs, field
 
     # Each component holds as many extra edges as vertices, so the set-up
-    # starts with n cycles: at n = _DENSE_CYCLE_LIMIT the first extension
-    # leaves the dense path.
+    # starts with n cycles on n - 2 free vertices: at n = _DENSE_CYCLE_LIMIT
+    # the first extension leaves the cycle space for vertex Cholesky.
     @pytest.mark.parametrize("n", [12, _DENSE_CYCLE_LIMIT, 240])
     @pytest.mark.parametrize("seed", range(3))
     def test_extended_and_rebuilt_set_up_match_a_fresh_build(self, n, seed):
@@ -436,14 +457,36 @@ class TestNewtonSetup:
         m = rebuilt.m
         assert setup._caught_up() is rebuilt and rebuilt.m == m
 
-    # A tree on 12 vertices (dense steps), and a tree on 60 vertices plus
-    # _DENSE_CYCLE_LIMIT + 1 cycles (sparse steps).
-    @pytest.mark.parametrize("n, cycles", [(12, 0),
-                                           (60, _DENSE_CYCLE_LIMIT + 1)])
+    def test_vertex_laplacian_factorization_changes_at_the_free_count(self):
+        # A tree on 140 vertices plus 138 chords: 138 cycles on 139 free
+        # vertices take splu; the next chord extends the set-up to 139
+        # cycles, which take vertex Cholesky.
+        rng = np.random.Generator(np.random.Philox(3))
+        n = 140
+        graph = IncrementalGraph(n)
+        for v in range(1, n):
+            graph.add_edge(int(rng.integers(0, v)), v)
+        add_inside(graph, rng, 0, n, n - 2)
+        setup = NewtonSetup(graph)
+        newton = setup._caught_up()
+        assert (newton.off_tree.size, newton.free.size) == (n - 2, n - 1)
+        assert factorization_of(newton) == "vertex-splu"
+        add_inside(graph, rng, 0, n, 1)
+        assert setup._caught_up() is newton
+        assert factorization_of(newton) == "vertex-cholesky"
+        self.assert_matches_fresh(newton, graph)
+
+    # A tree on 12 vertices (cycle space), a tree on 60 vertices plus
+    # _DENSE_CYCLE_LIMIT + 1 cycles (vertex Cholesky), and a tree on 200
+    # vertices plus as many cycles (splu).
+    @pytest.mark.parametrize("n, cycles, factored", [
+        (12, 0, "cycle-cholesky"),
+        (60, _DENSE_CYCLE_LIMIT + 1, "vertex-cholesky"),
+        (200, _DENSE_CYCLE_LIMIT + 1, "vertex-splu")])
     @pytest.mark.parametrize("p", [2, 3, 4])
     @pytest.mark.parametrize("seed", range(4))
-    def test_solves_with_and_without_the_set_up_agree(self, n, cycles, p,
-                                                      seed):
+    def test_solves_with_and_without_the_set_up_agree(self, n, cycles,
+                                                      factored, p, seed):
         rng = np.random.Generator(np.random.Philox(seed))
         graph = IncrementalGraph(n)
         d = rng.normal(size=n)
@@ -465,7 +508,7 @@ class TestNewtonSetup:
             # The graph stays connected, so each solve extends the set-up.
             newton = newton or setup._newton
             assert setup._newton is newton and newton.m == inst.m
-            assert newton.dense == (cycles == 0)
+            assert factorization_of(newton) == factored
             fresh = static_pnorm_opt(inst)
             assert carried.value == fresh.value
             assert carried.flow.tobytes() == fresh.flow.tobytes()
@@ -483,7 +526,8 @@ class TestNewtonSetup:
 
 # p = 2 and k = 5 cycles at event 2, where h spans 4.8e-11 to 6.6e10: the
 # dense Cholesky factor of C^T H C exists but its steps are too inaccurate
-# for Newton to converge; sparse steps answer C, C, F, F, F, F.
+# for Newton to converge; vertex-space steps (factored by Cholesky or by
+# splu) answer C, C, F, F, F, F.
 WIDE_CURVATURE = parse_stream("""\
 problem pnorm n=3 mmax=10 p=2 F=0.002222564938627855 eps=2.222564938627855e-06
 demand 3 -72.27264166306318
@@ -502,18 +546,19 @@ add 1 2 g=-22.46629254239485 r=1.154349698491713e-05 w=0.0001866457069197257
 """)
 
 
-def newton_system(seed, p):
-    """A _CycleNewton on a random 12-vertex multigraph (24 cycles), the
-    edge gradient, Hessian diagonal and cycle-space gradient of a random
-    smoothed objective at a random flow, and the cycle-space Hessian
-    C^T H C formed explicitly. Under the dense fixture's sparse param it
-    takes the sparse path."""
+def newton_system(seed, p, factorization="cycle-cholesky"):
+    """A _CycleNewton, the edge gradient, Hessian diagonal and cycle-space
+    gradient of a random smoothed objective at a random flow, and the
+    cycle-space Hessian C^T H C formed explicitly. The graph is a random
+    12-vertex multigraph (24 cycles on 11 free vertices) or, for
+    vertex-splu, a random tree on 30 vertices plus 15 chords; under the
+    factorization fixture its case takes the named factorization."""
     rng = np.random.Generator(np.random.Philox(seed))
-    n = 12
+    n, chords = (30, 15) if factorization == "vertex-splu" else (12, 24)
     graph = IncrementalGraph(n)
     for v in range(1, n):
         graph.add_edge(int(rng.integers(0, v)), v)
-    for _ in range(2 * n):
+    for _ in range(chords):
         u, v = rng.choice(n, size=2, replace=False)
         graph.add_edge(int(u), int(v))
     m = graph.m
@@ -534,11 +579,11 @@ def newton_system(seed, p):
 
 
 class TestNewtonStep:
-    """One Newton step: one factorization on either path (the sparse path
-    reuses it for every refinement pass), and a step accurate to the
+    """One Newton step: one factorization on every path (the vertex-space
+    path reuses it for every refinement pass), and a step accurate to the
     forcing term."""
 
-    def test_factors_once_per_step(self, monkeypatch, dense):
+    def test_factors_once_per_step(self, monkeypatch, factorization):
         factored, solved = [], []
 
         def counting(calls, fn):
@@ -547,12 +592,7 @@ class TestNewtonStep:
                 return fn(*args, **kwargs)
             return counted
 
-        if dense:
-            monkeypatch.setattr(verify_module, "dpotrf",
-                                counting(factored, dpotrf))
-            monkeypatch.setattr(verify_module, "dpotrs",
-                                counting(solved, dpotrs))
-        else:
+        if factorization == "vertex-splu":
             splu = verify_module.spla.splu
 
             def counting_splu(*args, **kwargs):
@@ -561,9 +601,15 @@ class TestNewtonStep:
                 return SimpleNamespace(solve=counting(solved, lu.solve))
 
             monkeypatch.setattr(verify_module.spla, "splu", counting_splu)
+        else:
+            monkeypatch.setattr(verify_module, "dpotrf",
+                                counting(factored, dpotrf))
+            monkeypatch.setattr(verify_module, "dpotrs",
+                                counting(solved, dpotrs))
         for seed in range(5):
-            newton, h, edge_grad, grad, _ = newton_system(seed, 37)
-            assert newton.dense == dense
+            newton, h, edge_grad, grad, _ = newton_system(seed, 37,
+                                                          factorization)
+            assert factorization_of(newton) == factorization
             # A gradient norm of 1e-20 makes the forcing term machine
             # precision, so refinement runs as far as it can.
             scale = 1e-20 / float(np.linalg.norm(grad))
@@ -571,16 +617,17 @@ class TestNewtonStep:
             newton.step(h, scale * edge_grad, scale * grad, 1e-20)
             assert len(factored) == seed + 1
             assert len(solved) - before >= 1
-        if dense:
+        if factorization == "cycle-cholesky":
             assert len(solved) == len(factored)
         else:
             assert len(solved) > len(factored)
 
     @pytest.mark.parametrize("p", [2, 3, 37])
     @pytest.mark.parametrize("seed", range(10))
-    def test_step_matches_dense_solve(self, dense, p, seed):
-        newton, h, edge_grad, grad, hessian = newton_system(seed, p)
-        assert newton.dense == dense
+    def test_step_matches_dense_solve(self, factorization, p, seed):
+        newton, h, edge_grad, grad, hessian = newton_system(seed, p,
+                                                            factorization)
+        assert factorization_of(newton) == factorization
         gnorm = float(np.linalg.norm(grad))
         reference = np.linalg.solve(hessian, -grad)
         step = newton.step(h, edge_grad, grad, gnorm)
@@ -596,15 +643,20 @@ class TestNewtonStep:
 
     @pytest.mark.parametrize("p", [2, 3, 37])
     @pytest.mark.parametrize("seed", range(10))
-    def test_paths_agree_to_rounding(self, monkeypatch, p, seed):
-        newton, h, edge_grad, grad, _ = newton_system(seed, p)
+    def test_paths_agree_to_rounding(self, monkeypatch, factorization, p,
+                                     seed):
+        newton, h, edge_grad, grad, _ = newton_system(seed, p, factorization)
+        assert factorization_of(newton) == factorization
+        # The same graph in the other space: the cycle space for a
+        # vertex-space case, vertex Cholesky for the cycle-space one.
+        monkeypatch.setattr(verify_module, "_DENSE_CYCLE_LIMIT",
+                            -1 if newton.dense else newton.off_tree.size)
+        other, *_ = newton_system(seed, p, factorization)
+        assert other.dense != newton.dense
         # The forcing term at a gradient norm of 1e-20 is machine precision.
         scale = 1e-20 / float(np.linalg.norm(grad))
-        steps = [newton.step(h, scale * edge_grad, scale * grad, 1e-20)]
-        monkeypatch.setattr(verify_module, "_DENSE_CYCLE_LIMIT", -1)
-        sparse, *_ = newton_system(seed, p)
-        assert (newton.dense, sparse.dense) == (True, False)
-        steps.append(sparse.step(h, scale * edge_grad, scale * grad, 1e-20))
+        steps = [solver.step(h, scale * edge_grad, scale * grad, 1e-20)
+                 for solver in (newton, other)]
         assert np.linalg.norm(steps[1] - steps[0]) <= 1e-12 * np.linalg.norm(
             steps[0])
 
@@ -622,11 +674,13 @@ class TestNewtonStep:
                 assert inst.energy(answer.flow) <= inst.threshold + inst.eps
         assert kinds == [CertifiedAbove] * 2 + [Flow] * 4
 
-    def test_failed_factorization_gives_a_nan_step(self, dense):
-        newton, h, edge_grad, grad, _ = newton_system(0, 2)
+    def test_failed_factorization_gives_a_nan_step(self, factorization):
+        newton, h, edge_grad, grad, _ = newton_system(0, 2, factorization)
+        assert factorization_of(newton) == factorization
         # h = 0 zeroes C^T H C, which potrf rejects at its first pivot;
-        # h = inf zeroes the conductances 1/h, a singular Laplacian.
-        h = np.full_like(h, 0.0 if dense else np.inf)
+        # h = inf zeroes the conductances 1/h, a singular Laplacian that
+        # potrf and splu reject alike.
+        h = np.full_like(h, 0.0 if newton.dense else np.inf)
         step = newton.step(h, edge_grad, grad, float(np.linalg.norm(grad)))
         assert step.shape == grad.shape
         assert np.all(np.isnan(step))
