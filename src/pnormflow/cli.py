@@ -63,12 +63,28 @@ def _read_stream(args):
         return parse_stream(fh.read())
 
 
+class _StdoutClosed(Exception):
+    """The reader of standard output closed it (`| head`)."""
+
+
+def _write(text: str, flush: bool = False) -> None:
+    """Write text to standard output, then flush it if asked. A broken
+    pipe there raises _StdoutClosed, so that main tells it from one on a
+    --trace or --out path, which is an input error."""
+    try:
+        sys.stdout.write(text)
+        if flush:
+            sys.stdout.flush()
+    except BrokenPipeError as exc:
+        raise _StdoutClosed from exc
+
+
 def _emit(record: dict, as_json: bool) -> None:
     """One record as JSON or as key=value pairs (a float as its repr)."""
     if as_json:
-        print(json.dumps(record, default=float))
+        _write(json.dumps(record, default=float) + "\n")
     else:
-        print(" ".join(f"{k}={v}" for k, v in record.items()))
+        _write(" ".join(f"{k}={v}" for k, v in record.items()) + "\n")
 
 
 def _solver_kwargs(args) -> dict:
@@ -134,7 +150,7 @@ def cmd_gen(args) -> int:
                              seed=args.seed, cap_max=args.cap_max)
     text = print_stream(stream)
     if args.out == "-":
-        sys.stdout.write(text)
+        _write(text)
     else:
         with open(args.out, "w", encoding="utf-8") as fh:
             fh.write(text)
@@ -193,13 +209,14 @@ def main(argv=None) -> int:
     try:
         code = args.func(args)
         # Flushed here, so that a closed pipe raises below, not at exit.
-        sys.stdout.flush()
+        _write("", flush=True)
         return code
-    except BrokenPipeError:
-        # The reader closed standard output (`| head`), which is no input
-        # error. Python flushes stdout again at exit, so point it at
-        # devnull first.
-        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+    except _StdoutClosed:
+        # No input error. Python flushes stdout again at exit, so point it
+        # at devnull first.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
         return EXIT_BROKEN_PIPE
     except StreamError as exc:
         print(f"pnormflow: {exc}", file=sys.stderr)

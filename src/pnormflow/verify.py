@@ -10,7 +10,8 @@ chooses how a Newton step is solved: up to _DENSE_CYCLE_LIMIT cycles by
 one dense Cholesky factorization of the k x k cycle-space Hessian, above
 it through a grounded vertex Laplacian, factored by dense Cholesky when
 there are at least as many cycles as free vertices and by sparse splu
-otherwise.
+otherwise. A vertex-space step that refinement leaves short of the
+loosest forcing term is solved again by a weighted least-squares QR.
 
 A solve builds its spanning forest and cycle basis for itself, unless the
 caller carries them in a NewtonSetup: the solver keeps one and the maxflow
@@ -27,6 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
+from scipy.linalg import qr
 from scipy.linalg.lapack import dpotrf, dpotrs
 
 from .errors import OracleError
@@ -72,7 +74,8 @@ _STAGNATION_GNORM = 100.0 * math.sqrt(_EPS)
 _DENSE_CYCLE_LIMIT = 128
 # Largest forcing term of the inexact sparse Newton step (Eisenstat and
 # Walker): far from the optimum a rough step suffices, and the forcing term
-# min(_FORCING_MAX, ||C^T grad||) keeps convergence fast near it.
+# min(_FORCING_MAX, ||C^T grad||) keeps convergence fast near it. A step
+# that refinement leaves short of even this term is solved again by QR.
 _FORCING_MAX = 1e-2
 
 
@@ -101,7 +104,12 @@ class _CycleNewton:
       otherwise. Iterative refinement feeds the cycle-space residual back
       through that factorization until the residual is within the forcing
       term eta = min(_FORCING_MAX, ||C^T grad||) of ||C^T grad|| (machine
-      precision at the least), or it stops shrinking. Newton stops on the
+      precision at the least), or it stops shrinking. Where curvatures
+      span many orders of magnitude, L's factor loses the small
+      conductances to the huge ones and refinement stalls. A step whose
+      residual stays above _FORCING_MAX ||C^T grad|| is then solved
+      again by Householder QR of H^(-1/2) B, which never forms L
+      (_least_squares_step, m x n_free cells). Newton stops on the
       decrement of this step, which the forcing term keeps within a factor
       of about 1 + eta of the exact one. np.bincount forms C x and C^T y
       from the (cycle, edge, sign) triplets, sorted by cycle and then edge
@@ -265,7 +273,35 @@ class _CycleNewton:
             x, residual, rnorm = candidate, cand_residual, cand_norm
             if stalled:
                 break
+        if not rnorm <= _FORCING_MAX * gnorm:
+            # At widely spread curvature L's factor loses the small
+            # conductances to the huge ones, and refinement stalls short of
+            # even the loosest forcing term.
+            return self._least_squares_step(h, edge_grad)
         return x
+
+    def _least_squares_step(self, h: np.ndarray,
+                            edge_grad: np.ndarray) -> np.ndarray:
+        """The vertex-space step without forming L: phi minimizes
+        ||H^(-1/2) (edge_grad + B phi)||, whose normal equations are
+        L phi = -B^T (edge_grad / h), and Delta = -(edge_grad + B phi) / h
+        is H^(-1/2) times that least-squares residual. Householder QR of
+        the m x n_free matrix H^(-1/2) B, heaviest rows first, gives the
+        residual as b - Q Q^T b without the cancellation in L (Golub and
+        Van Loan, "Matrix Computations", on weighted least squares)."""
+        order = np.argsort(h, kind="stable")
+        weight = 1.0 / np.sqrt(h[order])
+        rows = np.arange(self.m)
+        a = np.zeros((self.m, self.free.size))
+        for ends, sign in ((self.tails, 1.0), (self.heads, -1.0)):
+            local = self._local[ends[order]]
+            kept = local >= 0
+            a[rows[kept], local[kept]] = sign * weight[kept]
+        b = -edge_grad[order] * weight
+        q = qr(a, mode="economic", overwrite_a=True, check_finite=False)[0]
+        delta = np.empty(self.m)
+        delta[order] = (b - q @ (q.T @ b)) * weight
+        return delta[self.off_tree]
 
 
 class NewtonSetup:

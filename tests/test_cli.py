@@ -1,5 +1,6 @@
 """Tests for the command-line interface: exit codes, metrics, round trips."""
 
+import contextlib
 import io
 import json
 import math
@@ -11,6 +12,7 @@ from pathlib import Path
 import pytest
 
 import pnormflow
+import pnormflow.cli as cli_module
 from pnormflow.cli import (EXIT_BROKEN_PIPE, EXIT_FAILURE, EXIT_OK,
                            EXIT_USAGE, main)
 from pnormflow.streams import generate_stream, parse_stream, print_stream
@@ -372,6 +374,21 @@ class TestExitCodes:
             os.close(write_end)
         assert done.returncode == EXIT_BROKEN_PIPE == 141
         assert done.stderr == b""
+
+    def test_broken_pipe_on_a_trace_path_is_an_input_error(
+            self, tmp_path, capsys, monkeypatch):
+        # A --trace or --out path can be a FIFO whose reader left; only a
+        # closed standard output exits 141.
+        @contextlib.contextmanager
+        def broken_sink(path):
+            raise BrokenPipeError(32, "Broken pipe")
+            yield
+
+        monkeypatch.setattr(cli_module, "_trace_sink", broken_sink)
+        path = write(tmp_path, "s.stream", MAXFLOW_TEXT)
+        argv = ["maxflow", path, "--trace", str(tmp_path / "fifo")]
+        assert main(argv) == EXIT_USAGE
+        assert capsys.readouterr().err == "pnormflow: [Errno 32] Broken pipe\n"
 
     def test_parse_error_is_usage(self, tmp_path, capsys):
         path = write(tmp_path, "bad.stream", "problem pnorm nope\n")

@@ -1,6 +1,7 @@
 """Tests for the reference oracles: convex optimum, maxflow, resistance."""
 
 import math
+from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
@@ -10,6 +11,7 @@ from hypothesis import given, settings, strategies as st
 from scipy.linalg.lapack import dpotrf, dpotrs
 
 import pnormflow.verify as verify_module
+from pnormflow.check import stream_checker
 from pnormflow.drivers import event_calls
 from pnormflow.graph import (IncrementalGraph, PNormInstance, _curvature,
                              net_demand, smoothed_gradient,
@@ -33,6 +35,7 @@ from support import finite_diff_check
 
 
 FACTORIZATIONS = ("cycle-cholesky", "vertex-cholesky", "vertex-splu")
+STREAMS = Path(__file__).parent / "streams"
 
 
 @pytest.fixture(params=FACTORIZATIONS)
@@ -673,6 +676,42 @@ class TestNewtonStep:
             if isinstance(answer, Flow):
                 assert inst.energy(answer.flow) <= inst.threshold + inst.eps
         assert kinds == [CertifiedAbove] * 2 + [Flow] * 4
+
+    @pytest.mark.parametrize("factorization",
+                             ["vertex-cholesky", "vertex-splu"], indirect=True)
+    @pytest.mark.parametrize("seed", range(3))
+    def test_stalled_refinement_falls_back_to_least_squares(
+            self, monkeypatch, factorization, seed):
+        newton, h, edge_grad, grad, hessian = newton_system(seed, 37,
+                                                            factorization)
+        assert factorization_of(newton) == factorization
+        # A factorization that solves every system with zero: refinement
+        # stalls far from the forcing term, so only the least-squares step
+        # can match the reference.
+        if factorization == "vertex-splu":
+            monkeypatch.setattr(verify_module.spla, "splu", lambda lap:
+                                SimpleNamespace(solve=np.zeros_like))
+        else:
+            monkeypatch.setattr(verify_module, "dpotrs",
+                                lambda chol, b: (np.zeros_like(b), 0))
+        reference = np.linalg.solve(hessian, -grad)
+        step = newton.step(h, edge_grad, grad, float(np.linalg.norm(grad)))
+        assert np.linalg.norm(step - reference) <= 1e-10 * np.linalg.norm(
+            reference)
+
+    @pytest.mark.parametrize("index", [18, 35, 135])
+    def test_vertex_steps_converge_at_widely_spread_curvature(self, index):
+        # Dense maxflow streams at p = 25-122 with capacities spread by up
+        # to 10^5, whose vertex-space steps (129-202 cycles on 38-50 free
+        # vertices) meet curvatures 18 to 22 orders of magnitude apart.
+        # With steps from refinement through L alone, Newton ran out of
+        # iterations on each.
+        stream = parse_stream(
+            (STREAMS / f"dense-maxflow-{index:03d}.stream").read_text())
+        check = stream_checker(stream)
+        _, calls = event_calls(stream, seed=1)
+        for k, call in enumerate(calls):
+            assert check(k, call())["ok"]
 
     def test_failed_factorization_gives_a_nan_step(self, factorization):
         newton, h, edge_grad, grad, _ = newton_system(0, 2, factorization)
