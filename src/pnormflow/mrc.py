@@ -13,19 +13,20 @@ over randomized spanning forests, built and searched as one stacked forest)
 are deterministic between updates, so
 the stored answer is the one a new solve would give.
 
-The exact backend can prove a stall without a search. A vertex potential
-under which both arcs of every edge keep a non-negative reduced cost shows
-that no cycle of ratio at most -alpha exists, and a length increase only
-raises arc costs, so such a potential stays valid until an insertion,
-whose two arcs the next check covers. The state carries a candidate
-potential, which only its caller sets (the solver takes tree potentials
-of the gradient over Newton's forest). Each exact solve first checks the
-candidate in one vectorized pass, which answers None on success; the
-check demands a margin over the rounding of the potential and the arc
-costs, so a proved stall is one Bellman-Ford finds too ("Negative-cycle
-detection algorithms", Cherkassky-Goldberg). Bellman-Ford's final
-distances are not kept: they are tight on their shortest-path arcs,
-which the margin declines.
+A stall can be proved without a search, on either backend. Give each
+edge's two arcs the costs +-g + (alpha/kappa) l. A vertex potential under
+which every arc keeps a non-negative reduced cost shows that no cycle has
+ratio at most -alpha/kappa, and a length increase only raises arc costs,
+so such a potential stays valid until an insertion, whose two arcs the
+next check covers. The state carries a candidate potential, which only
+its caller sets (the solver takes tree potentials of the gradient over
+Newton's forest). Each solve first checks the candidate in one vectorized
+pass, which answers None on success; the check demands a margin over the
+rounding of the potential and the arc costs, so a proved stall is one that
+Bellman-Ford finds too, and one in which the trees backend finds no cycle
+below its threshold ("Negative-cycle detection algorithms",
+Cherkassky-Goldberg). Bellman-Ford's final distances are not kept: they
+are tight on their shortest-path arcs, which the margin declines.
 """
 
 from __future__ import annotations
@@ -199,11 +200,12 @@ class MonotoneMrcState:
     signs, or None). `queries` counts every query and `solves` the ones
     that solved, so `queries - solves` is the number of memo hits.
 
-    On the exact backend `potential` holds a candidate vertex potential
-    (None at first; only a caller sets one, and the state never replaces
-    it). An exact solve answers None without a search when the candidate
-    proves the stall, counted in `certified` (and in `solves`), so
-    `solves - certified` is the number of Bellman-Ford runs. The
+    `potential` holds a candidate vertex potential (None at first; only a
+    caller sets one, and the state never replaces it). A solve on either
+    backend answers None without a search when the candidate proves the
+    stall, counted in `certified` (and in `solves`), so `solves -
+    certified` is the number of searches: Bellman-Ford runs on the exact
+    backend, passes over the forests' cycles on the trees one. The
     candidate only saves searches: every answer is the one a state
     without it gives.
     """
@@ -296,10 +298,7 @@ class MonotoneMrcState:
         Solves only when the input changed since the last solve."""
         self.queries += 1
         if not self._fresh:
-            if self._trees is not None:
-                self._answer = self._trees.query(self)
-            else:
-                self._answer = self._exact_query()
+            self._answer = self._solve()
             if self._answer is not None:
                 _read_only(self._answer.edges)
                 _read_only(self._answer.signs)
@@ -307,14 +306,24 @@ class MonotoneMrcState:
             self.solves += 1
         return self._answer
 
-    def _exact_query(self) -> CycleSolution | None:
-        g = self.gradients
-        lengths = self.lengths
-        costs = (self.tails, self.heads, g + self.alpha * lengths,
-                 -g + self.alpha * lengths)
+    def _solve(self) -> CycleSolution | None:
+        """None when the candidate potential proves that no cycle has
+        ratio <= -alpha/kappa, for arc costs +-g + (alpha/kappa) l;
+        otherwise the backend's search."""
+        scaled = (self.alpha / self.kappa) * self.lengths
+        costs = (self.tails, self.heads, self.gradients + scaled,
+                 -self.gradients + scaled)
         if self.potential is not None and _certifies(self.potential, *costs):
             self.certified += 1
             return None
+        if self._trees is not None:
+            return self._trees.query(self)
+        return self._exact_query(costs)
+
+    def _exact_query(self, costs: tuple[np.ndarray, ...]
+                     ) -> CycleSolution | None:
+        g = self.gradients
+        lengths = self.lengths
         found = _negative_cycle(self.n, *costs)
         if found is None:
             return None
@@ -348,11 +357,16 @@ class _TreeCollection:
     or an insertion connects components.
 
     A rebuild draws all the forests' random keys at once, one row per
-    forest (the same numbers as one draw per forest), orders each row's
+    forest (the same numbers as one draw per forest), and scales them by
+    the lengths of that moment. The first query that the state's potential
+    does not prove builds the forests from them: it orders each row's
     edges by key, ties to the lowest edge id, and builds the forests in one
-    stacked SpanningForest (forest i's vertex v at i * n + v). The rebuild
-    takes the signed gradient prefix sums over it once; each query takes
-    the length prefix sums over it once.
+    stacked SpanningForest (forest i's vertex v at i * n + v) over the edges
+    the keys cover. Later edges, inserted without a rebuild, close cycles
+    in every forest, so the forests are the ones a build at the rebuild
+    gives, and so is every answer. A run that only stalls builds none.
+    The build takes the signed gradient prefix sums over the stack once;
+    each query takes the length prefix sums over it once.
 
     The cycle cache holds one row per forest: its off-tree edges in
     increasing id order, with their endpoints and meeting vertices in the
@@ -377,16 +391,25 @@ class _TreeCollection:
         self.rebuild(state)
 
     def rebuild(self, state: MonotoneMrcState) -> None:
-        keys = self.rng.uniform(1.0, 4.0, (self.count, state.m))
-        keys *= state.lengths
-        self.stacked = SpanningForest(state.n, state.tails, state.heads,
-                                      _edge_orders(keys))
-        # Tree edges keep their gradients, so these stay valid until the
-        # next rebuild.
-        self.gsum = self.stacked.prefix_sums(state.gradients, signed=True)
+        """Draw the forests' keys, scaled by the lengths of this moment;
+        the forests are built from them at the first query that needs
+        them."""
+        self._keys = self.rng.uniform(1.0, 4.0, (self.count, state.m))
+        self._keys *= state.lengths
+        self.stacked: SpanningForest | None = None
         self.checkpoint = max(self.total, 1e-300)
         self.components = state.graph.components
         self._cycles = None
+
+    def _build(self, state: MonotoneMrcState) -> None:
+        """Build the stacked forests over the edges the keys cover, the
+        first keys.shape[1]; every later edge closes a cycle in them."""
+        self.stacked = SpanningForest(state.n, state.tails, state.heads,
+                                      _edge_orders(self._keys))
+        self._keys = None
+        # Tree edges keep their gradients, so these stay valid until the
+        # next rebuild.
+        self.gsum = self.stacked.prefix_sums(state.gradients, signed=True)
 
     def _entries(self, state: MonotoneMrcState,
                  off: np.ndarray) -> tuple[np.ndarray, ...]:
@@ -437,6 +460,8 @@ class _TreeCollection:
         g, lengths = state.gradients, state.lengths
         threshold = -state.alpha / state.kappa
         if self._cycles is None:
+            if self.stacked is None:
+                self._build(state)
             self._cycles = self._all_entries(state)
         off, u, v, meet, grads = (col.ravel() for col in self._cycles)
         if off.size == 0:

@@ -385,11 +385,11 @@ class IncrementalPNormSolver:
         self._lambda_checked = True
 
     def _start_run(self) -> None:
-        """Start an inner run on the residual problem at f. On the exact
-        backend, when the carried Newton set-up holds every edge, its
-        forest's tree potentials of the gradient seed the oracle's
-        potential: tree edges then have reduced costs alpha l, and an
-        off-tree edge alpha l plus or minus its fundamental cycle's
+        """Start an inner run on the residual problem at f. When the
+        carried Newton set-up holds every edge, its forest's tree
+        potentials of the gradient seed the oracle's potential, on either
+        backend: tree edges then have reduced costs (alpha/kappa) l, and an
+        off-tree edge (alpha/kappa) l plus or minus its fundamental cycle's
         gradient sum, which is about zero at a Newton optimum."""
         residual = build_residual(self.instance, self.f)
         self._run_R = (self._energy - self.F) / self.lam
@@ -398,8 +398,7 @@ class IncrementalPNormSolver:
                             self.p, kappa=self.kappa, m_max=self._slots,
                             seed=self._next_seed(), backend=self.backend,
                             trace=self.trace)
-        forest = (self.setup.current_forest() if self.backend == "exact"
-                  else None)
+        forest = self.setup.current_forest()
         if forest is not None:
             self.mwu.mrc.potential = forest.prefix_sums(residual.g,
                                                         signed=True)

@@ -11,7 +11,9 @@ one dense Cholesky factorization of the k x k cycle-space Hessian, above
 it through a grounded vertex Laplacian, factored by dense Cholesky when
 there are at least as many cycles as free vertices and by sparse splu
 otherwise. A vertex-space step that refinement leaves short of the
-loosest forcing term is solved again by a weighted least-squares QR.
+loosest forcing term is solved again by a weighted least-squares QR, and
+a solve whose cycle-space Cholesky steps stall its line search or run to
+_QR_AFTER_ITERATIONS takes them by QR of H^(1/2) C from then on.
 
 A solve builds its spanning forest and cycle basis for itself, unless the
 caller carries them in a NewtonSetup: the solver keeps one and the maxflow
@@ -28,7 +30,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
-from scipy.linalg import qr
+from scipy.linalg import qr, solve_triangular
 from scipy.linalg.lapack import dpotrf, dpotrs
 
 from .errors import OracleError
@@ -77,6 +79,11 @@ _DENSE_CYCLE_LIMIT = 128
 # min(_FORCING_MAX, ||C^T grad||) keeps convergence fast near it. A step
 # that refinement leaves short of even this term is solved again by QR.
 _FORCING_MAX = 1e-2
+# Iterations after which a solve takes its dense cycle-space steps by QR
+# instead of Cholesky. Desk maxflow materializations take 10 iterations on
+# average and 25 at most; a solve past 50 is one whose Cholesky steps are
+# inaccurate at widely spread curvature.
+_QR_AFTER_ITERATIONS = 50
 
 
 class _CycleNewton:
@@ -91,7 +98,14 @@ class _CycleNewton:
       Cholesky (LAPACK potrf, potrs). A vanishing curvature h_e is a
       vanishing term there, where the vertex Laplacian below holds the
       huge conductance 1/h_e (at large p the maxflow reduction's h spans
-      15 orders of magnitude).
+      15 orders of magnitude). Forming C^T H C squares the conditioning,
+      and where h spans about 20 orders of magnitude the Cholesky steps
+      are no Newton steps. Asked for `by_qr`, the step is instead the least
+      squares solution of H^(1/2) C x = -H^(-1/2) g_E for the edge
+      gradient g_E, whose normal equations are the same system, by economic QR of the m x k matrix
+      H^(1/2) C, which never forms C^T H C (Golub and Van Loan, "Matrix
+      Computations", on least squares); it costs about twice a Cholesky
+      step.
     - Above it, in the vertex space, Delta = C x is the circulation
       minimizing Delta^T H Delta / 2 + grad^T Delta, so Delta =
       -(grad + B phi) / h, where B is the edge-vertex incidence matrix
@@ -215,11 +229,20 @@ class _CycleNewton:
         return phi
 
     def step(self, h: np.ndarray, edge_grad: np.ndarray, grad: np.ndarray,
-             gnorm: float) -> np.ndarray:
+             gnorm: float, by_qr: bool = False) -> np.ndarray:
         """Cycle coordinates of the Newton step for the cycle-space
-        gradient grad of norm gnorm: exact in the cycle space, to within the
-        forcing term in the vertex space; NaN when the factorization
-        fails."""
+        gradient grad of norm gnorm: exact in the cycle space, by QR there
+        when `by_qr` is set, to within the forcing term in the vertex space;
+        NaN when the factorization fails."""
+        if self.dense and by_qr:
+            root = np.sqrt(h)
+            q, r = qr((self.basis * root).T, mode="economic",
+                      overwrite_a=True, check_finite=False)
+            try:
+                return solve_triangular(r, q.T @ (-edge_grad / root),
+                                        check_finite=False)
+            except np.linalg.LinAlgError:
+                return np.full(self.off_tree.size, np.nan)
         if self.dense:
             basis = self.basis
             chol, info = dpotrf((basis * h) @ basis.T, overwrite_a=True)
@@ -387,8 +410,13 @@ def static_pnorm_opt(
     converged with their achieved gradient_norm; the value error at such a
     plateau is quadratic in the gradient norm and far below any comparison
     the report feeds. A step whose line search finds no decrease ends the
-    solve at the current iterate: converged when its gradient norm is within
-    the stagnation scale times 1 + |E(f)|, an OracleError otherwise.
+    solve at the current iterate when its gradient norm is within the
+    stagnation scale times 1 + |E(f)|, as converged. Cycle-space steps
+    start by Cholesky and switch to QR for the rest of the solve (see
+    _CycleNewton) at iteration _QR_AFTER_ITERATIONS, or when a line search
+    finds no decrease short of the stagnation scale; that iteration is then
+    taken again by QR. A line search that still finds no decrease is an
+    OracleError.
 
     Args:
         instance: the problem; demand must be routable on the current graph.
@@ -435,7 +463,7 @@ def static_pnorm_opt(
         f = forest.route_demand(instance.d, m)
 
     off_tree = newton.off_tree
-    g, r, w, p = instance.g, instance.r, instance.w, instance.p
+    terms = g, r, w, p = instance.g, instance.r, instance.w, instance.p
     with np.errstate(over="ignore"):
         energy = float(_smoothed_sum(g, r, w, p, f))
         if not math.isfinite(energy):
@@ -448,7 +476,17 @@ def static_pnorm_opt(
             raise OracleError(f"energy of the start flow overflows ({energy})")
         last_energy = math.inf
         stagnant = 0
+        by_qr = False
+
+        def newton_step() -> tuple[np.ndarray, float]:
+            step = newton.step(h, edge_grad, grad, gnorm, by_qr)
+            if not float(grad @ step) < 0:
+                # Numerical degeneracy; fall back to steepest descent.
+                step = -grad
+            return step, -float(grad @ step)
+
         for iteration in range(NEWTON_MAX_ITERATIONS + 1):
+            by_qr = by_qr or iteration == _QR_AFTER_ITERATIONS
             curv = _curvature(w, p, f)
             edge_grad = smoothed_gradient(g, r, w, p, f, curv)
             grad = newton.to_cycles(edge_grad)
@@ -461,11 +499,7 @@ def static_pnorm_opt(
             # no step is needed.
             decrement = float(grad @ (grad / h[off_tree]))
             if not decrement <= target:
-                step = newton.step(h, edge_grad, grad, gnorm)
-                if not float(grad @ step) < 0:
-                    # Numerical degeneracy; fall back to steepest descent.
-                    step = -grad
-                decrement = -float(grad @ step)
+                step, decrement = newton_step()
             if decrement <= target:
                 return OracleReport(value=energy, flow=f,
                                     iterations=iteration, gradient_norm=gnorm)
@@ -481,29 +515,51 @@ def static_pnorm_opt(
             else:
                 stagnant = 0
             last_energy = energy
-            direction = newton.to_edges(step)
-            t = 1.0
-            for _ in range(80):
-                candidate = f + t * direction
-                cand_energy = float(_smoothed_sum(g, r, w, p, candidate))
-                if (math.isfinite(cand_energy)
-                        and cand_energy <= energy - 1e-4 * t * decrement):
-                    f, energy = candidate, cand_energy
-                    break
-                t *= 0.5
-            else:
-                # f did not move, so gnorm is still its gradient norm.
-                if gnorm <= _STAGNATION_GNORM * (1.0 + abs(energy)):
+            moved = _line_search(terms, f, energy, newton.to_edges(step),
+                                 decrement)
+            # Where f did not move, gnorm is still its gradient norm.
+            converged = gnorm <= _STAGNATION_GNORM * (1.0 + abs(energy))
+            if moved is None and not converged and newton.dense \
+                    and not by_qr:
+                # Inaccurate Cholesky steps: this iteration again, and the
+                # rest of the solve, by QR. A QR step that meets the target
+                # leaves f where it is, and the next iteration returns.
+                by_qr = True
+                step, decrement = newton_step()
+                moved = (f, energy) if decrement <= target else _line_search(
+                    terms, f, energy, newton.to_edges(step), decrement)
+            if moved is None:
+                if converged:
                     return OracleReport(value=energy, flow=f,
                                         iterations=iteration,
                                         gradient_norm=gnorm)
                 raise OracleError(
                     f"line search stalled at gradient norm {gnorm:.3e}"
                 )
+            f, energy = moved
     raise OracleError(
         f"no convergence in {NEWTON_MAX_ITERATIONS} iterations "
         f"(Newton decrement {decrement:.3e}, target {target:.3e})"
     )
+
+
+def _line_search(terms: tuple, f: np.ndarray, energy: float,
+                 direction: np.ndarray, decrement: float
+                 ) -> tuple[np.ndarray, float] | None:
+    """Backtracking from the full step: the first of f + t direction,
+    t = 1, 1/2, ..., 2^-79, whose finite energy (of the instance terms
+    g, r, w, p) drops by at least 1e-4 t decrement, with that energy;
+    None when none does."""
+    g, r, w, p = terms
+    t = 1.0
+    for _ in range(80):
+        candidate = f + t * direction
+        cand_energy = float(_smoothed_sum(g, r, w, p, candidate))
+        if (math.isfinite(cand_energy)
+                and cand_energy <= energy - 1e-4 * t * decrement):
+            return candidate, cand_energy
+        t *= 0.5
+    return None
 
 
 def exact_maxflow(

@@ -102,17 +102,23 @@ def test_maxflow_phases_view_the_driver_graph():
 def test_tree_backend_rebuilds_when_an_insert_joins_components():
     """Two triangles joined by a bridge: the graph's component count drops,
     which alone must rebuild the forests (the total length stays far from
-    doubling), and the bridge is then a tree edge of every forest."""
+    doubling), and the bridge is then a tree edge of every forest. The
+    forests are built at the first query after a rebuild, so each
+    comparison follows a query."""
     graph = IncrementalGraph(6)
     for u, v in ((0, 1), (1, 2), (2, 0), (3, 4), (4, 5), (5, 3)):
         graph.add_edge(u, v)
     state = MonotoneMrcState(graph, np.arange(6.0), np.ones(6), alpha=0.1,
                              kappa=4.0, backend="trees", seed=3)
+    state.query()
     stacked = state._trees.stacked
+    assert stacked is not None
     state.insert(graph.add_edge(0, 1), 1.0, 0.5)
+    state.query()
     assert state._trees.stacked is stacked
     bridge = graph.add_edge(2, 3)
     state.insert(bridge, -1.0, 0.5)
+    state.query()
     assert state._trees.stacked is not stacked
     assert np.count_nonzero(state._trees.stacked.tree_edges == bridge) \
         == state._trees.count

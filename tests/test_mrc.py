@@ -574,10 +574,8 @@ def assert_cache_is_fresh(state):
 
 
 def direct_solve(state):
-    """The un-memoized answer: a backend solve on the state's current input."""
-    if state.backend == "trees":
-        return state._trees.query(state)
-    return state._exact_query()
+    """The un-memoized answer: a solve on the state's current input."""
+    return state._solve()
 
 
 class TestQueryMemo:
@@ -798,6 +796,88 @@ class TestCarriedPotential:
         assert (state.solves, state.certified) == (4, 1)
         assert state.potential is candidate
         assert plain.potential is None
+
+
+def near_potential_instance(rng, n, noise):
+    """A random connected graph whose gradients are differences of vertex
+    values plus `noise`, so every cycle's gradient sum is about zero, and
+    the values as a function of rng for later edges."""
+    values = rng.normal(size=n)
+    graph = IncrementalGraph(n)
+    spine = rng.permutation(n)
+    for u, v in zip(spine[:-1], spine[1:]):
+        graph.add_edge(int(u), int(v))
+    for _ in range(2 * n):
+        u, v = rng.choice(n, size=2, replace=False)
+        graph.add_edge(int(u), int(v))
+    m = graph.m
+    gradients = (values[graph.heads[:m]] - values[graph.tails[:m]]
+                 + noise * rng.normal(size=m))
+    return graph, gradients, 0.2 + rng.random(m), values
+
+
+class TestTreeBackendPotential:
+    """The candidate potential proves stalls on the trees backend as on the
+    exact one: it changes no answer, and a proved stall builds no
+    forests."""
+
+    def test_answers_match_a_state_without_the_potential(self):
+        """Two states with one seed, one given the tree potential of its
+        gradients, answer alike (edges, signs, ratio) over inserts, some of
+        which break the proof, and length increases, some of which restore
+        it or double the total length."""
+        proved = found = 0
+        for seed in range(12):
+            rng = np.random.Generator(np.random.Philox(seed))
+            n = int(rng.integers(4, 10))
+            graph, gradients, lengths, values = near_potential_instance(
+                rng, n, 1e-3)
+            seeded, plain = (MonotoneMrcState(
+                graph, gradients, lengths, alpha=0.5, kappa=4.0,
+                backend="trees", seed=seed) for _ in range(2))
+            seeded.potential = tree_potential(graph, gradients)
+            for _ in range(16):
+                got = seeded.query()
+                assert_same_answer(got, plain.query())
+                found += got is not None
+                if rng.random() < 0.4:
+                    u, v = (int(x) for x in rng.choice(n, size=2,
+                                                       replace=False))
+                    e = graph.add_edge(u, v)
+                    update = (e, float(values[v] - values[u] + rng.choice(
+                        [1e-3, 1.0]) * rng.normal()), 0.1 + rng.random())
+                    for state in (seeded, plain):
+                        state.insert(*update)
+                else:
+                    pool = got.edges if got is not None else range(graph.m)
+                    e = int(rng.choice(pool))
+                    grow = 1.0 + (20.0 if rng.random() < 0.2 else 1.0) * \
+                        float(rng.random())
+                    length = float(seeded.lengths[e] * grow)
+                    for state in (seeded, plain):
+                        state.increase_length(e, length)
+            proved += seeded.certified
+            assert plain.certified == 0
+            assert seeded.solves == plain.solves
+        assert proved > 0 and found > 0
+
+    def test_proved_stall_builds_no_forests(self):
+        rng = np.random.Generator(np.random.Philox(5))
+        graph, gradients, lengths, _ = near_potential_instance(rng, 8, 0.0)
+        state = MonotoneMrcState(graph, gradients, lengths, alpha=0.5,
+                                 kappa=4.0, backend="trees", seed=5)
+        state.potential = tree_potential(graph, gradients)
+        assert state.query() is None
+        assert (state.solves, state.certified) == (1, 1)
+        assert state._trees.stacked is None
+        # An edge whose cycles are steep breaks the proof: the next query
+        # builds the forests and finds one of its cycles.
+        e = graph.add_edge(0, 1)
+        state.insert(e, 50.0, 0.01)
+        answer = state.query()
+        assert answer is not None and e in answer.edges
+        assert (state.solves, state.certified) == (2, 1)
+        assert state._trees.stacked is not None
 
 
 def _graph_of(state):

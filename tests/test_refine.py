@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from pnormflow import refine
+from pnormflow import mrc, refine
 from pnormflow.drivers import event_calls
 from pnormflow.errors import InvariantViolation, OracleError
 from pnormflow.graph import IncrementalGraph, PNormInstance, net_demand
@@ -494,6 +494,42 @@ class TestSolverVerdicts:
         assert (small.queries, small.iterations) == (full.queries,
                                                      full.iterations)
         assert (full.queries, full.iterations) == (1601, 1600)
+
+    def test_tree_runs_after_a_static_solve_build_no_forests(
+            self, monkeypatch):
+        """A scale-style stream (p = 2, trees backend, kappa 4, budget 30,
+        start plus two insertions, the threshold 1% below the final
+        optimum) certifies above at every event. Each of its three runs
+        starts at Newton's optimum, and each first query there is a stall
+        that the tree potential proves; the runs of the start and the first
+        insertion go on to meet an insertion, whose query builds the
+        forests. So 2 stacked builds, where building at every rebuild took
+        one per run, 3."""
+        builds = []
+
+        class CountingForest(mrc.SpanningForest):
+            def __init__(self, *args):
+                builds.append(args[0])
+                super().__init__(*args)
+
+        monkeypatch.setattr(mrc, "SpanningForest", CountingForest)
+        n, m = 60, 600
+        stream = generate_stream("random", "pnorm", n=n, initial=m, events=0,
+                                 p=2, seed=0)
+        final = static_pnorm_opt(build_pnorm_instance(stream)[0]).value
+        stream.events = stream.initial_edges[m - 2:]
+        stream.initial_edges = stream.initial_edges[:m - 2]
+        stream.threshold = final - 1e-2 * (1.0 + abs(final))
+        stream.eps = 1e-3 * (1.0 + abs(stream.threshold))
+        records = []
+        solver, calls = event_calls(stream, seed=1, backend="trees",
+                                    kappa=4.0, step_budget_per_event=30,
+                                    trace=records.append)
+        assert all(isinstance(call(), CertifiedAbove) for call in calls)
+        assert builds == [n, n]
+        stalls = [r["certified"] for r in records if r["kind"] == "stall"]
+        assert stalls == [True] * 3
+        assert (solver.queries, solver.iterations) == (63, 60)
 
     def test_generator_yields_one_verdict_per_event(self):
         instance = fresh_instance(2, [-1.0, 1.0], p=2, threshold=0.6,

@@ -626,6 +626,18 @@ class TestNewtonStep:
             assert len(solved) > len(factored)
 
     @pytest.mark.parametrize("p", [2, 3, 37])
+    @pytest.mark.parametrize("seed", range(5))
+    def test_qr_step_matches_dense_solve(self, monkeypatch, p, seed):
+        # QR of H^(1/2) C factors no C^T H C.
+        monkeypatch.setattr(verify_module, "dpotrf", None)
+        newton, h, edge_grad, grad, hessian = newton_system(seed, p)
+        reference = np.linalg.solve(hessian, -grad)
+        step = newton.step(h, edge_grad, grad, float(np.linalg.norm(grad)),
+                           by_qr=True)
+        assert np.linalg.norm(step - reference) <= 1e-10 * np.linalg.norm(
+            reference)
+
+    @pytest.mark.parametrize("p", [2, 3, 37])
     @pytest.mark.parametrize("seed", range(10))
     def test_step_matches_dense_solve(self, factorization, p, seed):
         newton, h, edge_grad, grad, hessian = newton_system(seed, p,
@@ -663,11 +675,12 @@ class TestNewtonStep:
         assert np.linalg.norm(steps[1] - steps[0]) <= 1e-12 * np.linalg.norm(
             steps[0])
 
-    @pytest.mark.xfail(strict=True, raises=OracleError,
-                       reason="inaccurate dense steps at widely spread h")
     def test_dense_steps_converge_at_widely_spread_curvature(self):
-        # Energies are checked directly: stream_checker's flow-balance
-        # bound ignores the flow's magnitude and rejects these flows.
+        # p = 2, k = 5 and h from 4.8e-11 to 6.6e10: the Cholesky steps of
+        # C^T H C are inaccurate there, and the solve that finds no
+        # decrease along one retries it by QR of H^(1/2) C. Energies are
+        # checked directly: stream_checker's flow-balance bound ignores
+        # the flow's magnitude and rejects these flows.
         solver, calls = event_calls(WIDE_CURVATURE, seed=0)
         inst, kinds = solver.instance, []
         for call in calls:
@@ -708,6 +721,18 @@ class TestNewtonStep:
         # iterations on each.
         stream = parse_stream(
             (STREAMS / f"dense-maxflow-{index:03d}.stream").read_text())
+        check = stream_checker(stream)
+        _, calls = event_calls(stream, seed=1)
+        for k, call in enumerate(calls):
+            assert check(k, call())["ok"]
+
+    @pytest.mark.parametrize("index", [12, 1164])
+    def test_dense_steps_fall_back_to_qr(self, index):
+        # Extreme-sweep p-norm streams (n = 4-6, p = 4 and 8, r and w from
+        # 1e-6 to 1e6) whose Cholesky steps stalled a line search (12, in
+        # the checker's reference solve) or ran out of iterations (1164).
+        stream = parse_stream(
+            (STREAMS / f"extreme-pnorm-{index:04d}.stream").read_text())
         check = stream_checker(stream)
         _, calls = event_calls(stream, seed=1)
         for k, call in enumerate(calls):
