@@ -800,8 +800,8 @@ class TestCarriedPotential:
 
 def near_potential_instance(rng, n, noise):
     """A random connected graph whose gradients are differences of vertex
-    values plus `noise`, so every cycle's gradient sum is about zero, and
-    the values as a function of rng for later edges."""
+    values plus `noise`, so every cycle's gradient sum is about zero, with
+    lengths and the vertex values, for the gradients of later edges."""
     values = rng.normal(size=n)
     graph = IncrementalGraph(n)
     spine = rng.permutation(n)
