@@ -309,8 +309,13 @@ class MonotoneMrcState:
     def _solve(self) -> CycleSolution | None:
         """None when the candidate potential proves that no cycle has
         ratio <= -alpha/kappa, for arc costs +-g + (alpha/kappa) l;
-        otherwise the backend's search."""
+        otherwise the backend's search. A scaled length that overflows
+        would make every arc cost infinite and fake a stall, so it raises
+        OracleError instead."""
         scaled = (self.alpha / self.kappa) * self.lengths
+        if not np.isfinite(scaled).all():
+            raise OracleError("a scaled edge length overflows, so no arc "
+                              "cost is finite")
         costs = (self.tails, self.heads, self.gradients + scaled,
                  -self.gradients + scaled)
         if self.potential is not None and _certifies(self.potential, *costs):

@@ -359,7 +359,8 @@ class IncrementalPNormSolver:
         self._energy = report.value
         gap = self._energy - self.F
         self._steps_remaining = 1 if gap <= self.eps else math.ceil(
-            6.0 * self.K ** 2 * self.lam * math.log(gap / self.eps)) + 1
+            6.0 * self.K ** 2 * self.lam
+            * (math.log(gap) - math.log(self.eps))) + 1
         if not self._lambda_checked:
             self._validate_lambda()
 

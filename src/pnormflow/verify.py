@@ -10,10 +10,10 @@ chooses how a Newton step is solved: up to _DENSE_CYCLE_LIMIT cycles by
 one dense Cholesky factorization of the k x k cycle-space Hessian, above
 it through a grounded vertex Laplacian, factored by dense Cholesky when
 there are at least as many cycles as free vertices and by sparse splu
-otherwise. A vertex-space step that refinement leaves short of the
-loosest forcing term is solved again by a weighted least-squares QR, and
-a solve whose cycle-space Cholesky steps stall its line search or run to
-_QR_AFTER_ITERATIONS takes them by QR of H^(1/2) C from then on.
+otherwise. From iteration _QR_AFTER_ITERATIONS or a failed line search on,
+a solve takes each step by its space's one fallback: QR of H^(1/2) C, or
+a sparse solve of the vertex space's KKT system, which a vertex-space step
+that refinement leaves short of the loosest forcing term also takes.
 
 A solve builds its spanning forest and cycle basis for itself, unless the
 caller carries them in a NewtonSetup: the solver keeps one and the maxflow
@@ -77,12 +77,12 @@ _DENSE_CYCLE_LIMIT = 128
 # Largest forcing term of the inexact sparse Newton step (Eisenstat and
 # Walker): far from the optimum a rough step suffices, and the forcing term
 # min(_FORCING_MAX, ||C^T grad||) keeps convergence fast near it. A step
-# that refinement leaves short of even this term is solved again by QR.
+# that refinement leaves short of even this term is solved by _kkt_step.
 _FORCING_MAX = 1e-2
-# Iterations after which a solve takes its dense cycle-space steps by QR
-# instead of Cholesky. Desk maxflow materializations take 10 iterations on
-# average and 25 at most; a solve past 50 is one whose Cholesky steps are
-# inaccurate at widely spread curvature.
+# Iterations after which a solve takes its steps by its space's fallback
+# (QR or KKT). Desk maxflow materializations take 10 iterations on average
+# and 25 at most; a solve past 50 is one whose steps are inaccurate at
+# widely spread curvature.
 _QR_AFTER_ITERATIONS = 50
 
 
@@ -100,12 +100,12 @@ class _CycleNewton:
       huge conductance 1/h_e (at large p the maxflow reduction's h spans
       15 orders of magnitude). Forming C^T H C squares the conditioning,
       and where h spans about 20 orders of magnitude the Cholesky steps
-      are no Newton steps. Asked for `by_qr`, the step is instead the least
-      squares solution of H^(1/2) C x = -H^(-1/2) g_E for the edge
-      gradient g_E, whose normal equations are the same system, by economic QR of the m x k matrix
-      H^(1/2) C, which never forms C^T H C (Golub and Van Loan, "Matrix
-      Computations", on least squares); it costs about twice a Cholesky
-      step.
+      are no Newton steps. Its fallback step is instead the least squares
+      solution of H^(1/2) C x = -H^(-1/2) g_E for the edge gradient g_E,
+      whose normal equations are the same system, by economic QR of the
+      m x k matrix H^(1/2) C, which never forms C^T H C (Golub and Van
+      Loan, "Matrix Computations", on least squares); it costs about twice
+      a Cholesky step.
     - Above it, in the vertex space, Delta = C x is the circulation
       minimizing Delta^T H Delta / 2 + grad^T Delta, so Delta =
       -(grad + B phi) / h, where B is the edge-vertex incidence matrix
@@ -121,9 +121,9 @@ class _CycleNewton:
       precision at the least), or it stops shrinking. Where curvatures
       span many orders of magnitude, L's factor loses the small
       conductances to the huge ones and refinement stalls. A step whose
-      residual stays above _FORCING_MAX ||C^T grad|| is then solved
-      again by Householder QR of H^(-1/2) B, which never forms L
-      (_least_squares_step, m x n_free cells). Newton stops on the
+      residual stays above _FORCING_MAX ||C^T grad|| is then taken by
+      this space's fallback, one sparse LU of the KKT system [H, B; B^T,
+      0], which never forms L (_kkt_step). Newton stops on the
       decrement of this step, which the forcing term keeps within a factor
       of about 1 + eta of the exact one. np.bincount forms C x and C^T y
       from the (cycle, edge, sign) triplets, sorted by cycle and then edge
@@ -229,12 +229,14 @@ class _CycleNewton:
         return phi
 
     def step(self, h: np.ndarray, edge_grad: np.ndarray, grad: np.ndarray,
-             gnorm: float, by_qr: bool = False) -> np.ndarray:
+             gnorm: float, fallback: bool = False) -> np.ndarray:
         """Cycle coordinates of the Newton step for the cycle-space
-        gradient grad of norm gnorm: exact in the cycle space, by QR there
-        when `by_qr` is set, to within the forcing term in the vertex space;
-        NaN when the factorization fails."""
-        if self.dense and by_qr:
+        gradient grad of norm gnorm: exact in the cycle space, to within
+        the forcing term in the vertex space, by the space's fallback when
+        `fallback` is set; NaN when the factorization fails."""
+        if fallback and not self.dense:
+            return self._kkt_step(h, edge_grad)
+        if fallback:
             root = np.sqrt(h)
             q, r = qr((self.basis * root).T, mode="economic",
                       overwrite_a=True, check_finite=False)
@@ -300,31 +302,29 @@ class _CycleNewton:
             # At widely spread curvature L's factor loses the small
             # conductances to the huge ones, and refinement stalls short of
             # even the loosest forcing term.
-            return self._least_squares_step(h, edge_grad)
+            return self._kkt_step(h, edge_grad)
         return x
 
-    def _least_squares_step(self, h: np.ndarray,
-                            edge_grad: np.ndarray) -> np.ndarray:
-        """The vertex-space step without forming L: phi minimizes
-        ||H^(-1/2) (edge_grad + B phi)||, whose normal equations are
-        L phi = -B^T (edge_grad / h), and Delta = -(edge_grad + B phi) / h
-        is H^(-1/2) times that least-squares residual. Householder QR of
-        the m x n_free matrix H^(-1/2) B, heaviest rows first, gives the
-        residual as b - Q Q^T b without the cancellation in L (Golub and
-        Van Loan, "Matrix Computations", on weighted least squares)."""
-        order = np.argsort(h, kind="stable")
-        weight = 1.0 / np.sqrt(h[order])
-        rows = np.arange(self.m)
-        a = np.zeros((self.m, self.free.size))
-        for ends, sign in ((self.tails, 1.0), (self.heads, -1.0)):
-            local = self._local[ends[order]]
-            kept = local >= 0
-            a[rows[kept], local[kept]] = sign * weight[kept]
-        b = -edge_grad[order] * weight
-        q = qr(a, mode="economic", overwrite_a=True, check_finite=False)[0]
-        delta = np.empty(self.m)
-        delta[order] = (b - q @ (q.T @ b)) * weight
-        return delta[self.off_tree]
+    def _kkt_step(self, h: np.ndarray, edge_grad: np.ndarray) -> np.ndarray:
+        """The vertex-space step without forming L: Delta of the
+        equality-constrained Newton (KKT) system [H, B; B^T, 0] [Delta;
+        phi] = [-edge_grad; 0] over the free vertices, which holds h_e where
+        L holds 1/h_e (Nocedal and Wright, "Numerical Optimization", ch.
+        16), by one sparse LU in a symmetric ordering; NaN when it fails."""
+        m = self.m
+        ends = np.concatenate((self.heads, self.tails))
+        incidence = sp.csc_matrix((np.repeat([1.0, -1.0], m), (
+            np.tile(np.arange(m), 2), ends)), shape=(m, self.n))[:, self.free]
+        kkt = sp.bmat([[sp.diags(h), incidence], [incidence.T, None]],
+                      format="csc")
+        try:
+            lu = spla.splu(kkt, permc_spec="MMD_AT_PLUS_A",
+                           diag_pivot_thresh=0.1,
+                           options={"SymmetricMode": True})
+        except RuntimeError:
+            return np.full(self.off_tree.size, np.nan)
+        rhs = np.concatenate((-edge_grad, np.zeros(self.free.size)))
+        return lu.solve(rhs)[self.off_tree]
 
 
 class NewtonSetup:
@@ -411,12 +411,12 @@ def static_pnorm_opt(
     plateau is quadratic in the gradient norm and far below any comparison
     the report feeds. A step whose line search finds no decrease ends the
     solve at the current iterate when its gradient norm is within the
-    stagnation scale times 1 + |E(f)|, as converged. Cycle-space steps
-    start by Cholesky and switch to QR for the rest of the solve (see
+    stagnation scale times 1 + |E(f)|, as converged. In either space the
+    steps switch to the space's fallback for the rest of the solve (see
     _CycleNewton) at iteration _QR_AFTER_ITERATIONS, or when a line search
     finds no decrease short of the stagnation scale; that iteration is then
-    taken again by QR. A line search that still finds no decrease is an
-    OracleError.
+    taken again by the fallback. A line search that still finds no decrease
+    is an OracleError.
 
     Args:
         instance: the problem; demand must be routable on the current graph.
@@ -476,17 +476,17 @@ def static_pnorm_opt(
             raise OracleError(f"energy of the start flow overflows ({energy})")
         last_energy = math.inf
         stagnant = 0
-        by_qr = False
+        fallback = False
 
         def newton_step() -> tuple[np.ndarray, float]:
-            step = newton.step(h, edge_grad, grad, gnorm, by_qr)
+            step = newton.step(h, edge_grad, grad, gnorm, fallback)
             if not float(grad @ step) < 0:
                 # Numerical degeneracy; fall back to steepest descent.
                 step = -grad
             return step, -float(grad @ step)
 
         for iteration in range(NEWTON_MAX_ITERATIONS + 1):
-            by_qr = by_qr or iteration == _QR_AFTER_ITERATIONS
+            fallback = fallback or iteration == _QR_AFTER_ITERATIONS
             curv = _curvature(w, p, f)
             edge_grad = smoothed_gradient(g, r, w, p, f, curv)
             grad = newton.to_cycles(edge_grad)
@@ -519,12 +519,11 @@ def static_pnorm_opt(
                                  decrement)
             # Where f did not move, gnorm is still its gradient norm.
             converged = gnorm <= _STAGNATION_GNORM * (1.0 + abs(energy))
-            if moved is None and not converged and newton.dense \
-                    and not by_qr:
-                # Inaccurate Cholesky steps: this iteration again, and the
-                # rest of the solve, by QR. A QR step that meets the target
-                # leaves f where it is, and the next iteration returns.
-                by_qr = True
+            if moved is None and not converged and not fallback:
+                # Inaccurate steps: this iteration again, and the rest of
+                # the solve, by the fallback. A fallback step that meets the
+                # target leaves f where it is, and the next iteration returns.
+                fallback = True
                 step, decrement = newton_step()
                 moved = (f, energy) if decrement <= target else _line_search(
                     terms, f, energy, newton.to_edges(step), decrement)

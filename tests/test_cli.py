@@ -419,17 +419,25 @@ class TestExitCodes:
         (line,) = lines
         assert json.loads(line)["objective"] == float(cap)
 
-    def test_solver_failure_is_not_an_invariant_failure(self, tmp_path,
-                                                        capsys):
-        # The overflow is an OracleError: a solver failure, also exit 2.
-        path = write(tmp_path, "p.stream",
-                     "problem pnorm n=3 mmax=3 p=2 F=0 eps=1\n"
-                     "demand 1 -1e300\ndemand 3 1e300\n"
-                     "edge 1 2\nedge 2 3\nstart\nadd 1 3\n")
-        assert main(["pnorm", path]) == EXIT_FAILURE
+    # Each overflow is an OracleError: a solver failure, also exit 2. At
+    # r = 1e160 the inner run's lengths K^(q-2) r^2 a overflow, which would
+    # make every arc cost infinite and fake a stall (AboveThreshold,
+    # although the last insertion brings R_eff to about 1e-200).
+    @pytest.mark.parametrize("command, text, message", [
+        ("pnorm", "problem pnorm n=3 mmax=3 p=2 F=0 eps=1\n"
+                  "demand 1 -1e300\ndemand 3 1e300\n"
+                  "edge 1 2\nedge 2 3\nstart\nadd 1 3\n",
+         "energy of the start flow overflows"),
+        ("effres", "problem effres n=2 mmax=3 s=1 t=2 theta=1e-100 eps=0.1\n"
+                   "edge 1 2 r=1e160\nstart\nadd 1 2 r=1e-200\n",
+         "a scaled edge length overflows")])
+    @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
+    def test_solver_failure_is_not_an_invariant_failure(
+            self, tmp_path, capsys, command, text, message):
+        path = write(tmp_path, "p.stream", text)
+        assert main([command, path]) == EXIT_FAILURE
         err = capsys.readouterr().err
-        assert err.startswith("pnormflow: solver failure: energy of the "
-                              "start flow overflows")
+        assert err.startswith(f"pnormflow: solver failure: {message}")
         assert "invariant" not in err
 
     # Newton stops on its decrement, in energy units, so materializations

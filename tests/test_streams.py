@@ -2,6 +2,7 @@
 
 import hashlib
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -19,6 +20,9 @@ from pnormflow.streams import (
     parse_stream,
     print_stream,
 )
+from sweeps import SWEEPS, stream_text
+
+COMMITTED = sorted((Path(__file__).parent / "streams").glob("*.stream"))
 
 PNORM_TEXT = """\
 # a small threshold stream
@@ -197,6 +201,22 @@ class TestPrint:
         stream = parse_stream(PNORM_TEXT)
         once = print_stream(stream)
         assert print_stream(parse_stream(once)) == once
+
+
+class TestSweeps:
+    """tests/sweeps.py names each committed sweep stream by its index."""
+
+    @pytest.mark.parametrize("path", [
+        path for path in COMMITTED
+        if path.stem.startswith(tuple(f"{sweep}-" for sweep in SWEEPS))],
+        ids=lambda path: path.stem)
+    def test_reproduces_committed_streams(self, path):
+        # Named <sweep>-[<kind>-]<index>.stream.
+        sweep = next(sweep for sweep in SWEEPS
+                     if path.stem.startswith(f"{sweep}-"))
+        index = int(path.stem.rsplit("-", 1)[1])
+        assert print_stream(parse_stream(stream_text(sweep, index))) == (
+            print_stream(parse_stream(path.read_text())))
 
 
 class TestBuildPNormInstance:

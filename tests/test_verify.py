@@ -49,6 +49,26 @@ def factorization(request, monkeypatch):
     return request.param
 
 
+def laplacian_factorizations(monkeypatch):
+    """A list that gains an entry at each potrf call and each splu call
+    without options, so every factorization but the KKT step's."""
+    factored = []
+    splu = verify_module.spla.splu
+
+    def counted_splu(a, **options):
+        if not options:
+            factored.append("splu")
+        return splu(a, **options)
+
+    def counted_potrf(*args, **kwargs):
+        factored.append("potrf")
+        return dpotrf(*args, **kwargs)
+
+    monkeypatch.setattr(verify_module.spla, "splu", counted_splu)
+    monkeypatch.setattr(verify_module, "dpotrf", counted_potrf)
+    return factored
+
+
 def factorization_of(newton):
     if newton.dense:
         return "cycle-cholesky"
@@ -627,13 +647,18 @@ class TestNewtonStep:
 
     @pytest.mark.parametrize("p", [2, 3, 37])
     @pytest.mark.parametrize("seed", range(5))
-    def test_qr_step_matches_dense_solve(self, monkeypatch, p, seed):
-        # QR of H^(1/2) C factors no C^T H C.
-        monkeypatch.setattr(verify_module, "dpotrf", None)
-        newton, h, edge_grad, grad, hessian = newton_system(seed, p)
+    def test_fallback_step_matches_dense_solve(self, monkeypatch,
+                                               factorization, p, seed):
+        # The fallbacks factor neither C^T H C (QR of H^(1/2) C) nor L
+        # (the KKT system).
+        factored = laplacian_factorizations(monkeypatch)
+        newton, h, edge_grad, grad, hessian = newton_system(seed, p,
+                                                            factorization)
+        assert factorization_of(newton) == factorization
         reference = np.linalg.solve(hessian, -grad)
         step = newton.step(h, edge_grad, grad, float(np.linalg.norm(grad)),
-                           by_qr=True)
+                           fallback=True)
+        assert factored == []
         assert np.linalg.norm(step - reference) <= 1e-10 * np.linalg.norm(
             reference)
 
@@ -693,24 +718,63 @@ class TestNewtonStep:
     @pytest.mark.parametrize("factorization",
                              ["vertex-cholesky", "vertex-splu"], indirect=True)
     @pytest.mark.parametrize("seed", range(3))
-    def test_stalled_refinement_falls_back_to_least_squares(
+    def test_stalled_refinement_falls_back_to_kkt(
             self, monkeypatch, factorization, seed):
         newton, h, edge_grad, grad, hessian = newton_system(seed, 37,
                                                             factorization)
         assert factorization_of(newton) == factorization
-        # A factorization that solves every system with zero: refinement
-        # stalls far from the forcing term, so only the least-squares step
-        # can match the reference.
+        kkt_step = newton._kkt_step(h, edge_grad)
+        # A Laplacian factorization that solves every system with zero:
+        # refinement stalls far from the forcing term, so only the KKT
+        # step, whose splu takes options, can match the reference.
         if factorization == "vertex-splu":
-            monkeypatch.setattr(verify_module.spla, "splu", lambda lap:
-                                SimpleNamespace(solve=np.zeros_like))
+            splu = verify_module.spla.splu
+            monkeypatch.setattr(
+                verify_module.spla, "splu", lambda a, **options:
+                splu(a, **options) if options
+                else SimpleNamespace(solve=np.zeros_like))
         else:
             monkeypatch.setattr(verify_module, "dpotrs",
                                 lambda chol, b: (np.zeros_like(b), 0))
         reference = np.linalg.solve(hessian, -grad)
         step = newton.step(h, edge_grad, grad, float(np.linalg.norm(grad)))
+        assert np.array_equal(step, kkt_step)
         assert np.linalg.norm(step - reference) <= 1e-10 * np.linalg.norm(
             reference)
+
+    @pytest.mark.parametrize("p", [2, 3, 37])
+    def test_vertex_solve_switched_at_once_takes_only_kkt_steps(
+            self, monkeypatch, p):
+        # With _QR_AFTER_ITERATIONS at 0 every vertex-space step is the
+        # fallback's: no Laplacian is factored, and the solve reaches the
+        # optimum of the default path.
+        monkeypatch.setattr(verify_module, "_DENSE_CYCLE_LIMIT", -1)
+        kkt_steps = []
+        kkt_step = _CycleNewton._kkt_step
+
+        def counted(newton, *args):
+            kkt_steps.append(1)
+            return kkt_step(newton, *args)
+
+        stepped = 0
+        for seed in range(10):
+            inst = random_instance(np.random.Generator(np.random.Philox(
+                seed)), n_max=12, p_choices=(p,))
+            default = static_pnorm_opt(inst)
+            with monkeypatch.context() as patch:
+                patch.setattr(verify_module, "_QR_AFTER_ITERATIONS", 0)
+                patch.setattr(_CycleNewton, "_kkt_step", counted)
+                factored = laplacian_factorizations(patch)
+                before = len(kkt_steps)
+                report = static_pnorm_opt(inst)
+            assert factored == []
+            assert len(kkt_steps) - before >= report.iterations
+            stepped += report.iterations > 0
+            assert report.value == pytest.approx(default.value, rel=1e-12,
+                                                 abs=1e-12)
+            assert np.allclose(report.flow, default.flow, rtol=1e-6,
+                               atol=1e-9)
+        assert stepped >= 5
 
     @pytest.mark.parametrize("name", sorted(
         path.stem for path in STREAMS.glob("*.stream")))
@@ -722,7 +786,12 @@ class TestNewtonStep:
         # ran out of iterations on each. extreme-pnorm-*: n = 4-6, p = 4
         # and 8, r and w from 1e-6 to 1e6; with Cholesky steps alone the
         # dense path stalled a line search (0012, in the checker's
-        # reference solve) or ran out of iterations (1164).
+        # reference solve) or ran out of iterations (1164). vertex-*: n =
+        # 40-45, 3n-6n edges; with Laplacian steps and no fallback on the
+        # cycle space's triggers, the vertex space stalled a line search
+        # (pnorm-0042) or ran out of iterations (pnorm-0123, maxflow-0047).
+        # overflow-*: (E - F) / eps past the float range, where counting
+        # the refinement steps overflowed.
         stream = parse_stream((STREAMS / f"{name}.stream").read_text())
         check = stream_checker(stream)
         _, calls = event_calls(stream, seed=1)
